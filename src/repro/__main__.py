@@ -6,11 +6,12 @@ Subcommands:
   over one or more files; print each binding's scheme (GHCi-style rep
   defaulting unless ``--explicit-reps``) and any diagnostics with source
   spans plus GHC-style caret snippets.  Exit status 1 when any file
-  fails.  ``--jobs N`` shards the pending *bindings* across N worker
-  processes; ``--cache PATH`` re-uses results per binding (keyed by the
-  binding's source slice and the schemes of the bindings it uses, so one
-  edit re-checks only its dependents); ``--stats`` prints per-binding
-  timings and cache hit/miss counts.
+  fails.  ``--jobs N`` walks the files across N worker processes
+  (re-checking exactly what one process would); ``--cache PATH``
+  re-uses results per binding (keyed by the binding's source slice and
+  the schemes of the bindings it uses, so one edit re-checks only its
+  dependents); ``--stats`` prints per-binding timings and cache hit/miss
+  counts.
 * ``build DIR|file.lev [...]`` — check a multi-module project: files name
   themselves with ``module M where`` headers and see each other's exports
   through ``import N`` declarations.  The module DAG is walked level by
@@ -392,7 +393,8 @@ def _cache_payload_validator():
     from .driver.store import table_of
 
     validators = {
-        # The unit table holds both per-unit and whole-file entries.
+        # Whole-file entries now live in pfile/; older caches may still
+        # hold some in the unit table.
         "unit": lambda payload: (_unit_payload_valid(payload)
                                  or _file_payload_valid(payload)),
         "pfile": _file_payload_valid,

@@ -14,10 +14,10 @@ reproduction as one pipeline::
   spans;
 * :mod:`repro.driver.depgraph` — binding-level dependency graphs: each
   module is broken into SCC-condensed **compilation units** checked in
-  dependency order (the granularity of error recovery, caching and
-  sharding);
-* :mod:`repro.driver.batch` — sharded parallel batch checking across
-  worker processes with a binding-level incremental result cache
+  dependency order (the granularity of error recovery and caching);
+* :mod:`repro.driver.batch` — the one unit walk every incremental
+  check runs, in-process or across worker processes, over a
+  binding-level incremental result cache
   (``Session.check_many(jobs=..., cache=..., stats=...)`` and
   ``python -m repro check --jobs N --cache PATH --stats``);
 * :mod:`repro.driver.store` — the sharded, content-addressed on-disk

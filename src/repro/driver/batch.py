@@ -36,13 +36,16 @@ Three layers:
   clobber each other's fresh entries.  An optional session-owned
   :class:`~repro.driver.store.HotTier` serves hot shards from memory.
 
-* **The scheduler** — :func:`check_many_sharded` walks every file's units
-  in dependency order.  With ``jobs > 1`` the pending units are dispatched
-  in **waves**: each wave contains every unit whose dependencies are
-  resolved, sharded across a process pool (units — not files — are the
-  unit of sharding).  Workers re-derive the plan from the shipped source
-  and receive the transitive dependency schemes as canonical renderings,
-  so a worker round-trip is byte-identical to an in-process check.
+* **The walk** — every incremental check goes through one per-file unit
+  walk (:func:`_walk`): a file's units in dependency order, each either a
+  cache hit or a check.  :func:`check_modules` runs it over one level of
+  modules — :func:`check_many_sharded` is a one-level project build whose
+  modules have no imports in scope, and :mod:`repro.driver.project` calls
+  it once per DAG level.  The walk runs in-process, or with ``jobs > 1``
+  inside the session's worker processes, one whole file per job: workers
+  open the cache directory read-only and ship every unit's payload back,
+  and the parent alone stores and saves.  Where the walk runs therefore
+  never changes what it re-checks.
 
 File-level payload helpers (:func:`result_to_payload` /
 :func:`result_from_payload` / :func:`payload_bytes`) are unchanged from
@@ -88,13 +91,14 @@ __all__ = [
     "cache_key",
     "canonical_scheme",
     "check_many_sharded",
+    "check_modules",
     "codegen_cache_key",
+    "file_key",
     "load_codegen",
     "options_fingerprint",
     "outline_key",
     "payload_bytes",
     "payload_from_unit_outcome",
-    "project_file_key",
     "result_from_payload",
     "result_to_payload",
     "store_codegen",
@@ -354,21 +358,24 @@ def unit_key(unit_source: str,
     return hasher.hexdigest()
 
 
-def project_file_key(source: str,
-                     ext_items: Iterable[Tuple[str, Optional[str]]],
-                     options: DriverOptions,
-                     _fingerprint: Optional[str] = None) -> str:
-    """File-level short-circuit key for a module checked inside a project.
+def file_key(source: str, scope: Optional[Dict[str, Optional[str]]],
+             options: DriverOptions,
+             _fingerprint: Optional[str] = None) -> str:
+    """The key of a module's whole-file entry (the ``pfile:`` table).
 
-    ``ext_items`` pairs each *referenced imported name* with the canonical
-    rendering of its exported scheme, exactly as supplied to the module's
-    units — so a dependency edit that leaves every referenced scheme
-    unchanged keeps the whole module a file-level hit (no re-parse), while
-    a scheme change re-opens the module for its unit walk.  The ``pfile:``
-    prefix keeps project entries disjoint from single-file entries of the
-    same source (their payloads differ: import warnings).
+    ``scope`` maps each imported name the module references to the
+    canonical rendering of its exported scheme, exactly as the module's
+    units see them — so a dependency edit that leaves every referenced
+    scheme unchanged keeps the module a file-level hit (no re-parse),
+    while a scheme change re-opens it for its unit walk.  ``None`` is
+    single-file mode (``repro check``), where ``import`` declarations stay
+    unresolved and each draws a warning; the mode is hashed in, so a
+    ``check`` entry never answers a ``build`` of the same source or the
+    other way round.
     """
-    return "pfile:" + unit_key(source, ext_items, options, _fingerprint)
+    mode = "file" if scope is None else "module"
+    return "pfile:" + unit_key(f"{mode}:{source}", (scope or {}).items(),
+                               options, _fingerprint)
 
 
 def outline_key(source: str, options: DriverOptions,
@@ -470,7 +477,8 @@ class ResultCache:
     :class:`repro.driver.store.ShardStore` (see that module for the
     layout, atomicity and GC story); shards load lazily, so construction
     is O(1) regardless of cache size.  Without a path the cache is a
-    plain in-process dict (the REPL's ``:load`` state, tests).
+    plain in-process dict (the REPL's state, tests) that worker
+    processes cannot read, so checks against it stay in-process.
 
     ``hits``/``misses``/``stores`` counters make cache behaviour
     observable to benchmarks, tests and ``--stats``; storing a payload
@@ -496,17 +504,11 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Whole-file short-circuit counters: an unchanged file is answered
+        #: Whole-file short-circuit hits: an unchanged file is answered
         #: from one file-level entry without even being re-parsed.
         self.file_hits = 0
-        self.file_stores = 0
-        #: Codegen side-table counters (compiled Python sources per unit).
+        #: Codegen side-table hits (compiled Python sources per unit).
         self.codegen_hits = 0
-        self.codegen_misses = 0
-        self.codegen_stores = 0
-        #: Project side-table counters (outlines + per-module exports).
-        self.outline_hits = 0
-        self.outline_misses = 0
 
     @property
     def entries(self) -> Dict[str, dict]:
@@ -568,8 +570,7 @@ class ResultCache:
         return payload
 
     def store_file(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.file_stores += 1
+        self._put(key, payload)
 
     def lookup_exports(self, file_key: str) -> Optional[dict]:
         """The ``exports:`` entry of a project file key, or None.
@@ -589,9 +590,7 @@ class ResultCache:
     def lookup_outline(self, key: str) -> Optional[dict]:
         payload = self._get(key)
         if payload is None or not _outline_payload_valid(payload):
-            self.outline_misses += 1
             return None
-        self.outline_hits += 1
         return payload
 
     def store_outline(self, key: str, payload: dict) -> None:
@@ -599,17 +598,13 @@ class ResultCache:
 
     def lookup_codegen(self, key: str) -> Optional[dict]:
         payload = self._get(key)
-        if payload is not None and not _codegen_payload_valid(payload):
-            payload = None
-        if payload is None:
-            self.codegen_misses += 1
-        else:
-            self.codegen_hits += 1
+        if payload is None or not _codegen_payload_valid(payload):
+            return None
+        self.codegen_hits += 1
         return payload
 
     def store_codegen(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.codegen_stores += 1
+        self._put(key, payload)
 
     def save(self) -> None:
         """Persist dirty shards (see :meth:`ShardStore.save`); a no-op
@@ -697,22 +692,16 @@ class UnitTiming:
 
     filename: str
     names: Tuple[str, ...]
-    #: Wall seconds when the unit was timed in-process; None for rows
-    #: that were never timed (cache hits, deduplicated jobs, and units
-    #: checked inside a worker process).
+    #: Wall seconds the check took (in-process or in a worker); None for
+    #: rows that were never timed (cache hits and deduplicated copies).
     seconds: Optional[float]
     #: Where the row came from: "checked" (type-checked this call),
     #: "hit" (served from the unit cache), or "skipped" (a deduplicated
-    #: duplicate job — the identical unit was checked once elsewhere in
-    #: the batch).  Cache hits used to record 0.0 seconds, which made
-    #: them indistinguishable from genuinely instant units; the explicit
+    #: copy — an identical file was walked once elsewhere in the batch).
+    #: Cache hits used to record 0.0 seconds, which made them
+    #: indistinguishable from genuinely instant units; the explicit
     #: source plus ``seconds=None`` removes that ambiguity.
     source: str
-
-    @property
-    def outcome(self) -> str:
-        """Backwards-compatible alias for :attr:`source`."""
-        return self.source
 
 
 @dataclass
@@ -727,7 +716,8 @@ class CheckStats:
     checked: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Deduplicated duplicate jobs (identical source + deps in one batch).
+    #: Units of deduplicated copies (an identical module walked once
+    #: elsewhere in the batch).
     skipped: int = 0
     timings: List[UnitTiming] = field(default_factory=list)
 
@@ -796,8 +786,12 @@ class CheckStats:
 
 
 # ---------------------------------------------------------------------------
-# The incremental unit walk (shared by the serial path and the workers)
+# The unit walk (in-process and inside workers)
 # ---------------------------------------------------------------------------
+
+#: name -> canonical scheme rendering (None = that binding failed): a
+#: module's export map, and the imported slice of it a module sees.
+_Renderings = Dict[str, Optional[str]]
 
 
 class _SchemeResolver:
@@ -812,13 +806,12 @@ class _SchemeResolver:
     """
 
     def __init__(self, pipeline: Pipeline, plan: ModulePlan,
-                 srcs: Dict[str, Optional[str]],
-                 objects: Optional[Dict[str, Optional[Scheme]]] = None
-                 ) -> None:
+                 srcs: _Renderings,
+                 objects: Dict[str, Optional[Scheme]]) -> None:
         self.pipeline = pipeline
         self.plan = plan
         self.srcs = srcs
-        self.objects = objects if objects is not None else {}
+        self.objects = objects
 
     def scheme(self, name: str) -> Optional[Scheme]:
         if name in self.objects:
@@ -859,37 +852,21 @@ class _SchemeResolver:
         return available
 
 
-def _compute_unit_payload(pipeline: Pipeline, plan: ModulePlan, uid: int,
-                          resolver: _SchemeResolver
-                          ) -> Tuple[dict, UnitOutcome]:
-    unit = plan.units[uid]
-    outcome = pipeline.check_unit(plan, unit, resolver.available_for(unit))
-    return payload_from_unit_outcome(outcome), outcome
-
-
-# ---------------------------------------------------------------------------
-# Per-file state
-# ---------------------------------------------------------------------------
-
-
 class _FileState:
-    """One input file's parse, plan, and per-unit resolution state.
+    """One module's parse, plan and per-unit resolution state.
 
-    ``externals`` (project mode) maps imported names to the canonical
-    renderings of their exported schemes (None = the export failed); it
-    seeds ``scheme_srcs``, so foreign references resolve through exactly
-    the same machinery as local dependencies — including the worker IPC
-    path, which ships ``scheme_srcs`` wholesale.
+    ``scope`` maps the imported names the module references to the
+    canonical renderings of their exported schemes, or is None in
+    single-file mode, where ``import`` declarations stay unresolved and
+    draw a warning.  It seeds ``scheme_srcs``, so foreign references
+    resolve through exactly the machinery local dependencies use.
     """
 
-    def __init__(self, index: int, filename: str, source: str,
-                 pipeline: Pipeline,
-                 externals: Optional[Dict[str, Optional[str]]] = None,
-                 imports_resolved: bool = False) -> None:
-        self.index = index
+    def __init__(self, filename: str, source: str, pipeline: Pipeline,
+                 scope: Optional[_Renderings] = None) -> None:
         self.filename = filename
         self.source = source
-        self.imports_resolved = imports_resolved
+        self.scope = scope
         self.parsed, self.parse_diagnostics = pipeline.parse(source, filename)
         self.plan: Optional[ModulePlan] = None
         if self.parsed is not None:
@@ -900,14 +877,21 @@ class _FileState:
         #: defined or imported name -> canonical scheme rendering (or
         #: None = failed).  Locals overwrite imports on collision (a
         #: local definition shadows an imported name).
-        self.scheme_srcs: Dict[str, Optional[str]] = \
-            dict(externals) if externals else {}
+        self.scheme_srcs: _Renderings = dict(scope or {})
         #: defined name -> materialised Scheme (in-process checks only).
         self.schemes: Dict[str, Optional[Scheme]] = {}
 
     @property
     def units(self) -> List[CheckUnit]:
         return self.plan.units if self.plan is not None else []
+
+    @property
+    def signature(self) -> Tuple:
+        """Everything the walk depends on besides the cache: modules with
+        equal signatures walk once per batch."""
+        scope = self.scope
+        return self.source, (None if scope is None
+                             else tuple(sorted(scope.items())))
 
     def dep_items(self, unit: CheckUnit
                   ) -> List[Tuple[str, Optional[str]]]:
@@ -918,7 +902,7 @@ class _FileState:
                      if name in self.scheme_srcs)
         return items
 
-    def exports(self) -> Optional[Dict[str, Optional[str]]]:
+    def exports(self) -> Optional[_Renderings]:
         """The module's export map (None when the file did not parse)."""
         if self.plan is None:
             return None
@@ -966,9 +950,61 @@ class _FileState:
                     for d in member["diagnostics"]]
                 entries[decl_index] = (summary, diagnostics)
         assemble_decl_order(plan, entries, result,
-                            imports_resolved=self.imports_resolved)
+                            imports_resolved=self.scope is not None)
         result.ok = not result.errors
         return result
+
+
+#: One unit's outcome in a walk: (uid, key, payload, check seconds), the
+#: seconds None when the unit was a cache hit.
+_Step = Tuple[int, str, dict, Optional[float]]
+
+
+def _lookup_in(cache: Optional[ResultCache], memo: Dict[str, dict]):
+    """A walk's lookup: the cache when there is one, then the in-batch
+    memo, so identical units check at most once even without a cache."""
+    def lookup(key: str) -> Optional[dict]:
+        traced = _TRACER.enabled
+        if traced:
+            _TRACER.begin("cache.lookup")
+        try:
+            payload = cache.lookup(key) if cache is not None else None
+            return payload if payload is not None else memo.get(key)
+        finally:
+            if traced:
+                _TRACER.end("cache.lookup")
+
+    return lookup
+
+
+def _walk(pipeline: Pipeline, state: _FileState, options: DriverOptions,
+          fingerprint: str, lookup, record) -> List[_Step]:
+    """The unit walk: ``state``'s units in dependency order, each a cache
+    hit or a check.
+
+    A hit exports its scheme renderings just as a check does, so the next
+    unit's key resolves either way: a dependent of an edited unit whose
+    scheme came out unchanged is still a hit (early cutoff).
+    ``record(key, payload)`` makes a fresh check visible to later lookups.
+    """
+    resolver = _SchemeResolver(pipeline, state.plan, state.scheme_srcs,
+                               state.schemes)
+    steps: List[_Step] = []
+    for unit in state.units:
+        key = unit_key(unit.source, state.dep_items(unit), options,
+                       fingerprint)
+        payload = lookup(key)
+        if payload is not None:
+            state.resolve(unit, payload)
+            steps.append((unit.uid, key, payload, None))
+            continue
+        outcome = pipeline.check_unit(state.plan, unit,
+                                      resolver.available_for(unit))
+        payload = payload_from_unit_outcome(outcome)
+        record(key, payload)
+        state.resolve(unit, payload, outcome)
+        steps.append((unit.uid, key, payload, outcome.seconds))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -977,10 +1013,6 @@ class _FileState:
 
 #: The per-process warm session (prelude built once per worker).
 _WORKER_SESSION: Optional[Session] = None
-
-#: Process-global parse/plan memo, keyed by source hash (bounded).
-_WORKER_PLANS: Dict[str, ModulePlan] = {}
-_WORKER_PLAN_LIMIT = 1024
 
 
 def _worker_init(options_state: dict, trace_enabled: bool = False) -> None:
@@ -996,94 +1028,56 @@ def _worker_init(options_state: dict, trace_enabled: bool = False) -> None:
     _WORKER_SESSION = Session(DriverOptions(**options_state))
 
 
-def _plan_for(pipeline: Pipeline, filename: str, source: str) -> ModulePlan:
-    memo_key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    plan = _WORKER_PLANS.get(memo_key)
-    if plan is None:
-        parsed, _ = pipeline.parse(source, filename)
-        assert parsed is not None, \
-            "worker received a source that does not parse"
-        plan = build_plan(parsed)
-        if len(_WORKER_PLANS) >= _WORKER_PLAN_LIMIT:
-            _WORKER_PLANS.clear()
-        _WORKER_PLANS[memo_key] = plan
-    return plan
+#: One worker job: (position in the batch, filename, source, scope).
+_FileJob = Tuple[int, str, str, Optional[_Renderings]]
 
 
-def _check_pending_units(pipeline: Pipeline, plan: ModulePlan,
-                         pending: Sequence[int],
-                         resolver: "_SchemeResolver"
-                         ) -> List[Tuple[int, dict]]:
-    """Check a file's pending units in dependency order, exporting each
-    unit's schemes into the resolver so later units in the chain see them.
-    ``pending`` uids are ascending, which *is* dependency order."""
-    payloads: List[Tuple[int, dict]] = []
-    for uid in pending:
-        unit = plan.units[uid]
-        payload, outcome = _compute_unit_payload(pipeline, plan, uid,
-                                                 resolver)
-        payloads.append((uid, payload))
-        for member in outcome.members:
-            name = member.summary.name
-            if plan.defining_decl.get(name) == member.decl_index:
-                resolver.objects[name] = member.env_scheme
-                resolver.srcs[name] = (
-                    canonical_scheme(member.env_scheme)
-                    if member.env_scheme is not None else None)
-    return payloads
+def _worker_walk(shard: List[_FileJob], cache_path: Optional[str]
+                 ) -> Tuple[List[Tuple[int, List[_Step]]], Optional[dict]]:
+    """Walk one shard of files in a worker process.
 
+    The worker opens the cache directory read-only — it never stores or
+    saves; the parent records the checks it ships back — and re-derives
+    each plan from the shipped source, so its steps are byte-identical to
+    an in-process walk against the same cache.
 
-#: One worker job: (job id, filename, source, pending unit uids,
-#: resolved dependency scheme renderings).
-_UnitJob = Tuple[int, str, str, List[int],
-                 List[Tuple[str, Optional[str]]]]
-
-
-def _worker_check_units(shard: List[_UnitJob]
-                        ) -> Tuple[List[Tuple[int, List[Tuple[int, dict]]]],
-                                   Optional[dict]]:
-    """Check one shard of unit jobs.
-
-    The shard's granularity is the *unit*: fully-cached units never reach
-    a worker, and each job carries exactly one file's pending units (file
-    affinity keeps one parse per file; units within a file form dependency
-    chains, so they are walked in order locally).  Workers re-derive the
-    plan from the shipped source (deterministic) and rebuild dependency
-    environments from the canonical scheme renderings, so worker output is
-    byte-identical to an in-process check.
-
-    Returns ``(results, trace_payload)``: when the worker tracer is on,
-    the second element ships this process's spans (with its pid and
+    Returns ``(steps per job, trace_payload)``: when the worker tracer is
+    on, the second element ships this process's spans (with its pid and
     wall-clock epoch) back for the parent to rebase onto its timeline.
     """
     session = _WORKER_SESSION
     assert session is not None, "worker used without _worker_init"
     pipeline = session.pipeline
+    options = session.options
+    fingerprint = options_fingerprint(options)
+    memo: Dict[str, dict] = {}
+    cache = ResultCache(cache_path) if cache_path is not None else None
+    lookup = _lookup_in(cache, memo)
     traced = _TRACER.enabled
     out = []
-    for job, filename, source, pending, dep_srcs in shard:
+    for position, filename, source, scope in shard:
         if traced:
-            _TRACER.begin("worker.file", file=filename, units=len(pending))
+            _TRACER.begin("worker.file", file=filename)
         try:
-            plan = _plan_for(pipeline, filename, source)
-            resolver = _SchemeResolver(pipeline, plan, dict(dep_srcs))
-            out.append((job, _check_pending_units(pipeline, plan, pending,
-                                                  resolver)))
+            state = _FileState(filename, source, pipeline, scope)
+            out.append((position, _walk(pipeline, state, options,
+                                        fingerprint, lookup,
+                                        memo.__setitem__)))
         finally:
             if traced:
                 _TRACER.end("worker.file")
     return out, (_TRACER.worker_payload() if traced else None)
 
 
-def _shard(pending: List, jobs: int) -> List[List]:
+def _shard(items: List, jobs: int) -> List[List]:
     """Contiguous shards, one per worker (a single IPC round-trip each)."""
-    size, remainder = divmod(len(pending), jobs)
+    size, remainder = divmod(len(items), jobs)
     shards = []
     start = 0
     for worker in range(jobs):
         stop = start + size + (1 if worker < remainder else 0)
         if stop > start:
-            shards.append(pending[start:stop])
+            shards.append(items[start:stop])
         start = stop
     return shards
 
@@ -1098,9 +1092,9 @@ def _shard(pending: List, jobs: int) -> List[List]:
 #: the in-process path.
 PARALLEL_MODE_ENV = "REPRO_PARALLEL"
 
-#: Fewest pending units that may ship to one worker before fan-out is
-#: worth its dispatch cost (pickling + IPC; spawn is already amortised by
-#: the persistent pool, but a warm round-trip is still not free).
+#: Fewest units that may ship to one worker before fan-out is worth its
+#: dispatch cost (pickling + IPC; spawn is already amortised by the
+#: persistent pool, but a warm round-trip is still not free).
 _MIN_UNITS_PER_WORKER = 4
 
 
@@ -1109,8 +1103,9 @@ def _parallel_mode() -> str:
     return mode if mode in ("auto", "always", "never") else "auto"
 
 
-def _effective_jobs(jobs: int, pending_units: int, unit_jobs: int) -> int:
-    """How many workers this batch should actually use.
+def _effective_jobs(jobs: int, units: int, files: int) -> int:
+    """How many workers a batch of ``files`` files to walk, holding
+    ``units`` units between them, should actually use.
 
     ``auto`` mode applies the serial cutoff (tiny batches and 1-CPU hosts
     never pay worker dispatch) and autotunes the shard count so every
@@ -1125,16 +1120,80 @@ def _effective_jobs(jobs: int, pending_units: int, unit_jobs: int) -> int:
     if mode == "always":
         return jobs
     cpus = os.cpu_count() or 1
-    if cpus <= 1 or unit_jobs <= 1:
+    if cpus <= 1 or files <= 1:
         return 1
-    jobs = min(jobs, cpus, unit_jobs)
-    while jobs > 1 and pending_units < jobs * _MIN_UNITS_PER_WORKER:
+    jobs = min(jobs, cpus, files)
+    while jobs > 1 and units < jobs * _MIN_UNITS_PER_WORKER:
         jobs -= 1
     return jobs
 
 
+def _dispatch(states: List[_FileState], options: DriverOptions, jobs: int,
+              cache: Optional[ResultCache], session: Session
+              ) -> List[Optional[List[_Step]]]:
+    """Walk ``states`` across the session's worker pool, one file per job.
+
+    Returns each state's steps, or None where the caller walks it
+    in-process instead: under the serial policy (:func:`_effective_jobs`),
+    with a cache that has no path (workers cannot read it), and for
+    whatever a pool that cannot spawn or breaks mid-batch did not deliver
+    — the broken pool is discarded, and the next batch may respawn it.
+    The pool is otherwise reused across batches, so spawn cost is paid at
+    most once per session.
+    """
+    walked: List[Optional[List[_Step]]] = [None] * len(states)
+    if jobs <= 1 or not states:
+        return walked
+    effective = _effective_jobs(
+        jobs, sum(len(state.units) for state in states), len(states))
+    if effective <= 1 or (cache is not None and cache.path is None):
+        session.pool_stats["serial_batches"] += 1
+        _REGISTRY.inc("pool.serial_batches")
+        return walked
+
+    from concurrent.futures.process import BrokenProcessPool
+
+    shipped = [(position, state.filename, state.source, state.scope)
+               for position, state in enumerate(states)]
+    cache_path = cache.path if cache is not None else None
+    # Each shard gets its own synthetic tid row: the dispatch windows
+    # overlap each other by design, and separate rows keep the B/E stack
+    # discipline intact per (pid, tid).  Worker spans come back in the
+    # result payload and are rebased onto this timeline under the
+    # worker's own pid, temporally inside their shard window.
+    traced = _TRACER.enabled
+    begun = ended = 0
+    try:
+        executor = session.acquire_pool(effective, options)
+        futures = []
+        for shard_index, shard in enumerate(
+                _shard(shipped, min(effective, len(shipped)))):
+            if traced:
+                _TRACER.begin("pool.shard", tid=SHARD_TID_BASE + shard_index,
+                              shard=shard_index, files=len(shard))
+                begun += 1
+            futures.append(executor.submit(_worker_walk, shard, cache_path))
+        for shard_index, future in enumerate(futures):
+            shard_steps, trace_payload = future.result()
+            for position, steps in shard_steps:
+                walked[position] = steps
+            if traced:
+                _TRACER.merge_worker(trace_payload)
+                _TRACER.end("pool.shard", tid=SHARD_TID_BASE + shard_index)
+                ended += 1
+        session.pool_stats["parallel_batches"] += 1
+        _REGISTRY.inc("pool.parallel_batches")
+    except (OSError, BrokenProcessPool):
+        for shard_index in range(ended, begun):
+            _TRACER.end("pool.shard", tid=SHARD_TID_BASE + shard_index)
+        session.discard_pool()
+        session.pool_stats["serial_batches"] += 1
+        _REGISTRY.inc("pool.serial_batches")
+    return walked
+
+
 # ---------------------------------------------------------------------------
-# The public batch entry point
+# The batch entry points
 # ---------------------------------------------------------------------------
 
 
@@ -1144,48 +1203,23 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
                        cache: Union[ResultCache, str, None] = None,
                        session: Optional[Session] = None,
                        stats: Optional[CheckStats] = None,
-                       externals: Optional[Sequence[
-                           Optional[Dict[str, Optional[str]]]]] = None,
-                       file_keys_in: Optional[Sequence[
-                           Optional[str]]] = None,
-                       exports_out: Optional[List[
-                           Optional[Dict[str, Optional[str]]]]] = None,
                        ) -> List[CheckResult]:
     """Check many ``(filename, source)`` programs at unit granularity.
 
-    The cache is hierarchical: an unchanged *file* (whole-source key) is
-    answered from one file-level entry without even re-parsing; an edited
-    file is parsed and planned, and its units resolve individually — from
-    the per-unit cache (source slice + dependency schemes) where possible,
-    otherwise by checking, in-process or across ``jobs`` worker processes.
-    Sharding is unit-granular with file affinity: only pending units ship,
-    one job per file, so one worker round-trip covers a whole dependency
-    chain with a single parse.
+    A one-level project build whose modules have no imports in scope:
+    every file goes through :func:`check_modules` in single-file mode, so
+    ``import`` declarations warn instead of resolving.  An unchanged file
+    is answered from one file-level entry without even re-parsing; an
+    edited file is parsed, planned and walked unit by unit — hits from
+    the per-unit cache (source slice + dependency schemes), checks
+    otherwise, in-process or across ``jobs`` worker processes.
 
     Results always come back **in input order**, as slim payload-backed
     :class:`CheckResult` values (``scheme``/``parsed``/``env`` are None).
     ``stats`` (a :class:`CheckStats`) collects per-unit timing and cache
-    hit/miss counts for ``--stats``; counters accumulate, so the project
-    walk can thread one object through its per-level calls.
-
-    The project planner (:mod:`repro.driver.project`) drives the three
-    extra per-file sequences, each parallel to ``sources``:
-
-    * ``externals[i]`` — imported name → canonical exported scheme
-      rendering (None value = the export failed).  A non-None entry puts
-      file ``i`` in **project mode**: foreign references resolve against
-      it, unit keys fold in the referenced renderings, and import
-      declarations produce no single-file warning.
-    * ``file_keys_in[i]`` — overrides the file-level cache key (the
-      planner computes :func:`project_file_key` from the outline's foreign
-      references, which the plain source key cannot see).
-    * ``exports_out[i]`` — filled with the file's export map
-      ({defined name: canonical rendering | None}), or None when the file
-      failed to parse.  Served from the ``exports:`` side-table on
-      file-level hits, so a warm module never re-parses.
+    hit/miss counts for ``--stats``.
     """
     options = options or DriverOptions()
-    jobs = max(1, int(jobs))
     if session is None:
         session = Session(options)
     if isinstance(cache, str):
@@ -1193,6 +1227,30 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
         # so repeated calls in one warm process serve hot shards from
         # memory instead of disk.
         cache = ResultCache(cache, hot=session.store_hot_tier())
+    modules = [(filename, source, None) for filename, source in sources]
+    return [result for result, _exports in check_modules(
+        modules, options, jobs, cache, session, stats)]
+
+
+def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
+                  options: DriverOptions, jobs: int,
+                  cache: Optional[ResultCache], session: Session,
+                  stats: Optional[CheckStats] = None
+                  ) -> List[Tuple[CheckResult, Optional[_Renderings]]]:
+    """Check one level of modules, given as ``(filename, source, scope)``.
+
+    ``scope`` maps the imported names a module references to their
+    exported renderings, or is None in single-file mode (see
+    :func:`file_key`).  Returns ``(result, exports)`` per module in input
+    order; ``exports`` is None in single-file mode and for a module that
+    did not parse.  An unchanged module is answered from its file-level
+    entry — in project mode together with its ``exports:`` entry, which
+    importers need without a re-parse; every other module goes through
+    the unit walk.  Identical modules walk once, their copies counted as
+    ``skipped``.  ``stats`` counters accumulate, so the project build
+    threads one object through its levels.
+    """
+    jobs = max(1, int(jobs or 1))
     if stats is None:
         # Counting always (into an internal CheckStats) keeps the
         # telemetry registry's cache.*/batch.* counters accurate whether
@@ -1201,259 +1259,86 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
     pipeline = session.pipeline
     fingerprint = options_fingerprint(options)
 
-    items = list(sources)
-    results: List[Optional[CheckResult]] = [None] * len(items)
-    file_keys: List[str] = []
-    active: List[_FileState] = []
-    for index, (filename, source) in enumerate(items):
-        ext = externals[index] if externals is not None else None
-        file_key = file_keys_in[index] \
-            if file_keys_in is not None and file_keys_in[index] is not None \
-            else cache_key(source, options, fingerprint)
-        file_keys.append(file_key)
-        if cache is not None:
-            payload = cache.lookup_file(file_key)
-            if payload is not None:
-                exports_payload = cache.lookup_exports(file_key) \
-                    if ext is not None else None
-                if ext is None or exports_payload is not None:
-                    # In project mode a file-level hit must also supply
-                    # the module's exports (importers need them without a
-                    # re-parse); a missing exports entry re-opens the file.
-                    results[index] = result_from_payload(payload, filename)
-                    if exports_out is not None:
-                        exports_out[index] = exports_payload["exports"] \
-                            if exports_payload is not None else None
-                    _REGISTRY.inc("cache.file_hits")
-                    stats.file_hits += 1
-                    continue
-        active.append(_FileState(index, filename, source, pipeline,
-                                 externals=ext,
-                                 imports_resolved=ext is not None))
+    done: List[Optional[Tuple[CheckResult, Optional[_Renderings]]]] = \
+        [None] * len(modules)
+    keys: List[str] = []
+    active: List[Tuple[int, _FileState]] = []
+    for index, (filename, source, scope) in enumerate(modules):
+        key = file_key(source, scope, options, fingerprint)
+        keys.append(key)
+        payload = cache.lookup_file(key) if cache is not None else None
+        exports = cache.lookup_exports(key) \
+            if payload is not None and scope is not None else None
+        if payload is not None and (scope is None or exports is not None):
+            done[index] = (result_from_payload(payload, filename),
+                           exports["exports"] if exports else None)
+            _REGISTRY.inc("cache.file_hits")
+            stats.file_hits += 1
+            continue
+        active.append((index, _FileState(filename, source, pipeline, scope)))
 
-    parse_failures = sum(1 for state in active if state.parsed is None)
-    _REGISTRY.inc("batch.files", len(items))
+    parse_failures = sum(1 for _, state in active if state.plan is None)
+    _REGISTRY.inc("batch.files", len(modules))
     if parse_failures:
         _REGISTRY.inc("batch.parse_failures", parse_failures)
-    stats.files += len(items)
+    stats.files += len(modules)
     stats.parse_failures += parse_failures
 
-    #: In-batch memo: identical units (same key) check at most once even
-    #: without a persistent cache.
     memo: Dict[str, dict] = {}
-
-    def lookup(key: str) -> Optional[dict]:
-        traced = _TRACER.enabled
-        if traced:
-            _TRACER.begin("cache.lookup")
-        try:
-            if cache is not None:
-                payload = cache.lookup(key)
-                if payload is None:
-                    _REGISTRY.inc("cache.unit_misses")
-                    if stats is not None:
-                        stats.cache_misses += 1
-                return payload
-            return memo.get(key)
-        finally:
-            if traced:
-                _TRACER.end("cache.lookup")
+    lookup = _lookup_in(cache, memo)
 
     def record(key: str, payload: dict) -> None:
+        memo[key] = payload
         if cache is not None:
             cache.store(key, payload)  # identical payloads store free
-        memo[key] = payload
 
-    if jobs == 1:
-        for state in active:
-            if state.plan is None:
-                continue
-            resolver = _SchemeResolver(pipeline, state.plan,
-                                       state.scheme_srcs, state.schemes)
-            for unit in state.units:
-                key = unit_key(unit.source, state.dep_items(unit), options,
-                               fingerprint)
-                payload = lookup(key)
-                if payload is not None:
-                    state.resolve(unit, payload)
-                    if stats is not None:
-                        stats.note(state.filename, unit, None, "hit")
-                    continue
-                payload, outcome = _compute_unit_payload(
-                    pipeline, state.plan, unit.uid, resolver)
-                record(key, payload)
-                state.resolve(unit, payload, outcome)
-                if stats is not None:
-                    stats.note(state.filename, unit, outcome.seconds,
-                               "checked")
-    else:
-        _check_units_parallel(active, options, jobs, lookup, record, stats,
-                              pipeline, session, fingerprint)
+    # Identical modules walk once (in a worker, or here); each copy takes
+    # the first one's steps as "skipped" rows.
+    walked = [state for _, state in active if state.plan is not None]
+    first: Dict[Tuple, _FileState] = {}
+    for state in walked:
+        first.setdefault(state.signature, state)
+    unique = [state for state in walked if first[state.signature] is state]
+    steps_of = {id(state): steps for state, steps in zip(
+        unique, _dispatch(unique, options, jobs, cache, session))
+        if steps is not None}
+    for state in walked:
+        original = first[state.signature]
+        steps = steps_of.get(id(original))
+        if steps is None:
+            steps = steps_of[id(state)] = _walk(
+                pipeline, state, options, fingerprint, lookup, record)
+        else:
+            for uid, key, payload, seconds in steps:
+                state.resolve(state.plan.units[uid], payload)
+                if original is state and seconds is not None:
+                    record(key, payload)
+        for uid, _key, _payload, seconds in steps:
+            unit = state.plan.units[uid]
+            if original is not state:
+                stats.note(state.filename, unit, None, "skipped")
+            elif seconds is None:
+                stats.note(state.filename, unit, None, "hit")
+            else:
+                if cache is not None:
+                    stats.cache_misses += 1
+                    _REGISTRY.inc("cache.unit_misses")
+                stats.note(state.filename, unit, seconds, "checked")
 
-    for state in active:
+    for index, state in active:
         result = state.assemble()
-        results[state.index] = result
-        exports = state.exports() if state.imports_resolved else None
-        if exports_out is not None and state.imports_resolved:
-            exports_out[state.index] = exports
+        exports = state.exports() if state.scope is not None else None
+        done[index] = (result, exports)
         if cache is not None:
             # File-level short-circuit entry for the next unchanged run.
             # The filename is normalised out (re-stamped on load), so
             # identical sources share one entry regardless of name.
             payload = result_to_payload(result)
             payload["filename"] = ""
-            cache.store_file(file_keys[state.index], payload)
-            if state.imports_resolved:
-                cache.store_exports(file_keys[state.index], exports)
+            cache.store_file(keys[index], payload)
+            if state.scope is not None:
+                cache.store_exports(keys[index], exports)
 
     if cache is not None:
         cache.save()
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
-
-
-def _check_units_parallel(active: List[_FileState], options: DriverOptions,
-                          jobs: int, lookup, record,
-                          stats: Optional[CheckStats],
-                          pipeline: Pipeline,
-                          session: Session,
-                          fingerprint: Optional[str] = None) -> None:
-    """Resolve pending units across the session's persistent worker pool.
-
-    Per file, cache-resolvable units are answered in dependency order in
-    the main process (a hit exports its scheme rendering, which may make
-    the *next* unit's key resolvable — the early-cutoff cascade); the
-    first unresolvable unit and everything after it become one unit job.
-    Jobs are deduplicated (identical sources check once) and sharded
-    contiguously across the pool owned by ``session`` — reused from the
-    previous batch when large enough, so spawn cost is paid at most once
-    per session.  The serial cutoff (:func:`_effective_jobs`) keeps tiny
-    batches and 1-CPU hosts on the in-process path, and restricted
-    environments (no fork, no /dev/shm) degrade to it rather than
-    failing.
-    """
-    import concurrent.futures
-
-    #: (state, pending uids) per file that still has work.
-    unit_jobs: List[Tuple[_FileState, List[int]]] = []
-    for state in active:
-        if state.plan is None:
-            continue
-        pending: List[int] = []
-        pending_uids: set = set()
-        for unit in state.units:
-            blocked = any(state.plan.defining_unit[dep] in pending_uids
-                          for dep in unit.deps)
-            if not blocked:
-                key = unit_key(unit.source, state.dep_items(unit), options,
-                               fingerprint)
-                payload = lookup(key)
-                if payload is not None:
-                    state.resolve(unit, payload)
-                    if stats is not None:
-                        stats.note(state.filename, unit, None, "hit")
-                    continue
-            pending.append(unit.uid)
-            pending_uids.add(unit.uid)
-        if pending:
-            unit_jobs.append((state, pending))
-    if not unit_jobs:
-        return
-
-    # Deduplicate identical jobs (same source, same pending units, same
-    # dependency schemes): duplicate corpora check once.
-    signature_of: Dict[Tuple, int] = {}
-    unique: List[Tuple[_FileState, List[int]]] = []
-    duplicate_of: List[int] = []
-    for state, pending in unit_jobs:
-        signature = (state.source, tuple(pending),
-                     tuple(sorted(state.scheme_srcs.items())))
-        position = signature_of.get(signature)
-        if position is None:
-            signature_of[signature] = len(unique)
-            duplicate_of.append(len(unique))
-            unique.append((state, pending))
-        else:
-            duplicate_of.append(position)
-
-    shipped: List[_UnitJob] = [
-        (position, state.filename, state.source, pending,
-         list(state.scheme_srcs.items()))
-        for position, (state, pending) in enumerate(unique)]
-
-    computed: List[Optional[List[Tuple[int, dict]]]] = [None] * len(unique)
-
-    def compute_serially() -> None:
-        for position, (state, pending) in enumerate(unique):
-            if computed[position] is not None:
-                continue
-            resolver = _SchemeResolver(pipeline, state.plan,
-                                       dict(state.scheme_srcs),
-                                       dict(state.schemes))
-            computed[position] = _check_pending_units(
-                pipeline, state.plan, pending, resolver)
-
-    pending_units = sum(len(pending) for _, pending in unique)
-    effective = _effective_jobs(jobs, pending_units, len(unique))
-    if effective <= 1:
-        session.pool_stats["serial_batches"] += 1
-        _REGISTRY.inc("pool.serial_batches")
-        compute_serially()
-    else:
-        # Each shard gets its own synthetic tid row: the dispatch windows
-        # overlap each other by design, and separate rows keep the B/E
-        # stack discipline intact per (pid, tid).  Worker spans come back
-        # in the result payload and are rebased onto this timeline under
-        # the worker's own pid, temporally inside their shard window.
-        traced = _TRACER.enabled
-        begun: List[int] = []
-        ended = 0
-        try:
-            executor = session.acquire_pool(effective, options)
-            shards = _shard(shipped, min(effective, len(shipped)))
-            futures = []
-            for shard_index, shard in enumerate(shards):
-                if traced:
-                    _TRACER.begin("pool.shard",
-                                  tid=SHARD_TID_BASE + shard_index,
-                                  shard=shard_index, files=len(shard))
-                    begun.append(shard_index)
-                futures.append(executor.submit(_worker_check_units, shard))
-            for shard_index, future in enumerate(futures):
-                shard_results, trace_payload = future.result()
-                for position, payloads in shard_results:
-                    computed[position] = payloads
-                if traced:
-                    _TRACER.merge_worker(trace_payload)
-                    _TRACER.end("pool.shard",
-                                tid=SHARD_TID_BASE + shard_index)
-                    ended += 1
-            session.pool_stats["parallel_batches"] += 1
-            _REGISTRY.inc("pool.parallel_batches")
-        except (OSError, PermissionError,
-                concurrent.futures.process.BrokenProcessPool):
-            # A broken/unspawnable pool is dropped (the next batch may
-            # retry); this batch completes in-process.
-            if traced:
-                for shard_index in begun[ended:]:
-                    _TRACER.end("pool.shard",
-                                tid=SHARD_TID_BASE + shard_index)
-            session.discard_pool()
-            session.pool_stats["serial_batches"] += 1
-            _REGISTRY.inc("pool.serial_batches")
-            compute_serially()
-
-    for job_index, (state, pending) in enumerate(unit_jobs):
-        payloads = computed[duplicate_of[job_index]]
-        assert payloads is not None
-        is_duplicate = state is not unique[duplicate_of[job_index]][0]
-        for uid, payload in payloads:
-            unit = state.plan.units[uid]
-            key = unit_key(unit.source, state.dep_items(unit), options,
-                           fingerprint)
-            if not is_duplicate:
-                record(key, payload)
-            state.resolve(unit, payload)
-            if stats is not None:
-                stats.note(state.filename, unit, None,
-                           "skipped" if is_duplicate else "checked")
+    return done  # type: ignore[return-value]

@@ -22,9 +22,8 @@ That second point is the cross-file early-cutoff property:
 
 * editing a function body in module ``A`` without changing its exported
   scheme re-checks exactly that unit — every dependent module's file key
-  (:func:`repro.driver.batch.project_file_key`) still matches, so
-  dependents are answered from the file-level cache without even
-  re-parsing;
+  (:func:`repro.driver.batch.file_key`) still matches, so dependents are
+  answered from the file-level cache without even re-parsing;
 * changing an exported *scheme* re-opens exactly the modules that import
   it, and within them re-checks exactly the units that name it.
 
@@ -34,8 +33,9 @@ source text), and per-module exports come from ``exports:`` entries.
 
 Checking walks the DAG level by level (every module's imports live in
 strictly earlier levels), handing each level to
-:func:`repro.driver.batch.check_many_sharded` — so whole modules shard
-across the session's persistent worker pool in DAG level order.
+:func:`repro.driver.batch.check_modules` — the unit walk single-file
+``check`` uses too, so whole modules shard across the session's
+persistent worker pool in DAG level order.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from .batch import (
     CheckStats,
     ResultCache,
-    check_many_sharded,
+    check_modules,
     options_fingerprint,
     outline_key,
-    project_file_key,
 )
 from .depgraph import _tarjan, build_plan
 from .session import (
@@ -452,18 +451,15 @@ def check_project(sources: Iterable[Tuple[str, str]],
         session = Session(options)
     if options is None:
         options = session.options
-    jobs = max(1, int(jobs or 1))
     if isinstance(cache, str):
         # Open against the session's hot tier: repeated project builds
         # in one warm process serve hot shards from memory.
         cache = ResultCache(cache, hot=session.store_hot_tier())
     if stats is None:
         stats = CheckStats()
-    fingerprint = options_fingerprint(options)
 
     items = list(sources)
-    plan = build_project_plan(items, session.pipeline, options, cache,
-                              fingerprint)
+    plan = build_project_plan(items, session.pipeline, options, cache)
     _REGISTRY.inc("project.builds")
     _REGISTRY.inc("project.modules", len(items))
     _REGISTRY.inc("project.dag_levels", len(plan.levels))
@@ -480,9 +476,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
         _REGISTRY.inc("project.modules_skipped")
 
     for level_nodes in plan.levels:
-        level_items: List[Tuple[str, str]] = []
-        level_externals: List[Dict[str, Optional[str]]] = []
-        level_keys: List[str] = []
+        modules = []
         for index in level_nodes:
             node = plan.nodes[index]
             with _TRACER.span("module.resolve", file=node.filename,
@@ -495,23 +489,14 @@ def check_project(sources: Iterable[Tuple[str, str]],
                     # Later imports win on collision (documented in
                     # docs/PROJECTS.md; avoids use-site ambiguity).
                     in_scope.update(exports[target] or {})
-                referenced = {name: in_scope[name] for name in node.foreign
-                              if name in in_scope}
-                file_key = project_file_key(
-                    node.source, sorted(referenced.items()), options,
-                    fingerprint)
-            level_items.append((node.filename, node.source))
-            level_externals.append(referenced)
-            level_keys.append(file_key)
-        exports_out: List[Optional[Dict[str, Optional[str]]]] = \
-            [None] * len(level_items)
-        level_results = check_many_sharded(
-            level_items, options, jobs=jobs, cache=cache, session=session,
-            stats=stats, externals=level_externals, file_keys_in=level_keys,
-            exports_out=exports_out)
-        for position, index in enumerate(level_nodes):
-            results[index] = level_results[position]
-            exports[index] = exports_out[position]
+                scope = {name: in_scope[name] for name in node.foreign
+                         if name in in_scope}
+            modules.append((node.filename, node.source, scope))
+        checked = check_modules(modules, options, jobs, cache, session,
+                                stats)
+        for index, (result, module_exports) in zip(level_nodes, checked):
+            results[index] = result
+            exports[index] = module_exports
 
     assert all(result is not None for result in results)
     _add_cross_module_hints(plan, results, exports)  # type: ignore[arg-type]

@@ -455,10 +455,6 @@ class Pipeline:
 
     # -- unit-granularity checking -------------------------------------------
 
-    def plan(self, parsed: ParsedModule) -> ModulePlan:
-        """Break a parsed module into dependency-ordered check units."""
-        return build_plan(parsed)
-
     def check_plan(self, plan: ModulePlan) -> Dict[int, UnitOutcome]:
         """Check every unit of a plan in dependency order."""
         available: Dict[str, Optional[Scheme]] = {}
@@ -726,21 +722,18 @@ class Session:
         self.options = options or DriverOptions()
         self._base_env = prelude_env()
         self.pipeline = Pipeline(self._base_env, self.options)
-        #: Accumulated declaration sources for the REPL, plus the cached
-        #: CheckResult for them (declarations are immutable between lines,
-        #: so re-checking the whole module per expression would be O(n²)
-        #: over a session).
+        #: REPL state.  The REPL's own declarations form the overlay
+        #: module of a project: the ``:load``-ed ``(filename, source)``
+        #: items, or nothing at all (``_repl_project`` is None).  The
+        #: session-lived in-memory cache makes every re-check incremental;
+        #: ``_repl_project_check`` is the last ProjectCheck (overlay last,
+        #: when there is one) and ``_repl_check`` its merged CheckResult,
+        #: which ``:t`` and evaluation run against.
         self._repl_decls: List[str] = []
-        self._repl_check: Optional[CheckResult] = None
-        #: ``:load``-ed project state: the loaded ``(filename, source)``
-        #: items, the session-lived in-memory cache that makes re-checks
-        #: after a redefinition incremental, the last ProjectCheck, and
-        #: the REPL's own overlay declarations (checked as a headerless
-        #: module importing every loaded module).
         self._repl_project: Optional[List[Tuple[str, str]]] = None
-        self._repl_project_cache = None
+        self._repl_cache = None
         self._repl_project_check = None
-        self._repl_overlay: List[str] = []
+        self._repl_check: Optional[CheckResult] = None
         #: The persistent worker pool (lazily spawned, reused across
         #: ``check_many`` calls) and the counters that make its lifecycle
         #: observable to benchmarks and tests.
@@ -857,9 +850,10 @@ class Session:
         throughput benchmarks (``bench_e12``/``bench_e13``/``bench_e15``)
         and the CLI's multi-file mode both call this.
 
-        * ``jobs`` — fan the pending **units** out across that many worker
-          processes in dependency waves; results come back in input order
-          regardless of completion order.
+        * ``jobs`` — walk the files that missed the file-level cache
+          across that many worker processes; results come back in input
+          order regardless of completion order, and the units re-checked
+          are the same for every ``jobs``.
         * ``cache`` — a path (or :class:`repro.driver.batch.ResultCache`)
           keyed per compilation unit by the unit's source slice plus the
           schemes of its direct dependencies; editing one binding
@@ -1161,7 +1155,7 @@ class Session:
         if as_decls:
             # Use the stripped line: pasted indentation must not trip the
             # column-1 declaration rule when the module is re-assembled.
-            return self._repl_add_decls(stripped, as_decls)
+            return self._repl_define(stripped, as_decls)
         return self._repl_eval(stripped)
 
     @staticmethod
@@ -1175,14 +1169,24 @@ class Session:
             return None
         return list(parsed.module.decls) or None
 
+    def _repl_build(self, items: List[Tuple[str, str]]):
+        """Check the REPL's project against the session-lived in-memory
+        cache, which makes every re-check incremental."""
+        from .batch import CheckStats, ResultCache
+
+        if self._repl_cache is None:
+            self._repl_cache = ResultCache()
+        stats = CheckStats()
+        return self.check_project(items, cache=self._repl_cache,
+                                  stats=stats), stats
+
     def _repl_load(self, args_text: str) -> str:
         """``:load DIR|FILE...`` — check a project and bring its exports
         into the REPL scope.  The project rides the same ProjectPlan as
         ``python -m repro build``, against a session-lived in-memory
         cache, so later redefinitions re-check only the cross-module
         dependents of the edited binding."""
-        from .batch import CheckStats, ResultCache
-        from .project import check_project, discover_sources, merged_check
+        from .project import discover_sources, merged_check
 
         if not args_text:
             return "usage: :load DIR|FILE..."
@@ -1192,11 +1196,7 @@ class Session:
             return f"cannot load: {exc}"
         if not items:
             return f"no .lev files found under {args_text}"
-        if self._repl_project_cache is None:
-            self._repl_project_cache = ResultCache()
-        stats = CheckStats()
-        check = self.check_project(items, cache=self._repl_project_cache,
-                                   stats=stats)
+        check, stats = self._repl_build(items)
         summary = (f"loaded {len(items)} file(s): "
                    f"{stats.checked} unit(s) checked, "
                    f"{stats.cache_hits} from cache")
@@ -1206,100 +1206,71 @@ class Session:
             return f"{errors}\n{summary} — load failed"
         self._repl_project = items
         self._repl_project_check = check
-        self._repl_overlay = []
         self._repl_decls = []
         self._repl_check = merged_check(check, self.pipeline)
         return summary
 
-    def _repl_project_add(self, text: str, added) -> str:
-        """Add/redefine declarations over a ``:load``-ed project.
+    def _repl_define(self, text: str, added) -> str:
+        """Add or redefine declarations.
 
-        A redefinition of a binding defined by exactly one loaded module
-        is appended to *that module's* source (last definition wins), so
-        the incremental project re-check walks precisely the cross-module
-        dependents whose imported schemes changed.  Anything else lands
-        in the REPL's overlay module, a headerless file importing every
-        loaded module.
+        The REPL's declarations are the overlay module of a project whose
+        other modules are the ``:load``-ed ones, if any.  A redefinition
+        of a binding defined by exactly one loaded module is appended to
+        *that module's* source (last definition wins), so the incremental
+        re-check walks precisely the cross-module dependents whose
+        imported schemes changed.  Anything else lands in the overlay, a
+        headerless file importing every loaded module.  The echo is each
+        (re)defined binding's display rendering, as ``check`` prints it.
         """
-        from .batch import CheckStats
-        from .project import check_project, merged_check
+        from .project import merged_check
 
         project = self._repl_project
-        names = [decl.name for decl in added if isinstance(decl, FunBind)]
-        defined_in: Dict[str, List[int]] = {}
-        for index, exports in enumerate(self._repl_project_check.exports):
-            for name in exports or {}:
-                defined_in.setdefault(name, []).append(index)
-        homes = {home for name in names
-                 for home in defined_in.get(name, [])}
-        overlay_names = set()
-        for decl_text in self._repl_overlay:
-            for decl in self._try_parse_decls(decl_text) or []:
-                if isinstance(decl, FunBind):
-                    overlay_names.add(decl.name)
-        target: Optional[int] = None
-        if names and len(homes) == 1 and \
-                not any(name in overlay_names for name in names):
-            target = homes.pop()
+        loaded = list(project or [])
+        names = list(dict.fromkeys(
+            decl.name for decl in added if isinstance(decl, FunBind)))
+        exports = self._repl_project_check.exports \
+            if self._repl_project_check is not None else []
+        homes = {index for index, module in enumerate(exports[:len(loaded)])
+                 for name in names if name in (module or {})}
+        # A name the overlay already defines stays there: the overlay's
+        # definition would shadow one appended to its old home.
+        in_overlay = bool(self._repl_decls) and \
+            any(name in (exports[-1] or {}) for name in names)
+        target = homes.pop() if len(homes) == 1 and not in_overlay else None
 
-        items = list(project)
-        overlay = list(self._repl_overlay)
+        items = list(loaded)
+        decls = list(self._repl_decls)
         if target is not None:
             filename, source = items[target]
             items[target] = (filename, source.rstrip("\n") + "\n\n" +
                              text.rstrip() + "\n")
         else:
-            overlay.append(text.rstrip())
-        if overlay:
-            header_names = sorted(
-                name for name in self._repl_project_check.plan.by_name)
-            overlay_source = "".join(f"import {name}\n"
-                                     for name in header_names) + \
-                "\n" + "\n".join(overlay) + "\n"
-            items.append(("<repl>", overlay_source))
+            decls.append(text.rstrip())
+        if decls:
+            imports = "" if project is None else "".join(
+                f"import {name}\n" for name in
+                sorted(self._repl_project_check.plan.by_name)) + "\n"
+            items.append(("<repl>", imports + "\n".join(decls) + "\n"))
 
-        stats = CheckStats()
-        check = self.check_project(items, cache=self._repl_project_cache,
-                                   stats=stats)
+        check, stats = self._repl_build(items)
         if not check.ok:
             return "\n".join(d.pretty() for r in check.results
                              for d in r.errors)
-        self._repl_project = items[:len(project)]
-        self._repl_overlay = overlay
+        if project is not None:
+            self._repl_project = items[:len(loaded)]
+        self._repl_decls = decls
         self._repl_project_check = check
         self._repl_check = merged_check(check, self.pipeline)
-        lines = []
-        for name in dict.fromkeys(names):
-            for binding in reversed(self._repl_check.bindings):
-                if binding.name == name:
-                    lines.append(f"{binding.name} :: {binding.rendered}")
-                    break
-        lines.append(f"(re-checked {stats.checked} unit(s) across "
-                     f"{len(items)} file(s))")
-        return "\n".join(lines)
-
-    def _repl_add_decls(self, text: str, added) -> str:
-        if self._repl_project is not None:
-            return self._repl_project_add(text, added)
-        candidate = self._repl_decls + [text.rstrip()]
-        check = self.pipeline.check("\n".join(candidate) + "\n", "<repl>")
-        if not check.ok:
-            return "\n".join(d.pretty() for d in check.errors)
-        self._repl_decls = candidate
-        self._repl_check = check
-        # Report the (re)defined bindings.  Redefinition is last-wins and —
-        # because checking is dependency-ordered — earlier dependents have
-        # already been re-checked against the *new* scheme by this point.
-        names: List[str] = []
-        for decl in added:
-            if isinstance(decl, FunBind) and decl.name not in names:
-                names.append(decl.name)
+        echo = check.results[target if target is not None else -1]
         lines = []
         for name in names:
-            for binding in reversed(check.bindings):
+            for binding in reversed(echo.bindings):
                 if binding.name == name:
                     lines.append(f"{binding.name} :: {binding.rendered}")
                     break
+        if project is not None:
+            lines.append(f"(re-checked {stats.checked} unit(s) across "
+                         f"{len(items)} file(s))")
         return "\n".join(lines) if lines else "defined."
 
     def _repl_env(self) -> Optional[CheckResult]:

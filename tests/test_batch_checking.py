@@ -6,6 +6,8 @@ Covers the batch-path guarantees the driver makes:
 * a poisoned binding in one shard never affects another program;
 * cache hits return byte-identical results, and editing one source
   invalidates exactly that entry;
+* ``jobs`` never changes what is re-checked: counts and results agree at
+  ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``;
 * results (including full schemes, spans and diagnostics) survive a
   pickle round-trip — the property the worker IPC relies on.
 """
@@ -362,6 +364,51 @@ class TestBindingLevelInvalidation:
                                         cache=str(tmp_path / "b.json"))
         assert [payload_bytes(result_to_payload(r)) for r in serial] == \
             [payload_bytes(result_to_payload(r)) for r in parallel]
+
+
+def _tagged(tag):
+    """DEP_MODULE with every name suffixed, so two files share no unit."""
+    source = DEP_MODULE
+    for name in ("base", "mid", "top", "lone"):
+        source = source.replace(name, name + tag)
+    return source
+
+
+class TestJobsDoNotChangeWhatIsRechecked:
+    """One unit walk for every ``jobs``: counts and results agree at
+    ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``."""
+
+    def test_body_edits_in_two_files(self, across_jobs):
+        from repro.driver import CheckStats
+
+        cold = [(f"dep_{tag}.lev", _tagged(tag)) for tag in ("a", "b")]
+        # Each file's first binding keeps its scheme: its three dependents
+        # stay hits wherever the walk runs (early cutoff).
+        edited = [(name, source.replace("x +# 1#", "x +# 2#"))
+                  for name, source in cold]
+
+        def scenario(jobs, cache):
+            with Session() as session:
+                session.check_many(cold, jobs=jobs, cache=cache)
+                stats = CheckStats()
+                results = session.check_many(edited, jobs=jobs, cache=cache,
+                                             stats=stats)
+            return stats, results
+
+        assert across_jobs(scenario) == (2, 6, 2)
+
+    def test_cold_run_counts_every_check_as_a_miss(self, across_jobs):
+        from repro.driver import CheckStats
+
+        def scenario(jobs, cache):
+            stats = CheckStats()
+            with Session() as session:
+                results = session.check_many([("dep.lev", DEP_MODULE)],
+                                             jobs=jobs, cache=cache,
+                                             stats=stats)
+            return stats, results
+
+        assert across_jobs(scenario) == (4, 0, 4)
 
 
 class TestStats:

@@ -15,6 +15,8 @@ Covers the guarantees ``python -m repro build`` makes:
   hits, never re-parsed), a scheme change invalidates precisely the
   downstream units naming it, a moved-but-unedited module stays a hit,
   and warm results are byte-identical to cold ones;
+* ``--jobs`` never changes what a build re-checks, and ``check`` and
+  ``build`` entries never answer each other;
 * a schema-v2 cache document degrades to a cold cache, not an error;
 * scope errors over a sibling module's export gain an "add import" note;
 * the REPL ``:load`` rides the same plan and re-checks cross-module
@@ -300,6 +302,46 @@ class TestCrossModuleIncremental:
         self.build(PROJECT, path, warm_stats)
         assert warm_stats.checked == 0      # and rewritten as v4
 
+    def test_body_edit_rechecks_one_unit_for_every_jobs(self, across_jobs):
+        chain = ("module A where\n\nbase :: Int# -> Int#\nbase x = x +# 1#\n"
+                 "\nmid = base 1#\n\ntop = mid +# 2#\n\nlone :: Int#\n"
+                 "lone = 7#\n")
+        user = "module B where\nimport A\n\nuse :: Int#\nuse = top +# lone\n"
+        cold = [("a.lev", chain), ("b.lev", user)]
+        edited = [("a.lev", chain.replace("x +# 1#", "x +# 2#")),
+                  ("b.lev", user)]
+
+        def scenario(jobs, cache):
+            with Session() as session:
+                check_project(cold, jobs=jobs, cache=cache, session=session)
+                stats = CheckStats()
+                check = check_project(edited, jobs=jobs, cache=cache,
+                                      session=session, stats=stats)
+            assert check.ok and stats.file_hits == 1   # B, never re-parsed
+            return stats, check.results
+
+        # base re-checks; mid, top and lone stay hits wherever A's walk runs.
+        assert across_jobs(scenario) == (1, 3, 1)
+
+    def test_check_and_build_entries_never_answer_each_other(self, tmp_path,
+                                                             capsys):
+        from repro.__main__ import main
+
+        for filename, source in PROJECT:
+            (tmp_path / filename).write_text(source)
+        cache = str(tmp_path / "cache")
+        world = str(tmp_path / "world.lev")
+        unresolved = "import Nat is not resolved in single-file mode"
+        # Single-file mode: the import warns and sumTo# stays unbound.
+        assert main(["check", "--cache", cache, world]) == 1
+        assert unresolved in capsys.readouterr().out
+        # The build resolves it for real, in spite of the check's entries.
+        assert main(["build", str(tmp_path), "--cache", cache]) == 0
+        assert unresolved not in capsys.readouterr().out
+        # And the build's entries do not answer a later check.
+        assert main(["check", "--cache", cache, world]) == 1
+        assert unresolved in capsys.readouterr().out
+
     def test_parallel_build_matches_serial(self, tmp_path):
         serial = check_project(PROJECT, session=Session())
         with Session() as session:
@@ -407,6 +449,17 @@ class TestReplLoad:
         # double# (main in Main) re-check — and fail against Int.
         out = session.repl_input("double# :: Int -> Int\ndouble# n = n + n")
         assert "error" in out
+
+    def test_echo_is_the_display_rendering(self, tmp_path):
+        self.write_project(tmp_path)
+        definition = "idf :: forall a. a -> a\nidf x = x"
+        session = Session()
+        session.repl_input(f":load {tmp_path}")
+        out = session.repl_input(definition)
+        # What `repro check` and the plain REPL print, not the cache's
+        # canonical rendering (forall (a :: Type). a -> a).
+        assert out.splitlines()[0] == "idf :: a -> a"
+        assert Session().repl_input(definition) == "idf :: a -> a"
 
     def test_new_overlay_binding_sees_imports(self, tmp_path):
         self.write_project(tmp_path)

@@ -377,11 +377,11 @@ class TestCheckStatsSource:
         assert stats.skipped == 2  # b.lev deduplicated against a.lev
         assert stats.checked == 2
 
-    def test_outcome_alias_still_readable(self):
+    def test_timing_rows_carry_their_source(self):
         stats = CheckStats()
 
         class FakeUnit:
             names = ("x",)
 
         stats.note("a.lev", FakeUnit(), 0.25, "checked")
-        assert stats.timings[0].outcome == "checked"
+        assert stats.timings[0].source == "checked"

@@ -9,10 +9,11 @@ degrades to in-process checking without losing results.
 """
 
 import gc
+import os
 
 import pytest
 
-from repro.driver import DriverOptions, Session
+from repro.driver import CheckStats, DriverOptions, Session
 from repro.driver.batch import (
     _MIN_UNITS_PER_WORKER,
     PARALLEL_MODE_ENV,
@@ -103,6 +104,38 @@ class TestPoolLifecycle:
         assert session.pool_stats["serial_batches"] == 1
         assert session.pool_stats["parallel_batches"] == 0
         assert session._pool is None
+
+    def test_worker_dying_mid_batch_finishes_in_process(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setenv(PARALLEL_MODE_ENV, "always")
+        corpus = make_corpus(6)
+        serial_stats = CheckStats()
+        serial = Session().check_many(corpus, cache=str(tmp_path / "one"),
+                                      stats=serial_stats)
+        session = Session()
+        acquire = session.acquire_pool
+
+        def dying_pool(jobs, options=None):
+            pool = acquire(jobs, options)
+
+            class Dying:
+                @staticmethod
+                def submit(fn, *args):
+                    # The worker that takes the shard exits under it, so
+                    # its future raises BrokenProcessPool.
+                    return pool.submit(os._exit, 1)
+
+            return Dying()
+
+        monkeypatch.setattr(session, "acquire_pool", dying_pool)
+        stats = CheckStats()
+        results = session.check_many(corpus, jobs=2,
+                                     cache=str(tmp_path / "two"), stats=stats)
+        assert _payloads(results) == _payloads(serial)
+        assert stats.checked == serial_stats.checked == 18
+        assert session.pool_stats["serial_batches"] == 1
+        assert session.pool_stats["parallel_batches"] == 0
+        assert session._pool is None  # the broken pool was discarded
 
     def test_never_mode_stays_in_process(self, monkeypatch):
         monkeypatch.setenv(PARALLEL_MODE_ENV, "never")
