@@ -8,7 +8,8 @@ language covering the paper's vocabulary (``forall (r :: Rep)
 :mod:`repro.surface` AST, with source spans recorded for structured
 diagnostics.
 
-* :mod:`repro.frontend.lexer` — hand-written lexer with line/column spans;
+* :mod:`repro.frontend.lexer` — one master regular expression, tokens
+  with line/column spans;
 * :mod:`repro.frontend.parser` — recursive-descent parser and elaborator.
 
 Public entry points:
@@ -19,7 +20,7 @@ Public entry points:
   inverse of :mod:`repro.pretty` (see the round-trip property tests).
 """
 
-from .lexer import Lexer, Span, Token, tokenize
+from .lexer import Span, Token, tokenize
 from .parser import (
     ParsedModule,
     Parser,
@@ -30,7 +31,6 @@ from .parser import (
 )
 
 __all__ = [
-    "Lexer",
     "Span",
     "Token",
     "tokenize",

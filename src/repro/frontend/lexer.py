@@ -1,4 +1,5 @@
-"""A hand-written lexer for the surface language's concrete syntax.
+"""The lexer for the surface language's concrete syntax: one compiled
+master regular expression.
 
 Tokens carry full source spans (1-based line/column of both ends) so the
 parser and the driver can attach precise locations to diagnostics.  The
@@ -12,6 +13,13 @@ token language is the small Haskell subset the paper's examples use:
 * unboxed tuple brackets ``(#`` / ``#)``, parens, brackets, braces;
 * ``--`` line comments and nested ``{- … -}`` block comments.
 
+:data:`TOKEN_RE` has one named group per token kind, per kind of trivia
+and per kind of malformed literal, tried in order at each position after
+spaces and tabs; a regular expression cannot count nesting, so a ``{-``
+match hands over to :func:`block_comment_end`.  The declaration split in
+:func:`repro.frontend.parser.parse_module_incremental` asks the same
+expression whether a line starts with a token.
+
 There is no layout algorithm: a token in column 1 always begins a new
 top-level declaration (the parser enforces this), and ``case``/``of``
 alternatives use explicit ``{ … ; … }`` braces — the same concrete form
@@ -20,13 +28,13 @@ alternatives use explicit ``{ … ; … }`` braces — the same concrete form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from ..core.errors import ParseError
 
 #: Characters that may make up a symbolic operator.
-SYMBOL_CHARS = set("!#$%&*+./<=>?^|-~:@")
+SYMBOL_CHARS = frozenset("!#$%&*+./<=>?^|-~:@")
 
 #: Keywords of the surface language.
 KEYWORDS = frozenset({
@@ -37,9 +45,12 @@ KEYWORDS = frozenset({
 #: Symbolic tokens with reserved meaning (never infix operators).
 RESERVED_SYMBOLS = frozenset({"::", "->", "=>", "=", "|", "@"})
 
+#: ``tuple.__new__`` skips the generated ``NamedTuple.__new__`` frame on
+#: the lexer's hot path.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Span:
+
+class Span(NamedTuple):
     """A half-open source region, 1-based lines and columns."""
 
     line: int
@@ -48,7 +59,7 @@ class Span:
     end_column: int
 
     def merge(self, other: "Span") -> "Span":
-        return Span(self.line, self.column, other.end_line, other.end_column)
+        return _new(Span, (self[0], self[1], other[2], other[3]))
 
     def pretty(self) -> str:
         return f"{self.line}:{self.column}"
@@ -57,8 +68,7 @@ class Span:
         return f"Span({self.line}:{self.column}-{self.end_line}:{self.end_column})"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its kind, semantic value and source span."""
 
     kind: str      # conid varid symbol keyword int inthash doublehash
@@ -89,244 +99,187 @@ class Token:
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\",
             '"': '"', "'": "'", "0": "\0"}
 
-#: ASCII digits only: unicode "digits" like '²' satisfy str.isdigit() but
-#: are not valid in numeric literals (found by the parser fuzz test).
-_ASCII_DIGITS = frozenset("0123456789")
+
+def _one_of(chars) -> str:
+    return "[" + re.escape("".join(sorted(chars))) + "]"
 
 
-class Lexer:
-    """Tokenise surface-language source text."""
+_SYM = _one_of(SYMBOL_CHARS)
+_ESC = _one_of(_ESCAPES)
+_STRING_BODY = r'"(?:[^"\\\n]|\\' + _ESC + ")*"
 
-    def __init__(self, source: str, filename: str = "<input>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+#: ``(group, pattern)`` in match order.  The order is part of the token
+#: language: ``--`` and ``#)`` before symbols, ``{-`` before ``{``, ``(#``
+#: before ``(``, each literal before its malformed forms; otherwise the
+#: most frequent groups come first.  Numbers are ASCII digits only
+#: (``'²'.isdigit()`` holds); ``name`` takes the identifiers that start
+#: outside ASCII and the stray non-ASCII digits.
+_GROUPS = (
+    ("varid", r"[a-z_][\w']*#*"),
+    ("nl", r"\n"),
+    ("conid", r"[A-Z][\w']*#*"),
+    ("comment", "--(?!" + _one_of(SYMBOL_CHARS - {"-"}) + r")[^\n]*"),
+    ("rhash", r"\#\)"),
+    ("symbol", _SYM + "+"),
+    ("lhash", r"\(\#(?!" + _SYM + ")"),
+    ("lparen", r"\("),
+    ("rparen", r"\)"),
+    ("doublehash", r"[0-9]+(?:\.[0-9]+)?\#\#"),
+    ("badfraction", r"[0-9]+\.[0-9]+\#?"),
+    ("inthash", r"[0-9]+\#"),
+    ("int", "[0-9]+"),
+    ("comma", ","),
+    ("semi", ";"),
+    ("blockcomment", r"\{-"),
+    ("lbrace", r"\{"),
+    ("rbrace", r"\}"),
+    ("lbracket", r"\["),
+    ("rbracket", r"\]"),
+    ("backslash", r"\\"),
+    ("string", _STRING_BODY + '"'),
+    ("char", r"'(?:[^\\\n]|\\" + _ESC + ")'"),
+    ("badescape", "(?:" + _STRING_BODY + r"|')\\(?!" + _ESC + ")"),
+    ("badstring", '"'),
+    ("badchar", "'"),
+    ("name", r"\w[\w']*#*"),
+    ("eof", r"\Z"),
+    ("bad", r"[^ \t\r\n]"),
+)
 
-    # -- low-level cursor ----------------------------------------------------
+#: The master expression.  Spaces, tabs and carriage returns before a
+#: match belong to it, so ``match[match.lastgroup]`` is the lexeme.
+TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:" + "|".join(f"(?P<{g}>{p})" for g, p in _GROUPS) + ")")
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
+#: Groups that match no token.
+TRIVIA = frozenset({"nl", "comment", "blockcomment", "eof"})
 
-    def _advance(self, count: int = 1) -> str:
-        taken = self.source[self.pos:self.pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return taken
+_COMMENT_DELIMITER = re.compile(r"\{-|-\}")
+_ESCAPE = re.compile(r"\\(.)")
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
+#: Groups that are token kinds, with their text as value (a ``varid``
+#: may still be a keyword or ``_``).
+_TEXT_KINDS = frozenset({
+    "varid", "conid", "symbol", "rhash", "lhash", "lparen", "rparen",
+    "comma", "semi", "lbrace", "rbrace", "lbracket", "rbracket",
+    "backslash"})
+_NAME_KINDS = dict.fromkeys(KEYWORDS, "keyword")
+_NAME_KINDS["_"] = "underscore"
 
-    def _span_from(self, line: int, column: int) -> Span:
-        return Span(line, column, self.line, self.column)
+UNTERMINATED_COMMENT = "unterminated block comment"
 
-    # -- whitespace and comments --------------------------------------------
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-" and \
-                    self._peek(2) not in SYMBOL_CHARS - {"-"}:
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "{" and self._peek(1) == "-":
-                self._skip_block_comment()
-            else:
-                return
+def block_comment_end(source: str, pos: int) -> int:
+    """The offset just past the ``-}`` that closes the block comment whose
+    ``{-`` ends at ``pos``, or -1 when the source ends first.
 
-    def _skip_block_comment(self) -> None:
-        start_line, start_column = self.line, self.column
-        self._advance(2)
-        depth = 1
-        while depth:
-            if self.pos >= len(self.source):
-                raise ParseError("unterminated block comment",
-                                 start_line, start_column)
-            if self._peek() == "{" and self._peek(1) == "-":
-                self._advance(2)
-                depth += 1
-            elif self._peek() == "-" and self._peek(1) == "}":
-                self._advance(2)
-                depth -= 1
-            else:
-                self._advance()
+    Inside a comment only ``{-`` (one level deeper) and ``-}`` matter.
+    """
+    depth = 1
+    search = _COMMENT_DELIMITER.search
+    while depth:
+        match = search(source, pos)
+        if match is None:
+            return -1
+        pos = match.end()
+        depth += 1 if match[0] == "{-" else -1
+    return pos
 
-    # -- token scanners ------------------------------------------------------
 
-    def _scan_name(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while True:
-            ch = self._peek()
-            if ch and (ch.isalnum() or ch in "_'"):
-                self._advance()
-            else:
+def _escape_error(source: str, end: int, line: int,
+                  line_start: int) -> ParseError:
+    """An unknown escape: positioned just past the escaped character."""
+    escape = source[end:end + 1]
+    if escape == "\n":
+        return ParseError("unknown escape \\\n", line + 1, 1)
+    return ParseError(f"unknown escape \\{escape}", line,
+                      end - line_start + 1 + len(escape))
+
+
+def tokenize(source: str, filename: str = "<input>",
+             first_line: int = 1) -> List[Token]:
+    """Tokenise ``source``; the final token always has kind ``eof``.
+
+    Lines are numbered from ``first_line``, so a declaration block cut
+    from a file lexes with the file's line numbers.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    new = _new
+    text_kinds = _TEXT_KINDS
+    name_kinds = _NAME_KINDS
+    finditer = TOKEN_RE.finditer
+    line = first_line
+    line_start = 0
+    pos = 0
+    while True:  # the eof group matches at the end, after any trivia
+        for match in finditer(source, pos):
+            kind = match.lastgroup
+            text = match[kind]
+            end = match.end()
+            size = len(text)
+            column = end - size - line_start + 1
+            if kind in text_kinds:
+                value = text
+                if kind == "varid":
+                    kind = name_kinds.get(text, kind)
+            elif kind == "nl":
+                line += 1
+                line_start = end
+                continue
+            elif kind == "inthash":
+                value = int(text[:-1])
+            elif kind == "int":
+                value = int(text)
+            elif kind == "comment":
+                continue
+            elif kind == "doublehash":
+                value = float(text[:-2])
+            elif kind == "string":
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(lambda m: _ESCAPES[m[1]], value)
+            elif kind == "char":
+                value = text[1] if size == 3 else _ESCAPES[text[2]]
+                text = repr(value)
+            elif kind == "blockcomment":
+                pos = block_comment_end(source, end)
+                if pos < 0:
+                    raise ParseError(UNTERMINATED_COMMENT, line, column)
+                newlines = source.count("\n", end, pos)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", end, pos) + 1
                 break
-        while self._peek() == "#":
-            self._advance()
-        text = self.source[start:self.pos]
-        span = self._span_from(line, column)
-        if text in KEYWORDS:
-            return Token("keyword", text, text, span)
-        if text == "_":
-            return Token("underscore", text, text, span)
-        kind = "conid" if text[0].isupper() else "varid"
-        return Token(kind, text, text, span)
-
-    def _scan_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while self._peek() in _ASCII_DIGITS:
-            self._advance()
-        has_dot = False
-        if self._peek() == "." and self._peek(1) in _ASCII_DIGITS:
-            has_dot = True
-            self._advance()
-            while self._peek() in _ASCII_DIGITS:
-                self._advance()
-        digits = self.source[start:self.pos]
-        hashes = 0
-        while self._peek() == "#" and hashes < 2:
-            self._advance()
-            hashes += 1
-        span = self._span_from(line, column)
-        text = self.source[start:self.pos]
-        if hashes == 2:
-            return Token("doublehash", text, float(digits), span)
-        if hashes == 1:
-            if has_dot:
+            elif kind == "eof":
+                append(new(Token, ("eof", "", None,
+                                   new(Span, (line, column, line, column)))))
+                return tokens
+            elif kind == "name":
+                if not text[0].isalpha():
+                    raise ParseError(f"unexpected character {text[0]!r}",
+                                     line, column)
+                value = text
+                kind = "conid" if text[0].isupper() else "varid"
+            elif kind == "badescape":
+                raise _escape_error(source, end, line, line_start)
+            elif kind == "badfraction":
+                if text[-1] == "#":
+                    raise ParseError(
+                        f"malformed literal {text!r}: a fractional literal "
+                        "needs two trailing hashes (Double#)", line, column)
                 raise ParseError(
-                    f"malformed literal {text!r}: a fractional literal needs "
-                    "two trailing hashes (Double#)", line, column)
-            return Token("inthash", text, int(digits), span)
-        if has_dot:
-            raise ParseError(
-                f"unsupported literal {text!r}: boxed fractional literals "
-                "are not in the surface language (use e.g. 2.5##)",
-                line, column)
-        return Token("int", text, int(digits), span)
-
-    def _scan_string(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # opening quote
-        chunks: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
+                    f"unsupported literal {text!r}: boxed fractional "
+                    "literals are not in the surface language (use e.g. "
+                    "2.5##)", line, column)
+            elif kind == "badstring":
                 raise ParseError("unterminated string literal", line, column)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escape = self._advance()
-                if escape not in _ESCAPES:
-                    raise ParseError(f"unknown escape \\{escape}",
-                                     self.line, self.column)
-                chunks.append(_ESCAPES[escape])
+            elif kind == "badchar":
+                raise ParseError("unterminated character literal",
+                                 line, column)
             else:
-                chunks.append(self._advance())
-        span = self._span_from(line, column)
-        return Token("string", self.source[start:self.pos],
-                     "".join(chunks), span)
-
-    def _scan_char(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            escape = self._advance()
-            if escape not in _ESCAPES:
-                raise ParseError(f"unknown escape \\{escape}",
-                                 self.line, self.column)
-            value = _ESCAPES[escape]
-        elif ch == "" or ch == "\n":
-            raise ParseError("unterminated character literal", line, column)
-        else:
-            value = self._advance()
-        if self._peek() != "'":
-            raise ParseError("unterminated character literal", line, column)
-        self._advance()
-        return Token("char", repr(value), value,
-                     self._span_from(line, column))
-
-    def _scan_symbol(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while self._peek() in SYMBOL_CHARS:
-            self._advance()
-        text = self.source[start:self.pos]
-        return Token("symbol", text, text, self._span_from(line, column))
-
-    # -- the main loop -------------------------------------------------------
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                out.append(Token("eof", "", None,
-                                 Span(self.line, self.column,
-                                      self.line, self.column)))
-                return out
-            out.append(self._next_token())
-
-    _SINGLE = {
-        ")": "rparen", "[": "lbracket", "]": "rbracket",
-        "{": "lbrace", "}": "rbrace", ",": "comma", ";": "semi",
-    }
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        line, column = self.line, self.column
-
-        if ch == "(":
-            if self._peek(1) == "#" and self._peek(2) not in SYMBOL_CHARS:
-                self._advance(2)
-                return Token("lhash", "(#", "(#",
-                             self._span_from(line, column))
-            self._advance()
-            return Token("lparen", "(", "(", self._span_from(line, column))
-
-        if ch == "#" and self._peek(1) == ")":
-            self._advance(2)
-            return Token("rhash", "#)", "#)", self._span_from(line, column))
-
-        if ch in self._SINGLE:
-            self._advance()
-            return Token(self._SINGLE[ch], ch, ch,
-                         self._span_from(line, column))
-
-        if ch == "\\":
-            self._advance()
-            return Token("backslash", "\\", "\\",
-                         self._span_from(line, column))
-
-        if ch == '"':
-            return self._scan_string()
-        if ch == "'":
-            return self._scan_char()
-        if ch in _ASCII_DIGITS:
-            return self._scan_number()
-        if ch.isalpha() or ch == "_":
-            return self._scan_name()
-        if ch in SYMBOL_CHARS:
-            return self._scan_symbol()
-
-        raise self._error(f"unexpected character {ch!r}")
-
-
-def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Tokenise ``source``; the final token always has kind ``eof``."""
-    return Lexer(source, filename).tokens()
+                raise ParseError(f"unexpected character {text!r}",
+                                 line, column)
+            append(new(Token, (kind, text, value,
+                               new(Span, (line, column, line,
+                                          column + size)))))

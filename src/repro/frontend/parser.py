@@ -116,7 +116,16 @@ from ..surface.types import (
     TyVar,
     UnboxedTupleTy,
 )
-from .lexer import RESERVED_SYMBOLS, SYMBOL_CHARS, Span, Token, tokenize
+from .lexer import (
+    RESERVED_SYMBOLS,
+    TOKEN_RE,
+    TRIVIA,
+    UNTERMINATED_COMMENT,
+    Span,
+    Token,
+    block_comment_end,
+    tokenize,
+)
 
 #: Names of the nullary representation constructors.
 REP_CONSTANTS: Dict[str, Rep] = {
@@ -263,10 +272,11 @@ class _TypeScope:
 class Parser:
     """A recursive-descent parser over the token stream."""
 
-    def __init__(self, source: str, filename: str = "<input>") -> None:
+    def __init__(self, source: str, filename: str = "<input>",
+                 first_line: int = 1) -> None:
         self.filename = filename
         self.source = source
-        self.tokens = tokenize(source, filename)
+        self.tokens = tokenize(source, filename, first_line)
         self.pos = 0
         self.scope = _TypeScope()
         self.expr_spans: Dict[int, Span] = {}
@@ -274,8 +284,9 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]  # _next never moves past the eof token
 
     def _next(self) -> Token:
         token = self._peek()
@@ -323,10 +334,18 @@ class Parser:
     # Modules and declarations
     # =======================================================================
 
-    def parse_module(self, name: str = "Main",
-                     validate: bool = True) -> ParsedModule:
-        decls: List[Decl] = []
+    def parse_module(self, name: str = "Main") -> ParsedModule:
+        decls, decl_span_list = self.parse_decls()
+        name = validate_module_decls(decls, decl_span_list, name)
         decl_spans: Dict[Tuple[str, str], Span] = {}
+        for decl, span in zip(decls, decl_span_list):
+            decl_spans.setdefault(_decl_key(decl), span)
+        return ParsedModule(Module(name, decls), self.filename, self.source,
+                            decl_spans, self.expr_spans, decl_span_list)
+
+    def parse_decls(self) -> Tuple[List[Decl], List[Span]]:
+        """Every declaration up to the end of input, with its span."""
+        decls: List[Decl] = []
         decl_span_list: List[Span] = []
         while not self._at_eof():
             token = self._peek()
@@ -340,12 +359,7 @@ class Parser:
             decl, span = self._parse_decl()
             decls.append(decl)
             decl_span_list.append(span)
-            decl_spans.setdefault(_decl_key(decl), span)
-        if validate:
-            name = validate_module_decls(decls, decl_span_list, name)
-        parsed = ParsedModule(Module(name, decls), self.filename, self.source,
-                              decl_spans, self.expr_spans, decl_span_list)
-        return parsed
+        return decls, decl_span_list
 
     def _parse_decl(self) -> Tuple[Decl, Span]:
         start = self._peek().span
@@ -915,10 +929,11 @@ class Parser:
 # The binding-level driver re-parses a module on every incremental check to
 # re-derive the dependency plan.  Since a token in column 1 always begins a
 # new top-level declaration, a module splits into independent *declaration
-# blocks* with a cheap line scanner; each block's parse depends only on the
-# block's own text, so a session can memoise block parses and re-lex/parse
-# only the blocks that actually changed.  Spans inside a memoised block are
-# stored block-relative and re-based by line offset on assembly.
+# blocks* at the lines where the lexer's own expression matches a token in
+# column 1; each block's parse depends only on the block's own text, so a
+# session can memoise block parses and lex/parse only the blocks that
+# actually changed.  A block is parsed with the file's line numbers, and
+# its spans are re-based only when the memo hands it out at another line.
 
 
 #: Memoised block parses are dropped wholesale past this many entries
@@ -928,8 +943,10 @@ _BLOCK_MEMO_LIMIT = 65536
 
 @dataclass(frozen=True)
 class _BlockParse:
-    """The (block-relative) parse of one declaration block."""
+    """The parse of one declaration block, with absolute spans."""
 
+    #: The line the block started on when it was parsed.
+    line: int
     decls: Tuple[Decl, ...]
     decl_span_list: Tuple[Span, ...]
     expr_spans: Dict[int, Span]
@@ -937,135 +954,73 @@ class _BlockParse:
     #: computed once so the dependency planner skips the AST walk.
     refs: Tuple[Optional[FrozenSet[str]], ...] = ()
     #: (message-without-position-prefix, line, column) when the block does
-    #: not parse; memoising failures keeps erroring files cheap too.
+    #: not lex or parse; memoising failures keeps erroring files cheap too.
     error: Optional[Tuple[str, int, int]] = None
 
 
-def _line_starts_decl(line: str, depth: int) -> bool:
-    """Does this line put a token in column 1 (i.e. start a declaration)?
-
-    Mirrors the lexer: inside a block comment nothing starts; a line
-    comment (``--`` not followed by another symbol character) and a block
-    comment opener are trivia, not tokens.
-    """
-    if depth > 0 or not line or line[0] in " \t\r":
-        return False
-    if line.startswith("{-"):
-        return False
-    if line.startswith("--"):
-        after = line[2:3]
-        if not after or after not in SYMBOL_CHARS - {"-"}:
-            return False
-    return True
+def _starts_decl(line: str) -> bool:
+    """Does the lexer match a token (not trivia) at the line's first
+    character?"""
+    return line[:1] not in " \t\r" and \
+        TOKEN_RE.match(line).lastgroup not in TRIVIA
 
 
-def _scan_line_trivia(line: str, depth: int) -> int:
-    """Advance the block-comment depth across one line.
-
-    Replicates exactly the lexer's trivia rules: nested ``{- -}`` comments
-    (inside which nothing else is special), ``--`` line comments, string
-    literals and character literals (primes inside identifiers are *not*
-    character-literal openers).
-    """
-    i, n = 0, len(line)
-    prev_name_char = False
-    while i < n:
-        ch = line[i]
-        if depth:
-            if ch == "{" and line[i + 1:i + 2] == "-":
-                depth += 1
-                i += 2
-            elif ch == "-" and line[i + 1:i + 2] == "}":
-                depth -= 1
-                i += 2
-            else:
-                i += 1
-            continue
-        if ch == '"':
-            i += 1
-            while i < n and line[i] != '"':
-                i += 2 if line[i] == "\\" else 1
-            i += 1
-            prev_name_char = False
-            continue
-        if ch == "'" and not prev_name_char:
-            j = i + 1
-            if line[j:j + 1] == "\\":
-                j += 2
-            elif j < n:
-                j += 1
-            i = j + 1 if line[j:j + 1] == "'" else i + 1
-            prev_name_char = False
-            continue
-        if ch == "-" and line[i + 1:i + 2] == "-":
-            after = line[i + 2:i + 3]
-            if not after or after not in SYMBOL_CHARS - {"-"}:
-                break  # line comment: the rest of the line is trivia
-            i += 1
-            prev_name_char = False
-            continue
-        if ch == "{" and line[i + 1:i + 2] == "-":
-            depth += 1
-            i += 2
-            prev_name_char = False
-            continue
-        prev_name_char = ch.isalnum() or ch in "_'#"
-        i += 1
-    return depth
-
-
-def split_decl_blocks(source: str) -> List[Tuple[int, str]]:
-    """Split a module into ``(start_line, text)`` declaration blocks.
-
-    Block boundaries are the lines that put a token in column 1; trivia
-    before the first declaration forms a preamble block of its own.  The
-    concatenation of all block texts (newline-joined) is the source.
-    """
-    lines = source.split("\n")
-    starts: List[int] = []
-    depth = 0
-    for index, line in enumerate(lines):
-        if _line_starts_decl(line, depth):
-            starts.append(index)
-        depth = _scan_line_trivia(line, depth)
-    if not starts or starts[0] != 0:
-        starts.insert(0, 0)
-    blocks: List[Tuple[int, str]] = []
-    for position, start in enumerate(starts):
-        stop = starts[position + 1] if position + 1 < len(starts) \
-            else len(lines)
-        blocks.append((start + 1, "\n".join(lines[start:stop])))
-    return blocks
-
-
-def _parse_block(text: str) -> _BlockParse:
-    parser = Parser(text, "<block>")
+def _parse_block(text: str, line: int) -> _BlockParse:
     try:
         # Module-shape validation (header first, imports before code) is
         # positional across the whole file, so it runs on assembly in
         # parse_module_incremental, not per block.
-        parsed = parser.parse_module(validate=False)
+        parser = Parser(text, "<block>", line)
+        decls, decl_span_list = parser.parse_decls()
     except ParseError as exc:
         message = str(exc)
         prefix = f"{exc.line}:{exc.column}: "
         if message.startswith(prefix):
             message = message[len(prefix):]
-        return _BlockParse((), (), {}, (),
+        return _BlockParse(line, (), (), {}, (),
                            (message, exc.line, exc.column))
     refs = tuple(
         decl.rhs.free_vars() - frozenset(decl.params)
         if isinstance(decl, FunBind) else None
-        for decl in parsed.module.decls)
-    return _BlockParse(tuple(parsed.module.decls),
-                       tuple(parsed.decl_span_list),
-                       dict(parsed.expr_spans), refs)
+        for decl in decls)
+    return _BlockParse(line, tuple(decls), tuple(decl_span_list),
+                       parser.expr_spans, refs)
 
 
 def _shift_span(span: Span, delta: int) -> Span:
-    if delta == 0:
-        return span
     return Span(span.line + delta, span.column,
                 span.end_line + delta, span.end_column)
+
+
+def _block_at(text: str, line: int, memo: Optional[Dict[str, _BlockParse]],
+              used: set) -> _BlockParse:
+    """The parse of the block ``text`` starting at ``line``, from the memo
+    when it has one."""
+    block = memo.get(text) if memo is not None else None
+    if block is None:
+        block = _parse_block(text, line)
+        if memo is not None:
+            if len(memo) >= _BLOCK_MEMO_LIMIT:
+                memo.clear()
+            memo[text] = block
+    elif id(block) in used:
+        # The same block text occurs twice in one module (duplicate
+        # definitions).  Sharing the memoised AST would collide the
+        # id()-keyed expression spans — the second occurrence would
+        # overwrite the first's positions — so duplicates get fresh nodes.
+        block = _parse_block(text, line)
+    used.add(id(block))
+    delta = line - block.line
+    if not delta:
+        return block
+    error = block.error and (block.error[0], block.error[1] + delta,
+                             block.error[2])
+    return _BlockParse(
+        line, block.decls,
+        tuple(_shift_span(span, delta) for span in block.decl_span_list),
+        {node: _shift_span(span, delta)
+         for node, span in block.expr_spans.items()},
+        block.refs, error)
 
 
 def parse_module_incremental(source: str, filename: str = "<input>",
@@ -1074,10 +1029,13 @@ def parse_module_incremental(source: str, filename: str = "<input>",
                              ) -> ParsedModule:
     """Parse a module block by block, reusing memoised block parses.
 
-    Produces exactly what :func:`parse_module` produces (same declaration
-    order, spans, expression-span table), but a block whose text is
-    already in ``memo`` skips lexing and parsing entirely — the payoff
-    that makes warm incremental re-checks parse only the edited bindings.
+    Produces what :func:`parse_module` produces (same declaration order,
+    spans, expression-span table), but a block whose text is already in
+    ``memo`` skips lexing and parsing entirely — the payoff that makes
+    warm incremental re-checks parse only the edited bindings.  A module
+    with errors reports its first failing block's error, where
+    :func:`parse_module` reports a lexical error anywhere in the file
+    before any syntax error.
     """
     decls: List[Decl] = []
     decl_spans: Dict[Tuple[str, str], Span] = {}
@@ -1085,34 +1043,39 @@ def parse_module_incremental(source: str, filename: str = "<input>",
     decl_span_list: List[Span] = []
     decl_refs: List[Optional[FrozenSet[str]]] = []
     used_blocks: set = set()
-    for start_line, text in split_decl_blocks(source):
-        block = memo.get(text) if memo is not None else None
-        if block is None:
-            block = _parse_block(text)
-            if memo is not None:
-                if len(memo) >= _BLOCK_MEMO_LIMIT:
-                    memo.clear()
-                memo[text] = block
-        if id(block) in used_blocks:
-            # The same block text occurs twice in one module (duplicate
-            # definitions).  Sharing the memoised AST would collide the
-            # id()-keyed expression spans — the second occurrence would
-            # overwrite the first's positions — so duplicates get fresh
-            # nodes.
-            block = _parse_block(text)
-        used_blocks.add(id(block))
-        delta = start_line - 1
+    lines = source.split("\n")
+    starts = [index for index, line in enumerate(lines)
+              if _starts_decl(line)]
+    if not starts or starts[0] != 0:
+        starts.insert(0, 0)  # the preamble of trivia before the first decl
+    starts.append(len(lines))
+    following = 1
+    while following < len(starts):
+        first = starts[following - 1]
+        block = _block_at("\n".join(lines[first:starts[following]]),
+                          first + 1, memo, used_blocks)
+        while block.error and block.error[0] == UNTERMINATED_COMMENT:
+            # The block ends inside a comment: extend it past the line
+            # where the comment closes, unless the file ends first.
+            _, line, column = block.error
+            opener = sum(map(len, lines[:line - 1])) + line - 1 + column - 1
+            close = block_comment_end(source, opener + len("{-"))
+            if close < 0:
+                break
+            close_row = source.count("\n", 0, close)
+            while starts[following] <= close_row:
+                following += 1
+            block = _block_at("\n".join(lines[first:starts[following]]),
+                              first + 1, memo, used_blocks)
+        following += 1
         if block.error is not None:
-            message, line, column = block.error
-            raise ParseError(message, line + delta if line else line, column)
+            raise ParseError(*block.error)
         for decl, span in zip(block.decls, block.decl_span_list):
-            absolute = _shift_span(span, delta)
             decls.append(decl)
-            decl_span_list.append(absolute)
-            decl_spans.setdefault(_decl_key(decl), absolute)
+            decl_span_list.append(span)
+            decl_spans.setdefault(_decl_key(decl), span)
         decl_refs.extend(block.refs)
-        for node_id, span in block.expr_spans.items():
-            expr_spans[node_id] = _shift_span(span, delta)
+        expr_spans.update(block.expr_spans)
     name = validate_module_decls(decls, decl_span_list, name)
     return ParsedModule(Module(name, decls), filename, source,
                         decl_spans, expr_spans, decl_span_list, decl_refs)

@@ -352,6 +352,12 @@ class TestIncrementalParsing:
         # *identical* duplicate blocks: the memo must not share AST nodes
         # within one module (expression spans are id()-keyed)
         "w = 1#\nw = 1#\n",
+        # '--' inside an operator is not a comment, so the '{-' opens one
+        "(+--) :: Int# -> Int# -> Int#\n(+--) x y = x {- note\nb = 2#\n-}\n",
+        # a char literal right after a '#'-suffixed name
+        "f# :: Char -> Int#\nf# c = 1#\na = f#'\"' {- c\nb = 2#\n-}\n",
+        # a comment that closes mid-line, code after it on the same line
+        "a = 1# {- c\nb -} +# 2#\nc = 3#\n",
     ]
 
     @staticmethod
@@ -413,16 +419,31 @@ class TestIncrementalParsing:
         added = set(memo) - blocks_before
         assert added == {"b = a +# 1#\n"}
 
-    def test_parse_error_positions_are_absolute(self):
+    @pytest.mark.parametrize("broken", [
+        "broken = ",
+        "broken = 2.5",
+        "broken = 1.5#",
+        'broken = "oops',
+        "broken = '\\q'",
+        "broken = 'ab'",
+        "broken = 1# {- never closed",
+        "broken = 1# \u00a7 2#",
+    ], ids=["syntax", "boxed-fraction", "one-hash-fraction",
+            "unterminated-string", "unknown-escape", "unterminated-char",
+            "unclosed-comment", "stray-char"])
+    def test_parse_error_positions_are_absolute(self, broken):
+        from repro.driver import Session
         from repro.frontend.parser import parse_module_incremental
 
-        source = "fine = 1#\n\nbroken = \n"
+        source = f"fine = 1#\n\nalso = 2#\n\n{broken}\n"
         with pytest.raises(ParseError) as exc:
             parse_module_incremental(source, "err.lev", memo={})
-        whole_error = None
-        try:
+        with pytest.raises(ParseError) as whole:
             parse_module(source, "err.lev")
-        except ParseError as caught:
-            whole_error = caught
+        assert whole.value.line >= 5  # in the third declaration or after
+        assert str(exc.value) == str(whole.value)
         assert (exc.value.line, exc.value.column) == \
-            (whole_error.line, whole_error.column)
+            (whole.value.line, whole.value.column)
+        [diagnostic] = Session().check(source, "err.lev").diagnostics
+        assert (diagnostic.span.line, diagnostic.span.column) == \
+            (whole.value.line, whole.value.column)

@@ -9,7 +9,10 @@ Satellites of the frontend PR:
   alpha-renaming — the parser re-quantifies hidden binders in occurrence
   order, so the comparison canonicalises binder names first;
 * lexer/parser fuzzing: arbitrary input either parses or raises
-  :class:`~repro.core.errors.ParseError` — never anything else.
+  :class:`~repro.core.errors.ParseError` — never anything else; byte-level
+  mutants of the ``.lev`` corpora never make ``Session.check`` raise, and
+  its diagnostics point inside the source, at the lexer's own position
+  for a lexical error.
 
 Extended by the fuzzing PR with **expression-level** round-trips
 (``parse_expr(expr.pretty()) == expr``) over the whole expression grammar,
@@ -19,6 +22,9 @@ binding rhs, let rhs, case alternatives, tuple components — not just the
 application spots the operator table can recover.
 """
 
+import glob
+import os
+import random
 import string as string_module
 
 import pytest
@@ -28,7 +34,9 @@ from hypothesis import strategies as st
 from repro.core.errors import ParseError
 from repro.core.kinds import TYPE_LIFTED, TypeKind
 from repro.core.rep import RepVar
+from repro.driver import Session
 from repro.frontend import parse_expr, parse_module, parse_scheme, parse_type
+from repro.frontend.lexer import tokenize
 from repro.infer.schemes import Scheme
 from repro.pretty.printer import (
     PrinterOptions,
@@ -381,6 +389,47 @@ class TestExpressionRoundTrip:
 _FUZZ_ALPHABET = (string_module.ascii_letters + string_module.digits
                   + " \n()[]{}#,;:->=\\.\"'$+*/<>|&_")
 
+#: Bytes a mutation inserts half of the time: the openers and closers of
+#: every multi-character lexeme, so lexical errors are common.
+_LEXICAL_BYTES = b"\"'{}-\\#.(\n"
+
+
+def _byte_mutants(count, seed):
+    """``count`` sources, each a corpus file with one to three bytes
+    deleted, inserted or replaced, decoded as Latin-1."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    paths = sorted(
+        glob.glob(os.path.join(here, "golden", "**", "*.lev"), recursive=True)
+        + glob.glob(os.path.join(here, os.pardir, "examples", "*.lev")))
+    corpus = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            corpus.append(handle.read())
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = bytearray(rng.choice(corpus))
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(data) + 1)
+            byte = (rng.choice(_LEXICAL_BYTES) if rng.random() < 0.5
+                    else rng.randrange(256))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del data[pos:pos + 1]
+            elif edit == 1:
+                data.insert(pos, byte)
+            else:
+                data[pos:pos + 1] = bytes([byte])
+        yield data.decode("latin-1")
+
+
+def _lexical_error(source):
+    """The (message, line, column) ``tokenize`` raises, or None."""
+    try:
+        tokenize(source)
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], exc.line, exc.column
+    return None
+
 
 class TestFuzz:
     @given(st.text(alphabet=_FUZZ_ALPHABET, max_size=200))
@@ -398,6 +447,29 @@ class TestFuzz:
             parse_module(source)
         except ParseError:
             pass
+
+    def test_session_check_total_over_byte_mutants(self):
+        session = Session()
+        lexical_errors = 0
+        for source in _byte_mutants(2000, seed=20261017):
+            result = session.check(source, "mutant.lev")
+            lines = source.split("\n")
+            error = _lexical_error(source)
+            lexical_errors += error is not None
+            for diagnostic in result.diagnostics:
+                span = diagnostic.span
+                if span is None:
+                    continue
+                assert 1 <= span.line <= span.end_line <= len(lines), \
+                    (source, diagnostic)
+                assert 1 <= span.column <= len(lines[span.line - 1]) + 1, \
+                    (source, diagnostic)
+                assert 1 <= span.end_column \
+                    <= len(lines[span.end_line - 1]) + 1, (source, diagnostic)
+                if error is not None and diagnostic.message == error[0]:
+                    assert (span.line, span.column) == error[1:], \
+                        (source, diagnostic, error)
+        assert lexical_errors > 50
 
     @given(schemes())
     @settings(max_examples=50, deadline=None)
