@@ -7,7 +7,7 @@ variables by chasing ``{name: term}`` dictionaries and re-zonked whole type
 trees on every ``unify_types`` call, which is quadratic on solution chains.
 This benchmark measures the production union-find solver
 (:mod:`repro.infer.unify`) against the preserved seed implementation
-(:mod:`repro.infer.legacy_unify`) on three adversarial workloads:
+(`benchmarks/legacy_unify.py`) on three adversarial workloads:
 
 * **deep solution chains** — ``α0 ~ α1 ~ … ~ αn`` then ``α0 ~ Int``, then
   zonk every variable: the classic quadratic case (each chain link also
@@ -35,7 +35,7 @@ import pytest
 from benchreport import emit, record_counter, record_timing, report_only, time_op
 from repro.core.rep import INT_REP, LIFTED, DOUBLE_REP, TupleRep
 from repro.infer import infer_module
-from repro.infer.legacy_unify import LegacyUnifierState
+from legacy_unify import LegacyUnifierState
 from repro.infer.unify import UnifierState
 from repro.surface.ast import EVar, FunBind, Module, apply
 from repro.surface.types import INT_TY, UnboxedTupleTy, INT_HASH_TY, DOUBLE_HASH_TY

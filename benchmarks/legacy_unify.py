@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.errors import OccursCheckError, UnificationError
-from ..core.kinds import ArrowKind, Kind, KindVar, TypeKind
-from ..core.rep import Rep, RepVar, SumRep, TupleRep
-from ..surface.types import (
+from repro.core.errors import OccursCheckError, UnificationError
+from repro.core.kinds import ArrowKind, Kind, KindVar, TypeKind
+from repro.core.rep import Rep, RepVar, SumRep, TupleRep
+from repro.surface.types import (
     ForAllTy,
     FunTy,
     QualTy,
@@ -105,7 +105,7 @@ class LegacyUnifierState:
         if isinstance(type_, ForAllTy):
             return ForAllTy(type_.binders, self.zonk_type(type_.body))
         if isinstance(type_, QualTy):
-            from ..surface.types import ClassConstraint
+            from repro.surface.types import ClassConstraint
             constraints = tuple(
                 ClassConstraint(c.class_name, self.zonk_type(c.argument))
                 for c in type_.constraints)
@@ -228,7 +228,7 @@ class LegacyUnifierState:
             raise OccursCheckError(
                 f"type variable {var.name} occurs in {type_.pretty()} "
                 "(infinite type)")
-        from ..surface.types import kind_of_type
+        from repro.surface.types import kind_of_type
         self.unify_kinds(var.kind, kind_of_type(type_))
         self.type_solutions[var.name] = type_
 

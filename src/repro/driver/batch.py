@@ -411,9 +411,7 @@ def _codegen_payload_valid(payload: dict) -> bool:
         if not isinstance(functions, dict) or not isinstance(arities, dict):
             return False
         for name, source in functions.items():
-            if not isinstance(name, str):
-                return False
-            if source is not None and not isinstance(source, str):
+            if not isinstance(name, str) or not isinstance(source, str):
                 return False
         for name, arity in arities.items():
             if not isinstance(name, str) or not isinstance(arity, int):
@@ -626,11 +624,10 @@ def load_codegen(cache: ResultCache, check: CheckResult,
     """Resolve cached compiled sources for a fully-checked module.
 
     Returns ``(sources, units)``.  ``sources`` maps binding names to the
-    generated Python source served from the cache (``None`` marks a
-    binding the compiler is known to skip — still a hit: no codegen is
-    re-attempted).  ``units`` lists ``(key, names, arities)`` per
-    compilation unit, in plan order, for :func:`store_codegen` to write
-    fresh codegen back after the evaluator lowered the misses.
+    generated Python source served from the cache.  ``units`` lists
+    ``(key, names, arities)`` per compilation unit, in plan order, for
+    :func:`store_codegen` to write fresh codegen back after the evaluator
+    lowered the misses.
 
     Keys are the **existing per-unit check keys** (source slice +
     dependency schemes) under the :func:`codegen_cache_key` namespace.
@@ -649,7 +646,7 @@ def load_codegen(cache: ResultCache, check: CheckResult,
                        if binding.scheme is not None else None)
         for binding in check.bindings}
     fingerprint = options_fingerprint(options)
-    sources: Dict[str, Optional[str]] = {}
+    sources: Dict[str, str] = {}
     units: List[Tuple[str, Tuple[str, ...], Dict[str, int]]] = []
     for unit in plan.units:
         key = codegen_cache_key(unit_key(

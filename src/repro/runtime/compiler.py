@@ -31,13 +31,13 @@ observable value — including the printed form of closures, thunks and
 constructor cells — is identical.  Only the cost counters differ: the
 compiled path models no costs, which is the point.
 
-Anything the code generator does not understand falls back, per binding, to
-the tree-walker (:class:`FallbackFunction`), so ``compiled=True`` is always
-safe to request.
+Every surface expression compiles, and a stale or corrupt cached source is
+re-lowered from the AST, so ``compiled=True`` is always safe to request.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
@@ -79,9 +79,7 @@ from .values import (
 __all__ = [
     "CompiledFunction",
     "CompiledProgram",
-    "FallbackFunction",
     "TailCall",
-    "UnsupportedExpression",
     "generate_function_source",
     "generate_expression_source",
     "CODEGEN_VERSION",
@@ -91,17 +89,6 @@ __all__ = [
 #: into the on-disk codegen cache key, so stale generated code is never
 #: re-linked after a compiler change.
 CODEGEN_VERSION = 1
-
-#: Sentinel returned by :meth:`CompiledProgram.eval_expression` when the
-#: expression cannot be compiled and the caller should tree-walk instead.
-FALLBACK = object()
-
-_MISSING = object()
-
-
-class UnsupportedExpression(Exception):
-    """Raised during codegen for constructs the compiler does not lower."""
-
 
 # ---------------------------------------------------------------------------
 # Runtime pieces referenced by generated code
@@ -158,11 +145,7 @@ class CompiledFunction:
             if _REGISTRY.enabled:
                 return self._bounce_counted(result)
             while type(result) is TailCall:
-                target = result.target
-                if type(target) is CompiledFunction:
-                    result = target.body(*result.args)
-                else:                    # a FallbackFunction: no trampoline
-                    result = target.call(*result.args)
+                result = result.target.body(*result.args)
         return result
 
     def _bounce_counted(self, result):
@@ -170,11 +153,7 @@ class CompiledFunction:
         bounces = 0
         while type(result) is TailCall:
             bounces += 1
-            target = result.target
-            if type(target) is CompiledFunction:
-                result = target.body(*result.args)
-            else:                        # a FallbackFunction: no trampoline
-                result = target.call(*result.args)
+            result = result.target.body(*result.args)
         _REGISTRY.counter("runtime.trampoline_bounces").inc(bounces)
         return result
 
@@ -193,30 +172,6 @@ class CompiledFunction:
             ref = self.runtime.heap.allocate(obj, static=True)
             self._value_ref = ref
         return ref
-
-
-class FallbackFunction:
-    """A binding the compiler skipped; applications tree-walk as before."""
-
-    __slots__ = ("name", "arity", "evaluator", "function")
-
-    def __init__(self, evaluator, function: ProgramFunction) -> None:
-        self.name = function.name
-        self.arity = len(function.params)
-        self.evaluator = evaluator
-        self.function = function
-
-    def value_ref(self):
-        return self.evaluator._tree_closure_value(self.function)
-
-    def call(self, *args):
-        if _REGISTRY.enabled:
-            _REGISTRY.counter("runtime.fallback_calls").inc()
-        value = self.value_ref()
-        evaluator = self.evaluator
-        for argument in args:
-            value = evaluator.apply_value(value, argument, already_value=True)
-        return value
 
 
 def _boxed_is(force, obj, want: int) -> bool:
@@ -245,14 +200,9 @@ _LITERALS = (ELitInt, ELitIntHash, ELitDoubleHash, ELitChar, ELitString,
 # ---------------------------------------------------------------------------
 
 
-class _ModuleInfo:
-    """Arity and strictness of every top-level binding, for call sites."""
-
-    def __init__(self, functions: Dict[str, ProgramFunction]) -> None:
-        self.functions = {
-            name: (len(pf.params), pf.param_strict)
-            for name, pf in functions.items()
-        }
+#: Arity and parameter strictness of every top-level binding, by name: what
+#: a call site needs to know about its callee.
+Signatures = Dict[str, Tuple[int, Tuple[bool, ...]]]
 
 
 def _unwrap(expr: Expr) -> Expr:
@@ -272,8 +222,8 @@ def _flatten(expr: EApp) -> Tuple[Expr, List[Expr]]:
 
 
 class _Emitter:
-    def __init__(self, info: _ModuleInfo) -> None:
-        self.info = info
+    def __init__(self, known: Signatures) -> None:
+        self.known = known
         self.prelude: List[str] = []     # const definitions inside _bind
         self.body: List[str] = []        # statements inside _f
         self.indent = 2
@@ -338,8 +288,8 @@ class _Emitter:
             if not isinstance(head, EVar):
                 return False
             name = head.name
-            if name in self.info.functions:
-                arity, strictness = self.info.functions[name]
+            if name in self.known:
+                arity, strictness = self.known[name]
                 if arity == 0 or len(args) != arity:
                     return False
                 return all(self._simple_arg(a, s)
@@ -371,8 +321,12 @@ class _Emitter:
             return self.const(f"int#:{expr.value}",
                               f"UnboxedInt({expr.value})", whnf=True)
         if isinstance(expr, ELitDoubleHash):
+            # A literal past the Double# range lexes to infinity, whose
+            # repr() is not Python source.
+            literal = repr(expr.value) if math.isfinite(expr.value) \
+                else f"float('{expr.value!r}')"
             return self.const(f"double#:{expr.value!r}",
-                              f"UnboxedDouble({expr.value!r})", whnf=True)
+                              f"UnboxedDouble({literal})", whnf=True)
         if isinstance(expr, ELitChar):
             return self.const(
                 f"char:{expr.value!r}",
@@ -413,12 +367,12 @@ class _Emitter:
             return self._emit_case(expr, scope, tail=False)
         if isinstance(expr, EApp):
             return self._emit_app(expr, scope, tail=False)
-        raise UnsupportedExpression(f"cannot compile {expr!r}")
+        raise TypeError(f"cannot compile {expr!r}")
 
     def _emit_var(self, name: str, scope: Dict[str, str]) -> str:
         if name in scope:
             return scope[name]
-        if name in self.info.functions:
+        if name in self.known:
             return f"G[{name!r}].value_ref()"
         if name == "undefined":
             return "R.raise_undefined()"
@@ -484,8 +438,8 @@ class _Emitter:
 
         if isinstance(head, EVar) and head.name not in scope:
             name = head.name
-            if name in self.info.functions:
-                arity, strictness = self.info.functions[name]
+            if name in self.known:
+                arity, strictness = self.known[name]
                 if 0 < arity <= len(args):
                     return self._emit_known_call(name, arity, strictness,
                                                  args, scope, tail)
@@ -732,9 +686,9 @@ _BIND_PRELUDE = [
 
 
 def generate_function_source(function: ProgramFunction,
-                             info: _ModuleInfo) -> str:
+                             known: Signatures) -> str:
     """Compile one top-level binding to the source of its ``_bind``."""
-    emitter = _Emitter(info)
+    emitter = _Emitter(known)
     scope: Dict[str, str] = {}
     parameters: List[str] = []
     for index, parameter in enumerate(function.params):
@@ -757,9 +711,9 @@ def generate_function_source(function: ProgramFunction,
 
 
 def generate_expression_source(expr: Expr, env_names: List[str],
-                               info: _ModuleInfo) -> str:
+                               known: Signatures) -> str:
     """Compile a standalone expression (REPL line, entry rhs) to source."""
-    emitter = _Emitter(info)
+    emitter = _Emitter(known)
     scope: Dict[str, str] = {}
     for env_name in env_names:
         name = emitter.fresh("v")
@@ -800,79 +754,64 @@ class CompiledProgram:
     """All of a program's bindings, compiled and linked to one evaluator.
 
     ``sources`` may supply previously generated source text per binding
-    (from the per-unit codegen cache); supplied entries are linked without
-    regenerating, and ``None`` marks a binding the compiler is known to skip
-    (linked as a :class:`FallbackFunction`, still no codegen).  The counters
+    (from the per-unit codegen cache); a supplied source is linked without
+    regenerating, and one that fails to link — a stale or corrupt cache
+    entry is outside input — is re-lowered from the AST.  The counters
     distinguish the two paths so callers can report cache effectiveness:
     ``codegen_count`` is the number of bindings lowered this session and
-    ``cache_hits`` the number served from supplied sources.
+    ``cache_hits`` the number linked from supplied sources.
     """
 
     def __init__(self, evaluator,
-                 sources: Optional[Dict[str, Optional[str]]] = None) -> None:
+                 sources: Optional[Dict[str, str]] = None) -> None:
         self.evaluator = evaluator
         # Installed early: helper lambdas resolved during linking compile
         # through the evaluator's compiled path.
         evaluator._compiled = self
-        self.functions: Dict[str, object] = {}
-        self.sources: Dict[str, Optional[str]] = {}
+        self.functions: Dict[str, CompiledFunction] = {}
+        self.sources: Dict[str, str] = {}
         self.codegen_count = 0
         self.cache_hits = 0
-        self.fallback_names: List[str] = []
-        self._info = _ModuleInfo(evaluator.program.functions)
-        for name, function in evaluator.program.functions.items():
-            provided = _MISSING if sources is None else \
-                sources.get(name, _MISSING)
-            self._install(name, function, provided)
+        functions = evaluator.program.functions
+        self._known: Signatures = {
+            name: (len(function.params), function.param_strict)
+            for name, function in functions.items()}
+        supplied = sources or {}
+        for name, function in functions.items():
+            self._install(name, function, supplied.get(name))
         # Fold point: once per program build, not per call.
         _REGISTRY.inc("codegen.compiled", self.codegen_count)
         _REGISTRY.inc("codegen.cache_hits", self.cache_hits)
-        _REGISTRY.inc("codegen.fallbacks", len(self.fallback_names))
         # Source text is what the codegen side-table shards persist, so
         # its volume is the side-table's growth rate.
         _REGISTRY.inc("codegen.source_bytes",
-                      sum(len(source) for source in self.sources.values()
-                          if source is not None))
+                      sum(map(len, self.sources.values())))
 
     def make_lambda(self, body: Callable) -> CompiledFunction:
         return CompiledFunction("", 1, (False,), body, self.evaluator)
 
     def _install(self, name: str, function: ProgramFunction,
-                 provided) -> None:
-        source = provided
-        if source is _MISSING:
-            traced = _TRACER.enabled
-            if traced:
-                _TRACER.begin("codegen.lower", binding=name)
+                 cached: Optional[str]) -> None:
+        if cached is not None:
             try:
-                source = generate_function_source(function, self._info)
-            except UnsupportedExpression:
-                source = None
-            finally:
-                if traced:
-                    _TRACER.end("codegen.lower")
-            self.codegen_count += 1
-        else:
-            self.cache_hits += 1
-        self.sources[name] = source
-        if source is None:
-            self._install_fallback(name, function)
-            return
-        try:
-            compiled = self._link(name, function, source)
-        except Exception:
-            if provided is not _MISSING:
-                # A stale or corrupt cache entry: regenerate from scratch.
-                self._install(name, function, _MISSING)
+                self.functions[name] = self._link(name, function, cached)
+            except Exception:
+                pass  # A stale or corrupt cache entry: re-lowered below.
+            else:
+                self.sources[name] = cached
+                self.cache_hits += 1
                 return
-            self.sources[name] = None
-            self._install_fallback(name, function)
-            return
-        self.functions[name] = compiled
-
-    def _install_fallback(self, name: str, function: ProgramFunction) -> None:
-        self.functions[name] = FallbackFunction(self.evaluator, function)
-        self.fallback_names.append(name)
+        traced = _TRACER.enabled
+        if traced:
+            _TRACER.begin("codegen.lower", binding=name)
+        try:
+            source = generate_function_source(function, self._known)
+        finally:
+            if traced:
+                _TRACER.end("codegen.lower")
+        self.codegen_count += 1
+        self.sources[name] = source
+        self.functions[name] = self._link(name, function, source)
 
     def _link(self, name: str, function: ProgramFunction,
               source: str) -> CompiledFunction:
@@ -883,12 +822,8 @@ class CompiledProgram:
                                 function.param_strict, body, self.evaluator)
 
     def eval_expression(self, expr: Expr, env: Dict[str, object]):
-        """Compile and run a standalone expression; FALLBACK if unsupported."""
-        try:
-            source = generate_expression_source(expr, sorted(env),
-                                                self._info)
-        except UnsupportedExpression:
-            return FALLBACK
+        """Compile and run a standalone expression."""
+        source = generate_expression_source(expr, sorted(env), self._known)
         namespace = dict(_EXEC_GLOBALS)
         exec(compile(source, "<compiled:expression>", "exec"), namespace)
         body = namespace["_bind"](self.evaluator, self.functions, self, env)

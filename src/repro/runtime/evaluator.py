@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import EvaluationError, PatternError, ScopeError
 from ..core.kinds import TypeKind
+from ..core.primops import PRIMOP_ROWS, PrimopRow
 from ..core.rep import Rep
 from ..infer.infer import Inferencer, InferOptions, ModuleResult
 from ..infer.schemes import Scheme, TypeEnv
@@ -74,30 +75,6 @@ from .values import (
 # ---------------------------------------------------------------------------
 
 
-def _int_binop(op: Callable[[int, int], int]) -> Callable[..., Value]:
-    def run(x: Value, y: Value) -> Value:
-        return UnboxedInt(op(_as_int(x), _as_int(y)))
-    return run
-
-
-def _int_cmp(op: Callable[[int, int], bool]) -> Callable[..., Value]:
-    def run(x: Value, y: Value) -> Value:
-        return UnboxedInt(1 if op(_as_int(x), _as_int(y)) else 0)
-    return run
-
-
-def _double_binop(op: Callable[[float, float], float]) -> Callable[..., Value]:
-    def run(x: Value, y: Value) -> Value:
-        return UnboxedDouble(op(_as_double(x), _as_double(y)))
-    return run
-
-
-def _double_cmp(op: Callable[[float, float], bool]) -> Callable[..., Value]:
-    def run(x: Value, y: Value) -> Value:
-        return UnboxedInt(1 if op(_as_double(x), _as_double(y)) else 0)
-    return run
-
-
 def _as_int(value: Value) -> int:
     if isinstance(value, UnboxedInt):
         return value.value
@@ -112,62 +89,39 @@ def _as_double(value: Value) -> float:
     raise EvaluationError(f"expected an unboxed double, got {value!r}")
 
 
-def _exact_quot(a: int, b: int) -> int:
-    """Truncate-towards-zero division on exact integers; ⊥ at b == 0.
-
-    The previous ``int(a / b)`` detoured through a 53-bit float: corpus
-    fuzzing found 15+-digit operands where the quotient came back wrong
-    (pinned in tests/golden/fuzz/quot_precision.lev).
-
-    A zero divisor raises: the seed quietly returned 0, which disagreed
-    with the M machine's primop rule (which aborts).  Every backend —
-    this evaluator, the compiled closures (which call this table), the L
-    semantics and the machine — now treats division by zero as the same
-    bottom outcome (pinned in tests/golden/fuzz/quot_by_zero.lev).
-    """
-    if b == 0:
-        raise EvaluationError("quotInt# by zero is undefined (bottom)")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
+#: How each unboxed type constructor travels at runtime: unwrapping a value
+#: to the raw Python number a delta takes, and boxing a delta's result.
+_UNWRAP = {"Int#": _as_int, "Char#": _as_int, "Word#": _as_int,
+           "Double#": _as_double, "Float#": _as_double}
+_WRAP = {"Int#": UnboxedInt, "Char#": UnboxedInt, "Word#": UnboxedInt,
+         "Double#": UnboxedDouble, "Float#": UnboxedDouble}
 
 
-def _exact_rem(a: int, b: int) -> int:
-    if b == 0:
-        raise EvaluationError("remInt# by zero is undefined (bottom)")
-    return a - b * _exact_quot(a, b)
+def _runtime_primop(row: PrimopRow) -> Callable[..., Value]:
+    """A registry row on runtime values: unwrap the (already forced)
+    arguments, raise :class:`EvaluationError` on ⊥, wrap the result."""
+    delta, bottom, wrap = row.delta, row.bottom, _WRAP[row.result]
+    if bottom is not None:
+        total = delta
+
+        def delta(*raw):
+            reason = bottom(*raw)
+            if reason is not None:
+                raise EvaluationError(
+                    f"{row.name} {reason} is undefined (bottom)")
+            return total(*raw)
+    if len(row.arguments) == 1:
+        unwrap = _UNWRAP[row.arguments[0]]
+        return lambda x: wrap(delta(unwrap(x)))
+    unwrap_x, unwrap_y = (_UNWRAP[name] for name in row.arguments)
+    return lambda x, y: wrap(delta(unwrap_x(x), unwrap_y(y)))
 
 
-#: name -> (arity, implementation on raw values)
+#: name -> (arity, implementation on runtime values), for every row of the
+#: primop registry (:mod:`repro.core.primops`).
 PRIMOP_TABLE: Dict[str, Tuple[int, Callable[..., Value]]] = {
-    "+#": (2, _int_binop(lambda a, b: a + b)),
-    "-#": (2, _int_binop(lambda a, b: a - b)),
-    "*#": (2, _int_binop(lambda a, b: a * b)),
-    "quotInt#": (2, _int_binop(_exact_quot)),
-    "remInt#": (2, _int_binop(_exact_rem)),
-    "negateInt#": (1, lambda x: UnboxedInt(-_as_int(x))),
-    "<#": (2, _int_cmp(lambda a, b: a < b)),
-    ">#": (2, _int_cmp(lambda a, b: a > b)),
-    "<=#": (2, _int_cmp(lambda a, b: a <= b)),
-    ">=#": (2, _int_cmp(lambda a, b: a >= b)),
-    "==#": (2, _int_cmp(lambda a, b: a == b)),
-    "/=#": (2, _int_cmp(lambda a, b: a != b)),
-    "+##": (2, _double_binop(lambda a, b: a + b)),
-    "-##": (2, _double_binop(lambda a, b: a - b)),
-    "*##": (2, _double_binop(lambda a, b: a * b)),
-    "/##": (2, _double_binop(lambda a, b: a / b)),
-    "negateDouble#": (1, lambda x: UnboxedDouble(-_as_double(x))),
-    "<##": (2, _double_cmp(lambda a, b: a < b)),
-    "==##": (2, _double_cmp(lambda a, b: a == b)),
-    "plusFloat#": (2, _double_binop(lambda a, b: a + b)),
-    "timesFloat#": (2, _double_binop(lambda a, b: a * b)),
-    "eqChar#": (2, _int_cmp(lambda a, b: a == b)),
-    "ord#": (1, lambda x: UnboxedInt(_as_int(x))),
-    "chr#": (1, lambda x: UnboxedInt(_as_int(x))),
-    "int2Double#": (1, lambda x: UnboxedDouble(float(_as_int(x)))),
-    "double2Int#": (1, lambda x: UnboxedInt(int(_as_double(x)))),
-    "int2Word#": (1, lambda x: UnboxedInt(_as_int(x))),
-    "word2Int#": (1, lambda x: UnboxedInt(_as_int(x))),
-}
+    name: (len(row.arguments), _runtime_primop(row))
+    for name, row in PRIMOP_ROWS.items()}
 
 #: Data constructors known to the evaluator, with their arities.
 CONSTRUCTOR_ARITIES: Dict[str, int] = {
@@ -284,7 +238,7 @@ class Evaluator:
     def __init__(self, program: Optional[Program] = None,
                  costs: Optional[CostModel] = None,
                  compiled: bool = False,
-                 compiled_sources: Optional[Dict[str, Optional[str]]] = None,
+                 compiled_sources: Optional[Dict[str, str]] = None,
                  ) -> None:
         self.program = program or Program()
         self.costs = costs if costs is not None else CostModel()
@@ -320,15 +274,7 @@ class Evaluator:
         """Evaluate an expression to (weak-head) normal form."""
         env = env or {}
         if self._compiled is not None:
-            from .compiler import FALLBACK
-            from ..telemetry import REGISTRY as _registry
-            value = self._compiled.eval_expression(expr, env)
-            if value is not FALLBACK:
-                if _registry.enabled:
-                    _registry.counter("runtime.compiled_exprs").inc()
-                return value
-            if _registry.enabled:
-                _registry.counter("runtime.expr_fallbacks").inc()
+            return self._compiled.eval_expression(expr, env)
         return self._eval(expr, env)
 
     def force(self, value: Value) -> Value:
@@ -410,9 +356,6 @@ class Evaluator:
             compiled = self._compiled.functions.get(function.name)
             if compiled is not None:
                 return compiled.value_ref()
-        return self._tree_closure_value(function)
-
-    def _tree_closure_value(self, function: ProgramFunction) -> Value:
         # Keyed to the ProgramFunction *identity*, not just the name:
         # add_function replaces the entry wholesale, and a stale static
         # closure would keep executing the old body.

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..core.kinds import REP_KIND, TYPE_LIFTED, TypeKind
+from ..core.primops import PRIMOP_ROWS
 from ..core.rep import RepVar
 from ..infer.schemes import Scheme, TypeEnv
 from .types import (
@@ -47,6 +48,7 @@ from .types import (
     WORD_HASH_TY,
     WORD_TY,
     fun,
+    lookup_tycon,
 )
 
 
@@ -68,41 +70,12 @@ def _binop(ty: SType, result: SType = None) -> Scheme:  # type: ignore[assignmen
 # Unboxed primops (ghc-prim)
 # ---------------------------------------------------------------------------
 
+#: The primops' monomorphic schemes, derived from the registry in
+#: :mod:`repro.core.primops` (comparisons return ``Int#`` 0/1, as in GHC).
 PRIMOPS: Dict[str, Scheme] = {
-    # Int# arithmetic; comparisons return Int# (0/1) exactly as in GHC.
-    "+#": _binop(INT_HASH_TY),
-    "-#": _binop(INT_HASH_TY),
-    "*#": _binop(INT_HASH_TY),
-    "quotInt#": _binop(INT_HASH_TY),
-    "remInt#": _binop(INT_HASH_TY),
-    "negateInt#": _mono(fun(INT_HASH_TY, INT_HASH_TY)),
-    "<#": _binop(INT_HASH_TY, INT_HASH_TY),
-    ">#": _binop(INT_HASH_TY, INT_HASH_TY),
-    "<=#": _binop(INT_HASH_TY, INT_HASH_TY),
-    ">=#": _binop(INT_HASH_TY, INT_HASH_TY),
-    "==#": _binop(INT_HASH_TY, INT_HASH_TY),
-    "/=#": _binop(INT_HASH_TY, INT_HASH_TY),
-    # Double# arithmetic.
-    "+##": _binop(DOUBLE_HASH_TY),
-    "-##": _binop(DOUBLE_HASH_TY),
-    "*##": _binop(DOUBLE_HASH_TY),
-    "/##": _binop(DOUBLE_HASH_TY),
-    "negateDouble#": _mono(fun(DOUBLE_HASH_TY, DOUBLE_HASH_TY)),
-    "<##": _binop(DOUBLE_HASH_TY, INT_HASH_TY),
-    "==##": _binop(DOUBLE_HASH_TY, INT_HASH_TY),
-    # Float# arithmetic.
-    "plusFloat#": _binop(FLOAT_HASH_TY),
-    "timesFloat#": _binop(FLOAT_HASH_TY),
-    # Char#.
-    "eqChar#": _binop(CHAR_HASH_TY, INT_HASH_TY),
-    "ord#": _mono(fun(CHAR_HASH_TY, INT_HASH_TY)),
-    "chr#": _mono(fun(INT_HASH_TY, CHAR_HASH_TY)),
-    # Conversions.
-    "int2Double#": _mono(fun(INT_HASH_TY, DOUBLE_HASH_TY)),
-    "double2Int#": _mono(fun(DOUBLE_HASH_TY, INT_HASH_TY)),
-    "int2Word#": _mono(fun(INT_HASH_TY, WORD_HASH_TY)),
-    "word2Int#": _mono(fun(WORD_HASH_TY, INT_HASH_TY)),
-}
+    name: _mono(fun(*(lookup_tycon(type_name)
+                      for type_name in row.arguments + (row.result,))))
+    for name, row in PRIMOP_ROWS.items()}
 
 # ---------------------------------------------------------------------------
 # Boxing constructors and monomorphic boxed helpers (Section 2.1 style)

@@ -6,27 +6,24 @@ through ``DriverOptions(compiled=True)`` and must satisfy all five
 oracles, and every program's entry expression must produce the *same
 shown value* through both evaluators.  On top of that, the per-unit
 codegen cache (schema-v2 side-table) is exercised for round-trips,
-stale-arity invalidation and corrupt-entry regeneration, and the
-fallback path (a binding the compiler skips) is shown to stay correct
-via the tree-walker.
+stale-arity invalidation and corrupt-entry regeneration, and every row
+of the primop registry is run through both engines.
 """
+
+import itertools
 
 import pytest
 
 from repro.core.errors import ReproError
+from repro.core.primops import INT_PRIMOPS, PRIMOP_ROWS, primop_delta
 from repro.driver import DriverOptions, Session
 from repro.driver.batch import ResultCache, codegen_cache_key
 from repro.driver.session import _program_from_check
 from repro.fuzz import DifferentialHarness, generate_corpus
-from repro.runtime.compiler import (
-    CODEGEN_VERSION,
-    FallbackFunction,
-    UnsupportedExpression,
-    _ModuleInfo,
-    generate_function_source,
-)
-from repro.runtime.evaluator import Evaluator, Program, ProgramFunction
+from repro.runtime.compiler import CODEGEN_VERSION
+from repro.runtime.evaluator import Evaluator
 from repro.runtime.values import UnboxedInt
+from repro.surface.ast import ELitDoubleHash, ELitIntHash, EVar, apply
 
 #: The same corpus the fuzzing PR gates on (tests/test_fuzz_differential.py)
 #: — bump deliberately, never implicitly.
@@ -79,14 +76,70 @@ class TestCompiledCorpus:
 
 def _eval_entry(check, compiled):
     module = check.parsed.module
-    entry = module.bindings()["main"]
-    program = _program_from_check(module, check)
+    return _eval_expr(module.bindings()["main"].rhs, compiled,
+                      _program_from_check(module, check))
+
+
+def _eval_expr(expr, compiled, program=None):
     evaluator = Evaluator(program, compiled=compiled)
     try:
-        value = evaluator.force(evaluator.eval(entry.rhs))
+        value = evaluator.force(evaluator.eval(expr))
     except ReproError as exc:
         return ("error", str(exc))
     return ("ok", value.show(evaluator.heap))
+
+
+# ---------------------------------------------------------------------------
+# The primop registry on every backend
+# ---------------------------------------------------------------------------
+
+
+#: Operands per unboxed type: zero divisors, negatives, and an Int# past
+#: 2**62 (beyond a 64-bit product, exact in every backend).
+SAMPLES = {
+    "Int#": (0, 1, -7, 2 ** 62 + 1),
+    "Char#": (0, 97),
+    "Word#": (0, 5),
+    "Double#": (0.0, 1.5, -7.0, 1e308),
+    "Float#": (0.0, 1.5, -7.0),
+}
+
+
+class TestPrimopRegistry:
+    def test_int_primops_agree_with_l_and_the_machine(self):
+        """Every ``Int#`` row through ``Session.run`` on both engines: the
+        same value (or ⊥) as the registry's delta, and the L/M
+        cross-check agrees on it."""
+        engines = (Session(), Session(DriverOptions(compiled=True)))
+        for name, arity in INT_PRIMOPS.items():
+            for operands in itertools.product(SAMPLES["Int#"],
+                                              repeat=arity):
+                arguments = " ".join(f"({n}#)" for n in operands)
+                source = f"main :: Int#\nmain = ({name}) {arguments}\n"
+                expected = primop_delta(name, operands)
+                for engine in engines:
+                    result = engine.run(source, "primop.lev")
+                    assert result.machine_agrees is True, source
+                    if expected is None:
+                        assert not result.ok, source
+                        assert any(f"{name} by zero" in d.message
+                                   for d in result.check.errors), source
+                    else:
+                        assert result.ok and result.value == f"{expected}#", \
+                            (source, result.value)
+
+    def test_other_rows_agree_between_engines(self):
+        for name, row in PRIMOP_ROWS.items():
+            if name in INT_PRIMOPS:
+                continue
+            for operands in itertools.product(
+                    *(SAMPLES[type_name] for type_name in row.arguments)):
+                expr = apply(EVar(name), *(
+                    ELitDoubleHash(value) if isinstance(value, float)
+                    else ELitIntHash(value) for value in operands))
+                interpreted = _eval_expr(expr, compiled=False)
+                assert interpreted == _eval_expr(expr, compiled=True), \
+                    (name, operands)
 
 
 # ---------------------------------------------------------------------------
@@ -130,54 +183,24 @@ class TestCompiledEvaluator:
         assert repl.repl_input("double x = x + x").startswith("double")
         assert repl.repl_input("double 21") == "(I# 42#)"
 
-    def test_unsupported_binding_falls_back_to_tree_walker(self, session):
-        """A binding the emitter cannot lower becomes a FallbackFunction;
-        the rest of the program still compiles and runs."""
-        check = session.check(UNBOXED_LOOP, "loop.lev")
-        program = _program_from_check(check.parsed.module, check)
-
-        class Opaque:  # not a surface Expr node
-            pass
-
-        weird = ProgramFunction("weird", ("x",), (False,), Opaque())
-        with pytest.raises(UnsupportedExpression):
-            generate_function_source(weird, _ModuleInfo({}))
-        program.functions["weird"] = weird
-        evaluator = Evaluator(program, compiled=True)
-        backend = evaluator._compiled
-        assert backend.fallback_names == ["weird"]
-        assert backend.sources["weird"] is None
-        assert isinstance(backend.functions["weird"], FallbackFunction)
-        result = evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(10))
-        assert evaluator.int_result(result) == 55
-
-    def test_provided_none_source_is_a_cache_hit_fallback(self, session):
-        """``None`` in the side-table means "known unsupported": linked as
-        a fallback with no codegen attempted (still counted as a hit)."""
-        check = session.check(UNBOXED_LOOP, "loop.lev")
-        program = _program_from_check(check.parsed.module, check)
-        evaluator = Evaluator(program, compiled=True,
-                              compiled_sources={"main": None})
-        backend = evaluator._compiled
-        assert backend.cache_hits == 1 and backend.codegen_count == 1
-        assert "main" in backend.fallback_names
-        value = evaluator.force(evaluator.global_value("main"))
-        assert evaluator.int_result(value) == 5050
-
     def test_corrupt_provided_source_is_regenerated(self, session):
         """A stale/corrupt cache entry that fails to link is silently
-        re-lowered from the AST — never trusted, never fatal."""
+        re-lowered from the AST — never trusted, never fatal.  A ``None``
+        source is one more corrupt entry."""
         check = session.check(UNBOXED_LOOP, "loop.lev")
         program = _program_from_check(check.parsed.module, check)
-        evaluator = Evaluator(
-            program, compiled=True,
-            compiled_sources={"sumTo#": "def _bind(R, G, C):\n"
-                                        "    raise RuntimeError('stale')\n"})
-        backend = evaluator._compiled
-        assert backend.codegen_count == 2  # sumTo# regenerated + main
-        assert backend.sources["sumTo#"] is not None
-        result = evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(100))
-        assert evaluator.int_result(result) == 5050
+        stale = "def _bind(R, G, C):\n    raise RuntimeError('stale')\n"
+        for name, source in (("sumTo#", stale), ("main", None)):
+            evaluator = Evaluator(program, compiled=True,
+                                  compiled_sources={name: source})
+            backend = evaluator._compiled
+            # Both bindings lowered: the corrupt one regenerated.
+            assert backend.codegen_count == 2 and backend.cache_hits == 0
+            assert isinstance(backend.sources[name], str)
+            result = evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(100))
+            assert evaluator.int_result(result) == 5050
+            value = evaluator.force(evaluator.global_value("main"))
+            assert evaluator.int_result(value) == 5050
 
     def test_global_memo_invalidated_by_program_edits(self, session):
         """Satellite: `_eval_var` memoises global resolutions per
@@ -234,6 +257,25 @@ class TestCodegenCache:
         assert warm.codegen_cached == 3
         assert cache.codegen_hits == 3
         assert "codegen: 0 function(s) compiled, 3 cached" in warm.pretty()
+
+    def test_none_source_entry_is_a_miss(self, tmp_path):
+        """A stored ``None`` source fails the payload check, so its unit is
+        re-lowered rather than linked."""
+        path = str(tmp_path / "cache.json")
+        options = DriverOptions(compiled=True)
+        Session(options).run(CACHED_SOURCE, "cache.lev", cache=path)
+        cache = ResultCache(path)
+        key, payload = next(
+            (key, payload) for key, payload in cache.entries.items()
+            if key.startswith(f"codegen{CODEGEN_VERSION}:")
+            and "main" in payload["functions"])
+        cache.store_codegen(key, {"functions": {"main": None},
+                                  "arities": payload["arities"]})
+        cache.save()
+        warm = Session(options).run(CACHED_SOURCE, "cache.lev",
+                                    cache=ResultCache(path))
+        assert warm.ok and warm.value == "42#"
+        assert warm.codegen_compiled == 1 and warm.codegen_cached == 2
 
     def test_keys_are_versioned(self, tmp_path):
         """Codegen entries live under a ``codegenN:`` prefix in the same

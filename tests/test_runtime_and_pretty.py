@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.driver import DriverOptions, Session
 from repro.pretty import PrinterOptions, render_scheme, render_type
 from repro.runtime import (
     CostModel,
@@ -115,6 +116,44 @@ class TestEvaluatorBasics:
             evaluator.apply_value(plus, UnboxedInt(2)), UnboxedInt(5))
         assert evaluator.int_result(result) == 7
         assert evaluator.costs.dictionary_lookups >= 1
+
+
+POW = ("pow :: Int# -> Int# -> Int#\n"
+       "pow x n = case n of { 0# -> x; _ -> pow (x *# x) (n -# 1#) }\n")
+SQ = ("sq :: Double# -> Int# -> Double#\n"
+      "sq d n = case n of { 0# -> d; _ -> sq (d *## d) (n -# 1#) }\n")
+DOUBLE2INT_BOTTOM = "double2Int# of an infinity or NaN is undefined (bottom)"
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["tree-walker", "compiled"])
+@pytest.mark.parametrize("source, expected", [
+    ("main :: Double#\nmain = 1.0## /## 0.0##\n", "inf##"),
+    ("main :: Double#\nmain = (-1.0##) /## 0.0##\n", "-inf##"),
+    ("main :: Double#\nmain = 0.0## /## 0.0##\n", "nan##"),
+    (POW + "main :: Double#\nmain = int2Double# (pow 10# 12#)\n", "inf##"),
+    (POW + "main :: Double#\n"
+     "main = int2Double# (negateInt# (pow 10# 12#))\n", "-inf##"),
+    (SQ + "main :: Int#\nmain = double2Int# (sq 10.0## 12#)\n", None),
+    ("main :: Int#\nmain = double2Int# (1.0## /## 0.0##)\n", None),
+    # A literal past the Double# range is infinite on both engines too.
+    ("main :: Double#\nmain = 1" + "0" * 400 + "##\n", "inf##"),
+], ids=["div-by-zero", "negative-div-by-zero", "zero-div-by-zero",
+        "int2Double-overflow", "int2Double-negative-overflow",
+        "double2Int-infinity", "double2Int-of-division", "huge-literal"])
+def test_double_primops_are_ieee_or_bottom(source, expected, compiled):
+    """``/##`` is IEEE 754 division, ``int2Double#`` saturates to
+    ±infinity, and ``double2Int#`` of an infinity or NaN is ⊥ — a run
+    error, never a Python exception."""
+    result = Session(DriverOptions(compiled=compiled)).run(source,
+                                                           "double.lev")
+    if expected is None:
+        assert not result.ok
+        assert [d.message for d in result.check.errors] == \
+            [DOUBLE2INT_BOTTOM]
+    else:
+        assert result.ok, result.check.pretty()
+        assert result.value == expected
 
 
 class TestSumToExperiment:
