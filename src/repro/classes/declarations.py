@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import InstanceResolutionError, TypeCheckError
+from ..core.errors import TypeCheckError
 from ..core.kinds import Kind, REP_KIND, TYPE_LIFTED, TypeKind
 from ..core.rep import Rep, RepVar
 from ..infer.schemes import Scheme, TypeEnv
@@ -277,17 +277,3 @@ class ClassEnv:
         if isinstance(argument, (TyUVar, TyVar)):
             return False
         return self.lookup_instance(constraint.class_name, argument) is not None
-
-    def method_implementation(self, class_name: str, method: str,
-                              type_: SType) -> Expr:
-        """Look up the implementation of a method at a concrete type."""
-        instance = self.lookup_instance(class_name, type_)
-        if instance is None:
-            raise InstanceResolutionError(
-                f"no instance for {class_name} {type_.pretty()}")
-        try:
-            return instance.methods()[method]
-        except KeyError:
-            raise InstanceResolutionError(
-                f"instance {class_name} {type_.pretty()} has no method "
-                f"{method!r}") from None

@@ -76,11 +76,12 @@ class ParseError(ReproError):
     """A lexical or syntactic error in surface-language source text."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
+        #: The error text without the ``line:column:`` prefix that
+        #: ``str(exc)`` carries when the position is known.
+        self.message = message
         self.line = line
         self.column = column
-        if line:
-            message = f"{line}:{column}: {message}"
-        super().__init__(message)
+        super().__init__(f"{line}:{column}: {message}" if line else message)
 
 
 class EvaluationError(ReproError):

@@ -51,10 +51,6 @@ class Kind:
         self._free_rep = None
         self._free_kind = None
 
-    def is_type_kind(self) -> bool:
-        """Is this ``TYPE r`` for some ``r``? (i.e. does it classify values?)"""
-        return isinstance(self, TypeKind)
-
     def free_rep_vars(self) -> FrozenSet[str]:
         free = self._free_rep
         if free is None:
@@ -147,12 +143,6 @@ class TypeKind(Kind):
         """Is this exactly ``Type`` (that is, ``TYPE LiftedRep``)?"""
         return self.rep == LIFTED
 
-    def __reduce__(self):
-        # Hash-consed nodes have a required-argument ``__new__``, which the
-        # default pickling protocol cannot call; reconstruct through the
-        # constructor so unpickling re-interns in the receiving process.
-        return (TypeKind, (self.rep,))
-
     def _compute_hash(self) -> int:
         return hash(("TypeKind", self.rep))
 
@@ -212,9 +202,6 @@ class ArrowKind(Kind):
             return self
         return ArrowKind(self.argument.substitute_kinds(mapping),
                          self.result.substitute_kinds(mapping))
-
-    def __reduce__(self):
-        return (ArrowKind, (self.argument, self.result))
 
     def _compute_hash(self) -> int:
         return hash(("ArrowKind", self.argument, self.result))
@@ -349,9 +336,6 @@ class KindVar(Kind):
         if not mapping:
             return self
         return mapping.get(self.name, self)
-
-    def __reduce__(self):
-        return (KindVar, (self.name, self.unification))
 
     def _compute_hash(self) -> int:
         return hash((self.name, self.unification))

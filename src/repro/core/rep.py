@@ -367,12 +367,6 @@ class TupleRep(Rep):
                 flat.append(rep)
         return TupleRep(flat)
 
-    def __reduce__(self):
-        # Hash-consed nodes have a required-argument ``__new__``, which the
-        # default pickling protocol cannot call; reconstruct through the
-        # constructor so unpickling re-interns in the receiving process.
-        return (TupleRep, (self.reps,))
-
     def _compute_hash(self) -> int:
         return hash(("TupleRep", self.reps))
 
@@ -449,9 +443,6 @@ class SumRep(Rep):
                     RegisterClass.FLOAT, RegisterClass.DOUBLE):
             shape.extend([reg] * counts.get(reg, 0))
         return tuple(shape)
-
-    def __reduce__(self):
-        return (SumRep, (self.alternatives,))
 
     def _compute_hash(self) -> int:
         return hash(("SumRep", self.alternatives))
@@ -556,11 +547,6 @@ class RepVar(Rep):
     def register_shape(self) -> Tuple[RegisterClass, ...]:
         # Never cache: this always raises.
         return self._compute_register_shape()
-
-    def __reduce__(self):
-        # Forces the lazily formatted name of fresh variables, which is
-        # exactly what crossing a process boundary requires anyway.
-        return (RepVar, (self.name, self.unification))
 
     def _compute_hash(self) -> int:
         return hash((self.name, self.unification))

@@ -56,6 +56,7 @@ identity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -65,6 +66,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ParseError
 from ..frontend.lexer import Span
 from ..infer.schemes import Scheme
+from ..surface.prelude import prelude_schemes
 from ..telemetry import (
     REGISTRY as _REGISTRY,
     SHARD_TID_BASE,
@@ -299,18 +301,35 @@ def _file_payload_valid(payload: dict) -> bool:
 #: Everything NOT listed here invalidates the cache when it changes, so a
 #: future option is cache-safe by default and must be excluded explicitly.
 _CHECK_IRRELEVANT_OPTIONS = frozenset({
-    "max_machine_steps",  # only consulted by the run/compile bridge
     "compiled",           # evaluator backend choice; checking is unaffected
 })
 
 
+@functools.lru_cache(maxsize=None)
+def _prelude_digest() -> str:
+    """A digest of every prelude scheme's explicit rendering.
+
+    Every unit is checked against the prelude, so changing a prelude
+    scheme (or removing one) must change every key.  The prelude is
+    fixed for the life of the process, so this is computed once.
+    """
+    hasher = hashlib.sha256()
+    for name, scheme in sorted(prelude_schemes().items()):
+        hasher.update(f"{name} :: "
+                      f"{scheme.pretty(explicit_runtime_reps=True)}\n"
+                      .encode("utf-8"))
+    return hasher.hexdigest()
+
+
 def options_fingerprint(options: DriverOptions) -> str:
-    """A stable digest of every option that can change a check's output."""
+    """A stable digest of the prelude and of every option that can change
+    a check's output."""
     state = json.dumps(
         {name: value for name, value in dataclasses.asdict(options).items()
          if name not in _CHECK_IRRELEVANT_OPTIONS},
         sort_keys=True)
-    return hashlib.sha256(state.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(f"{_prelude_digest()}:{state}".encode("utf-8")
+                          ).hexdigest()[:16]
 
 
 def cache_key(source: str, options: DriverOptions,

@@ -162,10 +162,6 @@ class ModulePlan:
             seen.setdefault(name, None)
         return tuple(seen)
 
-    @property
-    def defined_names(self) -> FrozenSet[str]:
-        return frozenset(self.defining_decl)
-
 
 def decl_references(bind: FunBind) -> FrozenSet[str]:
     """Names a binding's right-hand side references (minus its parameters).

@@ -53,6 +53,7 @@ from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from .batch import (
     CheckStats,
     ResultCache,
+    _span_to_list,
     check_modules,
     options_fingerprint,
     outline_key,
@@ -152,12 +153,6 @@ class ModuleNode:
         return tuple(seen)
 
 
-def _span_fields(span: Optional[Span]) -> Optional[List[int]]:
-    if span is None:
-        return None
-    return [span.line, span.column, span.end_line, span.end_column]
-
-
 #: A ``module M where`` header at column 1 — the decl-0 shape the parser
 #: enforces, matched textually so a file whose *body* fails to parse
 #: still registers its name (importers then get "its import failed"
@@ -210,8 +205,8 @@ def _outline_node(index: int, filename: str, source: str,
         cache.store_outline(key, {
             "name": node.name,
             "parse_error": node.parse_error,
-            "header_span": _span_fields(node.header_span),
-            "imports": [[name, _span_fields(span)]
+            "header_span": _span_to_list(node.header_span),
+            "imports": [[name, _span_to_list(span)]
                         for name, span in node.imports],
             "foreign": list(node.foreign),
         })

@@ -207,9 +207,6 @@ class RunResult:
     #: codegen cache.  None when the tree-walker evaluated the entry.
     codegen_compiled: Optional[int] = None
     codegen_cached: Optional[int] = None
-    #: :class:`repro.validate.ValidationReport` (``options.validate``
-    #: runs only): per-step Simulation-obligation discharge.
-    validation: Optional[object] = None
 
     @property
     def diagnostics(self) -> List[Diagnostic]:
@@ -337,19 +334,10 @@ class DriverOptions:
     explicit_runtime_reps: bool = False
     #: Skip the Section 5.1 post-pass (ablation; mirrors InferOptions).
     run_levity_check: bool = True
-    #: Step budget for the M machine when the compile bridge runs.
-    max_machine_steps: int = 1_000_000
     #: Evaluate through the closure-compilation backend
     #: (:mod:`repro.runtime.compiler`) instead of the tree-walker.
     #: Semantics-identical; the cost counters are not modelled.
     compiled: bool = False
-    #: Run the translation validator (:mod:`repro.validate`) on every
-    #: cross-checked entry: per-step joinability discharge of the
-    #: Simulation obligations, reporting the first diverging step.
-    validate: bool = False
-    #: Cap on how many per-step obligations the validator discharges per
-    #: program (the end-to-end answer comparison is never capped).
-    align_steps: int = 64
 
     def printer_options(self) -> PrinterOptions:
         return PrinterOptions(
@@ -425,13 +413,7 @@ class Pipeline:
             except ParseError as exc:
                 span = Span(exc.line or 1, exc.column or 1,
                             exc.line or 1, exc.column or 1)
-                message = str(exc)
-                prefix = f"{exc.line}:{exc.column}: "
-                if message.startswith(prefix):
-                    # The span already carries the position; don't print it
-                    # twice.
-                    message = message[len(prefix):]
-                return None, [Diagnostic("error", "parse", message,
+                return None, [Diagnostic("error", "parse", exc.message,
                                          filename, span)]
         finally:
             if traced:
@@ -982,119 +964,73 @@ class Session:
                 "error", "run", str(exc), filename,
                 check.parsed.span_of_binding(entry), entry))
             check.ok = False
-            self._crosscheck_bottom(check, entry, result)
+            self._machine_crosscheck(check, entry, result)
             return result
 
-        self._try_machine_crosscheck(check, entry, result, value,
-                                     evaluator.heap)
+        self._machine_crosscheck(check, entry, result, value,
+                                 evaluator.heap)
         return result
 
-    def _lower_for_crosscheck(self, check: CheckResult, entry: str,
-                              result: RunResult):
-        """Lower ``entry`` to L, recording a skip reason on failure."""
+    def _machine_crosscheck(self, check: CheckResult, entry: str,
+                            result: RunResult, value=None, heap=None) -> None:
+        """Lower ``entry`` to L, compile it to M and run the machine.
+
+        ``value`` (read through ``heap``) is the evaluator's answer; None
+        means the evaluator reached bottom, so the machine must abort.
+        Bottom is an observable outcome (S_PRIMBOT in L, the ABORT rule in
+        M), so agreement on it is as meaningful as agreement on 42 — a
+        machine that *succeeds* where the evaluator errored is a real
+        divergence.
+        """
         from .lower import LoweringError, lower_entry
 
         schemes = {b.name: b.scheme for b in check.bindings
                    if b.scheme is not None}
         try:
-            return lower_entry(check.parsed.module, schemes, entry)
+            term = lower_entry(check.parsed.module, schemes, entry)
         except LoweringError as exc:
             result.machine_skipped = str(exc)
             check.diagnostics.append(Diagnostic(
                 "note", "compile",
                 f"entry not cross-checked on the M machine: {exc}",
                 check.filename, binding=entry))
-            return None
-
-    def _crosscheck_bottom(self, check: CheckResult, entry: str,
-                           result: RunResult) -> None:
-        """The evaluator hit an error; check the machine also aborts.
-
-        Bottom is an observable outcome (S_PRIMBOT in L, the ABORT rule in
-        M), so agreement on it is as meaningful as agreement on 42 — a
-        machine that *succeeds* where the evaluator errored is a real
-        divergence (this is exactly how the seed's total quot/rem-by-zero
-        slipped through: the error path skipped the cross-check).
-        """
-        term = self._lower_for_crosscheck(check, entry, result)
-        if term is None:
             return
-        try:
-            from ..compile.compiler import compile_and_run
+        from ..compile.compiler import compile_and_run
 
-            outcome = compile_and_run(
-                term, max_steps=self.options.max_machine_steps)
+        try:
+            outcome = compile_and_run(term)
         except ReproError as exc:
             check.diagnostics.append(Diagnostic(
                 "warning", "compile",
                 f"L→M cross-check failed: {exc}", check.filename,
                 binding=entry))
             return
-        result.machine_value = ("error" if outcome.aborted
+        aborted = outcome.aborted
+        result.machine_value = ("error" if aborted
                                 else outcome.unwrap().pretty())
         result.machine_steps = outcome.costs.steps
-        result.machine_agrees = bool(outcome.aborted)
-        if not outcome.aborted:
-            check.diagnostics.append(Diagnostic(
-                "warning", "compile",
-                f"M machine produced {result.machine_value!r} but the "
-                f"evaluator reached bottom", check.filename, binding=entry))
-        if self.options.validate:
-            self._validate_entry(check, entry, result, term)
-
-    def _try_machine_crosscheck(self, check: CheckResult, entry: str,
-                                result: RunResult, value, heap) -> None:
-        """Lower + compile + run on the M machine when the fragment allows."""
-        term = self._lower_for_crosscheck(check, entry, result)
-        if term is None:
-            return
-        try:
-            from ..compile.compiler import compile_and_run
-
-            outcome = compile_and_run(
-                term, max_steps=self.options.max_machine_steps)
-            result.machine_value = ("error" if outcome.aborted
-                                    else outcome.unwrap().pretty())
-            result.machine_steps = outcome.costs.steps
-            if outcome.aborted:
-                result.machine_agrees = False
-            else:
-                result.machine_agrees = _machine_agreement(
-                    value, heap, outcome.unwrap())
-            if result.machine_agrees is False:
+        if value is None:
+            result.machine_agrees = aborted
+            if not aborted:
                 check.diagnostics.append(Diagnostic(
                     "warning", "compile",
-                    f"M machine result {result.machine_value!r} disagrees "
-                    f"with the evaluator's {result.value!r}",
-                    check.filename, binding=entry))
-            elif result.machine_agrees is None:
-                check.diagnostics.append(Diagnostic(
-                    "note", "compile",
-                    "M machine ran but the result has no canonical "
-                    "comparison (function value)",
-                    check.filename, binding=entry))
-            if self.options.validate:
-                self._validate_entry(check, entry, result, term)
-        except ReproError as exc:
+                    f"M machine produced {result.machine_value!r} but the "
+                    f"evaluator reached bottom", check.filename,
+                    binding=entry))
+            return
+        result.machine_agrees = False if aborted else _machine_agreement(
+            value, heap, outcome.unwrap())
+        if result.machine_agrees is False:
             check.diagnostics.append(Diagnostic(
                 "warning", "compile",
-                f"L→M cross-check failed: {exc}", check.filename,
-                binding=entry))
-
-    def _validate_entry(self, check: CheckResult, entry: str,
-                        result: RunResult, term) -> None:
-        """Discharge the per-step Simulation obligations for ``entry``."""
-        from ..validate import validate_term
-
-        report = validate_term(
-            term, filename=check.filename, entry=entry,
-            align_steps=self.options.align_steps,
-            machine_steps=self.options.max_machine_steps)
-        result.validation = report
-        if report.engaged and not report.ok:
+                f"M machine result {result.machine_value!r} disagrees "
+                f"with the evaluator's {result.value!r}",
+                check.filename, binding=entry))
+        elif result.machine_agrees is None:
             check.diagnostics.append(Diagnostic(
-                "warning", "compile",
-                f"translation validation failed: {report.reason}",
+                "note", "compile",
+                "M machine ran but the result has no canonical "
+                "comparison (function value)",
                 check.filename, binding=entry))
 
     def compile(self, source: str, filename: str = "<input>",
@@ -1117,8 +1053,7 @@ class Session:
             term = lower_entry(check.parsed.module, schemes, entry)
             l_type = type_of(Context(), term)
             compiled = compile_expr(term)
-            outcome = run_machine(compiled.code,
-                                  max_steps=self.options.max_machine_steps)
+            outcome = run_machine(compiled.code)
         except (LoweringError, ReproError) as exc:
             check.diagnostics.append(Diagnostic(
                 "error", "compile", str(exc), filename,

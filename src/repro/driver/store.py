@@ -355,9 +355,6 @@ class ShardStore:
         self._dirty.add((table, index))
         return True
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     # -- persistence ----------------------------------------------------------
 
     def _refresh_probed_stamps(self) -> None:

@@ -241,9 +241,6 @@ class ParsedModule:
         return (self.decl_spans.get(("bind", name))
                 or self.decl_spans.get(("sig", name)))
 
-    def span_of_expr(self, expr: Expr) -> Optional[Span]:
-        return self.expr_spans.get(id(expr))
-
 
 class _TypeScope:
     """Lexical scope of ``forall``-bound type/representation variables."""
@@ -384,7 +381,7 @@ class Parser:
             type_ = self.parse_signature_type()
             return TypeSig(name, type_), start.merge(self._previous_span())
         params: List[str] = []
-        while self._peek().kind == "varid":
+        while self._peek().kind == "varid" and self._continues():
             params.append(self._next().text)
         self._expect_symbol("=")
         body = self.parse_expr()
@@ -973,12 +970,8 @@ def _parse_block(text: str, line: int) -> _BlockParse:
         parser = Parser(text, "<block>", line)
         decls, decl_span_list = parser.parse_decls()
     except ParseError as exc:
-        message = str(exc)
-        prefix = f"{exc.line}:{exc.column}: "
-        if message.startswith(prefix):
-            message = message[len(prefix):]
         return _BlockParse(line, (), (), {}, (),
-                           (message, exc.line, exc.column))
+                           (exc.message, exc.line, exc.column))
     refs = tuple(
         decl.rhs.free_vars() - frozenset(decl.params)
         if isinstance(decl, FunBind) else None

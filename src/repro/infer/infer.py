@@ -31,19 +31,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
     InstanceResolutionError,
-    LevityError,
     LevityPolymorphicArgument,
     LevityPolymorphicBinder,
     ScopeError,
     TypeCheckError,
 )
-from ..core.kinds import TYPE_LIFTED, TypeKind
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from ..core.rep import Rep, RepVar
 from ..surface.ast import (
     Alternative,
-    ClassDecl,
-    DataDecl,
     EAnn,
     EApp,
     EBool,
@@ -60,7 +56,6 @@ from ..surface.ast import (
     EVar,
     Expr,
     FunBind,
-    InstanceDecl,
     Module,
     TypeSig,
 )
@@ -583,24 +578,7 @@ class Inferencer:
         current_env = env
 
         for decl in module.decls:
-            if isinstance(decl, DataDecl):
-                current_env = current_env.bind_many(
-                    _constructor_schemes(decl))
-            elif isinstance(decl, ClassDecl):
-                if self.class_env is None:
-                    raise TypeCheckError(
-                        "class declarations require a class environment "
-                        "(see repro.classes)")
-                self.class_env.register_class(decl)
-                current_env = current_env.bind_many(
-                    self.class_env.method_schemes(decl))
-            elif isinstance(decl, InstanceDecl):
-                if self.class_env is None:
-                    raise TypeCheckError(
-                        "instance declarations require a class environment "
-                        "(see repro.classes)")
-                self.class_env.register_instance(decl, self, current_env)
-            elif isinstance(decl, FunBind):
+            if isinstance(decl, FunBind):
                 binding = self.infer_binding(
                     current_env, decl.name, decl.params, decl.rhs,
                     signature=signatures.get(decl.name))
@@ -611,31 +589,6 @@ class Inferencer:
 
         result.env = current_env
         return result
-
-
-def _constructor_schemes(decl: DataDecl) -> Dict[str, Scheme]:
-    """Schemes for the constructors of an (ordinary, lifted) data type."""
-    from ..surface.types import TyApp, TyCon, kind_of_type
-
-    binder_kinds = [(binder.name, binder.kind) for binder in decl.binders]
-    result_kind = TYPE_LIFTED
-    tycon_kind = result_kind
-    for _, kind in reversed(binder_kinds):
-        from ..core.kinds import ArrowKind
-        tycon_kind = ArrowKind(kind, tycon_kind)
-    tycon = TyCon(decl.name, tycon_kind)
-    result_type: SType = tycon
-    for binder_name, binder_kind in binder_kinds:
-        result_type = TyApp(result_type, TyVar(binder_name, binder_kind))
-
-    schemes: Dict[str, Scheme] = {}
-    for constructor in decl.constructors:
-        constructor_type: SType = result_type
-        for field_type in reversed(constructor.fields):
-            constructor_type = FunTy(field_type, constructor_type)
-        schemes[constructor.name] = Scheme(
-            (), tuple(binder_kinds), (), constructor_type)
-    return schemes
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,6 @@ class Scheme:
 
     # -- queries -----------------------------------------------------------
 
-    def is_monomorphic(self) -> bool:
-        return not (self.rep_binders or self.type_binders or self.constraints)
-
     def is_levity_polymorphic(self) -> bool:
         """Does the scheme quantify over any runtime representation?"""
         return bool(self.rep_binders)

@@ -826,12 +826,3 @@ class UnifierState:
             # function, which also handles rep binders correctly.
             return kind_of_type(self.zonk_type(type_))
         raise TypeCheckError(f"unknown surface type form: {type_!r}")
-
-    # -- queries --------------------------------------------------------------------
-
-    def unsolved_rep_uvars_in(self, type_: SType) -> frozenset:
-        """Names of representation unification variables still free in ``type_``."""
-        zonked = self.zonk_type(type_)
-        return frozenset(
-            name for name in zonked.free_rep_vars()
-            if name not in self.rep_solutions)

@@ -342,8 +342,3 @@ ILL_TYPED: Tuple[ExampleProgram, ...] = (
                      "(kind TYPE I) is the Instantiation Principle violation "
                      "of Section 3.1")),
 )
-
-
-def all_programs() -> Tuple[ExampleProgram, ...]:
-    """Every example, well-typed or not (useful for smoke tests)."""
-    return WELL_TYPED + LEVITY_VIOLATIONS + ILL_TYPED

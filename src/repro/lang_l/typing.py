@@ -128,15 +128,6 @@ def kind_of(ctx: Context, type_: LType) -> LKind:
     raise TypeCheckError(f"unknown type form: {type_!r}")
 
 
-def type_is_well_formed(ctx: Context, type_: LType) -> bool:
-    """Boolean wrapper around :func:`kind_of`."""
-    try:
-        kind_of(ctx, type_)
-        return True
-    except TypeCheckError:
-        return False
-
-
 def _require_concrete_kind(ctx: Context, type_: LType, *, role: str,
                            exception: type) -> LKind:
     """The highlighted premise ``Γ ⊢ τ : TYPE υ`` of E_APP / E_LAM."""

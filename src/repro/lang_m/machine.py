@@ -166,9 +166,6 @@ class MachineState:
     stack: Stack = ()
     heap: Tuple[Tuple[MVar, MExpr], ...] = ()
 
-    def heap_dict(self) -> Heap:
-        return dict(self.heap)
-
     def pretty(self) -> str:
         stack = ", ".join(type(f).__name__ for f in self.stack) or "∅"
         heap = ", ".join(f"{v.name}↦{e.pretty()}" for v, e in self.heap) or "∅"

@@ -28,7 +28,7 @@ from ..core.errors import EvaluationError, PatternError, ScopeError
 from ..core.kinds import TypeKind
 from ..core.primops import PRIMOP_ROWS, PrimopRow
 from ..core.rep import Rep
-from ..infer.infer import Inferencer, InferOptions, ModuleResult
+from ..infer.infer import Inferencer, InferOptions
 from ..infer.schemes import Scheme, TypeEnv
 from ..surface.ast import (
     Alternative,
@@ -152,7 +152,6 @@ class Program:
 
     functions: Dict[str, ProgramFunction] = field(default_factory=dict)
     class_env: object = None
-    module_result: Optional[ModuleResult] = None
     #: Bumped whenever the function table changes, so evaluators can
     #: invalidate their per-name global-resolution caches.
     version: int = 0
@@ -175,7 +174,7 @@ class Program:
             base_env = base_env.bind_many(class_env.all_method_schemes())
         result = inferencer.infer_module(module, base_env)
 
-        program = Program(class_env=class_env, module_result=result)
+        program = Program(class_env=class_env)
         for name, bind in module.bindings().items():
             scheme = result.schemes.get(name)
             strictness = _param_strictness(scheme, len(bind.params))

@@ -357,6 +357,3 @@ class Heap:
 
     def update(self, ref: HeapRef, obj: HeapObject) -> None:
         self.cells[ref.address] = obj
-
-    def live_objects(self) -> int:
-        return len(self.cells)

@@ -400,13 +400,6 @@ class FunBind(Decl):
         object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "rhs", rhs)
 
-    def as_lambda(self) -> Expr:
-        """The equivalent nested-lambda right-hand side."""
-        expr: Expr = self.rhs
-        for param in reversed(self.params):
-            expr = ELam(param, expr)
-        return expr
-
     def pretty(self) -> str:
         params = " ".join(self.params)
         head = f"{self.name} {params}".strip()
@@ -539,15 +532,6 @@ class Module:
             if isinstance(decl, ImportDecl):
                 seen.setdefault(decl.name, None)
         return list(seen)
-
-    def classes(self) -> Dict[str, ClassDecl]:
-        return {d.name: d for d in self.decls if isinstance(d, ClassDecl)}
-
-    def instances(self) -> List[InstanceDecl]:
-        return [d for d in self.decls if isinstance(d, InstanceDecl)]
-
-    def data_decls(self) -> Dict[str, DataDecl]:
-        return {d.name: d for d in self.decls if isinstance(d, DataDecl)}
 
     def pretty(self) -> str:
         return "\n".join(d.pretty() for d in self.decls)

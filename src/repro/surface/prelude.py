@@ -36,7 +36,6 @@ from .types import (
     FLOAT_TY,
     INT_HASH_TY,
     INT_TY,
-    LIST_TY,
     MAYBE_TY,
     ORDERING_TY,
     SType,
@@ -113,12 +112,7 @@ BOXED_HELPERS: Dict[str, Scheme] = {
     "not": _mono(fun(BOOL_TY, BOOL_TY)),
     "&&": _binop(BOOL_TY),
     "||": _binop(BOOL_TY),
-    "++": Scheme((), (("a", TYPE_LIFTED),), (),
-                 fun(TyApp(LIST_TY, TyVar("a")), TyApp(LIST_TY, TyVar("a")),
-                     TyApp(LIST_TY, TyVar("a")))),
     "appendString": _binop(STRING_TY),
-    "show": Scheme((), (("a", TYPE_LIFTED),), (),
-                   fun(TyVar("a"), STRING_TY)),
 }
 
 # ---------------------------------------------------------------------------
@@ -177,20 +171,6 @@ LEVITY_GENERALISED: Dict[str, Scheme] = {
     ".": COMPOSE_SCHEME,
 }
 
-#: The pre-levity-polymorphism types of the same functions (all type
-#: variables at kind ``Type``), used by the sub-kinding baseline comparisons.
-LEGACY_LIFTED_ONLY: Dict[str, Scheme] = {
-    "error": Scheme((), (("a", TYPE_LIFTED),), (),
-                    fun(STRING_TY, TyVar("a"))),
-    "undefined": Scheme((), (("a", TYPE_LIFTED),), (), TyVar("a")),
-    "$": Scheme((), (("a", TYPE_LIFTED), ("b", TYPE_LIFTED)), (),
-                fun(fun(TyVar("a"), TyVar("b")), TyVar("a"), TyVar("b"))),
-    ".": Scheme((), (("a", TYPE_LIFTED), ("b", TYPE_LIFTED),
-                     ("c", TYPE_LIFTED)), (),
-                fun(fun(TyVar("b"), TyVar("c")), fun(TyVar("a"), TyVar("b")),
-                    TyVar("a"), TyVar("c"))),
-}
-
 
 def prelude_schemes() -> Dict[str, Scheme]:
     """Every built-in binding, merged into one dictionary."""
@@ -205,10 +185,3 @@ def prelude_schemes() -> Dict[str, Scheme]:
 def prelude_env() -> TypeEnv:
     """A fresh typing environment seeded with the whole prelude."""
     return TypeEnv(prelude_schemes())
-
-
-def legacy_prelude_env() -> TypeEnv:
-    """The pre-levity-polymorphism prelude (for the sub-kinding baseline)."""
-    schemes = prelude_schemes()
-    schemes.update(LEGACY_LIFTED_ONLY)
-    return TypeEnv(schemes)

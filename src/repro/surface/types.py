@@ -30,7 +30,6 @@ cached free-variable sets).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -184,12 +183,6 @@ class TyCon(SType):
             return self
         return TyCon(self.name, self.kind.substitute_reps(mapping))
 
-    def __reduce__(self):
-        # Hash-consed nodes have a required-argument ``__new__``, which the
-        # default pickling protocol cannot call; reconstruct through the
-        # constructor so unpickling re-interns in the receiving process.
-        return (TyCon, (self.name, self.kind))
-
     def _compute_hash(self) -> int:
         return hash(("TyCon", self.name, self.kind))
 
@@ -244,9 +237,6 @@ class TyVar(SType):
         if not mapping or self.free_rep_vars().isdisjoint(mapping):
             return self
         return TyVar(self.name, self.kind.substitute_reps(mapping))
-
-    def __reduce__(self):
-        return (TyVar, (self.name, self.kind))
 
     def _compute_hash(self) -> int:
         return hash(("TyVar", self.name, self.kind))
@@ -335,11 +325,6 @@ class TyUVar(SType):
             return self
         return TyUVar(self.name, self.kind.substitute_reps(mapping))
 
-    def __reduce__(self):
-        # Forces the lazily formatted name of fresh variables, which is
-        # exactly what crossing a process boundary requires anyway.
-        return (TyUVar, (self.name, self.kind))
-
     def _compute_hash(self) -> int:
         return hash(("TyUVar", self.name, self.kind))
 
@@ -404,9 +389,6 @@ class FunTy(SType):
         return FunTy(self.argument.subst_reps(mapping),
                      self.result.subst_reps(mapping))
 
-    def __reduce__(self):
-        return (FunTy, (self.argument, self.result))
-
     def _compute_hash(self) -> int:
         return hash(("FunTy", self.argument, self.result))
 
@@ -467,9 +449,6 @@ class TyApp(SType):
             return self
         return TyApp(self.function.subst_reps(mapping),
                      self.argument.subst_reps(mapping))
-
-    def __reduce__(self):
-        return (TyApp, (self.function, self.argument))
 
     def _compute_hash(self) -> int:
         return hash(("TyApp", self.function, self.argument))
@@ -536,9 +515,6 @@ class UnboxedTupleTy(SType):
         if not mapping or self.free_rep_vars().isdisjoint(mapping):
             return self
         return UnboxedTupleTy(c.subst_reps(mapping) for c in self.components)
-
-    def __reduce__(self):
-        return (UnboxedTupleTy, (self.components,))
 
     def _compute_hash(self) -> int:
         return hash(("UnboxedTupleTy", self.components))
@@ -615,9 +591,6 @@ class ForAllTy(SType):
         binders = tuple(Binder(b.name, b.kind.substitute_reps(filtered))
                         for b in self.binders)
         return ForAllTy(binders, self.body.subst_reps(filtered))
-
-    def __reduce__(self):
-        return (ForAllTy, (self.binders, self.body))
 
     def _compute_hash(self) -> int:
         return hash(("ForAllTy", self.binders, self.body))
@@ -705,9 +678,6 @@ class QualTy(SType):
             ClassConstraint(c.class_name, c.argument.subst_reps(mapping))
             for c in self.constraints)
         return QualTy(constraints, self.body.subst_reps(mapping))
-
-    def __reduce__(self):
-        return (QualTy, (self.constraints, self.body))
 
     def _compute_hash(self) -> int:
         return hash(("QualTy", self.constraints, self.body))
@@ -916,11 +886,3 @@ def forall_types(binders: Sequence[Tuple[str, Kind]], body: SType) -> ForAllTy:
 def rep_var_kind(name: str) -> TypeKind:
     """The kind ``TYPE r`` for a representation variable named ``name``."""
     return TypeKind(RepVar(name))
-
-
-_uvar_counter = itertools.count()
-
-
-def fresh_tyuvar(kind: Kind) -> TyUVar:
-    """A fresh type unification variable of the given kind."""
-    return TyUVar._fresh(next(_uvar_counter), "t", kind)

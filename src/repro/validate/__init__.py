@@ -13,8 +13,6 @@ Entry points:
 * :func:`validate_term` — validate an already-lowered L expression;
 * :func:`validate_check` / :func:`validate_paths` — validate surface
   modules, files and project directories (``python -m repro validate``);
-* ``Session.run(..., options.validate=True)`` attaches a
-  :class:`ValidationReport` to every cross-checked :class:`RunResult`;
 * the fuzz harness discharges obligations for every fragment program in
   the corpus (see docs/VALIDATION.md).
 """

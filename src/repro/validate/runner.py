@@ -25,7 +25,8 @@ def validate_check(session, check, entry: str = "main",
     A module that fails to check, or whose entry does not lower (its
     types leave the L fragment), produces a *skipped* report — the caller
     distinguishes "could not validate" from "validated and diverged" via
-    ``report.engaged``.
+    ``report.engaged``.  ``session`` is the one that checked ``check``;
+    the validator itself needs nothing from it.
     """
     from ..driver.lower import LoweringError, lower_entry
 
@@ -43,10 +44,8 @@ def validate_check(session, check, entry: str = "main",
         report.engaged = False
         report.reason = f"out of the L fragment: {exc}"
         return report
-    return validate_term(
-        term, filename=check.filename, entry=entry,
-        align_steps=align_steps,
-        machine_steps=session.options.max_machine_steps)
+    return validate_term(term, filename=check.filename, entry=entry,
+                         align_steps=align_steps)
 
 
 def validate_paths(paths: Sequence[str], options=None,

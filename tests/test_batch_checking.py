@@ -7,13 +7,10 @@ Covers the batch-path guarantees the driver makes:
 * cache hits return byte-identical results, and editing one source
   invalidates exactly that entry;
 * ``jobs`` never changes what is re-checked: counts and results agree at
-  ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``;
-* results (including full schemes, spans and diagnostics) survive a
-  pickle round-trip — the property the worker IPC relies on.
+  ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``.
 """
 
 import os
-import pickle
 
 from repro.driver import DriverOptions, ResultCache, Session
 from repro.driver.batch import (
@@ -180,6 +177,20 @@ class TestIncrementalCache:
         assert cache_key("x = 1\n", default) != cache_key("x = 2\n", default)
         assert cache_key("x = 1\n", default) != cache_key("x = 1\n", explicit)
 
+    def test_key_depends_on_the_prelude(self, monkeypatch):
+        from repro.driver import batch
+
+        default = DriverOptions()
+        before = options_fingerprint(default)
+        schemes = batch.prelude_schemes()
+        del schemes["plusInt"]
+        monkeypatch.setattr(batch, "prelude_schemes", lambda: schemes)
+        batch._prelude_digest.cache_clear()
+        try:
+            assert options_fingerprint(default) != before
+        finally:
+            batch._prelude_digest.cache_clear()
+
     def test_corrupt_cache_file_is_a_cold_cache(self, tmp_path):
         path = str(tmp_path / "cache.json")
         with open(path, "w") as handle:
@@ -221,15 +232,13 @@ class TestIncrementalCache:
         assert all(value != {} for value in repaired.entries.values())
 
     def test_run_only_options_do_not_invalidate_the_cache(self, tmp_path):
-        # max_machine_steps never affects Pipeline.check, so changing it
-        # must not cold-start the check cache.
+        # The evaluator backend never affects Pipeline.check, so changing
+        # it must not cold-start the check cache.
         corpus = make_corpus(3)
         path = str(tmp_path / "cache.json")
-        Session(DriverOptions(max_machine_steps=1_000_000)).check_many(
-            corpus, cache=path)
+        Session().check_many(corpus, cache=path)
         cache = ResultCache(path)
-        Session(DriverOptions(max_machine_steps=5)).check_many(
-            corpus, cache=cache)
+        Session(DriverOptions(compiled=True)).check_many(corpus, cache=cache)
         assert cache.file_hits == 3
         assert cache.misses == 0
 
@@ -243,25 +252,6 @@ class TestPayloads:
             [d.pretty() for d in result.diagnostics]
         assert [(b.name, b.rendered, b.ok, b.span) for b in rebuilt.bindings] \
             == [(b.name, b.rendered, b.ok, b.span) for b in result.bindings]
-
-    def test_full_check_result_pickles_with_schemes(self):
-        # The worker IPC guarantee: interned type/kind/rep nodes define
-        # __reduce__, so even full results (schemes included) cross
-        # process boundaries and re-intern on the other side.
-        source = ("myError :: forall (r :: Rep) (a :: TYPE r). String -> a\n"
-                  "myError s = error s\n"
-                  "pair :: Int# -> (# Int#, Int# #)\n"
-                  "pair n = (# n, n *# n #)\n")
-        result = Session().check(source, "pickled.lev")
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone.ok
-        assert [b.rendered for b in clone.bindings] == \
-            [b.rendered for b in result.bindings]
-        for mine, theirs in zip(result.bindings, clone.bindings):
-            assert mine.scheme == theirs.scheme
-            # Hash-consing survives the round trip: equal bodies are the
-            # *same* interned object again.
-            assert mine.scheme.body is theirs.scheme.body
 
 
 class TestCli:

@@ -423,16 +423,6 @@ class TestSchemeRenderMemo:
         session.run_from_check(check, entry="top", cache=cache)
         assert hits.value - base_hits == cold_renders  # every render hits
 
-    def test_memoised_scheme_survives_pickle(self):
-        import pickle
-
-        check = Session().check(MODULE, "m.lev")
-        scheme = next(b.scheme for b in check.bindings
-                      if b.scheme is not None)
-        rendered = canonical_scheme(scheme)   # installs the memo
-        clone = pickle.loads(pickle.dumps(scheme))
-        assert canonical_scheme(clone) == rendered
-
 
 class TestCacheCli:
     def seeded(self, tmp_path):

@@ -14,16 +14,17 @@ import itertools
 
 import pytest
 
-from repro.core.errors import ReproError
+from repro.core.errors import EvaluationError, ReproError
 from repro.core.primops import INT_PRIMOPS, PRIMOP_ROWS, primop_delta
 from repro.driver import DriverOptions, Session
 from repro.driver.batch import ResultCache, codegen_cache_key
 from repro.driver.session import _program_from_check
 from repro.fuzz import DifferentialHarness, generate_corpus
 from repro.runtime.compiler import CODEGEN_VERSION
-from repro.runtime.evaluator import Evaluator
+from repro.runtime.evaluator import Evaluator, Program
 from repro.runtime.values import UnboxedInt
 from repro.surface.ast import ELitDoubleHash, ELitIntHash, EVar, apply
+from repro.surface.prelude import prelude_schemes
 
 #: The same corpus the fuzzing PR gates on (tests/test_fuzz_differential.py)
 #: — bump deliberately, never implicitly.
@@ -140,6 +141,18 @@ class TestPrimopRegistry:
                 interpreted = _eval_expr(expr, compiled=False)
                 assert interpreted == _eval_expr(expr, compiled=True), \
                     (name, operands)
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_every_prelude_name_has_a_runtime_definition(self, compiled):
+        """A name that type-checks must also run: each prelude scheme has
+        a value on both engines (``undefined`` is ⊥ by design)."""
+        for name in prelude_schemes():
+            evaluator = Evaluator(Program(), compiled=compiled)
+            if name == "undefined":
+                with pytest.raises(EvaluationError):
+                    evaluator.global_value(name)
+            else:
+                evaluator.global_value(name)
 
 
 # ---------------------------------------------------------------------------

@@ -447,3 +447,14 @@ class TestIncrementalParsing:
         [diagnostic] = Session().check(source, "err.lev").diagnostics
         assert (diagnostic.span.line, diagnostic.span.column) == \
             (whole.value.line, whole.value.column)
+
+    def test_column_one_name_is_not_a_parameter(self):
+        """A column-1 name starts a new declaration, so it is never a
+        parameter of the line above.  Both parsers reject this input; the
+        messages differ by design (the whole-module parser meets the next
+        line's name, a block ends at its own end)."""
+        from repro.frontend.parser import parse_module_incremental
+
+        for parse in (parse_module, parse_module_incremental):
+            with pytest.raises(ParseError):
+                parse("mait\nmain = 1#\n", "typo.lev")

@@ -8,8 +8,8 @@ Three layers are pinned here:
 * the runner surface — files, project directories and skip reasons, plus
   the ``python -m repro validate`` exit-code contract (nonzero only on
   genuine divergence);
-* the session wiring — ``DriverOptions(validate=True)`` attaches a
-  report to every cross-checked ``RunResult``.
+* the session wiring — :func:`repro.validate.validate_check` validates
+  the entry of a module a ``Session`` checked, ⊥ entries included.
 """
 
 import dataclasses
@@ -18,9 +18,14 @@ import os
 
 import pytest
 
-from repro.driver import DriverOptions, Session
+from repro.driver import Session
 from repro.lang_l import Fix, Lit, PrimOp
-from repro.validate import ValidationReport, validate_paths, validate_term
+from repro.validate import (
+    ValidationReport,
+    validate_check,
+    validate_paths,
+    validate_term,
+)
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
@@ -146,21 +151,18 @@ class TestRunnerSurface:
 
 
 class TestSessionWiring:
-    def test_run_attaches_a_validation_report(self):
-        session = Session(DriverOptions(validate=True, align_steps=8))
-        result = session.run(SUM_TO, "sum_to.lev")
-        assert result.ok and result.machine_agrees is True
-        assert isinstance(result.validation, ValidationReport)
-        assert result.validation.ok
-        assert result.validation.obligations_checked == 8
+    def test_check_result_validates(self):
+        session = Session()
+        check = session.check(SUM_TO, "sum_to.lev")
+        report = validate_check(session, check, align_steps=8)
+        assert isinstance(report, ValidationReport)
+        assert report.engaged and report.ok
+        assert report.machine_agrees is True
+        assert report.obligations_checked == 8
 
     def test_bottom_entries_validate_too(self):
-        session = Session(DriverOptions(validate=True))
-        result = session.run("main :: Int#\nmain = quotInt# 1# 0#\n")
-        assert not result.ok
-        assert result.machine_agrees is True
-        assert result.validation is not None and result.validation.ok
-
-    def test_validation_is_off_by_default(self):
-        result = Session().run(SUM_TO, "sum_to.lev")
-        assert result.validation is None
+        session = Session()
+        check = session.check("main :: Int#\nmain = quotInt# 1# 0#\n")
+        report = validate_check(session, check)
+        assert report.engaged and report.ok
+        assert report.machine_agrees is True
