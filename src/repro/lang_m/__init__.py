@@ -6,11 +6,11 @@ Modules:
   ANF applications, lazy ``let`` and strict ``let!``);
 * :mod:`repro.lang_m.machine` — machine states ⟨t; S; H⟩ and the transition
   rules of Figure 6, with cost counters;
-* :mod:`repro.lang_m.joinability` — an executable approximation of the
-  joinability relation used by the Simulation theorem.
+* :mod:`repro.lang_m.joinability` — the joinability relation used by the
+  Simulation theorem, decided by a common reduct where the runs meet.
 """
 
-from .joinability import JoinReport, alpha_equivalent, joinable
+from .joinability import JoinReport, RunTable, joinable
 from .machine import (
     AppLitFrame,
     AppVarFrame,

@@ -1,4 +1,4 @@
-"""An executable approximation of the paper's joinability relation (§6.3).
+"""The paper's joinability relation (§6.3), decided by a common reduct.
 
 Two M-expressions ``t1`` and ``t2`` are *joinable* (written ``t1 ⇔ t2``) when
 they have a common reduct for any stack and heap.  The paper uses joinability
@@ -6,32 +6,25 @@ to state the Simulation theorem, because compiling an L redex and its reduct
 may differ by administrative ``let`` bindings that need a few extra machine
 steps before the common behaviour is visible.
 
-A fully general decision procedure does not exist (the relation quantifies
-over all stacks and heaps and the expressions may contain λs), so this module
-implements a sound *testing* approximation, which is what the metatheory
-harness needs:
-
-* run both expressions on fresh machines (empty stack, given heap);
-* if both abort, they are joinable;
-* if both reach integer or boxed-integer values, compare the numbers;
-* if both reach λ-values, *probe* them: apply each to the same argument
-  (a literal for integer binders, a heap-allocated boxed value for pointer
-  binders) and recurse, up to a configurable probe depth.
-
-When the probe depth is exhausted the values are compared up to
-α-equivalence as a last resort.  A ``False`` answer therefore really means
-"observably different"; a ``True`` answer means "indistinguishable by the
-probes we ran" — exactly the right polarity for property-based testing of
-the Simulation theorem.
+:func:`joinable` runs both sides from an empty stack on a :class:`RunTable`,
+which keys every non-final empty-stack configuration up to renaming.  A run
+stops at the first configuration an earlier run reached: if both sides end
+in one group, they have a common reduct (docs/VALIDATION.md gives the
+argument that it holds for every stack and heap).  Otherwise the groups'
+final results are compared: both abort, both are stuck, equal literals, or
+λ values *probed* by applying each to the same argument (a literal for
+integer binders, a heap-allocated boxed value for pointer binders) up to a
+probe depth, after which the λs are compared by key.  A ``False`` answer
+therefore really means "observably different".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.errors import MachineError
-from .machine import Machine, MachineResult
+from .machine import Heap, Machine, MachineResult
 from .syntax import (
     MAppLit,
     MAppVar,
@@ -64,95 +57,171 @@ class JoinReport:
 
     joinable: bool
     reason: str = ""
+    #: True when both runs reached a common configuration.
+    common_reduct: bool = False
 
 
-def alpha_equivalent(t1: MExpr, t2: MExpr,
-                     env: Optional[Dict[MVar, MVar]] = None) -> bool:
-    """Structural equality of M expressions up to renaming of bound variables."""
-    env = env or {}
-    if isinstance(t1, MVarRef) and isinstance(t2, MVarRef):
-        return env.get(t1.var, t1.var) == t2.var
-    if isinstance(t1, MLit) and isinstance(t2, MLit):
-        return t1.value == t2.value
-    if isinstance(t1, MConLit) and isinstance(t2, MConLit):
-        return t1.value == t2.value
-    if isinstance(t1, MConVar) and isinstance(t2, MConVar):
-        return env.get(t1.var, t1.var) == t2.var
-    if isinstance(t1, MError) and isinstance(t2, MError):
-        return True
-    if isinstance(t1, MLam) and isinstance(t2, MLam):
-        if t1.var.sort != t2.var.sort:
-            return False
-        inner = dict(env)
-        inner[t1.var] = t2.var
-        return alpha_equivalent(t1.body, t2.body, inner)
-    if isinstance(t1, MAppVar) and isinstance(t2, MAppVar):
-        return (env.get(t1.argument, t1.argument) == t2.argument
-                and alpha_equivalent(t1.function, t2.function, env))
-    if isinstance(t1, MAppLit) and isinstance(t2, MAppLit):
-        return (t1.argument == t2.argument
-                and alpha_equivalent(t1.function, t2.function, env))
-    if isinstance(t1, MLet) and isinstance(t2, MLet):
-        if not alpha_equivalent(t1.rhs, t2.rhs, env):
-            return False
-        inner = dict(env)
-        inner[t1.var] = t2.var
-        return alpha_equivalent(t1.body, t2.body, inner)
-    if isinstance(t1, MLetStrict) and isinstance(t2, MLetStrict):
-        if t1.var.sort != t2.var.sort:
-            return False
-        if not alpha_equivalent(t1.rhs, t2.rhs, env):
-            return False
-        inner = dict(env)
-        inner[t1.var] = t2.var
-        return alpha_equivalent(t1.body, t2.body, inner)
-    if isinstance(t1, MCase) and isinstance(t2, MCase):
-        if not alpha_equivalent(t1.scrutinee, t2.scrutinee, env):
-            return False
-        inner = dict(env)
-        inner[t1.binder] = t2.binder
-        return alpha_equivalent(t1.body, t2.body, inner)
-    if isinstance(t1, MFix) and isinstance(t2, MFix):
-        inner = dict(env)
-        inner[t1.var] = t2.var
-        return alpha_equivalent(t1.body, t2.body, inner)
-    if isinstance(t1, MPrimOp) and isinstance(t2, MPrimOp):
-        return (t1.name == t2.name
-                and len(t1.arguments) == len(t2.arguments)
-                and all(alpha_equivalent(a1, a2, env)
-                        for a1, a2 in zip(t1.arguments, t2.arguments)))
-    if isinstance(t1, MCaseLit) and isinstance(t2, MCaseLit):
-        if not alpha_equivalent(t1.scrutinee, t2.scrutinee, env):
-            return False
-        if len(t1.alternatives) != len(t2.alternatives):
-            return False
-        for (lit1, branch1), (lit2, branch2) in zip(t1.alternatives,
-                                                    t2.alternatives):
-            if lit1 != lit2 or not alpha_equivalent(branch1, branch2, env):
-                return False
-        return alpha_equivalent(t1.default, t2.default, env)
-    return False
+class RunTable:
+    """The machine runs of one trace and the configurations they reached.
 
+    A run is identified by its term object and its starting heap, and
+    happens at most once.  A run that reaches a configuration an earlier
+    run reached stops there and joins that run's group.
+    """
 
-def _run(expr: MExpr, heap: Optional[Dict[MVar, MExpr]],
-         max_steps: int) -> Optional[MachineResult]:
-    try:
-        return Machine(expr, heap=heap).run(max_steps=max_steps)
-    except MachineError:
-        return None
+    def __init__(self) -> None:
+        #: (term id, heap id) -> the run, and the two objects kept alive.
+        self._runs: Dict[Tuple[int, int], tuple] = {}
+        #: Run -> its group: the run of the group that went on to the end.
+        self.group: List[int] = []
+        #: Group -> its final result, or the error that stopped it.
+        self._outcomes: Dict[int, Union[MachineResult, MachineError]] = {}
+        #: Configuration key -> the run that reached it first.
+        self._seen: Dict[int, int] = {}
+        #: Hash-consed key nodes -> their numbers.
+        self._nodes: Dict[tuple, int] = {}
+
+    def run(self, term: MExpr, heap: Optional[Heap] = None,
+            max_steps: int = 1_000_000) -> int:
+        """Run ``term`` from an empty stack and ``heap``; returns the run."""
+        slot = (id(term), id(heap))
+        if slot in self._runs:
+            return self._runs[slot][0]
+        run = len(self.group)
+        self._runs[slot] = (run, term, heap)
+        self.group.append(run)
+        machine = Machine(term, heap=heap)
+        endless = MachineError(
+            f"machine did not halt within {max_steps} steps")
+        try:
+            while not machine.is_final():
+                if not machine.stack:
+                    seen = len(self._seen)
+                    owner = self._seen.setdefault(
+                        self.key(machine.expr, machine.heap), run)
+                    if owner != run:
+                        self.group[run] = self.group[owner]
+                        return run
+                    if len(self._seen) == seen:
+                        raise endless  # back where it was: it never halts
+                if machine.costs.steps >= max_steps:
+                    raise endless
+                machine.step()
+            self._outcomes[run] = machine.result()
+        except MachineError as exc:
+            self._outcomes[run] = exc
+        return run
+
+    def outcome(self, run: int) -> Union[MachineResult, MachineError]:
+        """The final result of ``run``'s group, or the error that stopped
+        it (a stuck machine, or one that never halts)."""
+        return self._outcomes[self.group[run]]
+
+    def key(self, expr: MExpr, heap: Heap) -> int:
+        """The configuration ``⟨expr; ∅; heap⟩`` up to renaming: variables
+        are numbered in order of first occurrence, each binder getting a
+        new number, and the heap cells reachable from ``expr`` follow in
+        the order their pointers were first seen.  Variables are keyed by
+        name, as a frozen ``MVar`` hashes a new tuple on every lookup."""
+        nodes = self._nodes
+        intern = nodes.setdefault  # intern(node, len(nodes)) numbers node
+        names: Dict[str, int] = {}
+        free: List[MVar] = []
+        count = 0
+
+        def var(v: MVar) -> int:
+            nonlocal count
+            number = names.get(v.name)
+            if number is None:
+                number = names[v.name] = count
+                count += 1
+                free.append(v)
+            return number
+
+        def bound(v: MVar, body: MExpr, rhs: Optional[MExpr] = None):
+            # ``v`` scopes over ``body`` (and ``rhs``) with the next number,
+            # which its place implies, so the node does not record it.
+            nonlocal count
+            name = v.name
+            saved = names.get(name)
+            names[name] = count
+            count += 1
+            inner = enc(body) if rhs is None else (enc(rhs), enc(body))
+            if saved is None:
+                del names[name]
+            else:
+                names[name] = saved
+            return inner
+
+        def enc(e: MExpr) -> int:
+            kind = type(e)
+            if kind is MVarRef:
+                node = ("v", var(e.var))
+            elif kind is MLit:
+                node = ("n", e.value)
+            elif kind is MAppLit:
+                node = ("@n", enc(e.function), e.argument)
+            elif kind is MAppVar:
+                node = ("@v", enc(e.function), var(e.argument))
+            elif kind is MLam:
+                node = ("λ", e.var.sort, bound(e.var, e.body))
+            elif kind is MLetStrict:
+                node = ("let!", e.var.sort, enc(e.rhs),
+                        bound(e.var, e.body))
+            elif kind is MLet:
+                # The machine's LET allocates the cell under the binder,
+                # so the binder scopes over the right-hand side too.
+                node = ("let", bound(e.var, e.body, e.rhs))
+            elif kind is MCase:
+                node = ("case", enc(e.scrutinee), bound(e.binder, e.body))
+            elif kind is MCaseLit:
+                node = ("caselit", enc(e.scrutinee),
+                        tuple((literal, enc(branch))
+                              for literal, branch in e.alternatives),
+                        enc(e.default))
+            elif kind is MPrimOp:
+                node = ("prim", e.name, tuple(enc(a) for a in e.arguments))
+            elif kind is MConLit:
+                node = ("I", e.value)
+            elif kind is MConVar:
+                node = ("Iv", var(e.var))
+            elif kind is MFix:
+                node = ("fix", bound(e.var, e.body))
+            elif kind is MError:
+                node = ("error",)
+            else:
+                raise MachineError(f"cannot key expression {e.pretty()}")
+            return intern(node, len(nodes))
+
+        root = enc(expr)
+        cells = []
+        for pointer in free:  # grows while cells are encoded
+            cell = heap.get(pointer)
+            cells.append(intern(("free", pointer.sort), len(nodes))
+                         if cell is None else enc(cell))
+        return intern((root, tuple(cells)), len(nodes))
 
 
 def joinable(t1: MExpr, t2: MExpr,
-             heap1: Optional[Dict[MVar, MExpr]] = None,
-             heap2: Optional[Dict[MVar, MExpr]] = None,
+             heap1: Optional[Heap] = None,
+             heap2: Optional[Heap] = None,
              probe_depth: int = 3,
-             max_steps: int = 100_000) -> JoinReport:
-    """Test whether ``t1 ⇔ t2`` by running both and probing the results."""
-    result1 = _run(t1, heap1, max_steps)
-    result2 = _run(t2, heap2, max_steps)
+             max_steps: int = 100_000,
+             table: Optional[RunTable] = None) -> JoinReport:
+    """Test whether ``t1 ⇔ t2``: by a common reduct, else by comparing
+    the final results.  ``table`` holds the runs of earlier tests, which
+    these runs may meet; without one, a fresh table is used."""
+    if table is None:
+        table = RunTable()
+    run1 = table.run(t1, heap1, max_steps)
+    run2 = table.run(t2, heap2, max_steps)
+    if table.group[run1] == table.group[run2]:
+        return JoinReport(True, "common reduct", common_reduct=True)
+    result1, result2 = table.outcome(run1), table.outcome(run2)
 
-    if result1 is None or result2 is None:
-        if result1 is None and result2 is None:
+    stuck = [isinstance(r, MachineError) for r in (result1, result2)]
+    if any(stuck):
+        if all(stuck):
             return JoinReport(True, "both machines got stuck identically")
         return JoinReport(False, "one machine got stuck and the other did not")
 
@@ -163,12 +232,12 @@ def joinable(t1: MExpr, t2: MExpr,
 
     return _values_joinable(result1.unwrap(), dict(result1.heap),
                             result2.unwrap(), dict(result2.heap),
-                            probe_depth, max_steps)
+                            probe_depth, max_steps, table)
 
 
-def _values_joinable(v1: MExpr, heap1: Dict[MVar, MExpr],
-                     v2: MExpr, heap2: Dict[MVar, MExpr],
-                     probe_depth: int, max_steps: int) -> JoinReport:
+def _values_joinable(v1: MExpr, heap1: Heap, v2: MExpr, heap2: Heap,
+                     probe_depth: int, max_steps: int,
+                     table: RunTable) -> JoinReport:
     if isinstance(v1, MLit) and isinstance(v2, MLit):
         if v1.value == v2.value:
             return JoinReport(True, "equal integer results")
@@ -184,7 +253,7 @@ def _values_joinable(v1: MExpr, heap1: Dict[MVar, MExpr],
         if v1.var.sort != v2.var.sort:
             return JoinReport(False, "λ binders expect different registers")
         if probe_depth <= 0:
-            if alpha_equivalent(v1, v2):
+            if table.key(v1, heap1) == table.key(v2, heap2):
                 return JoinReport(True, "α-equivalent λ values")
             return JoinReport(
                 True, "probe depth exhausted on λ values; assumed joinable")
@@ -201,7 +270,7 @@ def _values_joinable(v1: MExpr, heap1: Dict[MVar, MExpr],
             probed1 = MAppVar(v1, pointer1)
             probed2 = MAppVar(v2, pointer2)
         return joinable(probed1, probed2, new_heap1, new_heap2,
-                        probe_depth - 1, max_steps)
+                        probe_depth - 1, max_steps, table)
 
     return JoinReport(False,
                       f"result shapes differ: {v1.pretty()} vs {v2.pretty()}")

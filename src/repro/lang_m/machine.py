@@ -42,6 +42,7 @@ from .syntax import (
     MPrimOp,
     MVar,
     MVarRef,
+    fresh_pointer_var,
 )
 
 # ---------------------------------------------------------------------------
@@ -263,9 +264,12 @@ class Machine:
             self.expr = binding
             return
         if isinstance(expr, MLet):  # LET
-            self.heap[expr.var] = expr.rhs
+            # Allocate a fresh address: reusing the binder's name would let
+            # a second run of the same ``let`` overwrite a live cell.
+            pointer = fresh_pointer_var(expr.var.name + "_")
+            self.heap[pointer] = expr.rhs.substitute_var(expr.var, pointer)
             self.costs.heap_allocations += 1
-            self.expr = expr.body
+            self.expr = expr.body.substitute_var(expr.var, pointer)
             return
         if isinstance(expr, MLetStrict):  # SLET
             self.stack.insert(0, LetFrame(expr.var, expr.body))
@@ -413,13 +417,18 @@ class Machine:
     # -- drivers ---------------------------------------------------------------
 
     def run(self, max_steps: int = 1_000_000) -> MachineResult:
-        """Run until a final state (or raise after ``max_steps`` steps)."""
+        """Run until a final state; raise if it is still not final after
+        ``max_steps`` steps."""
         for _ in range(max_steps):
             if not self.step():
                 break
-        else:
+        if not self.is_final():
             raise MachineError(
                 f"machine did not halt within {max_steps} steps")
+        return self.result()
+
+    def result(self) -> MachineResult:
+        """The outcome of a machine in a final state."""
         value = None if self.aborted else self.expr
         return MachineResult(value, self.aborted, tuple(self.heap.items()),
                              self.costs)

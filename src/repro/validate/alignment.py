@@ -8,33 +8,34 @@ paper is by induction on the step relation; this module *mechanically
 discharges* the theorem's obligations for one concrete program:
 
 * evaluate the lowered L entry with a recorded trace ``e₀ −→ e₁ −→ …``;
-* for each consecutive pair, compile both sides and run the
-  :func:`repro.lang_m.joinability.joinable` test;
-* independently run ``C(e₀)`` to completion and compare the machine's
-  final answer against the evaluator's (including *agreement on ⊥* —
-  an L run that bottoms must abort the machine, and vice versa).
+* compile each trace term once, and for each consecutive pair run the
+  :func:`repro.lang_m.joinability.joinable` test on the trace's one
+  ``RunTable``: each compiled term runs at most once, and stops at the
+  first configuration an earlier run reached — a common reduct;
+* compare the final answer of ``C(e₀)``'s run against the evaluator's
+  (including *agreement on ⊥*: L bottoms exactly when the machine aborts).
 
 The first obligation that fails is reported with its step index and the
 two L expressions involved, which is exactly the counterexample shape a
 translation-validation tool hands to a compiler engineer: not "the
 answers differ" but "the simulation broke *here*".
 
-Obligation discharge is quadratic-ish in trace length (each check runs
-two machines), so callers cap it with ``align_steps``; the end-to-end
-answer comparison is unconditional, so a capped run still validates the
-final result — the cap only bounds how precisely a divergence would be
-localised.
+Callers cap the number of obligations with ``align_steps``; the
+end-to-end answer comparison is unconditional, so a capped run still
+validates the final result — the cap only bounds how precisely a
+divergence would be localised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from ..core.errors import CompilationError, EvaluationError, MachineError
 from ..lang_l.semantics import evaluate
 from ..lang_l.syntax import Context, LExpr
-from ..lang_m.joinability import joinable
+from ..lang_m.joinability import RunTable, joinable
+from ..lang_m.syntax import MConLit, MExpr, MLit
 from ..compile.compiler import compile_expr
 
 __all__ = [
@@ -53,6 +54,8 @@ class Obligation:
     reason: str
     before: str = ""
     after: str = ""
+    #: True when a common reduct, not the final answers, discharged it.
+    common_reduct: bool = False
 
 
 @dataclass
@@ -68,6 +71,9 @@ class ValidationReport:
     reason: str = ""
     l_steps: int = 0
     obligations_checked: int = 0
+    #: Obligations discharged by a common reduct / by final answers.
+    by_common_reduct: int = 0
+    by_final_answer: int = 0
     #: Index of the first L step whose obligation failed, if any.
     first_divergence: Optional[int] = None
     failed: List[Obligation] = field(default_factory=list)
@@ -86,6 +92,8 @@ class ValidationReport:
             "reason": self.reason,
             "l_steps": self.l_steps,
             "obligations_checked": self.obligations_checked,
+            "by_common_reduct": self.by_common_reduct,
+            "by_final_answer": self.by_final_answer,
             "first_divergence": self.first_divergence,
             "machine_agrees": self.machine_agrees,
             "machine_value": self.machine_value,
@@ -139,19 +147,24 @@ def validate_term(term: LExpr, *,
 
     # Per-step obligations: C(eᵢ) ⇔ C(eᵢ₊₁) for a prefix of the trace.
     budget = min(len(trace) - 1, max(align_steps, 0))
+    codes = [_compile(expr, ctx) for expr in trace[:budget + 1]]
+    table = RunTable()
     for index in range(budget):
-        before, after = trace[index], trace[index + 1]
-        obligation = _discharge(index, before, after, ctx,
+        obligation = _discharge(index, trace, codes, table,
                                 probe_depth, machine_steps)
         report.obligations_checked += 1
         if not obligation.discharged:
             report.failed.append(obligation)
             if report.first_divergence is None:
                 report.first_divergence = index
+        elif obligation.common_reduct:
+            report.by_common_reduct += 1
+        else:
+            report.by_final_answer += 1
     # The machine validates the *answer* even when align_steps capped the
     # per-step sweep (or an obligation already failed mid-trace).
     report.machine_agrees, report.machine_value = _final_agreement(
-        trace[0], outcome, ctx, machine_steps)
+        codes[0], outcome, table, machine_steps)
 
     if report.first_divergence is not None:
         report.ok = False
@@ -164,37 +177,45 @@ def validate_term(term: LExpr, *,
     return report
 
 
-def _discharge(index: int, before: LExpr, after: LExpr, ctx: Context,
-               probe_depth: int, machine_steps: int) -> Obligation:
+def _compile(expr: LExpr, ctx: Context) -> Union[MExpr, CompilationError]:
     try:
-        compiled_before = compile_expr(before, ctx).code
-        compiled_after = compile_expr(after, ctx).code
+        return compile_expr(expr, ctx).code
     except CompilationError as exc:
-        # Preservation + Compilation say every trace expression compiles;
-        # failing to is itself a validation counterexample.
-        return Obligation(index, False,
-                          f"trace expression failed to compile: {exc}",
-                          _clip(before.pretty()), _clip(after.pretty()))
-    verdict = joinable(compiled_before, compiled_after,
-                       probe_depth=probe_depth, max_steps=machine_steps)
+        return exc
+
+
+def _discharge(index: int, trace: List[LExpr],
+               codes: List[Union[MExpr, CompilationError]],
+               table: RunTable, probe_depth: int,
+               machine_steps: int) -> Obligation:
+    before, after = trace[index], trace[index + 1]
+    for failure in codes[index:index + 2]:
+        if isinstance(failure, CompilationError):
+            # Preservation + Compilation say every trace expression
+            # compiles; failing to is itself a validation counterexample.
+            return Obligation(index, False,
+                              f"trace expression failed to compile: {failure}",
+                              _clip(before.pretty()), _clip(after.pretty()))
+    verdict = joinable(codes[index], codes[index + 1],
+                       probe_depth=probe_depth, max_steps=machine_steps,
+                       table=table)
     if verdict.joinable:
-        return Obligation(index, True, verdict.reason)
+        return Obligation(index, True, verdict.reason,
+                          common_reduct=verdict.common_reduct)
     return Obligation(index, False, f"not joinable: {verdict.reason}",
                       _clip(before.pretty()), _clip(after.pretty()))
 
 
-def _final_agreement(term: LExpr, outcome, ctx: Context,
-                     machine_steps: int):
-    """Run ``C(e₀)`` to its final answer and compare with L's."""
-    from ..lang_m.machine import run as run_machine
-    from ..lang_m.syntax import MConLit, MLit
+def _final_agreement(code: Union[MExpr, CompilationError], outcome,
+                     table: RunTable, machine_steps: int):
+    """Compare the final answer of ``C(e₀)``'s run with L's."""
     from ..lang_l.syntax import Con, Lit
 
-    try:
-        code = compile_expr(term, ctx).code
-        machine = run_machine(code, max_steps=machine_steps)
-    except (CompilationError, MachineError) as exc:
-        return False, f"machine run failed: {exc}"
+    if isinstance(code, CompilationError):
+        return False, f"machine run failed: {code}"
+    machine = table.outcome(table.run(code, max_steps=machine_steps))
+    if isinstance(machine, MachineError):
+        return False, f"machine run failed: {machine}"
 
     if outcome.is_bottom:
         if machine.aborted:

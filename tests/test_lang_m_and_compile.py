@@ -15,17 +15,25 @@ from repro.lang_m import (
     MConLit,
     MConVar,
     MError,
+    MFix,
     MLam,
     MLet,
     MLetStrict,
     MLit,
+    MPrimOp,
     MVarRef,
-    alpha_equivalent,
+    RunTable,
     fresh_integer_var,
     fresh_pointer_var,
     joinable,
     run,
 )
+
+
+def _spin():
+    """``(fix p. λi. p i) 0``: returns to an empty stack forever."""
+    p, i = fresh_pointer_var(), fresh_integer_var()
+    return MAppLit(MFix(p, MLam(i, MAppVar(MVarRef(p), i))), 0)
 
 
 class TestMachine:
@@ -92,6 +100,15 @@ class TestMachine:
         with pytest.raises(MachineError):
             run(MVarRef(fresh_pointer_var()))
 
+    def test_step_budget_counts_steps_taken(self):
+        # A final state within the budget is never an error: a literal
+        # needs no step, and `+#(1, 2)` halts in exactly one.
+        assert Machine(MLit(4)).run(max_steps=0).unwrap() == MLit(4)
+        add = MPrimOp("+#", (MLit(1), MLit(2)))
+        assert Machine(add).run(max_steps=1).unwrap() == MLit(3)
+        with pytest.raises(MachineError, match="within 0 steps"):
+            Machine(add).run(max_steps=0)
+
     def test_trace_records_states(self):
         i = fresh_integer_var()
         machine = Machine(MLetStrict(i, MLit(1), MVarRef(i)))
@@ -126,10 +143,58 @@ class TestJoinability:
 
     def test_alpha_equivalence(self):
         i1, i2 = fresh_integer_var(), fresh_integer_var()
-        assert alpha_equivalent(MLam(i1, MVarRef(i1)), MLam(i2, MVarRef(i2)))
+        table = RunTable()
+        assert table.key(MLam(i1, MVarRef(i1)), {}) == \
+            table.key(MLam(i2, MVarRef(i2)), {})
         p = fresh_pointer_var()
-        assert not alpha_equivalent(MLam(i1, MVarRef(i1)),
-                                    MLam(p, MVarRef(p)))
+        assert table.key(MLam(i1, MVarRef(i1)), {}) != \
+            table.key(MLam(p, MVarRef(p)), {})
+
+    def test_key_keeps_reachable_cells_up_to_renaming(self):
+        p1, p2, p3 = (fresh_pointer_var() for _ in range(3))
+        table = RunTable()
+        key = table.key(MVarRef(p1), {p1: MConLit(1), p3: MConLit(9)})
+        assert key == table.key(MVarRef(p2), {p2: MConLit(1)})
+        assert key != table.key(MVarRef(p2), {p2: MConLit(2)})
+
+    def test_terms_that_meet_share_a_common_reduct(self):
+        # Both sides reach `⟨(λi. i) 3; ∅; ∅⟩` with different names.
+        i1, i2, i3 = (fresh_integer_var() for _ in range(3))
+        redex = MAppLit(MLam(i1, MVarRef(i1)), 3)
+        wrapped = MLetStrict(i2, MLit(3),
+                             MAppVar(MLam(i3, MVarRef(i3)), i2))
+        report = joinable(redex, wrapped)
+        assert report.joinable and report.common_reduct
+
+    def test_terms_that_never_meet_fall_to_the_answer_test(self):
+        report = joinable(MPrimOp("+#", (MLit(1), MLit(2))),
+                          MPrimOp("*#", (MLit(3), MLit(1))))
+        assert report.joinable and not report.common_reduct
+        assert report.reason == "equal integer results"
+
+    def test_spinning_term_is_stuck_without_running_to_the_budget(
+            self, monkeypatch):
+        steps = []
+        real_step = Machine.step
+        monkeypatch.setattr(
+            Machine, "step",
+            lambda machine: steps.append(1) or real_step(machine))
+        report = joinable(_spin(), MLit(0), max_steps=10 ** 9)
+        assert not report.joinable
+        assert report.reason == "one machine got stuck and the other did not"
+        assert len(steps) < 20
+        table = RunTable()
+        outcome = table.outcome(table.run(_spin(), max_steps=10 ** 9))
+        assert isinstance(outcome, MachineError)
+        assert "did not halt" in str(outcome)
+
+    def test_table_runs_each_term_once(self, monkeypatch):
+        term = MPrimOp("+#", (MLit(1), MLit(2)))
+        table = RunTable()
+        first = table.run(term)
+        monkeypatch.setattr(Machine, "step", None)  # a second run would fail
+        assert table.run(term) == first
+        assert joinable(term, term, table=table).common_reduct
 
 
 class TestCompilation:

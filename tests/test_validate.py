@@ -13,13 +13,21 @@ Three layers are pinned here:
 """
 
 import dataclasses
+import glob
 import json
 import os
 
 import pytest
 
+from repro.compile import compile_expr
+from repro.core.errors import CompilationError, MachineError
 from repro.driver import Session
-from repro.lang_l import Fix, Lit, PrimOp
+from repro.driver.lower import LoweringError, lower_entry
+from repro.fuzz import GenOptions, generate_corpus
+from repro.lang_l import Context, Fix, Lit, PrimOp
+from repro.lang_l.semantics import evaluate
+from repro.lang_l.syntax import Con
+from repro.lang_m import MConLit, MLam, MLit, run as run_machine
 from repro.validate import (
     ValidationReport,
     validate_check,
@@ -35,6 +43,90 @@ SUM_TO = (
     "{ 1# -> acc; _ -> sumTo# (acc +# n) (n -# 1#) }\n"
     "main :: Int#\n"
     "main = sumTo# 0# 10#\n")
+
+#: A lazy accumulator: each call allocates a thunk that reads the
+#: previous call's thunk.
+LAZY_ACC = (
+    "go :: Int -> Int# -> Int\n"
+    "go acc k = case k ==# 0# of { 1# -> acc; _ -> go (case acc of "
+    "{ I# a -> I# (a +# k) }) (k -# 1#) }\n"
+    "main :: Int\n"
+    "main = go (I# 0#) 3#\n")
+
+
+def _lowered(source):
+    """The lowered ``main`` of ``source``, or None outside the fragment."""
+    check = Session().check(source)
+    if not check.ok:
+        return None
+    schemes = {b.name: b.scheme for b in check.bindings
+               if b.scheme is not None}
+    try:
+        return lower_entry(check.parsed.module, schemes, "main")
+    except LoweringError:
+        return None
+
+
+def _answer(expr):
+    """Compile ``expr`` afresh and run it to its final answer."""
+    try:
+        result = run_machine(compile_expr(expr).code)
+    except (CompilationError, MachineError):
+        return "stuck", None
+    if result.aborted:
+        return "error", None
+    value = result.unwrap()
+    if isinstance(value, MLam):
+        return ("λ", value.var.sort), value
+    return value, value
+
+
+def _reference(term, align_steps=64):
+    """What ``validate_term`` must report, by running both sides of every
+    obligation to their final answers on fresh machines."""
+    outcome = evaluate(term, Context(), max_steps=10_000, keep_trace=True)
+    trace = outcome.trace or [term]
+    budget = min(len(trace) - 1, align_steps)
+    answers = [_answer(expr)[0] for expr in trace[:budget + 1]]
+    first = next((i for i in range(budget)
+                  if answers[i] != answers[i + 1]), None)
+    final, value = _answer(trace[0])
+    if final == "stuck":
+        agrees, shown = False, "machine run failed"
+    elif outcome.is_bottom:
+        agrees = final == "error"
+        shown = "error" if agrees else value.pretty()
+    elif final == "error":
+        agrees, shown = False, "error"
+    else:
+        expected = outcome.unwrap()
+        if isinstance(value, MLit):
+            agrees = isinstance(expected, Lit) and \
+                expected.value == value.value
+        elif isinstance(value, MConLit):
+            agrees = isinstance(expected, Con) and \
+                isinstance(expected.argument, Lit) and \
+                expected.argument.value == value.value
+        else:
+            agrees = None
+        shown = value.pretty()
+    return {"ok": first is None and agrees is not False,
+            "first_divergence": first,
+            "obligations_checked": budget,
+            "machine_agrees": agrees,
+            "machine_value": shown}
+
+
+def _differential_inputs():
+    sources = []
+    for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.lev"))):
+        with open(path, encoding="utf-8") as handle:
+            sources.append((os.path.basename(path), handle.read()))
+    sources.append(("lazyacc.lev", LAZY_ACC))
+    for program in generate_corpus(20260731, 40,
+                                   GenOptions(fragment_bias=1.0)):
+        sources.append((program.filename, program.source))
+    return [pytest.param(source, id=name) for name, source in sources]
 
 
 class TestValidateTerm:
@@ -89,6 +181,41 @@ class TestValidateTerm:
         assert report.failed and "not joinable" in report.failed[0].reason
         assert "first diverging step is 0" in report.reason
         assert "FAILED" in report.pretty()
+
+    @pytest.mark.parametrize("source", _differential_inputs())
+    def test_agrees_with_running_every_obligation_to_its_answer(
+            self, source):
+        term = _lowered(source)
+        if term is None:
+            pytest.skip("entry is outside the L fragment")
+        report = validate_term(term)
+        assert report.engaged
+        expected = _reference(term)
+        observed = {key: getattr(report, key) for key in expected}
+        if expected["machine_value"] == "machine run failed":
+            assert report.machine_value.startswith("machine run failed")
+            observed["machine_value"] = expected["machine_value"]
+        if expected["machine_agrees"] is None:
+            # A λ answer prints with the names of its own compilation.
+            assert report.machine_value.startswith("\\")
+            observed["machine_value"] = expected["machine_value"]
+        assert observed == expected
+        assert report.by_common_reduct + report.by_final_answer == \
+            report.obligations_checked - len(report.failed)
+
+    def test_tail_loop_obligations_meet_at_a_common_reduct(self):
+        (report,) = validate_paths([os.path.join(EXAMPLES, "sum_to.lev")])
+        assert report.ok
+        assert (report.by_common_reduct, report.by_final_answer) == (64, 0)
+        document = report.as_dict()
+        assert document["by_common_reduct"] == 64
+        assert document["by_final_answer"] == 0
+
+    def test_lazy_accumulator_validates(self):
+        report = validate_term(_lowered(LAZY_ACC))
+        assert report.ok, report.pretty()
+        assert report.machine_agrees is True
+        assert report.machine_value == "I#[6]"
 
     def test_nontermination_is_a_skip_not_a_verdict(self):
         # `(fix f. \x. f x) (I# 0)` spins forever; the validator cannot
@@ -159,6 +286,11 @@ class TestSessionWiring:
         assert report.engaged and report.ok
         assert report.machine_agrees is True
         assert report.obligations_checked == 8
+
+    def test_lazy_accumulator_machine_agrees(self):
+        result = Session().run(LAZY_ACC, "lazyacc.lev")
+        assert result.machine_agrees is True
+        assert result.machine_value == "I#[6]"
 
     def test_bottom_entries_validate_too(self):
         session = Session()
