@@ -137,11 +137,11 @@ def _print_stats_text(stream, check_stats=None) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .driver.batch import CheckStats
 
-    session = Session(_options(args))
     sources = [(path, _read_source(path)) for path in args.files]
     stats = CheckStats() if args.stats else None
-    results = session.check_many(sources, jobs=args.jobs, cache=args.cache,
-                                 stats=stats)
+    with Session(_options(args)) as session:
+        results = session.check_many(sources, jobs=args.jobs,
+                                     cache=args.cache, stats=stats)
     source_of = dict(sources)
     if args.json:
         if stats is not None:
@@ -166,7 +166,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     from .driver.batch import CheckStats
     from .driver.project import check_project, discover_sources, run_project
 
-    session = Session(_options(args))
     try:
         sources = discover_sources(args.paths)
     except OSError as exc:
@@ -178,12 +177,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
         raise _CliError("no .lev files found under "
                         + ", ".join(args.paths))
     stats = CheckStats() if args.stats else None
-    check = check_project(sources, jobs=args.jobs, cache=args.cache,
-                          session=session, stats=stats)
     run_result = None
-    if args.run and check.ok:
-        run_result = run_project(session, check, entry=args.entry,
-                                 cache=args.cache)
+    with Session(_options(args)) as session:
+        check = check_project(sources, jobs=args.jobs, cache=args.cache,
+                              session=session, stats=stats)
+        if args.run and check.ok:
+            run_result = run_project(session, check, entry=args.entry,
+                                     cache=args.cache)
 
     source_of = dict(sources)
     if args.json:
@@ -241,17 +241,17 @@ def _run_json(result) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    session = Session(_options(args))
     ok = True
     payloads = []
-    for path in args.files:
-        result = session.run(_read_source(path), path, entry=args.entry,
-                             cache=args.cache)
-        if args.json:
-            payloads.append(_run_json(result))
-        else:
-            print(result.pretty())
-        ok = ok and result.ok
+    with Session(_options(args)) as session:
+        for path in args.files:
+            result = session.run(_read_source(path), path, entry=args.entry,
+                                 cache=args.cache)
+            if args.json:
+                payloads.append(_run_json(result))
+            else:
+                print(result.pretty())
+            ok = ok and result.ok
     if args.json:
         if args.stats:
             print(json.dumps({"results": payloads,
@@ -264,9 +264,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    session = Session(_options(args))
-    result = session.compile(_read_source(args.file), args.file,
-                             entry=args.entry)
+    with Session(_options(args)) as session:
+        result = session.compile(_read_source(args.file), args.file,
+                                 entry=args.entry)
     print(result.pretty())
     if args.stats:
         _print_stats_text(sys.stdout)
@@ -338,23 +338,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               "pass --check to run the differential harness")
         return 0
 
-    harness = DifferentialHarness(_options(args))
-    report = harness.run_corpus(programs, jobs=args.jobs, cache=args.cache)
-    print(report.pretty())
-    if report.failures and args.save_shrunk:
-        first = report.failures[0]
-        probe = DifferentialHarness(_options(args))
+    with Session(_options(args)) as session:
+        harness = DifferentialHarness(session=session)
+        report = harness.run_corpus(programs, jobs=args.jobs,
+                                    cache=args.cache)
+        print(report.pretty())
+        if report.failures and args.save_shrunk:
+            first = report.failures[0]
+            probe = DifferentialHarness(session=session)
 
-        def still_fails(candidate) -> bool:
-            return any(failure.oracle == first.oracle
-                       for failure in probe.check_program(candidate))
+            def still_fails(candidate) -> bool:
+                return any(failure.oracle == first.oracle
+                           for failure in probe.check_program(candidate))
 
-        shrunk = shrink_counterexample(still_fails, gen_options)
-        if shrunk is not None:
-            path = save_counterexample(shrunk, args.save_shrunk, first.oracle)
-            print(f"shrunk {first.oracle!r} reproducer saved to {path}")
-        else:
-            print("no shrunk reproducer found within the search budget")
+            shrunk = shrink_counterexample(still_fails, gen_options)
+            if shrunk is not None:
+                path = save_counterexample(shrunk, args.save_shrunk,
+                                           first.oracle)
+                print(f"shrunk {first.oracle!r} reproducer saved to {path}")
+            else:
+                print("no shrunk reproducer found within the search budget")
     return 0 if report.ok else 1
 
 

@@ -9,17 +9,18 @@ reproduction as one pipeline::
 * :class:`~repro.driver.session.Session` — cached-prelude sessions with
   one-shot ``check``/``run``/``compile`` entry points, a batch
   ``check_many`` API, and REPL state;
-* :class:`~repro.driver.session.Pipeline` — the staged checker producing
-  structured :class:`~repro.driver.session.Diagnostic` values with source
-  spans;
+* :class:`~repro.driver.session.Pipeline` — the staged checker: it parses
+  a file and checks one unit at a time, producing structured
+  :class:`~repro.driver.session.Diagnostic` values with source spans;
 * :mod:`repro.driver.depgraph` — binding-level dependency graphs: each
   module is broken into SCC-condensed **compilation units** checked in
   dependency order (the granularity of error recovery and caching);
-* :mod:`repro.driver.batch` — the one unit walk every incremental
-  check runs, in-process or across worker processes, over a
-  binding-level incremental result cache
-  (``Session.check_many(jobs=..., cache=..., stats=...)`` and
-  ``python -m repro check --jobs N --cache PATH --stats``);
+* :mod:`repro.driver.batch` — the one unit walk every check runs
+  (``Session.check`` is the walk over one file without a cache),
+  in-process or across worker processes, over a binding-level
+  incremental result cache (``Session.check_many(jobs=..., cache=...,
+  stats=...)`` and ``python -m repro check --jobs N --cache PATH
+  --stats``);
 * :mod:`repro.driver.store` — the sharded, content-addressed on-disk
   store behind the result cache (schema v4): 256 lazily-loaded shards
   per key namespace, per-shard dirty tracking and atomic merge-then-

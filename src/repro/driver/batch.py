@@ -36,16 +36,21 @@ Three layers:
   clobber each other's fresh entries.  An optional session-owned
   :class:`~repro.driver.store.HotTier` serves hot shards from memory.
 
-* **The walk** — every incremental check goes through one per-file unit
-  walk (:func:`_walk`): a file's units in dependency order, each either a
+* **The walk** — every check goes through one per-file unit walk
+  (:func:`_walk`): a file's units in dependency order, each either a
   cache hit or a check.  :func:`check_modules` runs it over one level of
-  modules — :func:`check_many_sharded` is a one-level project build whose
-  modules have no imports in scope, and :mod:`repro.driver.project` calls
-  it once per DAG level.  The walk runs in-process, or with ``jobs > 1``
-  inside the session's worker processes, one whole file per job: workers
-  open the cache directory read-only and ship every unit's payload back,
-  and the parent alone stores and saves.  Where the walk runs therefore
-  never changes what it re-checks.
+  modules — ``Session.check`` is a one-file level without a cache,
+  :func:`check_many_sharded` a one-level project build whose modules
+  have no imports in scope, and :mod:`repro.driver.project` calls it
+  once per DAG level.  A unit checked in this process keeps its
+  :class:`UnitOutcome`; keys and payloads are built only where a unit
+  meets a cache or crosses to or from a worker, so a walk without a
+  cache computes no fingerprint, key or payload.  With ``jobs > 1`` the
+  walk runs inside the session's worker processes, one whole file per
+  job: workers store their checks into a cache object they never save
+  and ship every unit's payload back, and the parent alone stores and
+  saves.  Where the walk runs therefore never changes what it
+  re-checks.
 
 File-level payload helpers (:func:`result_to_payload` /
 :func:`result_from_payload` / :func:`payload_bytes`) are unchanged from
@@ -66,6 +71,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ParseError
 from ..frontend.lexer import Span
 from ..infer.schemes import Scheme
+from ..surface.ast import ImportDecl, TypeSig
 from ..surface.prelude import prelude_schemes
 from ..telemetry import (
     REGISTRY as _REGISTRY,
@@ -82,7 +88,6 @@ from .session import (
     Pipeline,
     Session,
     UnitOutcome,
-    assemble_decl_order,
 )
 
 __all__ = [
@@ -297,7 +302,7 @@ def _file_payload_valid(payload: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: DriverOptions fields that cannot affect ``Pipeline.check`` output.
+#: DriverOptions fields that cannot affect a check's output.
 #: Everything NOT listed here invalidates the cache when it changes, so a
 #: future option is cache-safe by default and must be excluded explicitly.
 _CHECK_IRRELEVANT_OPTIONS = frozenset({
@@ -810,72 +815,24 @@ class CheckStats:
 _Renderings = Dict[str, Optional[str]]
 
 
-class _SchemeResolver:
-    """Materialise dependency :class:`Scheme` objects on demand.
-
-    Schemes computed in-process are kept as objects; schemes that came
-    from cache hits or worker payloads exist only as canonical renderings
-    and are parsed back lazily.  If a rendering unexpectedly fails to
-    re-parse (a printer gap), the resolver *re-checks the defining unit
-    in-process* instead of propagating junk — self-healing at the cost of
-    one redundant check.
-    """
-
-    def __init__(self, pipeline: Pipeline, plan: ModulePlan,
-                 srcs: _Renderings,
-                 objects: Dict[str, Optional[Scheme]]) -> None:
-        self.pipeline = pipeline
-        self.plan = plan
-        self.srcs = srcs
-        self.objects = objects
-
-    def scheme(self, name: str) -> Optional[Scheme]:
-        if name in self.objects:
-            return self.objects[name]
-        src = self.srcs.get(name)
-        scheme: Optional[Scheme] = None
-        if src is not None:
-            from ..frontend.parser import parse_scheme
-
-            try:
-                scheme = parse_scheme(src)
-            except ParseError:
-                scheme = self._recheck(name)
-        self.objects[name] = scheme
-        return scheme
-
-    def _recheck(self, name: str) -> Optional[Scheme]:
-        uid = self.plan.defining_unit.get(name)
-        if uid is None:
-            return None
-        unit = self.plan.units[uid]
-        available = {dep: self.scheme(dep) for dep in unit.deps}
-        outcome = self.pipeline.check_unit(self.plan, unit, available)
-        for member in outcome.members:
-            if member.summary.name == name:
-                return member.env_scheme
-        return None
-
-    def available_for(self, unit: CheckUnit) -> Dict[str, Optional[Scheme]]:
-        available = {dep: self.scheme(dep) for dep in unit.deps}
-        # Foreign names resolve only when the srcs map has an entry for
-        # them (project mode seeds it with imported exports; a present-
-        # but-None entry means the exporting binding failed).  Absent
-        # names stay unbound: ordinary scope errors.
-        for name in unit.foreign:
-            if name in self.srcs:
-                available[name] = self.scheme(name)
-        return available
-
-
 class _FileState:
-    """One module's parse, plan and per-unit resolution state.
+    """One module's parse, plan and per-unit records.
+
+    Each unit resolves to one of two records: the :class:`UnitOutcome` of
+    a check in this process, or the payload of a cache hit or a worker's
+    check.  A defined name's scheme is kept in the form its record gave
+    it (an object from an outcome, a canonical rendering from a payload)
+    and converted only on demand: to an object for the environment of a
+    unit checked here, to a rendering for a cache key or an export map.
+    A rendering that fails to re-parse (a printer gap) re-checks its
+    defining unit here instead of propagating junk.
 
     ``scope`` maps the imported names the module references to the
     canonical renderings of their exported schemes, or is None in
     single-file mode, where ``import`` declarations stay unresolved and
-    draw a warning.  It seeds ``scheme_srcs``, so foreign references
-    resolve through exactly the machinery local dependencies use.
+    draw a warning.  It seeds ``scheme_srcs``; imported names are the
+    plan's foreign references, which no local declaration binds, so they
+    never collide with local names.
     """
 
     def __init__(self, filename: str, source: str, pipeline: Pipeline,
@@ -883,18 +840,17 @@ class _FileState:
         self.filename = filename
         self.source = source
         self.scope = scope
+        self.pipeline = pipeline
         self.parsed, self.parse_diagnostics = pipeline.parse(source, filename)
         self.plan: Optional[ModulePlan] = None
         if self.parsed is not None:
             with _TRACER.span("depgraph", file=filename):
                 self.plan = build_plan(self.parsed)
-        #: uid -> unit payload, filled as units resolve.
-        self.payloads: Dict[int, dict] = {}
-        #: defined or imported name -> canonical scheme rendering (or
-        #: None = failed).  Locals overwrite imports on collision (a
-        #: local definition shadows an imported name).
+        #: uid -> the unit's outcome (checked here) or payload.
+        self.records: Dict[int, Union[UnitOutcome, dict]] = {}
+        #: name -> canonical scheme rendering (None = failed).
         self.scheme_srcs: _Renderings = dict(scope or {})
-        #: defined name -> materialised Scheme (in-process checks only).
+        #: name -> Scheme object (None = failed).
         self.schemes: Dict[str, Optional[Scheme]] = {}
 
     @property
@@ -909,9 +865,75 @@ class _FileState:
         return self.source, (None if scope is None
                              else tuple(sorted(scope.items())))
 
+    def resolve(self, unit: CheckUnit, record: Union[UnitOutcome, dict],
+               payload: Optional[dict] = None) -> None:
+        """Keep ``unit``'s record and export its defining schemes: objects
+        from an outcome, renderings from a payload (``payload`` also gives
+        an outcome's, when one was built for the cache)."""
+        self.records[unit.uid] = record
+        defining = self.plan.defining_decl
+        if isinstance(record, UnitOutcome):
+            for member in record.members:
+                name = member.summary.name
+                if defining.get(name) == member.decl_index:
+                    self.schemes[name] = member.env_scheme
+        else:
+            payload = record
+        if payload is not None:
+            for decl_index, member in zip(unit.member_decls,
+                                          payload["members"]):
+                name = member["name"]
+                if defining.get(name) == decl_index:
+                    self.scheme_srcs[name] = member["scheme_src"]
+
+    def scheme(self, name: str) -> Optional[Scheme]:
+        if name in self.schemes:
+            return self.schemes[name]
+        src = self.scheme_srcs.get(name)
+        scheme: Optional[Scheme] = None
+        if src is not None:
+            from ..frontend.parser import parse_scheme
+
+            try:
+                scheme = parse_scheme(src)
+            except ParseError:
+                scheme = self._recheck(name)
+        self.schemes[name] = scheme
+        return scheme
+
+    def rendering(self, name: str) -> Optional[str]:
+        if name in self.scheme_srcs:
+            return self.scheme_srcs[name]
+        scheme = self.schemes.get(name)
+        src = canonical_scheme(scheme) if scheme is not None else None
+        self.scheme_srcs[name] = src
+        return src
+
+    def _recheck(self, name: str) -> Optional[Scheme]:
+        uid = self.plan.defining_unit.get(name)
+        if uid is None:
+            return None
+        unit = self.plan.units[uid]
+        outcome = self.pipeline.check_unit(self.plan, unit,
+                                           self.available_for(unit))
+        for member in outcome.members:
+            if member.summary.name == name:
+                return member.env_scheme
+        return None
+
+    def available_for(self, unit: CheckUnit) -> Dict[str, Optional[Scheme]]:
+        available = {dep: self.scheme(dep) for dep in unit.deps}
+        # Foreign names resolve only when the scope has an entry for them
+        # (a present-but-None entry means the exporting binding failed).
+        # Absent names stay unbound: ordinary scope errors.
+        for name in unit.foreign:
+            if name in self.scheme_srcs:
+                available[name] = self.scheme(name)
+        return available
+
     def dep_items(self, unit: CheckUnit
                   ) -> List[Tuple[str, Optional[str]]]:
-        items = [(dep, self.scheme_srcs.get(dep)) for dep in unit.deps]
+        items = [(dep, self.rendering(dep)) for dep in unit.deps]
         # Imported schemes the unit references are part of its key: a
         # change to one invalidates exactly the units naming it.
         items.extend((name, self.scheme_srcs[name]) for name in unit.foreign
@@ -922,103 +944,120 @@ class _FileState:
         """The module's export map (None when the file did not parse)."""
         if self.plan is None:
             return None
-        return {name: self.scheme_srcs.get(name)
+        return {name: self.rendering(name)
                 for name in sorted(self.plan.defining_decl)}
 
-    def resolve(self, plan_unit: CheckUnit, payload: dict,
-                outcome: Optional[UnitOutcome] = None) -> None:
-        """Record a unit's payload and export its defining schemes."""
-        self.payloads[plan_unit.uid] = payload
-        plan = self.plan
-        by_name = {}
-        if outcome is not None:
-            by_name = {m.summary.name: m for m in outcome.members}
-        for decl_index, member in zip(plan_unit.member_decls,
-                                      payload["members"]):
-            name = member["name"]
-            if plan.defining_decl.get(name) != decl_index:
-                continue
-            self.scheme_srcs[name] = member["scheme_src"]
-            if name in by_name:
-                self.schemes[name] = by_name[name].env_scheme
-
     def assemble(self) -> CheckResult:
-        """Stitch the resolved unit payloads into a slim file result."""
+        """Stitch the unit records back into declaration order.
+
+        Summaries and diagnostics come straight from outcomes, and are
+        rebuilt from payloads with their spans re-based onto this file.
+        Orphan signatures, and in single-file mode ``import``
+        declarations, draw warnings at their source positions.  The
+        result carries ``parsed``, and every binding its scheme object,
+        exactly when every unit has an outcome: only such a result can
+        seed :meth:`Session.run_from_check`.
+        """
         result = CheckResult(self.filename)
         result.diagnostics.extend(self.parse_diagnostics)
-        if self.parsed is None:
+        parsed = self.parsed
+        if parsed is None:
             result.ok = False
             return result
+        filename = self.filename
         plan = self.plan
         entries: Dict[int, Tuple[BindingSummary, List[Diagnostic]]] = {}
+        complete = True
         for unit in plan.units:
-            payload = self.payloads[unit.uid]
+            record = self.records[unit.uid]
+            if isinstance(record, UnitOutcome):
+                for member in record.members:
+                    diagnostics = member.diagnostics
+                    if diagnostics and diagnostics[0].filename != filename:
+                        # A deduplicated copy shares its original's outcomes.
+                        diagnostics = [dataclasses.replace(d, filename=filename)
+                                       for d in diagnostics]
+                    entries[member.decl_index] = (member.summary, diagnostics)
+                continue
+            complete = False
             for decl_index, member in zip(unit.member_decls,
-                                          payload["members"]):
-                span = _abs_span(unit, member["span"])
+                                          record["members"]):
                 summary = BindingSummary(
                     member["name"], None, member["rendered"], member["ok"],
-                    tuple(member["defaulted_rep_vars"]), span)
-                diagnostics = [
+                    tuple(member["defaulted_rep_vars"]),
+                    _abs_span(unit, member["span"]))
+                entries[decl_index] = (summary, [
                     Diagnostic(d["severity"], d["stage"], d["message"],
-                               self.filename, _abs_span(unit, d["span"]),
+                               filename, _abs_span(unit, d["span"]),
                                d["binding"])
-                    for d in member["diagnostics"]]
-                entries[decl_index] = (summary, diagnostics)
-        assemble_decl_order(plan, entries, result,
-                            imports_resolved=self.scope is not None)
+                    for d in member["diagnostics"]])
+
+        bound_names = plan.defining_decl
+        single_file = self.scope is None
+        for index, decl in enumerate(parsed.module.decls):
+            if single_file and isinstance(decl, ImportDecl):
+                result.diagnostics.append(Diagnostic(
+                    "warning", "parse",
+                    f"import {decl.name} is not resolved in single-file mode "
+                    "(use 'python -m repro build' to check a project)",
+                    filename, parsed.decl_span_list[index]))
+                continue
+            if isinstance(decl, TypeSig) and decl.name not in bound_names:
+                result.diagnostics.append(Diagnostic(
+                    "warning", "infer",
+                    f"type signature for {decl.name!r} lacks a binding",
+                    filename, parsed.decl_spans.get(("sig", decl.name)),
+                    decl.name))
+                continue
+            entry = entries.get(index)
+            if entry is None:
+                continue
+            summary, diagnostics = entry
+            result.diagnostics.extend(diagnostics)
+            result.bindings.append(summary)
+        if complete:
+            result.parsed = parsed
         result.ok = not result.errors
         return result
 
 
-#: One unit's outcome in a walk: (uid, key, payload, check seconds), the
-#: seconds None when the unit was a cache hit.
-_Step = Tuple[int, str, dict, Optional[float]]
+#: One unit's resolution in a walk: (uid, key, payload, check seconds).
+#: The key and payload are None where the unit met no cache, the seconds
+#: None for a cache hit.
+_Step = Tuple[int, Optional[str], Optional[dict], Optional[float]]
 
 
-def _lookup_in(cache: Optional[ResultCache], memo: Dict[str, dict]):
-    """A walk's lookup: the cache when there is one, then the in-batch
-    memo, so identical units check at most once even without a cache."""
-    def lookup(key: str) -> Optional[dict]:
-        traced = _TRACER.enabled
-        if traced:
-            _TRACER.begin("cache.lookup")
-        try:
-            payload = cache.lookup(key) if cache is not None else None
-            return payload if payload is not None else memo.get(key)
-        finally:
-            if traced:
-                _TRACER.end("cache.lookup")
-
-    return lookup
-
-
-def _walk(pipeline: Pipeline, state: _FileState, options: DriverOptions,
-          fingerprint: str, lookup, record) -> List[_Step]:
+def _walk(state: _FileState, cache: Optional[ResultCache],
+          fingerprint: Optional[str]) -> List[_Step]:
     """The unit walk: ``state``'s units in dependency order, each a cache
     hit or a check.
 
     A hit exports its scheme renderings just as a check does, so the next
     unit's key resolves either way: a dependent of an edited unit whose
-    scheme came out unchanged is still a hit (early cutoff).
-    ``record(key, payload)`` makes a fresh check visible to later lookups.
+    scheme came out unchanged is still a hit (early cutoff).  A check is
+    stored into ``cache`` at once, so a later unit of the batch with the
+    same key hits.  Without a cache every unit is checked, and no key or
+    payload is built.
     """
-    resolver = _SchemeResolver(pipeline, state.plan, state.scheme_srcs,
-                               state.schemes)
+    pipeline = state.pipeline
+    plan = state.plan
     steps: List[_Step] = []
     for unit in state.units:
-        key = unit_key(unit.source, state.dep_items(unit), options,
-                       fingerprint)
-        payload = lookup(key)
-        if payload is not None:
-            state.resolve(unit, payload)
-            steps.append((unit.uid, key, payload, None))
-            continue
-        outcome = pipeline.check_unit(state.plan, unit,
-                                      resolver.available_for(unit))
-        payload = payload_from_unit_outcome(outcome)
-        record(key, payload)
-        state.resolve(unit, payload, outcome)
+        key = payload = None
+        if cache is not None:
+            key = unit_key(unit.source, state.dep_items(unit),
+                           pipeline.options, fingerprint)
+            with _TRACER.span("cache.lookup"):
+                payload = cache.lookup(key)
+            if payload is not None:
+                state.resolve(unit, payload)
+                steps.append((unit.uid, key, payload, None))
+                continue
+        outcome = pipeline.check_unit(plan, unit, state.available_for(unit))
+        if cache is not None:
+            payload = payload_from_unit_outcome(outcome)
+            cache.store(key, payload)
+        state.resolve(unit, outcome, payload)
         steps.append((unit.uid, key, payload, outcome.seconds))
     return steps
 
@@ -1052,10 +1091,12 @@ def _worker_walk(shard: List[_FileJob], cache_path: Optional[str]
                  ) -> Tuple[List[Tuple[int, List[_Step]]], Optional[dict]]:
     """Walk one shard of files in a worker process.
 
-    The worker opens the cache directory read-only — it never stores or
-    saves; the parent records the checks it ships back — and re-derives
-    each plan from the shipped source, so its steps are byte-identical to
-    an in-process walk against the same cache.
+    The worker re-derives each plan from the shipped source and runs the
+    walk against the cache directory, so its steps are byte-identical to
+    an in-process walk against the same cache.  It stores what it checks
+    into the cache object it opened, so a later file of the shard can
+    hit, but never saves it: the parent alone stores and saves.  Every
+    step ships back with its payload.
 
     Returns ``(steps per job, trace_payload)``: when the worker tracer is
     on, the second element ships this process's spans (with its pid and
@@ -1063,22 +1104,22 @@ def _worker_walk(shard: List[_FileJob], cache_path: Optional[str]
     """
     session = _WORKER_SESSION
     assert session is not None, "worker used without _worker_init"
-    pipeline = session.pipeline
-    options = session.options
-    fingerprint = options_fingerprint(options)
-    memo: Dict[str, dict] = {}
-    cache = ResultCache(cache_path) if cache_path is not None else None
-    lookup = _lookup_in(cache, memo)
+    cache = fingerprint = None
+    if cache_path is not None:
+        cache = ResultCache(cache_path)
+        fingerprint = options_fingerprint(session.options)
     traced = _TRACER.enabled
     out = []
     for position, filename, source, scope in shard:
         if traced:
             _TRACER.begin("worker.file", file=filename)
         try:
-            state = _FileState(filename, source, pipeline, scope)
-            out.append((position, _walk(pipeline, state, options,
-                                        fingerprint, lookup,
-                                        memo.__setitem__)))
+            state = _FileState(filename, source, session.pipeline, scope)
+            steps = _walk(state, cache, fingerprint)
+            out.append((position, [
+                (uid, key, payload if payload is not None
+                 else payload_from_unit_outcome(state.records[uid]), seconds)
+                for uid, key, payload, seconds in steps]))
         finally:
             if traced:
                 _TRACER.end("worker.file")
@@ -1224,16 +1265,19 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
 
     A one-level project build whose modules have no imports in scope:
     every file goes through :func:`check_modules` in single-file mode, so
-    ``import`` declarations warn instead of resolving.  An unchanged file
-    is answered from one file-level entry without even re-parsing; an
-    edited file is parsed, planned and walked unit by unit — hits from
-    the per-unit cache (source slice + dependency schemes), checks
-    otherwise, in-process or across ``jobs`` worker processes.
+    ``import`` declarations warn instead of resolving.  With a cache, an
+    unchanged file is answered from one file-level entry without even
+    re-parsing; every other file is parsed, planned and walked unit by
+    unit — hits from the per-unit cache (source slice + dependency
+    schemes), checks otherwise, in-process or across ``jobs`` worker
+    processes.
 
-    Results always come back **in input order**, as slim payload-backed
-    :class:`CheckResult` values (``scheme``/``parsed``/``env`` are None).
-    ``stats`` (a :class:`CheckStats`) collects per-unit timing and cache
-    hit/miss counts for ``--stats``.
+    Results always come back **in input order**.  A file whose every
+    unit was checked in this process gets a full result (``parsed`` and
+    scheme objects set); one with any unit from the cache or a worker
+    gets the slim payload-backed form (``scheme``/``parsed``/``env`` are
+    None).  ``stats`` (a :class:`CheckStats`) collects per-unit timing
+    and cache hit/miss counts for ``--stats``.
     """
     options = options or DriverOptions()
     if session is None:
@@ -1259,12 +1303,13 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     exported renderings, or is None in single-file mode (see
     :func:`file_key`).  Returns ``(result, exports)`` per module in input
     order; ``exports`` is None in single-file mode and for a module that
-    did not parse.  An unchanged module is answered from its file-level
-    entry — in project mode together with its ``exports:`` entry, which
-    importers need without a re-parse; every other module goes through
-    the unit walk.  Identical modules walk once, their copies counted as
-    ``skipped``.  ``stats`` counters accumulate, so the project build
-    threads one object through its levels.
+    did not parse.  With a cache, an unchanged module is answered from
+    its file-level entry — in project mode together with its
+    ``exports:`` entry, which importers need without a re-parse; every
+    other module goes through the unit walk.  Identical modules walk
+    once, their copies counted as ``skipped``.  ``stats`` counters
+    accumulate, so the project build threads one object through its
+    levels.
     """
     jobs = max(1, int(jobs or 1))
     if stats is None:
@@ -1273,24 +1318,24 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
         # or not the caller asked for a --stats table.
         stats = CheckStats()
     pipeline = session.pipeline
-    fingerprint = options_fingerprint(options)
+    fingerprint = options_fingerprint(options) if cache is not None else None
 
     done: List[Optional[Tuple[CheckResult, Optional[_Renderings]]]] = \
         [None] * len(modules)
-    keys: List[str] = []
+    keys: Dict[int, str] = {}
     active: List[Tuple[int, _FileState]] = []
     for index, (filename, source, scope) in enumerate(modules):
-        key = file_key(source, scope, options, fingerprint)
-        keys.append(key)
-        payload = cache.lookup_file(key) if cache is not None else None
-        exports = cache.lookup_exports(key) \
-            if payload is not None and scope is not None else None
-        if payload is not None and (scope is None or exports is not None):
-            done[index] = (result_from_payload(payload, filename),
-                           exports["exports"] if exports else None)
-            _REGISTRY.inc("cache.file_hits")
-            stats.file_hits += 1
-            continue
+        if cache is not None:
+            key = keys[index] = file_key(source, scope, options, fingerprint)
+            payload = cache.lookup_file(key)
+            exports = cache.lookup_exports(key) \
+                if payload is not None and scope is not None else None
+            if payload is not None and (scope is None or exports is not None):
+                done[index] = (result_from_payload(payload, filename),
+                               exports["exports"] if exports else None)
+                _REGISTRY.inc("cache.file_hits")
+                stats.file_hits += 1
+                continue
         active.append((index, _FileState(filename, source, pipeline, scope)))
 
     parse_failures = sum(1 for _, state in active if state.plan is None)
@@ -1300,35 +1345,28 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     stats.files += len(modules)
     stats.parse_failures += parse_failures
 
-    memo: Dict[str, dict] = {}
-    lookup = _lookup_in(cache, memo)
-
-    def record(key: str, payload: dict) -> None:
-        memo[key] = payload
-        if cache is not None:
-            cache.store(key, payload)  # identical payloads store free
-
     # Identical modules walk once (in a worker, or here); each copy takes
-    # the first one's steps as "skipped" rows.
+    # the first one's records, and its units count as "skipped".
     walked = [state for _, state in active if state.plan is not None]
     first: Dict[Tuple, _FileState] = {}
-    for state in walked:
-        first.setdefault(state.signature, state)
-    unique = [state for state in walked if first[state.signature] is state]
+    originals = [first.setdefault(state.signature, state) for state in walked]
+    unique = list(first.values())
     steps_of = {id(state): steps for state, steps in zip(
         unique, _dispatch(unique, options, jobs, cache, session))
         if steps is not None}
-    for state in walked:
-        original = first[state.signature]
+    for state, original in zip(walked, originals):
         steps = steps_of.get(id(original))
         if steps is None:
-            steps = steps_of[id(state)] = _walk(
-                pipeline, state, options, fingerprint, lookup, record)
-        else:
+            steps = steps_of[id(state)] = _walk(state, cache, fingerprint)
+        elif original is state:
+            # Shipped back by a worker: the parent stores its checks.
             for uid, key, payload, seconds in steps:
                 state.resolve(state.plan.units[uid], payload)
-                if original is state and seconds is not None:
-                    record(key, payload)
+                if cache is not None and seconds is not None:
+                    cache.store(key, payload)
+        else:
+            for unit in state.units:
+                state.resolve(unit, original.records[unit.uid])
         for uid, _key, _payload, seconds in steps:
             unit = state.plan.units[uid]
             if original is not state:

@@ -345,3 +345,11 @@ def lower_entry(module: Module, schemes: Dict[str, Scheme],
     if entry_term is None:
         raise LoweringError(f"no binding named {entry!r} to lower")
     return entry_term
+
+
+def lower_checked(check, entry: str = "main") -> LExpr:
+    """Lower ``entry`` of a complete check result (``check.parsed`` set)
+    through :func:`lower_entry`, with the schemes its bindings carry."""
+    schemes = {binding.name: binding.scheme for binding in check.bindings
+               if binding.scheme is not None}
+    return lower_entry(check.parsed.module, schemes, entry)

@@ -3,18 +3,18 @@ pretty-print / compile / run.
 
 Two layers:
 
-* :class:`Pipeline` — the staged checker.  Each stage consumes the state
-  produced by the previous one and appends structured
-  :class:`Diagnostic` values (with source spans from the frontend) instead
-  of raising, so one bad binding never hides the others: the pipeline
-  checks every binding of every module it is given, exactly like a batch
-  compiler.
+* :class:`Pipeline` — the staged checker.  It parses a file and checks
+  one compilation unit at a time, appending structured
+  :class:`Diagnostic` values (with source spans from the frontend)
+  instead of raising, so one bad binding never hides the others.
 
 * :class:`Session` — a long-lived wrapper that caches the prelude
   environment, exposes the one-shot conveniences (:meth:`Session.check`,
   :meth:`Session.run`, :meth:`Session.compile`) and the **batch API**
   (:meth:`Session.check_many`) used by the throughput benchmark and the
-  CLI, plus the small amount of mutable state the REPL needs.
+  CLI, plus the small amount of mutable state the REPL needs.  Every
+  check runs one unit walk (:mod:`repro.driver.batch`): ``check`` is
+  that walk over one file without a cache.
 
 Stage inventory (``Pipeline.STAGES``):
 
@@ -24,7 +24,7 @@ Stage inventory (``Pipeline.STAGES``):
     :mod:`repro.infer` — per-binding type inference / signature checking.
     Each binding gets a fresh :class:`~repro.infer.infer.Inferencer` so a
     unification failure in one binding cannot poison the next; bindings
-    still see every earlier binding's scheme through the environment.
+    see the schemes of the bindings they use through the environment.
 ``levity``
     the Section 5.1 post-pass (already threaded through ``infer_binding``);
     violations become diagnostics carrying the binding's source span.
@@ -51,10 +51,12 @@ from ..frontend.parser import ParsedModule, parse_expr, parse_module
 from ..infer.infer import Inferencer, InferOptions
 from ..infer.schemes import Scheme, TypeEnv
 from ..pretty.printer import PrinterOptions, render_scheme
-from ..surface.ast import FunBind, ImportDecl, Module, TypeSig
+from ..surface.ast import FunBind, Module
 from ..surface.prelude import prelude_env
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
-from .depgraph import CheckUnit, ModulePlan, build_plan
+# ``build_plan`` is unused here, but perfbench wraps it as an attribute
+# of this module to time the depgraph layer; keep the name importable.
+from .depgraph import CheckUnit, ModulePlan, build_plan  # noqa: F401
 
 __all__ = [
     "Diagnostic",
@@ -66,7 +68,6 @@ __all__ = [
     "UnitOutcome",
     "Pipeline",
     "Session",
-    "assemble_decl_order",
     "render_snippet",
 ]
 
@@ -375,16 +376,16 @@ class UnitOutcome:
 class Pipeline:
     """The staged parse → infer → levity → default checker.
 
-    Since the binding-level refactor the pipeline checks **compilation
-    units** (single bindings, or SCC groups of mutually recursive ones) in
-    dependency order: each unit's typing environment is the prelude plus
-    exactly the schemes of the unit's direct dependencies.  That makes a
-    unit's outcome a pure function of its own source text and those
-    schemes — the property the per-unit incremental cache
-    (:mod:`repro.driver.batch`) keys on — and turns per-binding error
-    recovery structural: a unit whose dependency failed without leaving a
-    trusted scheme is *skipped* with a precise diagnostic instead of
-    producing a misleading cascade.
+    It parses a file and checks one **compilation unit** (a single
+    binding, or an SCC group of mutually recursive ones) at a time; the
+    unit walk of :mod:`repro.driver.batch` calls it in dependency order.
+    Each unit's typing environment is the prelude plus exactly the
+    schemes of the unit's direct dependencies.  That makes a unit's
+    outcome a pure function of its own source text and those schemes —
+    the property the per-unit incremental cache keys on — and turns
+    per-binding error recovery structural: a unit whose dependency failed
+    without leaving a trusted scheme is *skipped* with a precise
+    diagnostic instead of producing a misleading cascade.
     """
 
     STAGES = ("parse", "infer", "levity", "default")
@@ -419,49 +420,7 @@ class Pipeline:
             if traced:
                 _TRACER.end("parse")
 
-    # -- infer + levity + default -------------------------------------------
-
-    def check(self, source: str, filename: str = "<input>") -> CheckResult:
-        parsed, diagnostics = self.parse(source, filename)
-        result = CheckResult(filename, parsed=parsed)
-        result.diagnostics.extend(diagnostics)
-        if parsed is None:
-            result.ok = False
-            return result
-        with _TRACER.span("depgraph", file=filename):
-            plan = build_plan(parsed)
-        outcomes = self.check_plan(plan)
-        self.assemble(plan, outcomes, result)
-        result.ok = not result.errors
-        return result
-
-    # -- unit-granularity checking -------------------------------------------
-
-    def check_plan(self, plan: ModulePlan) -> Dict[int, UnitOutcome]:
-        """Check every unit of a plan in dependency order."""
-        available: Dict[str, Optional[Scheme]] = {}
-        outcomes: Dict[int, UnitOutcome] = {}
-        for unit in plan.units:
-            outcome = self.check_unit(plan, unit, available)
-            outcomes[unit.uid] = outcome
-            self.export_unit(plan, outcome, available)
-        return outcomes
-
-    @staticmethod
-    def export_unit(plan: ModulePlan, outcome: UnitOutcome,
-                    available: Dict[str, Optional[Scheme]]) -> None:
-        """Publish a checked unit's schemes for its dependents.
-
-        Only the *defining* declaration of a name exports (last definition
-        wins, consistent with :meth:`Module.bindings`); an entry may be
-        None — "this name exists but produced no trustworthy scheme" —
-        which makes dependents fail structurally instead of with a bogus
-        scope error.
-        """
-        for member in outcome.members:
-            name = member.summary.name
-            if plan.defining_decl.get(name) == member.decl_index:
-                available[name] = member.env_scheme
+    # -- infer + levity + default, one unit ----------------------------------
 
     def check_unit(self, plan: ModulePlan, unit: CheckUnit,
                    available: Mapping[str, Optional[Scheme]]) -> UnitOutcome:
@@ -620,71 +579,6 @@ class Pipeline:
                 else None))
         return members
 
-    def assemble(self, plan: ModulePlan, outcomes: Dict[int, UnitOutcome],
-                 result: CheckResult) -> None:
-        """Stitch unit outcomes back into declaration order."""
-        member_by_decl: Dict[int, MemberOutcome] = {
-            member.decl_index: member
-            for outcome in outcomes.values()
-            for member in outcome.members}
-        assemble_decl_order(
-            plan,
-            {index: (member.summary, member.diagnostics)
-             for index, member in member_by_decl.items()},
-            result)
-
-        schemes: Dict[str, Scheme] = {}
-        for name, decl_index in plan.defining_decl.items():
-            member = member_by_decl.get(decl_index)
-            if member is not None and member.env_scheme is not None:
-                schemes[name] = member.env_scheme
-        result.env = self.base_env.bind_many(schemes) if schemes \
-            else self.base_env
-
-
-def assemble_decl_order(
-        plan: ModulePlan,
-        entries: Dict[int, Tuple[BindingSummary, List[Diagnostic]]],
-        result: CheckResult,
-        imports_resolved: bool = False) -> None:
-    """Stitch per-declaration (summary, diagnostics) entries back into
-    declaration order, interleaving orphan-signature warnings at their
-    source positions.
-
-    Shared by :meth:`Pipeline.assemble` (full results) and the batch
-    path's payload assembly (:mod:`repro.driver.batch`), so the two can
-    never drift apart — the byte-identity of cached and cold results
-    depends on them agreeing.
-
-    ``imports_resolved`` is False in single-file mode, where ``import``
-    declarations cannot be resolved: each one then produces a warning at
-    its source position (the project build path passes True and resolves
-    them for real).
-    """
-    parsed = plan.parsed
-    bound_names = set(plan.defining_decl)
-    for index, decl in enumerate(parsed.module.decls):
-        if isinstance(decl, ImportDecl) and not imports_resolved:
-            result.diagnostics.append(Diagnostic(
-                "warning", "parse",
-                f"import {decl.name} is not resolved in single-file mode "
-                "(use 'python -m repro build' to check a project)",
-                parsed.filename, parsed.decl_span_list[index]))
-            continue
-        if isinstance(decl, TypeSig) and decl.name not in bound_names:
-            result.diagnostics.append(Diagnostic(
-                "warning", "infer",
-                f"type signature for {decl.name!r} lacks a binding",
-                parsed.filename,
-                parsed.decl_spans.get(("sig", decl.name)), decl.name))
-            continue
-        entry = entries.get(index)
-        if entry is None:
-            continue
-        summary, diagnostics = entry
-        result.diagnostics.extend(diagnostics)
-        result.bindings.append(summary)
-
 
 # ---------------------------------------------------------------------------
 # Sessions
@@ -820,8 +714,13 @@ class Session:
     # -- the one-shot pipeline entry points ----------------------------------
 
     def check(self, source: str, filename: str = "<input>") -> CheckResult:
-        """parse → infer → levity-check → Rep-default one module."""
-        return self.pipeline.check(source, filename)
+        """parse → infer → levity-check → Rep-default one module: the unit
+        walk over one file without a cache, so the result is complete
+        (``parsed`` and every scheme object set)."""
+        from .batch import check_modules
+
+        return check_modules([(filename, source, None)], self.options, 1,
+                             None, self)[0][0]
 
     def check_many(self, sources: Iterable[Tuple[str, str]],
                    jobs: Optional[int] = None,
@@ -844,15 +743,12 @@ class Session:
         * ``stats`` — a :class:`repro.driver.batch.CheckStats` collecting
           per-unit timing and cache hit/miss counts (``--stats``).
 
-        With none of them (the default) this is the plain in-process loop
-        and results carry full schemes/parse trees.  Otherwise the results
-        are the slim payload form (rendered schemes and diagnostics
-        preserved; ``scheme``/``parsed``/``env`` are ``None``) — see
-        :mod:`repro.driver.batch`.
+        A file whose every unit was checked in this process gets a full
+        result, as :meth:`check` returns; one with any unit from the cache
+        or a worker gets the slim payload form (rendered schemes and
+        diagnostics preserved; ``scheme``/``parsed``/``env`` are ``None``)
+        — see :mod:`repro.driver.batch`.
         """
-        if (jobs is None or jobs <= 1) and cache is None and stats is None:
-            return [self.pipeline.check(source, filename)
-                    for filename, source in sources]
         from .batch import check_many_sharded
 
         return check_many_sharded(sources, self.options,
@@ -982,12 +878,10 @@ class Session:
         machine that *succeeds* where the evaluator errored is a real
         divergence.
         """
-        from .lower import LoweringError, lower_entry
+        from .lower import LoweringError, lower_checked
 
-        schemes = {b.name: b.scheme for b in check.bindings
-                   if b.scheme is not None}
         try:
-            term = lower_entry(check.parsed.module, schemes, entry)
+            term = lower_checked(check, entry)
         except LoweringError as exc:
             result.machine_skipped = str(exc)
             check.diagnostics.append(Diagnostic(
@@ -1041,16 +935,14 @@ class Session:
         if not check.ok:
             return result
 
-        from .lower import LoweringError, lower_entry
+        from .lower import LoweringError, lower_checked
         from ..compile.compiler import compile_expr
         from ..lang_l.typing import type_of
         from ..lang_l.syntax import Context
         from ..lang_m.machine import run as run_machine
 
-        schemes = {b.name: b.scheme for b in check.bindings
-                   if b.scheme is not None}
         try:
-            term = lower_entry(check.parsed.module, schemes, entry)
+            term = lower_checked(check, entry)
             l_type = type_of(Context(), term)
             compiled = compile_expr(term)
             outcome = run_machine(compiled.code)

@@ -34,10 +34,10 @@ oracle             property checked
                    obligation, plus an uncapped end-to-end answer check
 =================  ==========================================================
 
-The type-check pass can be fanned out through the sharded batch checker
-(``jobs=``/``cache=`` are forwarded to
-:meth:`repro.driver.session.Session.check_many`), which is how the CLI and
-``bench_e14`` run 1000+-program corpora.
+A corpus is type-checked in one
+:meth:`repro.driver.session.Session.check_many` call, the unit walk every
+check runs; ``jobs=``/``cache=`` are forwarded to it, which is how the CLI
+and ``bench_e14`` run 1000+-program corpora.
 """
 
 from __future__ import annotations
@@ -248,21 +248,17 @@ class DifferentialHarness:
     def run_corpus(self, programs: Sequence[GenProgram],
                    jobs: Optional[int] = None,
                    cache=None, stats=None) -> FuzzReport:
-        """Check a whole corpus; ``jobs``/``cache`` shard the type-check pass
-        through :meth:`Session.check_many` — at binding granularity, so a
-        re-fuzz over a mostly-unchanged corpus re-checks only the bindings
-        that actually changed (``stats`` observes the unit cache exactly as
-        ``repro check --stats`` does).  The run/roundtrip oracles are
-        inherently in-process."""
+        """Check a whole corpus through :meth:`Session.check_many`, then
+        run every oracle per program.  ``jobs``/``cache`` shard the
+        type-check pass at binding granularity, so a re-fuzz over a
+        mostly-unchanged corpus re-checks only the bindings that actually
+        changed (``stats`` observes the unit cache exactly as ``repro
+        check --stats`` does).  The run/roundtrip oracles are inherently
+        in-process."""
         report = FuzzReport()
-        checks: List[Optional[CheckResult]]
-        if jobs is not None and jobs > 1 or cache is not None \
-                or stats is not None:
-            checks = list(self.session.check_many(
-                [(program.filename, program.source) for program in programs],
-                jobs=jobs, cache=cache, stats=stats))
-        else:
-            checks = [None] * len(programs)
+        checks = self.session.check_many(
+            [(program.filename, program.source) for program in programs],
+            jobs=jobs, cache=cache, stats=stats)
         for program, check in zip(programs, checks):
             report.programs += 1
             if program.fragment:

@@ -28,17 +28,15 @@ def validate_check(session, check, entry: str = "main",
     ``report.engaged``.  ``session`` is the one that checked ``check``;
     the validator itself needs nothing from it.
     """
-    from ..driver.lower import LoweringError, lower_entry
+    from ..driver.lower import LoweringError, lower_checked
 
     if not check.ok:
         report = ValidationReport(filename=check.filename, entry=entry)
         report.engaged = False
         report.reason = "module did not type-check"
         return report
-    schemes = {b.name: b.scheme for b in check.bindings
-               if b.scheme is not None}
     try:
-        term = lower_entry(check.parsed.module, schemes, entry)
+        term = lower_checked(check, entry)
     except LoweringError as exc:
         report = ValidationReport(filename=check.filename, entry=entry)
         report.engaged = False

@@ -232,7 +232,7 @@ class TestIncrementalCache:
         assert all(value != {} for value in repaired.entries.values())
 
     def test_run_only_options_do_not_invalidate_the_cache(self, tmp_path):
-        # The evaluator backend never affects Pipeline.check, so changing
+        # The evaluator backend never affects checking, so changing
         # it must not cold-start the check cache.
         corpus = make_corpus(3)
         path = str(tmp_path / "cache.json")
@@ -337,7 +337,7 @@ class TestBindingLevelInvalidation:
             payload_bytes(result_to_payload(results[0]))
 
     def test_incremental_results_match_cold_full_pipeline(self, tmp_path):
-        """Slim cached results must be byte-identical to Pipeline.check."""
+        """Slim cached results must be byte-identical to a cold check."""
         path = str(tmp_path / "cache.json")
         session = Session()
         session.check_many([("dep.lev", DEP_MODULE)], cache=path)
@@ -354,6 +354,98 @@ class TestBindingLevelInvalidation:
                                         cache=str(tmp_path / "b.json"))
         assert [payload_bytes(result_to_payload(r)) for r in serial] == \
             [payload_bytes(result_to_payload(r)) for r in parallel]
+
+
+#: Two files sharing one identical unit (`shared`, same slice, no deps).
+SHARED_UNIT = [
+    ("a.lev", "shared :: Int# -> Int#\nshared x = x +# 1#\n\n"
+              "a :: Int#\na = shared 1#\n"),
+    ("b.lev", "shared :: Int# -> Int#\nshared x = x +# 1#\n\n"
+              "b :: Int#\nb = shared 2#\n"),
+]
+
+
+class TestOneWalk:
+    """``Session.check`` and every batch call run one unit walk; keys and
+    payloads exist only where a unit meets a cache or a worker."""
+
+    def test_without_a_cache_a_shared_unit_is_checked_in_each_file(self):
+        from repro.driver import CheckStats
+
+        stats = CheckStats()
+        Session().check_many(SHARED_UNIT, stats=stats)
+        shared = [t.source for t in stats.timings if t.names == ("shared",)]
+        assert shared == ["checked", "checked"]
+        assert stats.checked == 4 and stats.cache_hits == 0
+
+    def test_with_a_cache_a_shared_unit_is_checked_once(self, tmp_path):
+        from repro.driver import CheckStats
+
+        stats = CheckStats()
+        Session().check_many(SHARED_UNIT, cache=str(tmp_path / "c"),
+                             stats=stats)
+        shared = [t.source for t in stats.timings if t.names == ("shared",)]
+        assert shared == ["checked", "hit"]
+        assert stats.checked == 3 and stats.cache_hits == 1
+
+    def test_a_check_without_a_cache_builds_no_key_or_payload(
+            self, monkeypatch):
+        import repro.driver.batch as batch
+        from repro.driver import CheckStats
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("built without a cache")
+
+        for name in ("options_fingerprint", "file_key", "unit_key",
+                     "payload_from_unit_outcome"):
+            monkeypatch.setattr(batch, name, forbidden)
+        check = Session().check(DEP_MODULE, "dep.lev")
+        assert check.ok and check.parsed is not None
+        assert [b.rendered for b in check.bindings] == \
+            ["Int# -> Int#", "Int#", "Int#", "Int#"]
+        stats = CheckStats()
+        results = Session().check_many(SHARED_UNIT, stats=stats)
+        assert all(r.ok and r.parsed is not None for r in results)
+        assert stats.checked == 4
+
+    def test_batch_results_equal_session_check_with_schemes(self):
+        corpus = [("dep.lev", DEP_MODULE), ("bad.lev", "a = mystery\n")] \
+            + SHARED_UNIT
+        session = Session()
+        batch = session.check_many(corpus)
+        for (filename, source), result in zip(corpus, batch):
+            single = session.check(source, filename)
+            assert result.parsed is not None
+            assert result.bindings == single.bindings
+            assert all(b.scheme is not None for b in result.bindings
+                       if b.ok)
+            assert result.diagnostics == single.diagnostics
+            assert result.ok == single.ok
+
+    def test_identical_files_keep_their_own_filenames(self):
+        from repro.driver import CheckStats
+
+        source = "bad :: Int#\nbad = notInScope\n"
+        stats = CheckStats()
+        results = Session().check_many([("a.lev", source), ("b.lev", source)],
+                                       stats=stats)
+        assert [t.source for t in stats.timings] == ["checked", "skipped"]
+        for result in results:
+            assert result.parsed is not None
+            assert [d.filename for d in result.diagnostics] == \
+                [result.filename]
+
+    def test_an_edit_against_a_warm_cache_gives_a_slim_result(self, tmp_path):
+        path = str(tmp_path / "cache")
+        Session().check_many([("dep.lev", DEP_MODULE)], cache=path)
+        edited = DEP_MODULE.replace("lone = 7#", "lone = 8#")
+        (result,) = Session().check_many([("dep.lev", edited)],
+                                         cache=ResultCache(path))
+        assert result.ok and result.parsed is None
+        schemes = {b.name: b.scheme for b in result.bindings}
+        assert schemes["lone"] is not None  # re-checked here
+        assert [schemes[name] for name in ("base", "mid", "top")] == \
+            [None, None, None]  # served by the cache
 
 
 def _tagged(tag):

@@ -42,6 +42,18 @@ main :: Int#
 main = unbox (I# 17#)
 """
 
+#: The same binding defined twice: two identical units, one key.
+DUP = """\
+g :: Int# -> Int#
+g x = x +# 1#
+
+g :: Int# -> Int#
+g x = x +# 1#
+
+main :: Int#
+main = g 41#
+"""
+
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
@@ -142,6 +154,15 @@ class TestRunAndCompile:
         assert result.value == "17#"
         assert result.machine_value == "17"
         assert result.machine_steps > 0
+
+    def test_run_with_a_repeated_unit_keeps_a_full_check(self):
+        # Both copies of `g` are checked here, so the check keeps its
+        # parse tree and schemes and the run can seed the evaluator.
+        result = Session().run(DUP, "dup.lev")
+        assert result.ok
+        assert result.check.parsed is not None
+        assert "main = 42#" in result.pretty()
+        assert result.machine_agrees is True
 
     def test_run_missing_entry(self):
         result = Session().run("f :: Int#\nf = 1#\n", "noentry.lev")

@@ -145,6 +145,33 @@ class TestPoolLifecycle:
         assert session.pool_stats["serial_batches"] == 1
         assert session._pool is None
 
+    def test_cli_commands_close_their_sessions(self, monkeypatch, tmp_path,
+                                               capsys):
+        import repro.__main__ as cli
+
+        created = []
+
+        class RecordingSession(Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(cli, "Session", RecordingSession)
+        monkeypatch.setenv(PARALLEL_MODE_ENV, "always")
+        files = []
+        for filename, source in make_corpus(4):
+            path = tmp_path / filename
+            path.write_text(source)
+            files.append(str(path))
+        project = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "examples", "project")
+        assert cli.main(["check", "--jobs", "2", *files]) == 0
+        assert cli.main(["build", "--jobs", "2", project]) == 0
+        capsys.readouterr()
+        assert len(created) == 2
+        assert all(s.pool_stats["pools_created"] == 1 for s in created)
+        assert all(s._pool is None for s in created)
+
 
 class TestSchedulingPolicy:
     """`_effective_jobs` is the whole policy; drive it directly."""
