@@ -20,8 +20,8 @@ import pytest
 
 from benchreport import emit
 from repro.core.rep import INT_REP, LIFTED, DOUBLE_REP, TupleRep
-from repro.runtime import Evaluator, Program, UnboxedInt
-from repro.runtime.programs import div_mod_unboxed_module
+from repro.runtime import Evaluator, UnboxedInt
+from repro.runtime.programs import WORKLOADS_SOURCE, checked_program
 from repro.surface.types import (
     BOOL_TY,
     DOUBLE_HASH_TY,
@@ -75,7 +75,7 @@ def test_report_nesting_ablation():
 
 
 def test_report_divmod_in_registers():
-    program = Program.from_module(div_mod_unboxed_module())
+    program = checked_program(WORKLOADS_SOURCE)
     evaluator = Evaluator(program)
     value = evaluator.run("divMod#", UnboxedInt(29), UnboxedInt(4))
     emit("E10: divMod# returns via registers (Section 2.3)", [
@@ -97,7 +97,7 @@ def test_bench_tuple_kind_computation(benchmark):
 
 @pytest.mark.benchmark(group="e10-tuples")
 def test_bench_divmod(benchmark):
-    program = Program.from_module(div_mod_unboxed_module())
+    program = checked_program(WORKLOADS_SOURCE)
 
     def run():
         evaluator = Evaluator(program)

@@ -34,10 +34,10 @@ import pytest
 
 from benchreport import emit, record_counter, record_timing, report_only, time_op
 from repro.core.rep import INT_REP, LIFTED, DOUBLE_REP, TupleRep
-from repro.infer import infer_module
 from legacy_unify import LegacyUnifierState
 from repro.infer.unify import UnifierState
 from repro.surface.ast import EVar, FunBind, Module, apply
+from repro.surface.prelude import prelude_env
 from repro.surface.types import INT_TY, UnboxedTupleTy, INT_HASH_TY, DOUBLE_HASH_TY
 
 DEEP_CHAIN_N = 1200
@@ -104,18 +104,26 @@ def _chained_module(n=MODULE_BINDINGS):
 
 
 def _infer_stress_module(unifier_cls):
-    """Run full inference over the chained module with a chosen solver."""
+    """Run full inference over the chained module with a chosen solver:
+    one inferencer, every binding in declaration order, each seeing the
+    schemes of those before it.  Returns the schemes by name."""
     import repro.infer.infer as infer_mod
 
     module = _chained_module()
     original = infer_mod.UnifierState
     infer_mod.UnifierState = unifier_cls
     try:
-        result = infer_module(module)
+        inferencer = infer_mod.Inferencer()
+        env, schemes = prelude_env(), {}
+        for bind in module.decls:
+            scheme = inferencer.infer_binding(env, bind.name, bind.params,
+                                              bind.rhs).scheme
+            schemes[bind.name] = scheme
+            env = env.bind(bind.name, scheme)
     finally:
         infer_mod.UnifierState = original
-    assert len(result.schemes) == MODULE_BINDINGS
-    return result
+    assert len(schemes) == MODULE_BINDINGS
+    return schemes
 
 
 # ---------------------------------------------------------------------------
@@ -207,5 +215,5 @@ def test_module_inference_agrees_across_solvers():
     """Both solvers must infer identical schemes for the stress module."""
     current = _infer_stress_module(UnifierState)
     legacy = _infer_stress_module(LegacyUnifierState)
-    for name, scheme in current.schemes.items():
-        assert scheme.pretty() == legacy.schemes[name].pretty()
+    for name, scheme in current.items():
+        assert scheme.pretty() == legacy[name].pretty()

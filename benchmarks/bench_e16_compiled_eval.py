@@ -27,10 +27,11 @@ import pytest
 from benchreport import emit, record_counter, report_only, time_op
 from repro.driver import DriverOptions, Session
 from repro.driver.batch import ResultCache
-from repro.runtime.evaluator import Evaluator, Program
+from repro.runtime.evaluator import Evaluator
 from repro.runtime.programs import (
-    sum_to_boxed_module,
-    sum_to_unboxed_module,
+    SUM_TO_BOXED_SOURCE,
+    SUM_TO_UNBOXED_SOURCE,
+    checked_program,
 )
 from repro.runtime.values import UnboxedInt
 
@@ -48,9 +49,8 @@ COMPILED_SPEEDUP_FLOOR = 10.0
 CODEGEN_BINDINGS = 30
 
 
-def _run_loop(module, name, n, compiled):
-    program = Program.from_module(module)
-    evaluator = Evaluator(program, compiled=compiled)
+def _run_loop(source, name, n, compiled):
+    evaluator = Evaluator(checked_program(source), compiled=compiled)
     result = evaluator.run(name, UnboxedInt(0) if name == "sumTo#"
                            else evaluator.boxed_int(0),
                            UnboxedInt(n) if name == "sumTo#"
@@ -78,17 +78,17 @@ def test_report_compiled_eval_throughput(tmp_path):
 
     timings = {}
     runs = [
-        ("interpreted_unboxed", sum_to_unboxed_module(), "sumTo#",
+        ("interpreted_unboxed", SUM_TO_UNBOXED_SOURCE, "sumTo#",
          N_UNBOXED, False, expected_unboxed),
-        ("compiled_unboxed", sum_to_unboxed_module(), "sumTo#",
+        ("compiled_unboxed", SUM_TO_UNBOXED_SOURCE, "sumTo#",
          N_UNBOXED, True, expected_unboxed),
-        ("interpreted_boxed", sum_to_boxed_module(), "sumTo",
+        ("interpreted_boxed", SUM_TO_BOXED_SOURCE, "sumTo",
          N_BOXED, False, expected_boxed),
-        ("compiled_boxed", sum_to_boxed_module(), "sumTo",
+        ("compiled_boxed", SUM_TO_BOXED_SOURCE, "sumTo",
          N_BOXED, True, expected_boxed),
     ]
-    for label, module, name, n, compiled, expected in runs:
-        result = time_op(f"e16.{label}", _run_loop, module, name, n,
+    for label, source, name, n, compiled, expected in runs:
+        result = time_op(f"e16.{label}", _run_loop, source, name, n,
                          compiled, repeats=3, meta={"n": n})
         assert result == expected, \
             f"{label} computed {result}, expected {expected}"

@@ -37,7 +37,7 @@ from benchreport import (
     report_only,
 )
 from repro.infer.unify import UnifierState
-from repro.runtime.programs import sum_to_unboxed_module
+from repro.runtime.programs import SUM_TO_UNBOXED_SOURCE
 from repro.telemetry import REGISTRY, TRACER
 
 #: The tentpole gate: disabled-telemetry wall clock vs the pre-PR
@@ -60,7 +60,7 @@ def _workload_deep_chain():
 
 def _workload_compiled_loop():
     expected = N_UNBOXED * (N_UNBOXED + 1) // 2
-    result = _run_loop(sum_to_unboxed_module(), "sumTo#", N_UNBOXED, True)
+    result = _run_loop(SUM_TO_UNBOXED_SOURCE, "sumTo#", N_UNBOXED, True)
     assert result == expected
 
 

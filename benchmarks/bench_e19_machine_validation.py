@@ -39,9 +39,8 @@ DISCHARGE_FLOOR_PROGRAMS_PER_SEC = 5.0
 
 def _compiled_loop():
     from repro.compile import compile_expr
-    from repro.driver.lower import lower_entry
-    from repro.frontend import parse_module
-    from repro.infer import infer_module
+    from repro.driver import Session
+    from repro.driver.lower import lower_checked
 
     source = (
         "sumTo# :: Int# -> Int# -> Int#\n"
@@ -49,10 +48,7 @@ def _compiled_loop():
         "{ 1# -> acc; _ -> sumTo# (acc +# n) (n -# 1#) }\n"
         "main :: Int#\n"
         f"main = sumTo# 0# {LOOP_ITERATIONS}#\n")
-    parsed = parse_module(source)
-    schemes = infer_module(parsed.module).schemes
-    term = lower_entry(parsed.module, schemes, "main")
-    return compile_expr(term)
+    return compile_expr(lower_checked(Session().check(source)))
 
 
 def test_report_machine_validation(tmp_path):

@@ -51,7 +51,7 @@ from ..frontend.parser import ParsedModule, parse_expr, parse_module
 from ..infer.infer import Inferencer, InferOptions
 from ..infer.schemes import Scheme, TypeEnv
 from ..pretty.printer import PrinterOptions, render_scheme
-from ..surface.ast import FunBind, Module
+from ..surface.ast import FunBind
 from ..surface.prelude import prelude_env
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 # ``build_plan`` is unused here, but perfbench wraps it as an attribute
@@ -268,28 +268,6 @@ class CompileResult:
                 lines.append(f"M  result : {self.machine_value} "
                              f"({self.machine_steps} machine steps)")
         return "\n".join(lines)
-
-
-def _program_from_check(module: Module, check: CheckResult):
-    """Build an executable Program from already-inferred schemes.
-
-    ``Program.from_module`` would re-run inference over the whole module;
-    the pipeline just did that, so reuse its schemes to derive each
-    function's calling convention.
-    """
-    from ..runtime.evaluator import (
-        Program,
-        ProgramFunction,
-        _param_strictness,
-    )
-
-    program = Program()
-    for name, bind in module.bindings().items():
-        scheme = check.scheme_of(name)
-        strictness = _param_strictness(scheme, len(bind.params))
-        program.functions[name] = ProgramFunction(
-            name, bind.params, strictness, bind.rhs, scheme)
-    return program
 
 
 def _machine_agreement(value, heap, machine_result) -> Optional[bool]:
@@ -801,7 +779,7 @@ class Session:
             return result
         filename = check.filename
 
-        from ..runtime.evaluator import Evaluator
+        from ..runtime.evaluator import Evaluator, Program
 
         module = check.parsed.module
         if entry not in module.bindings():
@@ -832,8 +810,8 @@ class Session:
                                                   self.options)
         traced = _TRACER.enabled
         try:
-            program = _program_from_check(module, check)
-            evaluator = Evaluator(program, compiled=compiled,
+            evaluator = Evaluator(Program.from_check(check),
+                                  compiled=compiled,
                                   compiled_sources=sources)
             if evaluator._compiled is not None:
                 result.codegen_compiled = evaluator._compiled.codegen_count
@@ -978,23 +956,18 @@ class Session:
         if stripped.startswith(":"):
             return f"unknown command {stripped.split()[0]!r} " \
                    "(try :t expr, :load DIR, :q)"
-        as_decls = self._try_parse_decls(stripped)
-        if as_decls:
+        try:
+            decls = parse_module(stripped, "<repl>").module.decls
+        except ParseError as exc:
+            # Perhaps an expression; if it is not one either, the error
+            # further into the input is the one reported.
+            return self._repl_eval(stripped, exc)
+        if decls:
             # Use the stripped line: pasted indentation must not trip the
             # column-1 declaration rule when the module is re-assembled.
-            return self._repl_define(stripped, as_decls)
+            # Several column-1 declarations may be pasted at once.
+            return self._repl_define(stripped, decls)
         return self._repl_eval(stripped)
-
-    @staticmethod
-    def _try_parse_decls(text: str):
-        """Parse REPL input as declarations; supports ``:load``-style
-        multi-declaration pastes (several column-1 decls separated by
-        newlines)."""
-        try:
-            parsed = parse_module(text, "<repl>")
-        except ParseError:
-            return None
-        return list(parsed.module.decls) or None
 
     def _repl_build(self, items: List[Tuple[str, str]]):
         """Check the REPL's project against the session-lived in-memory
@@ -1100,56 +1073,53 @@ class Session:
                          f"{len(items)} file(s))")
         return "\n".join(lines) if lines else "defined."
 
-    def _repl_env(self) -> Optional[CheckResult]:
-        return self._repl_check
-
-    def _repl_type_of(self, text: str) -> str:
+    def _repl_it(self, text: str, decl_error: Optional[ParseError] = None):
+        """Parse ``text`` and infer it as the binding ``it = <expr>``, so
+        its scheme is generalised with Rep defaulting, exactly as GHCi's
+        ``:type`` does.  Returns ``(expr, binding)``, or the error text to
+        print: of a parse error here and ``decl_error`` (the input's error
+        as declarations), the one further into the input."""
         from ..infer.infer import infer_binding
 
         try:
             expr = parse_expr(text, "<repl>")
         except ParseError as exc:
+            if decl_error is not None and \
+                    (decl_error.line, decl_error.column) > (exc.line,
+                                                            exc.column):
+                exc = decl_error
             return f"parse error: {exc}"
-        check = self._repl_env()
+        check = self._repl_check
         env = check.env if check is not None else self._base_env
         try:
-            # Infer as a synthetic binding "it = <expr>" so the scheme is
-            # generalised with Rep defaulting, exactly as GHCi's :type does.
             binding = infer_binding("it", (), expr, env=env,
                                     options=self.options.infer_options())
         except ReproError as exc:
             return f"type error: {exc}"
         if not binding.ok:
             return "type error: " + binding.levity_report.pretty()
+        return expr, binding
+
+    def _repl_type_of(self, text: str) -> str:
+        it = self._repl_it(text)
+        if isinstance(it, str):
+            return it
         return f"{text.strip()} :: " \
-               f"{render_scheme(binding.scheme, self.options.printer_options())}"
+               f"{render_scheme(it[1].scheme, self.options.printer_options())}"
 
-    def _repl_eval(self, text: str) -> str:
-        from ..infer.infer import infer_binding
-        from ..runtime.evaluator import Evaluator
+    def _repl_eval(self, text: str,
+                   decl_error: Optional[ParseError] = None) -> str:
+        from ..runtime.evaluator import Evaluator, Program
 
+        it = self._repl_it(text, decl_error)
+        if isinstance(it, str):
+            return it
+        check = self._repl_check
         try:
-            expr = parse_expr(text, "<repl>")
-        except ParseError as exc:
-            return f"parse error: {exc}"
-        check = self._repl_env()
-        env = check.env if check is not None else self._base_env
-        try:
-            binding = infer_binding("it", (), expr, env=env,
-                                    options=self.options.infer_options())
-            if not binding.ok:
-                return "type error: " + binding.levity_report.pretty()
-        except ReproError as exc:
-            return f"type error: {exc}"
-        try:
-            if check is not None:
-                program = _program_from_check(check.parsed.module, check)
-            else:
-                from ..runtime.evaluator import Program
-
-                program = Program()
+            program = Program.from_check(check) if check is not None \
+                else Program()
             evaluator = Evaluator(program, compiled=self.options.compiled)
-            value = evaluator.force(evaluator.eval(expr))
+            value = evaluator.force(evaluator.eval(it[0]))
             return value.show(evaluator.heap)
         except ReproError as exc:
             return f"runtime error: {exc}"

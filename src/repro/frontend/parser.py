@@ -40,7 +40,11 @@ Layout is deliberately minimal: **a token in column 1 always begins a new
 top-level declaration**.  Expressions and types may continue across lines
 as long as continuation lines are indented.  ``case`` alternatives use
 explicit braces and semicolons (the same concrete form the AST pretty
-printer emits), so no offside rule is needed.
+printer emits), so no offside rule is needed.  There is one module
+parser, :func:`parse_module_incremental`: it cuts the source into
+declaration blocks at column-1 tokens and parses each block on its own
+(memoised per session); :func:`parse_module` is the same parser without
+a memo.
 
 Free lowercase type variables in a signature are implicitly quantified at
 kind ``Type`` in first-occurrence order — mirroring both Haskell's implicit
@@ -185,36 +189,6 @@ def _decl_key(decl: Decl) -> Tuple[str, str]:
     return ("bind", decl.name)
 
 
-def validate_module_decls(decls: List[Decl], decl_span_list: List[Span],
-                          default_name: str) -> str:
-    """Enforce module-shape rules and return the module's name.
-
-    A ``module M where`` header must be the *first* declaration (which also
-    rules out duplicates), and ``import`` declarations must precede all
-    signatures and bindings.  Shared by :meth:`Parser.parse_module` and
-    :func:`parse_module_incremental` so both paths reject exactly the same
-    shapes with the same spans.
-    """
-    name = default_name
-    seen_code = False
-    for index, decl in enumerate(decls):
-        span = decl_span_list[index]
-        if isinstance(decl, ModuleHeader):
-            if index != 0:
-                raise ParseError(
-                    "the 'module ... where' header must be the first "
-                    "declaration in the file", span.line, span.column)
-            name = decl.name
-        elif isinstance(decl, ImportDecl):
-            if seen_code:
-                raise ParseError(
-                    "imports must appear before all other declarations",
-                    span.line, span.column)
-        else:
-            seen_code = True
-    return name
-
-
 @dataclass
 class ParsedModule:
     """A parsed module plus the span bookkeeping the driver needs."""
@@ -232,8 +206,9 @@ class ParsedModule:
     decl_span_list: List[Span] = field(default_factory=list)
     #: Optional memoised free-variable references per declaration (parallel
     #: to ``module.decls``; None entries for non-bindings).  Filled by the
-    #: incremental parser so the dependency planner need not re-walk
-    #: unchanged ASTs; ``None`` as a whole means "compute on demand".
+    #: parser so the dependency planner need not re-walk unchanged ASTs;
+    #: ``None`` as a whole (a module assembled elsewhere) means "compute
+    #: on demand".
     decl_refs: Optional[List[Optional[FrozenSet[str]]]] = None
 
     def span_of_binding(self, name: str) -> Optional[Span]:
@@ -271,8 +246,6 @@ class Parser:
 
     def __init__(self, source: str, filename: str = "<input>",
                  first_line: int = 1) -> None:
-        self.filename = filename
-        self.source = source
         self.tokens = tokenize(source, filename, first_line)
         self.pos = 0
         self.scope = _TypeScope()
@@ -330,15 +303,6 @@ class Parser:
     # =======================================================================
     # Modules and declarations
     # =======================================================================
-
-    def parse_module(self, name: str = "Main") -> ParsedModule:
-        decls, decl_span_list = self.parse_decls()
-        name = validate_module_decls(decls, decl_span_list, name)
-        decl_spans: Dict[Tuple[str, str], Span] = {}
-        for decl, span in zip(decls, decl_span_list):
-            decl_spans.setdefault(_decl_key(decl), span)
-        return ParsedModule(Module(name, decls), self.filename, self.source,
-                            decl_spans, self.expr_spans, decl_span_list)
 
     def parse_decls(self) -> Tuple[List[Decl], List[Span]]:
         """Every declaration up to the end of input, with its span."""
@@ -920,17 +884,19 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
-# Incremental (block-memoised) module parsing
+# Module parsing, one declaration block at a time
 # ---------------------------------------------------------------------------
 #
-# The binding-level driver re-parses a module on every incremental check to
-# re-derive the dependency plan.  Since a token in column 1 always begins a
-# new top-level declaration, a module splits into independent *declaration
-# blocks* at the lines where the lexer's own expression matches a token in
-# column 1; each block's parse depends only on the block's own text, so a
-# session can memoise block parses and lex/parse only the blocks that
-# actually changed.  A block is parsed with the file's line numbers, and
-# its spans are re-based only when the memo hands it out at another line.
+# Since a token in column 1 always begins a new top-level declaration, a
+# module splits into independent *declaration blocks* at the lines where
+# the lexer's own expression matches a token in column 1, and each block is
+# parsed on its own: an expression never runs on into the next
+# declaration.  A block's parse depends only on the block's own text, so
+# the binding-level driver, which re-parses a module on every incremental
+# check to re-derive the dependency plan, keeps a per-session memo of block
+# parses and lex/parses only the blocks that actually changed.  A block is
+# parsed with the file's line numbers, and its spans are re-based only when
+# the memo hands it out at another line.
 
 
 #: Memoised block parses are dropped wholesale past this many entries
@@ -965,8 +931,8 @@ def _starts_decl(line: str) -> bool:
 def _parse_block(text: str, line: int) -> _BlockParse:
     try:
         # Module-shape validation (header first, imports before code) is
-        # positional across the whole file, so it runs on assembly in
-        # parse_module_incremental, not per block.
+        # positional across the whole file, so it runs on assembly, not
+        # per block.
         parser = Parser(text, "<block>", line)
         decls, decl_span_list = parser.parse_decls()
     except ParseError as exc:
@@ -1022,13 +988,13 @@ def parse_module_incremental(source: str, filename: str = "<input>",
                              ) -> ParsedModule:
     """Parse a module block by block, reusing memoised block parses.
 
-    Produces what :func:`parse_module` produces (same declaration order,
-    spans, expression-span table), but a block whose text is already in
-    ``memo`` skips lexing and parsing entirely — the payoff that makes
-    warm incremental re-checks parse only the edited bindings.  A module
-    with errors reports its first failing block's error, where
-    :func:`parse_module` reports a lexical error anywhere in the file
-    before any syntax error.
+    A block whose text is already in ``memo`` skips lexing and parsing
+    entirely — the payoff that makes warm incremental re-checks parse
+    only the edited bindings; a cold or warm memo changes nothing
+    observable.  A module with errors reports its first failing block's
+    error.  A ``module M where`` header must be the *first* declaration
+    (which also rules out duplicates), and ``import`` declarations must
+    precede all signatures and bindings.
     """
     decls: List[Decl] = []
     decl_spans: Dict[Tuple[str, str], Span] = {}
@@ -1069,7 +1035,21 @@ def parse_module_incremental(source: str, filename: str = "<input>",
             decl_spans.setdefault(_decl_key(decl), span)
         decl_refs.extend(block.refs)
         expr_spans.update(block.expr_spans)
-    name = validate_module_decls(decls, decl_span_list, name)
+    seen_code = False
+    for index, (decl, span) in enumerate(zip(decls, decl_span_list)):
+        if isinstance(decl, ModuleHeader):
+            if index != 0:
+                raise ParseError(
+                    "the 'module ... where' header must be the first "
+                    "declaration in the file", span.line, span.column)
+            name = decl.name
+        elif isinstance(decl, ImportDecl):
+            if seen_code:
+                raise ParseError(
+                    "imports must appear before all other declarations",
+                    span.line, span.column)
+        else:
+            seen_code = True
     return ParsedModule(Module(name, decls), filename, source,
                         decl_spans, expr_spans, decl_span_list, decl_refs)
 
@@ -1081,8 +1061,9 @@ def parse_module_incremental(source: str, filename: str = "<input>",
 
 def parse_module(source: str, filename: str = "<input>",
                  name: str = "Main") -> ParsedModule:
-    """Parse a whole surface module from source text."""
-    return Parser(source, filename).parse_module(name)
+    """Parse a whole surface module from source text: the block parser
+    ``repro check`` runs, without a memo."""
+    return parse_module_incremental(source, filename, name)
 
 
 def parse_expr(source: str, filename: str = "<input>") -> Expr:

@@ -5,10 +5,8 @@ from .infer import (
     BindingResult,
     InferOptions,
     Inferencer,
-    ModuleResult,
     infer_binding,
     infer_expr,
-    infer_module,
 )
 from .levity_check import (
     LevityCheckReport,

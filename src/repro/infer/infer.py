@@ -26,7 +26,7 @@ accepted (Section 7.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import (
@@ -55,9 +55,6 @@ from ..surface.ast import (
     EUnboxedTuple,
     EVar,
     Expr,
-    FunBind,
-    Module,
-    TypeSig,
 )
 from ..surface.types import (
     BOOL_TY,
@@ -108,18 +105,6 @@ class BindingResult:
     @property
     def ok(self) -> bool:
         return self.levity_report.ok
-
-
-@dataclass
-class ModuleResult:
-    """Result of inferring a whole module."""
-
-    schemes: Dict[str, Scheme] = field(default_factory=dict)
-    bindings: Dict[str, BindingResult] = field(default_factory=dict)
-    env: Optional[TypeEnv] = None
-
-    def scheme_of(self, name: str) -> Scheme:
-        return self.schemes[name]
 
 
 def _not_in_scope(name: str, env: TypeEnv) -> str:
@@ -569,27 +554,6 @@ class Inferencer:
         return self.infer_binding(env, let.var, (), let.rhs,
                                   signature=let.signature)
 
-    # --------------------------------------------------------------- modules
-
-    def infer_module(self, module: Module, env: TypeEnv) -> ModuleResult:
-        """Infer every binding of a module, in declaration order."""
-        result = ModuleResult()
-        signatures = module.signatures()
-        current_env = env
-
-        for decl in module.decls:
-            if isinstance(decl, FunBind):
-                binding = self.infer_binding(
-                    current_env, decl.name, decl.params, decl.rhs,
-                    signature=signatures.get(decl.name))
-                result.bindings[decl.name] = binding
-                result.schemes[decl.name] = binding.scheme
-                current_env = current_env.bind(decl.name, binding.scheme)
-            # Standalone TypeSig declarations are picked up via signatures.
-
-        result.env = current_env
-        return result
-
 
 # ---------------------------------------------------------------------------
 # Convenience entry points
@@ -627,13 +591,3 @@ def infer_binding(name: str, params: Sequence[str], rhs: Expr,
     inferencer = Inferencer(options, class_env)
     return inferencer.infer_binding(env or prelude_env(), name, params, rhs,
                                     signature)
-
-
-def infer_module(module: Module, env: Optional[TypeEnv] = None,
-                 options: Optional[InferOptions] = None,
-                 class_env=None) -> ModuleResult:
-    """Infer a whole module against the prelude."""
-    from ..surface.prelude import prelude_env
-
-    inferencer = Inferencer(options, class_env)
-    return inferencer.infer_module(module, env or prelude_env())

@@ -8,14 +8,13 @@ from .evaluator import (
     ProgramFunction,
 )
 from .programs import (
+    SUM_TO_BOXED_SOURCE,
+    SUM_TO_UNBOXED_SOURCE,
+    WORKLOADS_SOURCE,
+    checked_program,
     compare_sum_to,
-    div_mod_unboxed_module,
-    geometric_sum_double_module,
     run_sum_to_boxed,
     run_sum_to_unboxed,
-    sum_squares_unboxed_module,
-    sum_to_boxed_module,
-    sum_to_unboxed_module,
 )
 from .values import (
     Closure,

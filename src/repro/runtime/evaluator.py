@@ -1,11 +1,12 @@
 """A cost-model evaluator for surface programs ("kinds are calling conventions").
 
-The evaluator executes type-checked surface modules.  Its calling convention
-is driven by the *types* the inference engine assigned (exactly the paper's
-thesis): when a function parameter's type has a boxed, lifted kind the
-argument is passed as a heap pointer to a lazily allocated thunk; when the
-kind is unboxed (or boxed-but-unlifted) the argument is evaluated eagerly and
-passed as a raw value — no allocation, no pointer.
+The evaluator executes type-checked surface modules, which
+:meth:`Program.from_check` builds from a check result.  Its calling
+convention is driven by the *types* the checker assigned (exactly the
+paper's thesis): when a function parameter's type has a boxed, lifted kind
+the argument is passed as a heap pointer to a lazily allocated thunk; when
+the kind is unboxed (or boxed-but-unlifted) the argument is evaluated
+eagerly and passed as a raw value — no allocation, no pointer.
 
 Class methods are supported in two forms:
 
@@ -22,14 +23,12 @@ Class methods are supported in two forms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import EvaluationError, PatternError, ScopeError
 from ..core.kinds import TypeKind
 from ..core.primops import PRIMOP_ROWS, PrimopRow
-from ..core.rep import Rep
-from ..infer.infer import Inferencer, InferOptions
-from ..infer.schemes import Scheme, TypeEnv
+from ..infer.schemes import Scheme
 from ..surface.ast import (
     Alternative,
     EAnn,
@@ -47,8 +46,6 @@ from ..surface.ast import (
     EUnboxedTuple,
     EVar,
     Expr,
-    FunBind,
-    Module,
 )
 from ..surface.types import FunTy, SType, kind_of_type
 from .values import (
@@ -152,43 +149,26 @@ class Program:
 
     functions: Dict[str, ProgramFunction] = field(default_factory=dict)
     class_env: object = None
-    #: Bumped whenever the function table changes, so evaluators can
-    #: invalidate their per-name global-resolution caches.
-    version: int = 0
 
     @staticmethod
-    def from_module(module: Module, env: Optional[TypeEnv] = None,
-                    class_env=None,
-                    options: Optional[InferOptions] = None) -> "Program":
-        """Type-check a module and prepare it for execution.
+    def from_check(check) -> "Program":
+        """The executable program of a complete check result.
 
-        The parameter passing convention of every function is read off the
-        inferred/declared types: this is where "kinds are calling
-        conventions" becomes executable.
+        ``check`` is a :class:`repro.driver.session.CheckResult` with
+        ``parsed`` set, taken by duck type (``parsed.module`` and
+        ``scheme_of``) so the runtime imports nothing from the driver.
+        The parameter passing convention of every function is read off
+        its checked type: this is where "kinds are calling conventions"
+        becomes executable.
         """
-        from ..surface.prelude import prelude_env
-
-        inferencer = Inferencer(options, class_env)
-        base_env = env or prelude_env()
-        if class_env is not None:
-            base_env = base_env.bind_many(class_env.all_method_schemes())
-        result = inferencer.infer_module(module, base_env)
-
-        program = Program(class_env=class_env)
-        for name, bind in module.bindings().items():
-            scheme = result.schemes.get(name)
-            strictness = _param_strictness(scheme, len(bind.params))
+        program = Program()
+        for name, bind in check.parsed.module.bindings().items():
+            scheme = check.scheme_of(name)
             program.functions[name] = ProgramFunction(
-                name, bind.params, strictness, bind.rhs, scheme)
+                name, bind.params,
+                _param_strictness(scheme, len(bind.params)), bind.rhs,
+                scheme)
         return program
-
-    def add_function(self, bind: FunBind,
-                     param_strict: Optional[Sequence[bool]] = None) -> None:
-        strictness = tuple(param_strict) if param_strict is not None else \
-            tuple(False for _ in bind.params)
-        self.functions[bind.name] = ProgramFunction(
-            bind.name, bind.params, strictness, bind.rhs, None)
-        self.version += 1
 
 
 def _param_strictness(scheme: Optional[Scheme], arity: int) -> Tuple[bool, ...]:
@@ -247,10 +227,8 @@ class Evaluator:
         #: the static segment and are never charged to the cost model.
         self._static_cache: Dict[str, Value] = {}
         #: Memoised global resolutions (every name _eval_var has resolved
-        #: outside the local environment), invalidated when the program's
-        #: function table changes.
+        #: outside the local environment).
         self._global_cache: Dict[str, Value] = {}
-        self._global_version = self.program.version
         #: The closure-compilation backend, when requested.  Its constructor
         #: installs itself on this attribute before linking (helper lambdas
         #: resolved while linking go through the compiled path too).
@@ -355,12 +333,9 @@ class Evaluator:
             compiled = self._compiled.functions.get(function.name)
             if compiled is not None:
                 return compiled.value_ref()
-        # Keyed to the ProgramFunction *identity*, not just the name:
-        # add_function replaces the entry wholesale, and a stale static
-        # closure would keep executing the old body.
         cached = self._static_cache.get(f"fun:{function.name}")
-        if cached is not None and cached[0] is function:
-            return cached[1]
+        if cached is not None:
+            return cached
         if function.params:
             obj: HeapObject = Closure(function.name, function.params,
                                       function.param_strict, function.body,
@@ -371,7 +346,7 @@ class Evaluator:
             # closure.
             obj = Thunk(lambda: self._eval(function.body, {}))
         ref = self.heap.allocate(obj, static=True)
-        self._static_cache[f"fun:{function.name}"] = (function, ref)
+        self._static_cache[f"fun:{function.name}"] = ref
         return ref
 
     def _eval(self, expr: Expr, env: Dict[str, Value]) -> Value:
@@ -432,12 +407,8 @@ class Evaluator:
         # Global resolutions are memoised per evaluator: the fallback chain
         # below (program → primop → constructor → class selector → prelude
         # helper) runs at most once per name, then every later occurrence is
-        # one dict probe.  The cache is dropped if the program's function
-        # table changes under us.
+        # one dict probe.
         cache = self._global_cache
-        if self._global_version != self.program.version:
-            cache.clear()
-            self._global_version = self.program.version
         value = cache.get(name)
         if value is None:
             value = self._resolve_global(name)

@@ -1,124 +1,59 @@
 """Canonical workloads for the cost-model experiments (Section 2.1).
 
-The star of the show is the paper's ``sumTo`` loop in its two forms::
+The star of the show is the paper's ``sumTo`` loop in its two forms,
+unboxed (``sumTo#``, :data:`SUM_TO_UNBOXED_SOURCE`) and boxed (``sumTo``,
+:data:`SUM_TO_BOXED_SOURCE`), defined as in ``examples/sumto.lev``.
+:data:`WORKLOADS_SOURCE` adds a second unboxed accumulation, an unboxed
+``Double#`` accumulation (the float register class), and a
+``divMod``-style function returning an unboxed pair (Section 2.3).
 
-    sumTo :: Int -> Int -> Int                sumTo# :: Int# -> Int# -> Int#
-    sumTo acc 0 = acc                         sumTo# acc 0# = acc
-    sumTo acc n = sumTo (acc + n) (n - 1)     sumTo# acc n = sumTo# (acc +# n) (n -# 1#)
-
-plus a handful of further workloads used by the benchmarks and examples:
-a boxed/unboxed dot-product style accumulation over ``Double``/``Double#``,
-and a ``divMod``-style function returning an unboxed pair (Section 2.3).
-
-Each builder returns a surface :class:`~repro.surface.ast.Module`; running
-them through :func:`repro.runtime.evaluator.Program.from_module` type-checks
-them (so the unboxed versions really do get call-by-value calling
-conventions from their kinds) and attaches the cost model.
+Every workload is ``.lev`` text.  :func:`checked_program` checks it as
+``repro run`` does and builds the executable program with
+:meth:`repro.runtime.evaluator.Program.from_check`, so the unboxed versions
+get call-by-value calling conventions from their checked kinds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..surface.ast import (
-    Alternative,
-    ECase,
-    EApp,
-    EIf,
-    ELitDoubleHash,
-    ELitInt,
-    ELitIntHash,
-    EUnboxedTuple,
-    EVar,
-    FunBind,
-    Module,
-    TypeSig,
-    apply,
-)
-from ..surface.types import (
-    DOUBLE_HASH_TY,
-    INT_HASH_TY,
-    INT_TY,
-    UnboxedTupleTy,
-    fun,
-)
+from ..core.errors import ReproError
 from .evaluator import Evaluator, Program
-from .values import CostModel, UnboxedInt, Value
+from .values import CostModel, UnboxedInt
+
+SUM_TO_UNBOXED_SOURCE = """\
+sumTo# :: Int# -> Int# -> Int#
+sumTo# acc n = case n ==# 0# of { 1# -> acc; _ -> sumTo# (acc +# n) (n -# 1#) }
+"""
+
+SUM_TO_BOXED_SOURCE = """\
+sumTo :: Int -> Int -> Int
+sumTo acc n = if eqInt n 0 then acc else sumTo (plusInt acc n) (minusInt n 1)
+"""
+
+WORKLOADS_SOURCE = SUM_TO_UNBOXED_SOURCE + "\n" + SUM_TO_BOXED_SOURCE + """
+sumSq# :: Int# -> Int# -> Int#
+sumSq# acc n = case n ==# 0# of { 1# -> acc; _ -> sumSq# (acc +# n *# n) (n -# 1#) }
+
+geo## :: Double# -> Int# -> Double#
+geo## acc n = case n ==# 0# of { 1# -> acc; _ -> geo## (acc +## 1.0## /## int2Double# n) (n -# 1#) }
+
+divMod# :: Int# -> Int# -> (# Int#, Int# #)
+divMod# n k = (# quotInt# n k, remInt# n k #)
+"""
 
 
-def sum_to_boxed_module() -> Module:
-    """The boxed ``sumTo`` of Section 2.1 (via ``eqInt``/``plusInt``/``minusInt``)."""
-    body = EIf(apply(EVar("eqInt"), EVar("n"), ELitInt(0)),
-               EVar("acc"),
-               apply(EVar("sumTo"),
-                     apply(EVar("plusInt"), EVar("acc"), EVar("n")),
-                     apply(EVar("minusInt"), EVar("n"), ELitInt(1))))
-    return Module("SumToBoxed", (
-        TypeSig("sumTo", fun(INT_TY, INT_TY, INT_TY)),
-        FunBind("sumTo", ("acc", "n"), body),
-    ))
+def checked_program(source: str) -> Program:
+    """The executable program of ``source``, checked by ``Session.check``."""
+    # The driver imports the runtime, lazily; this is the one import that
+    # points the other way, made at call time so that importing the
+    # runtime never loads the driver.
+    from ..driver.session import Session
 
-
-def sum_to_unboxed_module() -> Module:
-    """The unboxed ``sumTo#`` of Section 2.1."""
-    body = ECase(apply(EVar("==#"), EVar("n"), ELitIntHash(0)),
-                 [Alternative("1#", [], EVar("acc")),
-                  Alternative("_", [],
-                              apply(EVar("sumTo#"),
-                                    apply(EVar("+#"), EVar("acc"), EVar("n")),
-                                    apply(EVar("-#"), EVar("n"),
-                                          ELitIntHash(1))))])
-    return Module("SumToUnboxed", (
-        TypeSig("sumTo#", fun(INT_HASH_TY, INT_HASH_TY, INT_HASH_TY)),
-        FunBind("sumTo#", ("acc", "n"), body),
-    ))
-
-
-def sum_squares_unboxed_module() -> Module:
-    """``sumSq# acc n`` — a second unboxed accumulation used by benchmarks."""
-    body = ECase(apply(EVar("==#"), EVar("n"), ELitIntHash(0)),
-                 [Alternative("1#", [], EVar("acc")),
-                  Alternative("_", [],
-                              apply(EVar("sumSq#"),
-                                    apply(EVar("+#"), EVar("acc"),
-                                          apply(EVar("*#"), EVar("n"),
-                                                EVar("n"))),
-                                    apply(EVar("-#"), EVar("n"),
-                                          ELitIntHash(1))))])
-    return Module("SumSquaresUnboxed", (
-        TypeSig("sumSq#", fun(INT_HASH_TY, INT_HASH_TY, INT_HASH_TY)),
-        FunBind("sumSq#", ("acc", "n"), body),
-    ))
-
-
-def geometric_sum_double_module() -> Module:
-    """An unboxed ``Double#`` accumulation (exercises the float register class)."""
-    body = ECase(apply(EVar("==#"), EVar("n"), ELitIntHash(0)),
-                 [Alternative("1#", [], EVar("acc")),
-                  Alternative("_", [],
-                              apply(EVar("geo##"),
-                                    apply(EVar("+##"), EVar("acc"),
-                                          apply(EVar("/##"),
-                                                ELitDoubleHash(1.0),
-                                                apply(EVar("int2Double#"),
-                                                      EVar("n")))),
-                                    apply(EVar("-#"), EVar("n"),
-                                          ELitIntHash(1))))])
-    return Module("GeometricDouble", (
-        TypeSig("geo##", fun(DOUBLE_HASH_TY, INT_HASH_TY, DOUBLE_HASH_TY)),
-        FunBind("geo##", ("acc", "n"), body),
-    ))
-
-
-def div_mod_unboxed_module() -> Module:
-    """``divMod# :: Int# -> Int# -> (# Int#, Int# #)`` (Section 2.3)."""
-    body = EUnboxedTuple((apply(EVar("quotInt#"), EVar("n"), EVar("k")),
-                          apply(EVar("remInt#"), EVar("n"), EVar("k"))))
-    return Module("DivModUnboxed", (
-        TypeSig("divMod#", fun(INT_HASH_TY, INT_HASH_TY,
-                               UnboxedTupleTy((INT_HASH_TY, INT_HASH_TY)))),
-        FunBind("divMod#", ("n", "k"), body),
-    ))
+    check = Session().check(source, "<workloads>")
+    if not check.ok:
+        raise ReproError(check.pretty(source))
+    return Program.from_check(check)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +63,7 @@ def div_mod_unboxed_module() -> Module:
 
 def run_sum_to_boxed(n: int) -> Tuple[int, CostModel]:
     """Run the boxed loop for ``n`` iterations; return (result, costs)."""
-    program = Program.from_module(sum_to_boxed_module())
-    evaluator = Evaluator(program)
+    evaluator = Evaluator(checked_program(SUM_TO_BOXED_SOURCE))
     result = evaluator.run("sumTo", evaluator.boxed_int(0),
                            evaluator.boxed_int(n))
     return evaluator.int_result(result), evaluator.costs
@@ -137,8 +71,7 @@ def run_sum_to_boxed(n: int) -> Tuple[int, CostModel]:
 
 def run_sum_to_unboxed(n: int) -> Tuple[int, CostModel]:
     """Run the unboxed loop for ``n`` iterations; return (result, costs)."""
-    program = Program.from_module(sum_to_unboxed_module())
-    evaluator = Evaluator(program)
+    evaluator = Evaluator(checked_program(SUM_TO_UNBOXED_SOURCE))
     result = evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(n))
     return evaluator.int_result(result), evaluator.costs
 

@@ -18,7 +18,6 @@ from repro.core.errors import EvaluationError, ReproError
 from repro.core.primops import INT_PRIMOPS, PRIMOP_ROWS, primop_delta
 from repro.driver import DriverOptions, Session
 from repro.driver.batch import ResultCache, codegen_cache_key
-from repro.driver.session import _program_from_check
 from repro.fuzz import DifferentialHarness, generate_corpus
 from repro.runtime.compiler import CODEGEN_VERSION
 from repro.runtime.evaluator import Evaluator, Program
@@ -76,9 +75,8 @@ class TestCompiledCorpus:
 
 
 def _eval_entry(check, compiled):
-    module = check.parsed.module
-    return _eval_expr(module.bindings()["main"].rhs, compiled,
-                      _program_from_check(module, check))
+    return _eval_expr(check.parsed.module.bindings()["main"].rhs, compiled,
+                      Program.from_check(check))
 
 
 def _eval_expr(expr, compiled, program=None):
@@ -175,7 +173,7 @@ class TestCompiledEvaluator:
         deeper than any Python recursion budget the tree-walker gets."""
         check = session.check(UNBOXED_LOOP, "loop.lev")
         assert check.ok
-        program = _program_from_check(check.parsed.module, check)
+        program = Program.from_check(check)
         evaluator = Evaluator(program, compiled=True)
         result = evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(100_000))
         assert evaluator.int_result(result) == 100_000 * 100_001 // 2
@@ -201,7 +199,7 @@ class TestCompiledEvaluator:
         re-lowered from the AST — never trusted, never fatal.  A ``None``
         source is one more corrupt entry."""
         check = session.check(UNBOXED_LOOP, "loop.lev")
-        program = _program_from_check(check.parsed.module, check)
+        program = Program.from_check(check)
         stale = "def _bind(R, G, C):\n    raise RuntimeError('stale')\n"
         for name, source in (("sumTo#", stale), ("main", None)):
             evaluator = Evaluator(program, compiled=True,
@@ -214,27 +212,6 @@ class TestCompiledEvaluator:
             assert evaluator.int_result(result) == 5050
             value = evaluator.force(evaluator.global_value("main"))
             assert evaluator.int_result(value) == 5050
-
-    def test_global_memo_invalidated_by_program_edits(self, session):
-        """Satellite: `_eval_var` memoises global resolutions per
-        evaluator, keyed to Program.version."""
-        check = session.check("answer :: Int\nanswer = 41\n"
-                              "main :: Int\nmain = answer + 1\n", "memo.lev")
-        assert check.ok
-        module = check.parsed.module
-        program = _program_from_check(module, check)
-        evaluator = Evaluator(program)
-        rhs = module.bindings()["main"].rhs
-        assert evaluator.int_result(evaluator.force(evaluator.eval(rhs))) \
-            == 42
-        assert "answer" in evaluator._global_cache
-
-        edited = session.check("answer :: Int\nanswer = 100\n", "memo.lev")
-        version = program.version
-        program.add_function(edited.parsed.module.bindings()["answer"])
-        assert program.version == version + 1
-        assert evaluator.int_result(evaluator.force(evaluator.eval(rhs))) \
-            == 101
 
 
 # ---------------------------------------------------------------------------

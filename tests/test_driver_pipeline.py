@@ -323,6 +323,22 @@ class TestRepl:
         session.repl_input("b = a +# 1#")
         assert session.repl_input("b +# a") == "3#"
 
+    def test_unfinished_declaration_reports_its_own_error(self):
+        """Input that parses neither as declarations nor as an expression
+        reports the error further into it: here the declaration's."""
+        assert Session().repl_input("f x =") == \
+            "parse error: 1:6: expected an expression, found end of input"
+
+    def test_unfinished_expression_reports_its_own_error(self):
+        assert Session().repl_input("1 +") == \
+            "parse error: 1:4: expected an expression, found end of input"
+
+    def test_pasted_column_one_continuation_is_a_parse_error(self):
+        session = Session()
+        assert session.repl_input("h :: Int\nh =\nplusInt 1 2") == \
+            "parse error: 2:4: expected an expression, found end of input"
+        assert session._repl_decls == []
+
 
 # ---------------------------------------------------------------------------
 # REPL redefinition / shadowing (rides the unit-granularity pipeline)

@@ -322,14 +322,75 @@ class TestModules:
 
 
 # ---------------------------------------------------------------------------
-# Incremental (block-memoised) parsing equivalence
+# One module parser: parse_module is the parser `repro check` runs
+# ---------------------------------------------------------------------------
+
+
+#: A column-1 token after an unfinished expression, and where ``repro
+#: check`` reports that the expression above it ended: after '=', as a
+#: lambda body, as a case alternative, as an operator's right operand.
+COLUMN_ONE_CONTINUATIONS = [
+    ("h :: Int\nh =\nplusInt 1 2\n", 2, 4),
+    ("f = \\x ->\nx\n", 1, 10),
+    ("g :: Int# -> Int#\ng n = case n of { _ ->\nn }\n", 2, 23),
+    ("k = 1# +#\n2#\n", 1, 10),
+]
+
+
+class TestOneModuleParser:
+    """``parse_module`` accepts and rejects exactly what ``Session.check``
+    does, with the same message at the same position."""
+
+    @pytest.mark.parametrize(
+        "source, line, column", COLUMN_ONE_CONTINUATIONS,
+        ids=["after-equals", "lambda-body", "case-alternative",
+             "right-operand"])
+    def test_column_one_token_never_continues_an_expression(
+            self, source, line, column):
+        from repro.driver import Session
+
+        with pytest.raises(ParseError) as exc:
+            parse_module(source, "cont.lev")
+        assert exc.value.message == \
+            "expected an expression, found end of input"
+        assert (exc.value.line, exc.value.column) == (line, column)
+        [diagnostic] = Session().check(source, "cont.lev").diagnostics
+        assert (diagnostic.stage, diagnostic.message) == \
+            ("parse", exc.value.message)
+        assert (diagnostic.span.line, diagnostic.span.column) == \
+            (line, column)
+
+    def test_byte_mutants_parse_as_session_check_parses_them(self):
+        from test_frontend_roundtrip import _byte_mutants
+
+        from repro.driver import Session
+
+        session = Session()
+        rejected = 0
+        for source in _byte_mutants(2000, seed=20261017):
+            try:
+                parse_module(source, "mutant.lev")
+                expected = []
+            except ParseError as exc:
+                expected = [(exc.message, exc.line or 1, exc.column or 1)]
+                rejected += 1
+            reported = [
+                (d.message, d.span.line, d.span.column)
+                for d in session.check(source, "mutant.lev").diagnostics
+                if d.stage == "parse"]
+            assert reported == expected, source
+        assert rejected > 500
+
+
+# ---------------------------------------------------------------------------
+# Incremental (block-memoised) parsing
 # ---------------------------------------------------------------------------
 
 
 class TestIncrementalParsing:
-    """parse_module_incremental must be observably identical to
-    parse_module — same decls, same spans, same expression-span table —
-    with or without a warm memo."""
+    """A cold or a warm block memo changes nothing observable: the same
+    decls, spans and expression-span table as ``parse_module``, which is
+    the same parser without a memo."""
 
     CASES = [
         "f :: Int#\nf = 1#\n",
@@ -450,11 +511,13 @@ class TestIncrementalParsing:
 
     def test_column_one_name_is_not_a_parameter(self):
         """A column-1 name starts a new declaration, so it is never a
-        parameter of the line above.  Both parsers reject this input; the
-        messages differ by design (the whole-module parser meets the next
-        line's name, a block ends at its own end)."""
+        parameter of the line above: a block ends at its own end, and
+        both entry points say so identically."""
         from repro.frontend.parser import parse_module_incremental
 
+        errors = []
         for parse in (parse_module, parse_module_incremental):
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError) as exc:
                 parse("mait\nmain = 1#\n", "typo.lev")
+            errors.append(str(exc.value))
+        assert errors == ["1:5: expected '=', found end of input"] * 2

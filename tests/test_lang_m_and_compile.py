@@ -324,9 +324,8 @@ class TestWholeLanguageMachine:
         """100 loop iterations re-enter the knot via EVAL/FCE sharing:
         the heap cell is blackholed and updated on the first unrolling,
         so `fix_unrollings` stays O(1), not O(n)."""
-        from repro.driver.lower import lower_entry
-        from repro.frontend import parse_module
-        from repro.infer import infer_module
+        from repro.driver import Session
+        from repro.driver.lower import lower_checked
 
         source = (
             "sumTo# :: Int# -> Int# -> Int#\n"
@@ -334,9 +333,7 @@ class TestWholeLanguageMachine:
             "{ 1# -> acc; _ -> sumTo# (acc +# n) (n -# 1#) }\n"
             "main :: Int#\n"
             "main = sumTo# 0# 100#\n")
-        parsed = parse_module(source)
-        schemes = infer_module(parsed.module).schemes
-        term = lower_entry(parsed.module, schemes, "main")
+        term = lower_checked(Session().check(source))
         compiled = compile_expr(term)
         assert compiled.fix_forms == 1
         assert compiled.primop_forms >= 3

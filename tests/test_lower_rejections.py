@@ -22,9 +22,7 @@ import pytest
 
 from repro.core.errors import CompilationError
 from repro.driver import Session
-from repro.driver.lower import LoweringError, lower_entry, lower_type
-from repro.frontend import parse_module
-from repro.infer import infer_module
+from repro.driver.lower import LoweringError, lower_checked, lower_type
 from repro.surface.types import (
     BOOL_TY,
     DOUBLE_HASH_TY,
@@ -38,18 +36,21 @@ def session():
     return Session()
 
 
+def _checked(source):
+    check = Session().check(source)
+    assert check.ok, check.pretty(source)
+    return check
+
+
 def _lowering_error(source, entry="main"):
-    parsed = parse_module(source)
-    result = infer_module(parsed.module)
+    check = _checked(source)
     with pytest.raises(LoweringError) as exc_info:
-        lower_entry(parsed.module, result.schemes, entry)
+        lower_checked(check, entry)
     return str(exc_info.value)
 
 
 def _lowered(source, entry="main"):
-    parsed = parse_module(source)
-    result = infer_module(parsed.module)
-    return lower_entry(parsed.module, result.schemes, entry)
+    return lower_checked(_checked(source), entry)
 
 
 class TestLoweringErrorMessages:

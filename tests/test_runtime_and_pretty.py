@@ -11,16 +11,11 @@ from repro.runtime import (
     Program,
     UnboxedDouble,
     UnboxedInt,
+    WORKLOADS_SOURCE,
+    checked_program,
     compare_sum_to,
     run_sum_to_boxed,
     run_sum_to_unboxed,
-)
-from repro.runtime.programs import (
-    div_mod_unboxed_module,
-    geometric_sum_double_module,
-    sum_squares_unboxed_module,
-    sum_to_boxed_module,
-    sum_to_unboxed_module,
 )
 from repro.surface.ast import (
     Alternative,
@@ -160,8 +155,28 @@ class TestSumToExperiment:
     """E1: the Section 2.1 boxed-vs-unboxed contrast."""
 
     def test_results_agree_and_match_the_closed_form(self):
-        report = compare_sum_to(100)
-        assert report["boxed"] is not None and report["unboxed"] is not None
+        """compare_sum_to checks both loops against n(n+1)/2.  Its E1
+        table at n=100 is pinned counter for counter: the loops are
+        checked from ``.lev`` text, and their costs must not move with
+        the front end that builds them."""
+        assert compare_sum_to(100) == {
+            "boxed": {
+                "heap_allocations": 907, "words_allocated": 1811,
+                "thunk_allocations": 200, "thunk_forces": 200,
+                "thunk_updates": 200, "pointer_reads": 4012,
+                "primops": 501, "function_calls": 1606,
+                "case_scrutinies": 804, "dictionary_lookups": 0,
+                "estimated_cycles": 31034, "memory_traffic": 5319,
+            },
+            "unboxed": {
+                "heap_allocations": 0, "words_allocated": 0,
+                "thunk_allocations": 0, "thunk_forces": 0,
+                "thunk_updates": 0, "pointer_reads": 0,
+                "primops": 301, "function_calls": 804,
+                "case_scrutinies": 101, "dictionary_lookups": 0,
+                "estimated_cycles": 2010, "memory_traffic": 0,
+            },
+        }
 
     def test_unboxed_loop_performs_no_memory_traffic(self):
         _, costs = run_sum_to_unboxed(300)
@@ -191,26 +206,23 @@ class TestSumToExperiment:
         assert boxed_result == unboxed_result == n * (n + 1) // 2
 
     def test_param_strictness_comes_from_kinds(self):
-        boxed = Program.from_module(sum_to_boxed_module())
-        unboxed = Program.from_module(sum_to_unboxed_module())
-        assert boxed.functions["sumTo"].param_strict == (False, False)
-        assert unboxed.functions["sumTo#"].param_strict == (True, True)
+        functions = checked_program(WORKLOADS_SOURCE).functions
+        assert functions["sumTo"].param_strict == (False, False)
+        assert functions["sumTo#"].param_strict == (True, True)
 
     def test_other_workloads_run(self):
-        program = Program.from_module(sum_squares_unboxed_module())
+        program = checked_program(WORKLOADS_SOURCE)
         evaluator = Evaluator(program)
         value = evaluator.run("sumSq#", UnboxedInt(0), UnboxedInt(10))
         assert evaluator.int_result(value) == sum(i * i for i in range(11))
 
-        program = Program.from_module(geometric_sum_double_module())
         evaluator = Evaluator(program)
         value = evaluator.force(evaluator.run("geo##", UnboxedDouble(0.0),
                                               UnboxedInt(4)))
         assert abs(value.value - (1.0 + 0.5 + 1 / 3 + 0.25)) < 1e-9
 
     def test_divmod_returns_values_in_registers(self):
-        program = Program.from_module(div_mod_unboxed_module())
-        evaluator = Evaluator(program)
+        evaluator = Evaluator(checked_program(WORKLOADS_SOURCE))
         value = evaluator.run("divMod#", UnboxedInt(17), UnboxedInt(5))
         assert value.components == (UnboxedInt(3), UnboxedInt(2))
         assert evaluator.costs.heap_allocations == 0

@@ -244,13 +244,13 @@ class TestDisabledCost:
 
     def test_disabled_registry_hot_counters_stay_zero(self):
         from repro.runtime.evaluator import Evaluator
-        from repro.runtime.programs import sum_to_unboxed_module
+        from repro.runtime.programs import (
+            SUM_TO_UNBOXED_SOURCE,
+            checked_program,
+        )
         from repro.runtime.values import UnboxedInt
 
-        program_module = sum_to_unboxed_module()
-        from repro.runtime.evaluator import Program
-
-        evaluator = Evaluator(Program.from_module(program_module),
+        evaluator = Evaluator(checked_program(SUM_TO_UNBOXED_SOURCE),
                               compiled=True)
         evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(50))
         counters = REGISTRY.snapshot()["counters"]
@@ -260,13 +260,16 @@ class TestDisabledCost:
         assert counters.get("codegen.compiled", 0) > 0
 
     def test_enabled_registry_meters_the_trampoline(self):
-        from repro.runtime.evaluator import Evaluator, Program
-        from repro.runtime.programs import sum_to_unboxed_module
+        from repro.runtime.evaluator import Evaluator
+        from repro.runtime.programs import (
+            SUM_TO_UNBOXED_SOURCE,
+            checked_program,
+        )
         from repro.runtime.values import UnboxedInt
 
+        program = checked_program(SUM_TO_UNBOXED_SOURCE)
         REGISTRY.enable()
-        evaluator = Evaluator(Program.from_module(sum_to_unboxed_module()),
-                              compiled=True)
+        evaluator = Evaluator(program, compiled=True)
         evaluator.run("sumTo#", UnboxedInt(0), UnboxedInt(50))
         counters = REGISTRY.snapshot()["counters"]
         assert counters["runtime.compiled_calls"] > 0
