@@ -24,8 +24,9 @@ Subcommands:
   ``main``) on the cost-model machine; when the entry fits the L fragment
   it is also compiled via Figure 7 and cross-checked on the M machine.
   ``--compiled`` evaluates through the closure-compilation backend
-  instead of the tree-walker; with ``--cache PATH`` the generated code is
-  reused per binding (a warm run reports zero functions compiled).
+  instead of the tree-walker, compiling each binding when the run first
+  reaches it; with ``--cache PATH`` the generated code is reused per
+  binding (a warm run reports zero functions compiled).
   ``--stats`` reports the unified telemetry counters (solver, codegen,
   compiled runtime, evaluator cost model); with ``--json`` the result and
   counters are one machine-readable document.
@@ -42,7 +43,7 @@ Subcommands:
 ``check``/``run``/``compile`` also accept ``--trace out.json`` (or the
 ``REPRO_TRACE`` environment variable), which records the pipeline's spans
 — parse, depgraph, unit.infer/unit.unify, cache.lookup, pool.shard,
-codegen.lower, eval.run, including worker-process spans on their own pid
+eval.run, codegen.lower/link, including worker-process spans on their own pid
 rows — as Chrome trace-event JSON loadable in Perfetto
 (see docs/OBSERVABILITY.md).
 * ``cache ACTION PATH`` — maintain a sharded result-cache directory

@@ -651,7 +651,7 @@ def load_codegen(cache: ResultCache, check: CheckResult,
     generated Python source served from the cache.  ``units`` lists
     ``(key, names, arities)`` per compilation unit, in plan order, for
     :func:`store_codegen` to write fresh codegen back after the evaluator
-    lowered the misses.
+    lowered the misses it reached.
 
     Keys are the **existing per-unit check keys** (source slice +
     dependency schemes) under the :func:`codegen_cache_key` namespace.
@@ -681,7 +681,10 @@ def load_codegen(cache: ResultCache, check: CheckResult,
                    if dep in arity_of}
         units.append((key, unit.names, arities))
         payload = cache.lookup_codegen(key)
-        if payload is None or payload["arities"] != arities:
+        if payload is None:
+            continue
+        if payload["arities"] != arities:
+            _REGISTRY.inc("codegen.arity_discards")
             continue
         for name in unit.names:
             if name in payload["functions"]:
@@ -689,13 +692,17 @@ def load_codegen(cache: ResultCache, check: CheckResult,
     return sources, units
 
 
-def store_codegen(cache: ResultCache, units, compiled) -> None:
-    """Persist a :class:`~repro.runtime.compiler.CompiledProgram`'s
-    generated sources, one entry per compilation unit from
-    :func:`load_codegen`'s ``units`` listing."""
+def store_codegen(cache: ResultCache, units,
+                  sources: Dict[str, str]) -> None:
+    """Persist generated sources by binding name, one entry per
+    compilation unit from :func:`load_codegen`'s ``units`` listing.
+
+    A run links only the bindings it reaches, so ``sources`` is what the
+    run linked over what the cache served: a unit the run reached only
+    partly keeps its other cached sources."""
     for key, names, arities in units:
-        functions = {name: compiled.sources[name] for name in names
-                     if name in compiled.sources}
+        functions = {name: sources[name] for name in names
+                     if name in sources}
         if not functions:
             continue
         cache.store_codegen(key, {"functions": functions,

@@ -813,15 +813,6 @@ class Session:
             evaluator = Evaluator(Program.from_check(check),
                                   compiled=compiled,
                                   compiled_sources=sources)
-            if evaluator._compiled is not None:
-                result.codegen_compiled = evaluator._compiled.codegen_count
-                result.codegen_cached = evaluator._compiled.cache_hits
-                if cache_obj is not None:
-                    from .batch import store_codegen
-
-                    store_codegen(cache_obj, codegen_units,
-                                  evaluator._compiled)
-                    cache_obj.save()
             if traced:
                 _TRACER.begin("eval.run", entry=entry, file=filename)
             try:
@@ -829,6 +820,18 @@ class Session:
             finally:
                 if traced:
                     _TRACER.end("eval.run")
+                # Bindings link when the run first reaches them, so the
+                # codegen counts and sources exist only now, bottom or not.
+                backend = evaluator._compiled
+                if backend is not None:
+                    result.codegen_compiled = backend.codegen_count
+                    result.codegen_cached = backend.cache_hits
+                    if cache_obj is not None:
+                        from .batch import store_codegen
+
+                        store_codegen(cache_obj, codegen_units,
+                                      {**sources, **backend.sources})
+                        cache_obj.save()
             result.value = value.show(evaluator.heap)
             result.costs = evaluator.costs.as_dict()
             _REGISTRY.merge_counts(result.costs, "eval.")

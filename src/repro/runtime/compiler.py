@@ -20,11 +20,16 @@ baked in at compile time:
   without growing the Python stack.
 
 The compiler's unit of output is *Python source text* (one ``_bind``
-definition per binding).  Source text is what the per-unit codegen cache in
-``driver/batch.py`` stores (persisted in the ``codegen/`` shard table of
-the v4 store, ``driver/store.py``): generating it is the expensive phase, while
-``exec`` + linking against a live evaluator is cheap and happens on every
-load.  The generated code runs against the same heap and the same value
+definition per binding), which the per-unit codegen cache in
+``driver/batch.py`` stores (the ``codegen/`` shard table of the v4 store,
+``driver/store.py``).  Of a binding's three phases, generating its source
+is the cheap one (~55 µs for a typical binding under CPython 3.11);
+CPython's ``compile()`` of that source costs several times more (~240 µs)
+and runs on every load, cached or not; ``exec`` costs ~2 µs.  So
+:class:`CompiledProgram` links lazily: a binding is lowered (or taken from
+the cache), compiled and linked the first time the running program looks
+it up, and a run pays for the bindings it reaches and no others.  The
+generated code runs against the same heap and the same value
 types as the tree-walker, so compiled and interpreted closures mix freely
 (a compiled function may call an interpreted one and vice versa) and every
 observable value — including the printed form of closures, thunks and
@@ -88,7 +93,7 @@ __all__ = [
 #: Bump when the code generator's output changes shape: the driver folds this
 #: into the on-disk codegen cache key, so stale generated code is never
 #: re-linked after a compiler change.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # Runtime pieces referenced by generated code
@@ -673,18 +678,6 @@ class _Emitter:
         self.stmt(f"return {value}")
 
 
-_BIND_PRELUDE = [
-    "    _force = R.force",
-    "    _heap = R.heap",
-    "    _alloc = _heap.allocate",
-    "    _bool = R.bool_result",
-    "    _gv = R.global_value",
-    "    _appv = R.apply_arg_value",
-    "    _appt = R.apply_arg_thunk",
-    "    _mklam = C.make_lambda",
-]
-
-
 def generate_function_source(function: ProgramFunction,
                              known: Signatures) -> str:
     """Compile one top-level binding to the source of its ``_bind``."""
@@ -701,8 +694,7 @@ def generate_function_source(function: ProgramFunction,
             # they are always already forced.
             emitter._whnf.add(name)
     emitter.emit_tail(function.body, scope)
-    lines = ["def _bind(R, G, C):"]
-    lines.extend(_BIND_PRELUDE)
+    lines = ["def _bind(R, G):"]
     lines.extend(emitter.prelude)
     lines.append(f"    def _f({', '.join(parameters)}):")
     lines.extend(emitter.body)
@@ -720,8 +712,7 @@ def generate_expression_source(expr: Expr, env_names: List[str],
         scope[env_name] = name
         emitter.prelude.append(f"    {name} = E[{env_name!r}]")
     emitter.emit_tail(expr, scope)
-    lines = ["def _bind(R, G, C, E):"]
-    lines.extend(_BIND_PRELUDE)
+    lines = ["def _bind(R, G, E):"]
     lines.extend(emitter.prelude)
     lines.append("    def _f():")
     lines.extend(emitter.body)
@@ -735,7 +726,8 @@ def generate_expression_source(expr: Expr, env_names: List[str],
 
 
 #: The namespace generated code executes in: runtime value constructors plus
-#: the pattern-matching helper.  (Builtins are available as usual.)
+#: the pattern-matching helper.  (Builtins are available as usual.)  Each
+#: :class:`CompiledProgram` adds the evaluator's runtime entry points.
 _EXEC_GLOBALS = {
     "UnboxedInt": UnboxedInt,
     "UnboxedDouble": UnboxedDouble,
@@ -750,16 +742,38 @@ _EXEC_GLOBALS = {
 }
 
 
-class CompiledProgram:
-    """All of a program's bindings, compiled and linked to one evaluator.
+class _Linked(dict):
+    """A program's compiled functions by name, each linked on first lookup.
 
+    Generated code reaches a callee as ``G[name]`` when it calls it, so
+    ``__missing__`` links a binding the first time anything enters it or
+    takes its value, and never again.
+    """
+
+    __slots__ = ("_install",)
+
+    def __init__(self, install: Callable[[str], CompiledFunction]) -> None:
+        super().__init__()
+        self._install = install
+
+    def __missing__(self, name: str) -> CompiledFunction:
+        return self._install(name)
+
+
+class CompiledProgram:
+    """A program's bindings, each compiled and linked to one evaluator when
+    the run first reaches it.
+
+    ``functions`` links a binding on its first lookup: a ``G[name]`` in
+    generated code, :meth:`Evaluator._closure_value`, or
+    :meth:`eval_expression` of the binding's own right-hand side.
     ``sources`` may supply previously generated source text per binding
     (from the per-unit codegen cache); a supplied source is linked without
     regenerating, and one that fails to link — a stale or corrupt cache
     entry is outside input — is re-lowered from the AST.  The counters
-    distinguish the two paths so callers can report cache effectiveness:
-    ``codegen_count`` is the number of bindings lowered this session and
-    ``cache_hits`` the number linked from supplied sources.
+    cover the bindings linked so far: ``codegen_count`` were lowered,
+    ``cache_hits`` linked from supplied sources, and ``self.sources``
+    holds the source each was linked from.
     """
 
     def __init__(self, evaluator,
@@ -768,64 +782,109 @@ class CompiledProgram:
         # Installed early: helper lambdas resolved during linking compile
         # through the evaluator's compiled path.
         evaluator._compiled = self
-        self.functions: Dict[str, CompiledFunction] = {}
+        self.functions: Dict[str, CompiledFunction] = _Linked(self._install)
         self.sources: Dict[str, str] = {}
         self.codegen_count = 0
         self.cache_hits = 0
-        functions = evaluator.program.functions
+        self._supplied = sources or {}
+        self._program = evaluator.program.functions
         self._known: Signatures = {
             name: (len(function.params), function.param_strict)
-            for name, function in functions.items()}
-        supplied = sources or {}
-        for name, function in functions.items():
-            self._install(name, function, supplied.get(name))
-        # Fold point: once per program build, not per call.
-        _REGISTRY.inc("codegen.compiled", self.codegen_count)
-        _REGISTRY.inc("codegen.cache_hits", self.cache_hits)
-        # Source text is what the codegen side-table shards persist, so
-        # its volume is the side-table's growth rate.
-        _REGISTRY.inc("codegen.source_bytes",
-                      sum(map(len, self.sources.values())))
+            for name, function in self._program.items()}
+        #: Zero-parameter bindings by the identity of their right-hand
+        #: side: evaluating one of those expressions enters the binding.
+        self._cafs = {id(function.body): name
+                      for name, function in self._program.items()
+                      if not function.params}
+        heap = evaluator.heap
+        #: What every link's namespace starts from: the value constructors
+        #: and this program's runtime entry points, bound once.
+        self._namespace = dict(
+            _EXEC_GLOBALS,
+            _force=evaluator.force,
+            _heap=heap,
+            _alloc=heap.allocate,
+            _bool=evaluator.bool_result,
+            _gv=evaluator.global_value,
+            _appv=evaluator.apply_arg_value,
+            _appt=evaluator.apply_arg_thunk,
+            _mklam=self.make_lambda,
+        )
 
     def make_lambda(self, body: Callable) -> CompiledFunction:
         return CompiledFunction("", 1, (False,), body, self.evaluator)
 
-    def _install(self, name: str, function: ProgramFunction,
-                 cached: Optional[str]) -> None:
-        if cached is not None:
+    def _install(self, name: str) -> CompiledFunction:
+        function = self._program[name]
+        source = self._supplied.get(name)
+        compiled = None
+        if source is not None:
             try:
-                self.functions[name] = self._link(name, function, cached)
+                compiled = self._link(name, function, source)
             except Exception:
-                pass  # A stale or corrupt cache entry: re-lowered below.
+                # A stale or corrupt cache entry: re-lowered below.
+                _REGISTRY.inc("codegen.relinks")
             else:
-                self.sources[name] = cached
                 self.cache_hits += 1
-                return
-        traced = _TRACER.enabled
-        if traced:
-            _TRACER.begin("codegen.lower", binding=name)
-        try:
-            source = generate_function_source(function, self._known)
-        finally:
-            if traced:
-                _TRACER.end("codegen.lower")
-        self.codegen_count += 1
+                _REGISTRY.inc("codegen.cache_hits")
+        if compiled is None:
+            source = _lower(name, generate_function_source, function,
+                            self._known)
+            self.codegen_count += 1
+            _REGISTRY.inc("codegen.compiled")
+            compiled = self._link(name, function, source)
         self.sources[name] = source
-        self.functions[name] = self._link(name, function, source)
+        self.functions[name] = compiled
+        # Source text is what the codegen side-table shards persist, so
+        # its volume is the side-table's growth rate.
+        _REGISTRY.inc("codegen.source_bytes", len(source))
+        return compiled
 
     def _link(self, name: str, function: ProgramFunction,
               source: str) -> CompiledFunction:
-        namespace = dict(_EXEC_GLOBALS)
-        exec(compile(source, f"<compiled:{name}>", "exec"), namespace)
-        body = namespace["_bind"](self.evaluator, self.functions, self)
+        body = self._load(name, source)(self.evaluator, self.functions)
         return CompiledFunction(name, len(function.params),
                                 function.param_strict, body, self.evaluator)
 
+    def _load(self, label: str, source: str) -> Callable:
+        """``compile()`` and ``exec`` one generated ``_bind``, in a copy of
+        the program's namespace so that no source rebinds another's
+        globals."""
+        traced = _TRACER.enabled
+        if traced:
+            _TRACER.begin("codegen.link", binding=label)
+        try:
+            namespace = dict(self._namespace)
+            exec(compile(source, f"<compiled:{label}>", "exec"), namespace)
+        finally:
+            if traced:
+                _TRACER.end("codegen.link")
+        return namespace["_bind"]
+
     def eval_expression(self, expr: Expr, env: Dict[str, object]):
-        """Compile and run a standalone expression."""
-        source = generate_expression_source(expr, sorted(env), self._known)
-        namespace = dict(_EXEC_GLOBALS)
-        exec(compile(source, "<compiled:expression>", "exec"), namespace)
-        body = namespace["_bind"](self.evaluator, self.functions, self, env)
-        runner = CompiledFunction("", 0, (), body, self.evaluator)
-        return runner.call()
+        """Compile and run a standalone expression.
+
+        A zero-parameter binding's own right-hand side (the entry a run
+        evaluates) enters that binding's compiled function, so it is
+        lowered once, as a binding.
+        """
+        name = None if env else self._cafs.get(id(expr))
+        if name is not None:
+            return self.functions[name].call()
+        source = _lower("expression", generate_expression_source, expr,
+                        sorted(env), self._known)
+        body = self._load("expression", source)(self.evaluator,
+                                                self.functions, env)
+        return CompiledFunction("", 0, (), body, self.evaluator).call()
+
+
+def _lower(label: str, generate: Callable[..., str], *args) -> str:
+    """Generate one source, as a ``codegen.lower`` span when tracing."""
+    traced = _TRACER.enabled
+    if traced:
+        _TRACER.begin("codegen.lower", binding=label)
+    try:
+        return generate(*args)
+    finally:
+        if traced:
+            _TRACER.end("codegen.lower")

@@ -229,9 +229,9 @@ class Evaluator:
         #: Memoised global resolutions (every name _eval_var has resolved
         #: outside the local environment).
         self._global_cache: Dict[str, Value] = {}
-        #: The closure-compilation backend, when requested.  Its constructor
-        #: installs itself on this attribute before linking (helper lambdas
-        #: resolved while linking go through the compiled path too).
+        #: The closure-compilation backend, when requested.  It links each
+        #: binding when the run first reaches it, and helper lambdas
+        #: resolved while linking go through the compiled path too.
         self._compiled = None
         if compiled:
             from .compiler import CompiledProgram
@@ -330,9 +330,7 @@ class Evaluator:
 
     def _closure_value(self, function: ProgramFunction) -> Value:
         if self._compiled is not None:
-            compiled = self._compiled.functions.get(function.name)
-            if compiled is not None:
-                return compiled.value_ref()
+            return self._compiled.functions[function.name].value_ref()
         cached = self._static_cache.get(f"fun:{function.name}")
         if cached is not None:
             return cached
@@ -569,8 +567,8 @@ class Evaluator:
             f"cannot apply value {obj.show_object(self.heap)}")
 
     # -- linkage for compiled code ----------------------------------------------
-    # Generated code (repro.runtime.compiler) binds these once per linked
-    # function; they carry the few behaviours that stay dynamic — generic
+    # Generated code (repro.runtime.compiler) binds these once per compiled
+    # program; they carry the few behaviours that stay dynamic — generic
     # application when the callee is unknown at compile time, and error
     # raising with tree-walker-identical messages.
 
