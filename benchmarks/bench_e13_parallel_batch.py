@@ -35,6 +35,7 @@ from bench_e12_frontend_pipeline import make_corpus
 from repro.driver import Session
 from repro.driver.batch import (
     PARALLEL_MODE_ENV,
+    CheckStats,
     ResultCache,
     payload_bytes,
     result_to_payload,
@@ -117,14 +118,16 @@ def test_report_parallel_batch_throughput(tmp_path):
                    lambda: Session().check_many(corpus, cache=cache_path),
                    repeats=1, meta={"programs": CORPUS_SIZE})
     warm_cache = ResultCache(cache_path)
+    warm_stats = CheckStats()
     warm = time_op("e13.cache_warm",
-                   lambda: Session().check_many(corpus, cache=warm_cache),
+                   lambda: Session().check_many(corpus, cache=warm_cache,
+                                                stats=warm_stats),
                    repeats=1, meta={"programs": CORPUS_SIZE})
     # The cache is hierarchical since schema v2: an unchanged file is
     # answered whole from its file-level entry (never re-parsed), so a
     # fully warm run hits once per file and never touches the unit layer.
-    assert warm_cache.file_hits == CORPUS_SIZE \
-        and warm_cache.misses == 0, \
+    assert warm_stats.file_hits == CORPUS_SIZE \
+        and warm_stats.cache_misses == 0, \
         "warm run was not answered entirely from the cache"
     assert [payload_bytes(result_to_payload(r)) for r in cold] == \
         [payload_bytes(result_to_payload(r)) for r in warm], \
@@ -185,8 +188,10 @@ def test_cache_invalidation_is_per_binding():
         edited = list(corpus)
         filename, source = edited[5]
         edited[5] = (filename, source + "\nextra :: Int\nextra = 1 + 1\n")
-        cache = ResultCache(path)
-        results = Session().check_many(edited, cache=cache)
-        assert cache.file_hits == len(corpus) - 1
-        assert cache.hits == len(cold[5].bindings) and cache.misses == 1
+        stats = CheckStats()
+        results = Session().check_many(edited, cache=ResultCache(path),
+                                       stats=stats)
+        assert stats.file_hits == len(corpus) - 1
+        assert stats.cache_hits == len(cold[5].bindings) \
+            and stats.cache_misses == 1
         assert any(b.name == "extra" for b in results[5].bindings)

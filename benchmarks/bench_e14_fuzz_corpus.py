@@ -27,7 +27,7 @@ import pytest
 
 from benchreport import emit, record_counter, report_only, time_op
 from repro.driver import Session
-from repro.driver.batch import ResultCache
+from repro.driver.batch import CheckStats, ResultCache
 from repro.fuzz import DifferentialHarness, GenOptions, generate_corpus
 
 CORPUS_SEED = 14
@@ -47,8 +47,9 @@ def _generate():
     return corpus
 
 
-def _check(sources, jobs=1, cache=None):
-    results = Session().check_many(sources, jobs=jobs, cache=cache)
+def _check(sources, jobs=1, cache=None, stats=None):
+    results = Session().check_many(sources, jobs=jobs, cache=cache,
+                                   stats=stats)
     bad = [result.filename for result in results if not result.ok]
     assert not bad, f"fuzz corpus programs failed to check: {bad[:3]}"
     return results
@@ -68,11 +69,14 @@ def test_report_fuzz_corpus_throughput(tmp_path):
     time_op("e14.cache_cold", lambda: _check(sources, cache=cache_path),
             repeats=1, meta={"programs": CORPUS_SIZE})
     warm_cache = ResultCache(cache_path)
-    time_op("e14.cache_warm", lambda: _check(sources, cache=warm_cache),
+    warm_stats = CheckStats()
+    time_op("e14.cache_warm",
+            lambda: _check(sources, cache=warm_cache, stats=warm_stats),
             repeats=1, meta={"programs": CORPUS_SIZE})
     # Hierarchical cache (schema v2): unchanged programs are answered
     # whole from their file-level entries.
-    assert warm_cache.file_hits == CORPUS_SIZE and warm_cache.misses == 0, \
+    assert warm_stats.file_hits == CORPUS_SIZE \
+        and warm_stats.cache_misses == 0, \
         "warm run was not answered entirely from the cache"
     # Store-level shape (schema v4): a warm no-op writes nothing back.
     assert warm_cache.shards_written == 0

@@ -144,19 +144,6 @@ def test_report_incremental_recheck(tmp_path):
     record_counter("e15.store.warm_shards_read", probe.shards_read)
     record_counter("e15.store.warm_shards_written", probe.shards_written)
 
-    # -- warm no-op through the session's hot tier (no disk at all) ----------
-    tier = session.store_hot_tier()
-    session.check_many([(FILENAME, source)], cache=cache_path)  # charge it
-    hits_before = tier.hits
-    warm_hot = time_op(
-        "e15.warm_noop_hot",
-        lambda: session.check_many([(FILENAME, source)], cache=cache_path),
-        repeats=3, meta={"bindings": NUM_BINDINGS})
-    assert tier.hits > hits_before, "hot tier never engaged"
-    assert payload_bytes(result_to_payload(warm_hot[0])) == \
-        payload_bytes(result_to_payload(cold[0]))
-    record_counter("e15.store.hot_hits", tier.hits)
-
     # -- the headline: edit one leaf binding's body --------------------------
     leaf = f"b{NUM_BINDINGS - 1}"          # nothing depends on the last one
     assert not _dependents_of(source, leaf)
@@ -248,14 +235,11 @@ def test_report_incremental_recheck(tmp_path):
     record_counter("e15.speedup.warm_noop_vs_full",
                    round(full_s / warm_s, 2) if warm_s > 0 else 0)
 
-    hot_s = benchreport._TIMINGS["e15.warm_noop_hot"]["seconds"]
     emit("E15: binding-level incremental re-checking "
          f"({NUM_BINDINGS} bindings)", [
              ("full module check", "baseline", f"{full_s * 1000:.1f}ms"),
              ("warm no-op", f"{full_s / warm_s:.1f}x vs full",
               f"{warm_s * 1000:.1f}ms"),
-             ("warm no-op, hot tier", f"{full_s / hot_s:.1f}x vs full",
-              f"{hot_s * 1000:.1f}ms"),
              ("scheme render memo", f"{memo_hits}/{total_renders} hits",
               f"{memo_hits / total_renders:.0%} hit rate"),
              ("single-binding edit", f"{speedup:.1f}x vs full",

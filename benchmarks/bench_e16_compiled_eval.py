@@ -125,7 +125,6 @@ def test_report_compiled_eval_throughput(tmp_path):
     assert warm.codegen_compiled == 0, \
         "warm run re-generated code the cache should have served"
     assert warm.codegen_cached == CODEGEN_BINDINGS + 1
-    assert warm_cache.codegen_hits == CODEGEN_BINDINGS + 1
 
     import benchreport
     cold_seconds = benchreport._TIMINGS["e16.codegen_cold"]["seconds"]

@@ -123,18 +123,6 @@ def test_report_project_build(tmp_path):
     record_counter("e18.store.warm_shards_read", probe.shards_read)
     record_counter("e18.store.warm_shards_written", probe.shards_written)
 
-    # -- warm no-op through the session's hot tier ----------------------------
-    tier = session.store_hot_tier()
-    check_project(items, cache=cache_path, session=session)  # charge it
-    hits_before = tier.hits
-    hot_noop = time_op(
-        "e18.warm_noop_hot",
-        lambda: check_project(items, cache=cache_path, session=session),
-        repeats=3, meta={"modules": NUM_MODULES})
-    assert tier.hits > hits_before, "hot tier never engaged"
-    assert project_bytes(hot_noop.results) == project_bytes(cold.results)
-    record_counter("e18.store.hot_hits", tier.hits)
-
     # -- the headline: body-only edit in the base module ----------------------
     base_name, base_source = items[0]
     edited_source = base_source.replace("1# -> 0#", "1# -> 0# +# 0#")
@@ -213,9 +201,6 @@ def test_report_project_build(tmp_path):
              ("cold full build", "baseline", f"{cold_s * 1000:.1f}ms"),
              ("warm no-op", f"{cold_s / noop_s:.1f}x vs cold",
               f"{noop_s * 1000:.1f}ms"),
-             ("warm no-op, hot tier",
-              f"{cold_s / benchreport._TIMINGS['e18.warm_noop_hot']['seconds']:.1f}x vs cold",
-              f"{benchreport._TIMINGS['e18.warm_noop_hot']['seconds'] * 1000:.1f}ms"),
              ("body-only edit", f"{speedup:.1f}x vs cold",
               f"{edit_s * 1000:.1f}ms"),
              ("scheme-changing edit", f"{scheme_stats.checked} unit(s) "

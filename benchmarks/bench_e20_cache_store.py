@@ -13,8 +13,6 @@ monolithic v3 document, then the workloads that used to scale with
 * ``e20.single_edit.legacy`` / ``.current`` — persisting one changed
   entry: whole-document read-merge-rewrite vs exactly the dirty shards
   (the save is asserted — always — to write <= 2 shard files);
-* ``e20.warm_noop_hot`` — the same probe served from a shared
-  :class:`~repro.driver.store.HotTier`, touching no files at all;
 * ``e20.check_warm_noop`` — an end-to-end ``check_many`` no-op against a
   cache padded with the full synthetic corpus, proving the O(touched)
   property survives the driver stack (byte-identical results, a handful
@@ -23,8 +21,8 @@ monolithic v3 document, then the workloads that used to scale with
   by a barrier: the union of both write sets must survive (asserted
   always — this is the multi-writer contract the ROADMAP's
   checking-as-a-service story leans on);
-* counters: per-scenario ``shards_read`` / ``shards_written``, hot-tier
-  hit counts, and the process-wide ``cache.store.*`` registry counters.
+* counters: per-scenario ``shards_read`` / ``shards_written`` and the
+  process-wide ``cache.store.*`` registry counters.
 """
 
 import hashlib
@@ -36,9 +34,9 @@ import pytest
 
 from benchreport import drain_registry, emit, record_counter, report_only, \
     time_op
-from repro.driver import ResultCache, Session
+from repro.driver import CheckStats, ResultCache, Session
 from repro.driver.batch import payload_bytes, result_to_payload
-from repro.driver.store import HotTier, ShardStore
+from repro.driver.store import ShardStore
 from repro.telemetry import REGISTRY
 
 NUM_ENTRIES = 10_000
@@ -119,23 +117,6 @@ def test_report_cache_store(tmp_path):
     assert probe_store.shards_read <= PROBES
     record_counter("e20.warm_noop.shards_read", probe_store.shards_read)
 
-    # -- the same probe against a warm hot tier: no files at all -------------
-    hot = HotTier()
-    ShardStore(sharded_root, hot=hot).get(probes[0])  # charge the tier
-    for key in probes:
-        ShardStore(sharded_root, hot=hot).get(key)
-
-    def hot_noop():
-        store = ShardStore(sharded_root, hot=hot)
-        found = [store.get(key) for key in probes]
-        assert store.shards_read == 0
-        return found
-
-    assert time_op("e20.warm_noop_hot", hot_noop, repeats=3,
-                   meta={"probes": PROBES}) == legacy_found
-    record_counter("e20.hot.hits", hot.hits)
-    record_counter("e20.hot.shards", len(hot))
-
     # -- single edit: persist one changed entry ------------------------------
     edited_key = probes[0]
 
@@ -203,8 +184,10 @@ def test_report_cache_store(tmp_path):
 
     def warm_check():
         warm_cache = ResultCache(check_root)
-        results = Session().check_many(check_corpus, cache=warm_cache)
-        assert warm_cache.file_hits == len(check_corpus)
+        stats = CheckStats()
+        results = Session().check_many(check_corpus, cache=warm_cache,
+                                       stats=stats)
+        assert stats.file_hits == len(check_corpus)
         assert warm_cache.shards_written == 0
         return results, warm_cache
 
@@ -225,7 +208,6 @@ def test_report_cache_store(tmp_path):
     import benchreport
     legacy_s = benchreport._TIMINGS["e20.warm_noop.legacy"]["seconds"]
     current_s = benchreport._TIMINGS["e20.warm_noop.current"]["seconds"]
-    hot_s = benchreport._TIMINGS["e20.warm_noop_hot"]["seconds"]
     edit_legacy_s = benchreport._TIMINGS["e20.single_edit.legacy"]["seconds"]
     edit_current_s = \
         benchreport._TIMINGS["e20.single_edit.current"]["seconds"]
@@ -241,8 +223,6 @@ def test_report_cache_store(tmp_path):
         ("warm no-op, sharded", f"{speedup:.1f}x vs monolithic",
          f"{current_s * 1000:.1f}ms "
          f"({probe_store.shards_read} shard(s))"),
-        ("warm no-op, hot tier", "no file I/O",
-         f"{hot_s * 1000:.2f}ms"),
         ("single edit persist", f"{edit_legacy_s / edit_current_s:.1f}x "
          "vs monolithic",
          f"{edit_current_s * 1000:.1f}ms "

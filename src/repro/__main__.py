@@ -52,7 +52,10 @@ rows — as Chrome trace-event JSON loadable in Perfetto
   (schema, key→shard assignment, payload shapes; exit 1 on problems),
   ``gc --max-age AGE`` drops entries not stored or consumed within AGE
   (``30d``, ``12h``, ``90m`` or plain seconds), and ``compact``
-  rewrites shards canonically, dropping empties.
+  rewrites shards canonically, dropping empties.  Every ``--cache PATH``
+  is such a directory, created on first use; a PATH that is, or lies
+  under, a regular file is refused with one ``error:`` line (exit 2)
+  before any work, and the file is left as it was.
 * ``repl`` — a small read-eval-print loop (declarations accumulate;
   ``:t expr`` shows a type; ``:q`` quits).
 * ``fuzz`` — generate a corpus of random well-typed programs
@@ -420,10 +423,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from .driver.store import ShardStore
 
     if os.path.isfile(args.path):
-        raise _CliError(
-            f"{args.path} is a legacy monolithic cache document; it "
-            "migrates (cold) the next time a check opens it — nothing "
-            "to maintain yet")
+        raise _CliError(f"{args.path} is a file, not a cache directory")
     if not os.path.isdir(args.path):
         raise _CliError(f"no cache directory at {args.path}")
     store = ShardStore(args.path)
@@ -467,6 +467,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"compact: {document['bytes_before']} -> "
               f"{document['bytes_after']} bytes")
     return 0
+
+
+def _open_cache(path: str) -> None:
+    """Refuse an unusable ``--cache`` path before any checking: opening
+    the store creates its directory, which fails when the path is, or
+    lies under, a regular file."""
+    from .driver.store import ShardStore
+
+    try:
+        ShardStore(path)
+    except OSError as exc:
+        raise _CliError(f"cannot use {path} as a cache directory "
+                        f"({exc.strerror or exc})") from exc
 
 
 def _cmd_repl(args: argparse.Namespace) -> int:
@@ -571,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "tree-walker")
     run.add_argument("--cache", default=None, metavar="PATH",
                      help="with --compiled: per-binding codegen cache "
-                          "(shares the check cache document); a warm run "
+                          "(shares the check cache directory); a warm run "
                           "reports zero functions compiled")
     run.add_argument("--explicit-reps", action="store_true")
     run.add_argument("--no-levity-check", action="store_true")
@@ -691,6 +704,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # counters publish regardless).
         REGISTRY.enable()
     try:
+        if getattr(args, "cache", None) is not None:
+            _open_cache(args.cache)
         code = args.func(args)
         if trace_out:
             TRACER.write(trace_out)

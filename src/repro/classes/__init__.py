@@ -16,7 +16,6 @@ from .builtin import (
 )
 from .declarations import ClassEnv, ClassInfo, InstanceInfo, MethodInfo
 from .dictionaries import (
-    Dictionary,
     dictionary_binding,
     dictionary_constructor_name,
     dictionary_data_decl,

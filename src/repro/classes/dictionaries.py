@@ -24,15 +24,16 @@ This module makes that elaboration concrete:
 * :func:`selector_arity` / :func:`method_reference_arity` — the arity
   analysis that explains why ``abs1 = abs`` (arity 1: just the dictionary)
   is accepted while its η-expansion ``abs2 x = abs x`` (arity 2: dictionary
-  *and* a levity-polymorphic value) is rejected;
-* :class:`Dictionary` — the runtime representation used by the cost-model
-  evaluator: a boxed, lifted record mapping method names to closures.
+  *and* a levity-polymorphic value) is rejected.
+
+At run time the cost-model evaluator allocates a dictionary as a
+:class:`repro.runtime.values.DictionaryCell`: a boxed, lifted record
+mapping method names to closures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Tuple
 
 from ..core.kinds import REP_KIND, TYPE_LIFTED
 from ..surface.ast import ConstructorDecl, DataDecl, EApp, EVar, Expr
@@ -126,29 +127,3 @@ def eta_expansion_binds_levity_polymorphic_value(
         current = current.result
     return False
 
-
-@dataclass
-class Dictionary:
-    """A runtime dictionary: a boxed, lifted record of method closures.
-
-    The cost-model runtime (:mod:`repro.runtime`) allocates these on its heap
-    like any other boxed value; selecting a method is one field read — which
-    is precisely why passing a dictionary never runs afoul of the levity
-    restrictions even when the class variable is instantiated at ``Int#``.
-    """
-
-    class_name: str
-    instance_head: str
-    methods: Dict[str, object] = field(default_factory=dict)
-
-    def select(self, method_name: str) -> object:
-        try:
-            return self.methods[method_name]
-        except KeyError:
-            raise KeyError(
-                f"dictionary {self.class_name} {self.instance_head} has no "
-                f"method {method_name!r}") from None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        methods = ", ".join(sorted(self.methods))
-        return f"<${self.class_name}{self.instance_head} {{{methods}}}>"

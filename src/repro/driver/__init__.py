@@ -24,8 +24,8 @@ reproduction as one pipeline::
 * :mod:`repro.driver.store` — the sharded, content-addressed on-disk
   store behind the result cache (schema v4): 256 lazily-loaded shards
   per key namespace, per-shard dirty tracking and atomic merge-then-
-  replace saves, a session-owned in-memory hot tier, and the
-  ``python -m repro cache stats|verify|gc|compact`` maintenance surface;
+  replace saves, and the ``python -m repro cache
+  stats|verify|gc|compact`` maintenance surface;
 * :mod:`repro.driver.project` — the module-level layer on top: ``module``
   / ``import`` resolution, the project DAG with cycle rejection, and
   cross-module incremental builds (``Session.check_project`` and
@@ -40,7 +40,7 @@ a thin wrapper over this package.
 
 from .batch import CheckStats, ResultCache, check_many_sharded
 from .depgraph import CheckUnit, ModulePlan, build_plan
-from .store import CACHE_SCHEMA, HotTier, ShardStore
+from .store import CACHE_SCHEMA, ShardStore
 from .lower import LoweringError, lower_binding, lower_entry, lower_type
 from .project import (
     ModuleNode,
@@ -72,7 +72,6 @@ __all__ = [
     "CompileResult",
     "Diagnostic",
     "DriverOptions",
-    "HotTier",
     "LoweringError",
     "ModuleNode",
     "ModulePlan",

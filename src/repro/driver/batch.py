@@ -33,8 +33,7 @@ Three layers:
   merge-then-replace discipline — a warm no-op run reads only the shards
   it probes, a single-unit edit rewrites only the shards it dirtied, and
   concurrent runs sharing a cache directory cannot tear a shard or
-  clobber each other's fresh entries.  An optional session-owned
-  :class:`~repro.driver.store.HotTier` serves hot shards from memory.
+  clobber each other's fresh entries.
 
 * **The walk** — every check goes through one per-file unit walk
   (:func:`_walk`): a file's units in dependency order, each either a
@@ -66,7 +65,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.errors import ParseError
 from ..frontend.lexer import Span
@@ -79,7 +80,7 @@ from ..telemetry import (
     TRACER as _TRACER,
 )
 from .depgraph import CheckUnit, ModulePlan, build_plan
-from .store import CACHE_SCHEMA, HotTier, ShardStore
+from .store import CACHE_SCHEMA, ShardStore
 from .session import (
     BindingSummary,
     CheckResult,
@@ -493,7 +494,7 @@ def _outline_payload_valid(payload: dict) -> bool:
 
 
 class ResultCache:
-    """A store-backed map from unit keys to unit payloads.
+    """A store-backed map from cache keys to payloads.
 
     With a ``path`` the entries live in a sharded directory managed by
     :class:`repro.driver.store.ShardStore` (see that module for the
@@ -502,35 +503,20 @@ class ResultCache:
     plain in-process dict (the REPL's state, tests) that worker
     processes cannot read, so checks against it stay in-process.
 
-    ``hits``/``misses``/``stores`` counters make cache behaviour
-    observable to benchmarks, tests and ``--stats``; storing a payload
-    identical to the existing entry is a free no-op at every level
-    (counters, dirty shards, disk).
-
-    :meth:`save` persists **exactly the dirty shards**, each with the
-    atomic merge-then-replace discipline — concurrent ``--jobs`` runs
-    sharing one ``--cache`` directory can neither interleave a torn
-    shard nor silently drop each other's work.  ``hot`` (a
-    :class:`~repro.driver.store.HotTier`, usually session-owned) serves
-    repeat shard reads from memory.
+    Every lookup shape-checks what it reads: a malformed entry
+    (hand-edited shard, truncated write) is a miss, which the re-check
+    overwrites.  Hit and miss counts live in :class:`CheckStats` and the
+    ``cache.*``/``codegen.*`` telemetry counters.  :meth:`save` persists
+    **exactly the dirty shards**, each with the atomic
+    merge-then-replace discipline — concurrent ``--jobs`` runs sharing
+    one ``--cache`` directory can neither interleave a torn shard nor
+    silently drop each other's work.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 hot: Optional[HotTier] = None) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._store: Optional[ShardStore] = None
+        self._store = ShardStore(path) if path is not None else None
         self._memory: Dict[str, dict] = {}
-        if path is not None:
-            self._store = ShardStore(path, hot=hot)
-        #: Unit-level counters (the granularity ``--stats`` reports).
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: Whole-file short-circuit hits: an unchanged file is answered
-        #: from one file-level entry without even being re-parsed.
-        self.file_hits = 0
-        #: Codegen side-table hits (compiled Python sources per unit).
-        self.codegen_hits = 0
 
     @property
     def entries(self) -> Dict[str, dict]:
@@ -552,47 +538,24 @@ class ResultCache:
     def shards_written(self) -> int:
         return self._store.shards_written if self._store is not None else 0
 
-    def _get(self, key: str) -> Optional[dict]:
-        if self._store is not None:
-            return self._store.get(key)
-        return self._memory.get(key)
-
-    def _put(self, key: str, payload: dict) -> bool:
-        if self._store is not None:
-            return self._store.put(key, payload)
-        if self._memory.get(key) == payload:
-            return False
-        self._memory[key] = payload
-        return True
-
-    def lookup(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is not None and not _unit_payload_valid(payload):
-            # A malformed entry (hand-edited shard, truncated write) is a
-            # miss, not an error; the re-check overwrites it.  Validating
-            # here keeps the hit/miss counters truthful.
-            payload = None
-        if payload is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return payload
+    def _get(self, key: str,
+             valid: Callable[[dict], bool]) -> Optional[dict]:
+        payload = self._store.get(key) if self._store is not None \
+            else self._memory.get(key)
+        return payload if payload is not None and valid(payload) else None
 
     def store(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.stores += 1
+        """Store a payload; storing what is already there is free."""
+        if self._store is not None:
+            self._store.put(key, payload)
+        else:
+            self._memory[key] = payload
+
+    def lookup(self, key: str) -> Optional[dict]:
+        return self._get(key, _unit_payload_valid)
 
     def lookup_file(self, key: str) -> Optional[dict]:
-        """Whole-file fast path; a miss here is silent (the unit walk that
-        follows keeps the truthful per-unit counters)."""
-        payload = self._get(key)
-        if payload is None or not _file_payload_valid(payload):
-            return None
-        self.file_hits += 1
-        return payload
-
-    def store_file(self, key: str, payload: dict) -> None:
-        self._put(key, payload)
+        return self._get(key, _file_payload_valid)
 
     def lookup_exports(self, file_key: str) -> Optional[dict]:
         """The ``exports:`` entry of a project file key, or None.
@@ -600,33 +563,17 @@ class ResultCache:
         The returned payload's ``"exports"`` field is either a
         ``{name: canonical scheme rendering | None}`` map or None (the
         module failed entirely — e.g. did not parse)."""
-        payload = self._get("exports:" + file_key)
-        if payload is None or not _exports_payload_valid(payload):
-            return None
-        return payload
+        return self._get("exports:" + file_key, _exports_payload_valid)
 
     def store_exports(self, file_key: str,
                       exports: Optional[Dict[str, Optional[str]]]) -> None:
-        self._put("exports:" + file_key, {"exports": exports})
+        self.store("exports:" + file_key, {"exports": exports})
 
     def lookup_outline(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is None or not _outline_payload_valid(payload):
-            return None
-        return payload
-
-    def store_outline(self, key: str, payload: dict) -> None:
-        self._put(key, payload)
+        return self._get(key, _outline_payload_valid)
 
     def lookup_codegen(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is None or not _codegen_payload_valid(payload):
-            return None
-        self.codegen_hits += 1
-        return payload
-
-    def store_codegen(self, key: str, payload: dict) -> None:
-        self._put(key, payload)
+        return self._get(key, _codegen_payload_valid)
 
     def save(self) -> None:
         """Persist dirty shards (see :meth:`ShardStore.save`); a no-op
@@ -705,8 +652,7 @@ def store_codegen(cache: ResultCache, units,
                      if name in sources}
         if not functions:
             continue
-        cache.store_codegen(key, {"functions": functions,
-                                  "arities": arities})
+        cache.store(key, {"functions": functions, "arities": arities})
 
 
 # ---------------------------------------------------------------------------
@@ -1290,10 +1236,7 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
     if session is None:
         session = Session(options)
     if isinstance(cache, str):
-        # A path-spelled cache is opened against the session's hot tier,
-        # so repeated calls in one warm process serve hot shards from
-        # memory instead of disk.
-        cache = ResultCache(cache, hot=session.store_hot_tier())
+        cache = ResultCache(cache)
     modules = [(filename, source, None) for filename, source in sources]
     return [result for result, _exports in check_modules(
         modules, options, jobs, cache, session, stats)]
@@ -1396,7 +1339,7 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
             # identical sources share one entry regardless of name.
             payload = result_to_payload(result)
             payload["filename"] = ""
-            cache.store_file(keys[index], payload)
+            cache.store(keys[index], payload)
             if state.scope is not None:
                 cache.store_exports(keys[index], exports)
 

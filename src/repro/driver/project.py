@@ -202,7 +202,7 @@ def _outline_node(index: int, filename: str, source: str,
             plan.module_name if plan.has_header else None,
             False, plan.header_span, plan.imports, tuple(foreign))
     if cache is not None:
-        cache.store_outline(key, {
+        cache.store(key, {
             "name": node.name,
             "parse_error": node.parse_error,
             "header_span": _span_to_list(node.header_span),
@@ -447,9 +447,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
     if options is None:
         options = session.options
     if isinstance(cache, str):
-        # Open against the session's hot tier: repeated project builds
-        # in one warm process serve hot shards from memory.
-        cache = ResultCache(cache, hot=session.store_hot_tier())
+        cache = ResultCache(cache)
     if stats is None:
         stats = CheckStats()
 

@@ -588,6 +588,9 @@ class Session:
         self._repl_cache = None
         self._repl_project_check = None
         self._repl_check: Optional[CheckResult] = None
+        #: Generated sources of the bindings earlier lines linked against
+        #: ``_repl_check``; dropped whenever that check is replaced.
+        self._repl_sources: Dict[str, str] = {}
         #: The persistent worker pool (lazily spawned, reused across
         #: ``check_many`` calls) and the counters that make its lifecycle
         #: observable to benchmarks and tests.
@@ -601,19 +604,6 @@ class Session:
             "parallel_batches": 0,
             "serial_batches": 0,
         }
-        #: The in-memory hot tier over on-disk cache shards, created
-        #: lazily and shared by every path-spelled cache this session
-        #: opens (check_many, check_project, compiled runs) — repeated
-        #: calls in one warm process serve hot shards without disk reads.
-        self._store_hot = None
-
-    def store_hot_tier(self):
-        """The session's :class:`repro.driver.store.HotTier` (lazy)."""
-        if self._store_hot is None:
-            from .store import HotTier
-
-            self._store_hot = HotTier()
-        return self._store_hot
 
     # -- the persistent worker pool -------------------------------------------
 
@@ -804,8 +794,8 @@ class Session:
         if compiled and cache is not None:
             from .batch import ResultCache, load_codegen
 
-            cache_obj = ResultCache(cache, hot=self.store_hot_tier()) \
-                if isinstance(cache, str) else cache
+            cache_obj = ResultCache(cache) if isinstance(cache, str) \
+                else cache
             sources, codegen_units = load_codegen(cache_obj, check,
                                                   self.options)
         traced = _TRACER.enabled
@@ -1011,6 +1001,7 @@ class Session:
         self._repl_project_check = check
         self._repl_decls = []
         self._repl_check = merged_check(check, self.pipeline)
+        self._repl_sources = {}
         return summary
 
     def _repl_define(self, text: str, added) -> str:
@@ -1064,6 +1055,7 @@ class Session:
         self._repl_decls = decls
         self._repl_project_check = check
         self._repl_check = merged_check(check, self.pipeline)
+        self._repl_sources = {}
         echo = check.results[target if target is not None else -1]
         lines = []
         for name in names:
@@ -1118,11 +1110,16 @@ class Session:
         if isinstance(it, str):
             return it
         check = self._repl_check
+        program = Program.from_check(check) if check is not None \
+            else Program()
+        evaluator = Evaluator(program, compiled=self.options.compiled,
+                              compiled_sources=self._repl_sources)
         try:
-            program = Program.from_check(check) if check is not None \
-                else Program()
-            evaluator = Evaluator(program, compiled=self.options.compiled)
             value = evaluator.force(evaluator.eval(it[0]))
             return value.show(evaluator.heap)
         except ReproError as exc:
             return f"runtime error: {exc}"
+        finally:
+            if evaluator._compiled is not None:
+                # Later lines link these instead of lowering them again.
+                self._repl_sources.update(evaluator._compiled.sources)

@@ -13,9 +13,9 @@ buys us), so the store:
   first two hex characters of its trailing digest — a uniform split that
   is stable across runs, machines and schema-compatible versions;
 * segregates the key namespaces into per-table directories (``unit/``
-  for bare unit and file keys, plus the ``pfile:``/``outline:``/
-  ``exports:``/``codegen:`` side-tables), so the side-tables never
-  dilute the hot unit shards;
+  for bare unit keys and unknown prefixes, plus the ``pfile:``/
+  ``outline:``/``exports:``/``codegen:`` side-tables), so the
+  side-tables never dilute the unit shards;
 * loads shards **lazily** — a warm no-op run reads only the shards it
   actually probes — and tracks dirtiness **per shard**, so a single-unit
   edit rewrites exactly the shards its entries live in and ``save()``
@@ -40,28 +40,19 @@ on *read* only when older than :data:`STAMP_REFRESH_SECONDS`, so steady
 no-op runs stay zero-write); ``gc(max_age)`` uses them to drop entries
 that have neither been produced nor consumed recently.
 
-A legacy monolithic cache *file* at the root path is unsalvageable by
-construction — :data:`CACHE_SCHEMA` is hashed into every key, so v3
-entries can never hit under v4 — and is deleted on first open (the
-documented one-time cold import; counted as ``cache.store.migrations``).
-
-The :class:`HotTier` is a process-level LRU of *clean* shard contents,
-owned by a :class:`~repro.driver.session.Session` and shared by every
-store it opens: repeated ``check_many``/``check_project`` calls in one
-warm process serve hot shards from memory without touching disk.  Only
-disk-synced shard snapshots enter the tier (on load and after save), so
-a crashed or abandoned writer can never make the tier lie about what is
-persisted.
+The root path must be a directory: opening a store creates it, and a
+path that exists as a regular file, or lies under one, is refused with
+an ``OSError`` and left untouched.  Schemas v1–v3 kept a monolithic
+document there; :data:`CACHE_SCHEMA` is hashed into every key, so such
+a document could never hit anyway.
 
 Metrics (``repro.telemetry``): ``cache.store.shards_read`` /
-``shards_written`` / ``entries_loaded`` / ``hot_hits`` / ``hot_misses``
-/ ``migrations`` / ``gc_dropped``; every shard file read is a
-``cache.shard`` trace span.
+``shards_written`` / ``entries_loaded`` / ``gc_dropped``; every shard
+file read is a ``cache.shard`` trace span.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import hashlib
 import json
@@ -82,7 +73,6 @@ __all__ = [
     "SHARD_COUNT",
     "STAMP_REFRESH_SECONDS",
     "TABLES",
-    "HotTier",
     "ShardStore",
     "shard_of",
     "table_of",
@@ -95,8 +85,7 @@ __all__ = [
 #: v3: project builds — unit keys fold in imported schemes, plus the
 #: ``outline:`` and ``exports:`` side-tables.
 #: v4: the sharded store — entries split across per-table shard
-#: directories with per-entry GC stamps.  v≤3 monolithic documents
-#: degrade to a one-time cold import, never to errors.
+#: directories with per-entry GC stamps.
 CACHE_SCHEMA = 4
 
 #: Shards per table.  256 = one shard per first-byte value of the
@@ -104,12 +93,10 @@ CACHE_SCHEMA = 4
 #: or write touches well under 1% of the corpus.
 SHARD_COUNT = 256
 
-#: The key namespaces, each its own shard directory.  ``unit`` holds both
-#: per-unit and whole-file entries (bare sha256 keys); the rest mirror
-#: the key prefixes minted by :mod:`repro.driver.batch`.  ``misc`` is the
-#: fallback for unknown prefixes, so a future namespace is storable
-#: before this table learns its name.
-TABLES = ("unit", "pfile", "outline", "exports", "codegen", "misc")
+#: The key namespaces, each its own shard directory.  ``unit`` holds the
+#: bare sha256 unit keys, and any key whose prefix no other table names;
+#: the rest mirror the key prefixes minted by :mod:`repro.driver.batch`.
+TABLES = ("unit", "pfile", "outline", "exports", "codegen")
 
 #: A hit refreshes an entry's GC stamp only when the stamp is older than
 #: this (one week): hot entries survive ``gc --max-age`` indefinitely,
@@ -133,7 +120,7 @@ def table_of(key: str) -> str:
         return head
     if head.startswith("codegen") and head[len("codegen"):].isdigit():
         return "codegen"
-    return "misc"
+    return "unit"
 
 
 def shard_of(key: str) -> int:
@@ -183,70 +170,21 @@ def _shard_lock(shard_path: str) -> Iterator[None]:
         os.close(descriptor)  # closing the descriptor releases the lock
 
 
-class HotTier:
-    """A bounded LRU of clean shard snapshots, shared across stores.
-
-    Keys are ``(root, table, shard index)``; values are the shard's
-    ``(entries, stamps)`` as last synced with disk.  The tier hands out
-    *copies* and receives *copies*, so a store mutating its working view
-    can never leak unsaved entries into another store's reads — the tier
-    only ever reflects persisted state.
-    """
-
-    def __init__(self, max_shards: int = 1024) -> None:
-        self.max_shards = max(1, int(max_shards))
-        self._shards: "collections.OrderedDict[Tuple[str, str, int], " \
-            "Tuple[Dict[str, dict], Dict[str, float]]]" = \
-            collections.OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple[str, str, int]
-            ) -> Optional[Tuple[Dict[str, dict], Dict[str, float]]]:
-        snapshot = self._shards.get(key)
-        if snapshot is None:
-            self.misses += 1
-            _REGISTRY.inc("cache.store.hot_misses")
-            return None
-        self._shards.move_to_end(key)
-        self.hits += 1
-        _REGISTRY.inc("cache.store.hot_hits")
-        return dict(snapshot[0]), dict(snapshot[1])
-
-    def put(self, key: Tuple[str, str, int], entries: Dict[str, dict],
-            stamps: Dict[str, float]) -> None:
-        self._shards[key] = (dict(entries), dict(stamps))
-        self._shards.move_to_end(key)
-        while len(self._shards) > self.max_shards:
-            self._shards.popitem(last=False)
-
-    def invalidate(self, root: Optional[str] = None) -> None:
-        """Drop cached shards (all of them, or one store root's)."""
-        if root is None:
-            self._shards.clear()
-            return
-        for key in [key for key in self._shards if key[0] == root]:
-            del self._shards[key]
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-
 class ShardStore:
     """A lazily-loaded, per-shard-dirty view of one cache directory.
 
     The store is a working *overlay*: :meth:`get`/:meth:`put` operate on
-    in-memory shard views populated on first touch (from the hot tier or
-    disk); :meth:`save` persists exactly the dirty shards, merging
-    against a fresh disk read per shard so concurrent writers lose
-    nothing.  Instance counters (``shards_read``/``shards_written``/…)
+    in-memory shard views read from disk on first touch; :meth:`save`
+    persists exactly the dirty shards, merging against a fresh disk read
+    per shard so concurrent writers lose nothing.  Instance counters (``shards_read``/``shards_written``/…)
     mirror the ``cache.store.*`` registry metrics for tests and benches
     that need per-store numbers.
     """
 
-    def __init__(self, root: str, hot: Optional[HotTier] = None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.hot = hot
+        # Fails before any work when the path is, or lies under, a file.
+        os.makedirs(self.root, exist_ok=True)
         #: (table, shard) -> working entries / stamps views.
         self._entries: Dict[Tuple[str, int], Dict[str, dict]] = {}
         self._stamps: Dict[Tuple[str, int], Dict[str, float]] = {}
@@ -255,27 +193,6 @@ class ShardStore:
         self._probed: Dict[Tuple[str, int], Set[str]] = {}
         self.shards_read = 0
         self.shards_written = 0
-        self.migrated = False
-        if os.path.isfile(self.root):
-            self._migrate_legacy_file()
-
-    # -- legacy monolithic documents ------------------------------------------
-
-    def _migrate_legacy_file(self) -> None:
-        """Delete a v≤3 monolithic cache document at the root path.
-
-        Old entries cannot hit under the current schema (the schema
-        number is hashed into every key), so the only sound migration is
-        the cold import: remove the document and let the directory grow
-        in its place.  Corrupt files take the same path — a cache that
-        cannot be read is a cold cache, exactly as before.
-        """
-        try:
-            os.unlink(self.root)
-        except OSError:
-            return  # raced with another migrating process; equally fine
-        self.migrated = True
-        _REGISTRY.inc("cache.store.migrations")
 
     # -- shard IO -------------------------------------------------------------
 
@@ -313,11 +230,6 @@ class ShardStore:
         entries = self._entries.get(slot)
         if entries is not None:
             return entries
-        if self.hot is not None:
-            snapshot = self.hot.get((self.root, table, index))
-            if snapshot is not None:
-                self._entries[slot], self._stamps[slot] = snapshot
-                return self._entries[slot]
         path = self._shard_path(table, index)
         with _TRACER.span("cache.shard", table=table, shard=index):
             entries, stamps = self._read_shard_file(path)
@@ -325,8 +237,6 @@ class ShardStore:
         _REGISTRY.inc("cache.store.shards_read")
         if entries:
             _REGISTRY.inc("cache.store.entries_loaded", len(entries))
-        if self.hot is not None:
-            self.hot.put((self.root, table, index), entries, stamps)
         self._entries[slot] = entries
         self._stamps[slot] = stamps
         return entries
@@ -383,8 +293,7 @@ class ShardStore:
         """Persist dirty shards; returns how many shard files were written.
 
         Per dirty shard, under that shard's advisory lock: re-read the
-        file fresh from disk (never the hot tier — another process may
-        have advanced it), merge (our entries win on collision; same key
+        file fresh from disk (another process may have advanced it), merge (our entries win on collision; same key
         means same deterministic payload), write to a temp file in the
         shard directory and atomically ``os.replace`` it into place.
         Clean shards are neither read nor written.
@@ -405,8 +314,6 @@ class ShardStore:
                 self._write_shard_file(path, merged, stamps)
             self._entries[slot] = merged
             self._stamps[slot] = stamps
-            if self.hot is not None:
-                self.hot.put((self.root, table, index), merged, stamps)
             written += 1
         self._dirty.clear()
         return written
@@ -549,8 +456,6 @@ class ShardStore:
                 self._write_shard_file(path, live, stamps)
         if dropped:
             _REGISTRY.inc("cache.store.gc_dropped", dropped)
-        if self.hot is not None:
-            self.hot.invalidate(self.root)
         self._entries.clear()
         self._stamps.clear()
         self._probed.clear()
@@ -585,8 +490,6 @@ class ShardStore:
                 after += os.path.getsize(path)
             except OSError:
                 pass
-        if self.hot is not None:
-            self.hot.invalidate(self.root)
         self._entries.clear()
         self._stamps.clear()
         self._probed.clear()

@@ -222,12 +222,9 @@ class Evaluator:
         self.program = program or Program()
         self.costs = costs if costs is not None else CostModel()
         self.heap = Heap(self.costs)
-        #: Compile-time-known values (top-level closures, primop entry
-        #: points, nullary constructors, helper definitions).  These live in
-        #: the static segment and are never charged to the cost model.
-        self._static_cache: Dict[str, Value] = {}
-        #: Memoised global resolutions (every name _eval_var has resolved
-        #: outside the local environment).
+        #: Memoised global resolutions by name: top-level closures, primop
+        #: entry points, constructors, selectors and helper definitions,
+        #: each resolved once per evaluator.
         self._global_cache: Dict[str, Value] = {}
         #: The closure-compilation backend, when requested.  It links each
         #: binding when the run first reaches it, and helper lambdas
@@ -331,7 +328,7 @@ class Evaluator:
     def _closure_value(self, function: ProgramFunction) -> Value:
         if self._compiled is not None:
             return self._compiled.functions[function.name].value_ref()
-        cached = self._static_cache.get(f"fun:{function.name}")
+        cached = self._global_cache.get(function.name)
         if cached is not None:
             return cached
         if function.params:
@@ -344,7 +341,7 @@ class Evaluator:
             # closure.
             obj = Thunk(lambda: self._eval(function.body, {}))
         ref = self.heap.allocate(obj, static=True)
-        self._static_cache[f"fun:{function.name}"] = ref
+        self._global_cache[function.name] = ref
         return ref
 
     def _eval(self, expr: Expr, env: Dict[str, Value]) -> Value:
@@ -420,9 +417,6 @@ class Evaluator:
     def _resolve_global(self, name: str) -> Value:
         if name in self.program.functions:
             return self._closure_value(self._function(name))
-        cached = self._static_cache.get(name)
-        if cached is not None:
-            return cached
         if name in PRIMOP_TABLE:
             arity, implementation = PRIMOP_TABLE[name]
             value = self.heap.allocate(
@@ -460,7 +454,6 @@ class Evaluator:
         else:
             raise ScopeError(
                 f"variable {name!r} is not bound at runtime")
-        self._static_cache[name] = value
         return value
 
     def _class_method_selector(self, name: str) -> Optional[Value]:

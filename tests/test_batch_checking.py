@@ -12,7 +12,9 @@ Covers the batch-path guarantees the driver makes:
 
 import os
 
-from repro.driver import DriverOptions, ResultCache, Session
+import pytest
+
+from repro.driver import CheckStats, DriverOptions, ResultCache, Session
 from repro.driver.batch import (
     cache_key,
     options_fingerprint,
@@ -107,9 +109,11 @@ class TestSharding:
         source = "v :: Int\nv = 1 + 2\n"
         corpus = [("a.lev", source), ("b.lev", source), ("c.lev", source)]
         cache = ResultCache(str(tmp_path / "cache.json"))
-        results = Session().check_many(corpus, jobs=2, cache=cache)
+        stats = CheckStats()
+        results = Session().check_many(corpus, jobs=2, cache=cache,
+                                       stats=stats)
         # One check, one store; every caller still gets its own filename.
-        assert cache.stores == 1
+        assert stats.checked == 1
         assert [r.filename for r in results] == ["a.lev", "b.lev", "c.lev"]
         assert all(r.ok for r in results)
         for result in results:
@@ -123,12 +127,13 @@ class TestIncrementalCache:
         path = str(tmp_path / "cache.json")
         session = Session()
         cold = session.check_many(corpus, cache=path)
-        warm_cache = ResultCache(path)
-        warm = session.check_many(corpus, cache=warm_cache)
+        stats = CheckStats()
+        warm = session.check_many(corpus, cache=ResultCache(path),
+                                  stats=stats)
         # Unchanged files short-circuit on their whole-file entry; the
         # unit layer is never consulted.
-        assert warm_cache.file_hits == len(corpus)
-        assert warm_cache.hits == 0 and warm_cache.misses == 0
+        assert stats.file_hits == len(corpus)
+        assert stats.cache_hits == 0 and stats.cache_misses == 0
         assert [payload_bytes(result_to_payload(r)) for r in cold] == \
             [payload_bytes(result_to_payload(r)) for r in warm]
 
@@ -140,12 +145,13 @@ class TestIncrementalCache:
         # Edit the body of 'main' in one program: only that binding's unit
         # misses — the sibling 'add4' and every other program stay hits.
         corpus[4] = (filename, source.replace("+ 1", "+ 2"))
-        cache = ResultCache(path)
-        results = Session().check_many(corpus, cache=cache)
+        stats = CheckStats()
+        results = Session().check_many(corpus, cache=ResultCache(path),
+                                       stats=stats)
         # The edited file drops to the unit layer: its 'main' misses, its
         # untouched 'add4' unit hits; every other file short-circuits.
-        assert cache.file_hits == len(corpus) - 1
-        assert cache.misses == 1 and cache.hits == 1
+        assert stats.file_hits == len(corpus) - 1
+        assert stats.cache_misses == 1 and stats.cache_hits == 1
         assert all(r.ok for r in results)
 
     def test_renamed_file_reuses_cached_result_with_new_name(self, tmp_path):
@@ -154,18 +160,20 @@ class TestIncrementalCache:
         Session().check_many(corpus, cache=path)
         renamed = [(f"renamed_{i}.lev", source)
                    for i, (_, source) in enumerate(corpus)]
-        cache = ResultCache(path)
-        results = Session().check_many(renamed, cache=cache)
-        assert cache.file_hits == 3   # keys never include the filename
+        stats = CheckStats()
+        results = Session().check_many(renamed, cache=ResultCache(path),
+                                       stats=stats)
+        assert stats.file_hits == 3   # keys never include the filename
         assert [r.filename for r in results] == [fn for fn, _ in renamed]
 
     def test_failing_results_are_cached_too(self, tmp_path):
         corpus = [("bad.lev", "x = mystery\n")]
         path = str(tmp_path / "cache.json")
         cold = Session().check_many(corpus, cache=path)
-        cache = ResultCache(path)
-        warm = Session().check_many(corpus, cache=cache)
-        assert cache.file_hits == 1
+        stats = CheckStats()
+        warm = Session().check_many(corpus, cache=ResultCache(path),
+                                    stats=stats)
+        assert stats.file_hits == 1
         assert not warm[0].ok
         assert [d.pretty() for d in warm[0].diagnostics] == \
             [d.pretty() for d in cold[0].diagnostics]
@@ -192,15 +200,13 @@ class TestIncrementalCache:
             batch._prelude_digest.cache_clear()
 
     def test_corrupt_cache_file_is_a_cold_cache(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        with open(path, "w") as handle:
-            handle.write("{ not json")
-        results = Session().check_many(make_corpus(2), cache=path)
-        assert all(r.ok for r in results)
-        # The save rewrote it as a valid cache: one entry per unit plus a
-        # whole-file short-circuit entry per program.
-        reloaded = ResultCache(path)
-        assert len(reloaded.entries) == 2 * UNITS_PER_PROGRAM + 2
+        # A file at the cache path is not a cache directory: it is refused
+        # before any checking and left byte-identical, never replaced.
+        path = tmp_path / "cache.json"
+        path.write_bytes(b"{ not json")
+        with pytest.raises(FileExistsError):
+            Session().check_many(make_corpus(2), cache=str(path))
+        assert path.read_bytes() == b"{ not json"
 
     def test_malformed_cache_entry_is_a_miss(self, tmp_path):
         corpus = make_corpus(2)
@@ -219,13 +225,14 @@ class TestIncrementalCache:
                     entries[key] = {}
 
         _rewrite_entries(path, truncate)
-        cache = ResultCache(path)
-        results = Session().check_many(corpus, cache=cache)
+        stats = CheckStats()
+        results = Session().check_many(corpus, cache=ResultCache(path),
+                                       stats=stats)
         assert all(r.ok for r in results)
         # The counters are truthful: the bad unit entry counted as a miss.
-        assert cache.file_hits == 0
-        assert cache.hits == 2 * UNITS_PER_PROGRAM - 1
-        assert cache.misses == 1
+        assert stats.file_hits == 0
+        assert stats.cache_hits == 2 * UNITS_PER_PROGRAM - 1
+        assert stats.cache_misses == 1
         # The re-check repaired the entries.
         repaired = ResultCache(path)
         assert repaired.entries[corrupted] != {}
@@ -237,10 +244,11 @@ class TestIncrementalCache:
         corpus = make_corpus(3)
         path = str(tmp_path / "cache.json")
         Session().check_many(corpus, cache=path)
-        cache = ResultCache(path)
-        Session(DriverOptions(compiled=True)).check_many(corpus, cache=cache)
-        assert cache.file_hits == 3
-        assert cache.misses == 0
+        stats = CheckStats()
+        Session(DriverOptions(compiled=True)).check_many(
+            corpus, cache=ResultCache(path), stats=stats)
+        assert stats.file_hits == 3
+        assert stats.cache_misses == 0
 
 
 class TestPayloads:
@@ -296,10 +304,11 @@ class TestBindingLevelInvalidation:
         # Change mid's *scheme* (Int# -> Int): top must re-check, but
         # 'base' and 'lone' stay hits.
         edited = DEP_MODULE.replace("mid = base 1#", "mid = 5")
-        cache = ResultCache(path)
-        results = Session().check_many([("dep.lev", edited)], cache=cache)
-        assert cache.misses == 2          # mid + its dependent top
-        assert cache.hits == 2            # base, lone untouched
+        stats = CheckStats()
+        results = Session().check_many([("dep.lev", edited)],
+                                       cache=ResultCache(path), stats=stats)
+        assert stats.cache_misses == 2    # mid + its dependent top
+        assert stats.cache_hits == 2      # base, lone untouched
         assert not results[0].ok          # top now misuses a boxed Int
 
     def test_early_cutoff_when_the_scheme_is_unchanged(self, tmp_path):
@@ -309,9 +318,10 @@ class TestBindingLevelInvalidation:
         # re-checks — its dependents' keys (source + dep schemes) are
         # unchanged, so they hit.
         edited = DEP_MODULE.replace("x +# 1#", "x +# 2#")
-        cache = ResultCache(path)
-        results = Session().check_many([("dep.lev", edited)], cache=cache)
-        assert cache.misses == 1 and cache.hits == 3
+        stats = CheckStats()
+        results = Session().check_many([("dep.lev", edited)],
+                                       cache=ResultCache(path), stats=stats)
+        assert stats.cache_misses == 1 and stats.cache_hits == 3
         assert results[0].ok
 
     def test_moved_binding_is_still_a_hit_with_rebased_spans(self, tmp_path):
@@ -323,9 +333,12 @@ class TestBindingLevelInvalidation:
         # moves down but its unit text is unchanged — a cache hit whose
         # diagnostic span must be re-based to the new absolute line.
         grown = ("head' :: Int#\nhead' =\n  1#\n    +# 1#\n" + bad_tail)
-        cache = ResultCache(path)
-        results = Session().check_many([("move.lev", grown)], cache=cache)
-        assert cache.hits == 1 and cache.misses == 1  # head' changed
+        stats = CheckStats()
+        results = Session().check_many([("move.lev", grown)],
+                                       cache=ResultCache(path), stats=stats)
+        # head' changed; tail' is a hit.
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
+
         [diagnostic] = results[0].errors
         assert diagnostic.binding == "tail'"
         expected_line = grown.split("\n").index("tail' = stillMissing") + 1
@@ -617,11 +630,11 @@ class TestReviewRegressions:
                     entries[key] = {}  # drop the file short-circuit
 
         _rewrite_entries(path, truncate)
-        cache = ResultCache(path)
+        stats = CheckStats()
         results = Session().check_many([("dep.lev", DEP_MODULE)],
-                                       cache=cache)
+                                       cache=ResultCache(path), stats=stats)
         assert results[0].ok
-        assert cache.hits == 0 and cache.misses == 4
+        assert stats.cache_hits == 0 and stats.cache_misses == 4
 
     def test_duplicate_identical_bindings_keep_their_own_spans(self):
         # Two textually identical failing bindings: each diagnostic must

@@ -7,9 +7,9 @@ Covers the properties the v4 layout promises:
 * per-shard dirty tracking — no-op saves write nothing, a single store
   writes exactly one shard;
 * two *processes* racing on one cache directory lose no entries;
-* the hot tier serves repeat reads without disk and never leaks unsaved
-  writes between stores;
-* legacy monolithic documents migrate to a cold directory, once;
+* a cache path that is, or lies under, a regular file is refused and
+  the file left byte-identical, by the store and by every command that
+  takes ``--cache``;
 * ``canonical_scheme`` memoisation renders each scheme object once;
 * the ``python -m repro cache`` maintenance actions.
 """
@@ -20,11 +20,12 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.driver import DriverOptions, HotTier, ResultCache, Session
+from repro.driver import DriverOptions, ResultCache, Session
 from repro.driver.batch import CheckStats, canonical_scheme
 from repro.driver.store import (
     CACHE_SCHEMA,
@@ -60,8 +61,8 @@ class TestKeyAssignment:
         assert table_of(f"exports:pfile:{hex64}") == "exports"
         assert table_of(f"codegen1:{hex64}") == "codegen"
         assert table_of(f"codegen12:{hex64}") == "codegen"
-        assert table_of(f"codegenx:{hex64}") == "misc"
-        assert table_of(f"future:{hex64}") == "misc"
+        assert table_of(f"codegenx:{hex64}") == "unit"
+        assert table_of(f"future:{hex64}") == "unit"
 
     def test_shard_of_uses_the_trailing_digest(self):
         hex64 = "7f" + "0" * 62
@@ -77,8 +78,7 @@ class TestKeyAssignment:
         # the assignment is a pure function of the key.
         table = table_of(key)
         index = shard_of(key)
-        assert table in ("unit", "pfile", "outline", "exports", "codegen",
-                         "misc")
+        assert table in ("unit", "pfile", "outline", "exports", "codegen")
         assert 0 <= index < SHARD_COUNT
         assert (table_of(key), shard_of(key)) == (table, index)
 
@@ -242,75 +242,44 @@ class TestConcurrency:
         assert stats.checked == 0
 
 
-class TestHotTier:
-    def test_repeat_reads_skip_disk(self, tmp_path):
-        root = str(tmp_path / "c")
-        seed = ShardStore(root)
-        key = "dd" + "0" * 62
-        seed.put(key, {"v": 1})
-        seed.save()
-        hot = HotTier()
-        first = ShardStore(root, hot=hot)
-        assert first.get(key) == {"v": 1}
-        assert first.shards_read == 1
-        second = ShardStore(root, hot=hot)
-        assert second.get(key) == {"v": 1}
-        assert second.shards_read == 0  # served from the tier
-        assert hot.hits == 1
+class TestRefusal:
+    def test_a_file_at_the_cache_path_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"keep")
+        with pytest.raises(FileExistsError):
+            ShardStore(str(path))
+        with pytest.raises(FileExistsError):
+            Session().check_many([("m.lev", MODULE)], cache=str(path))
+        assert path.read_bytes() == b"keep"
 
-    def test_unsaved_writes_do_not_leak_through_the_tier(self, tmp_path):
-        root = str(tmp_path / "c")
-        hot = HotTier()
-        key = "ee" + "0" * 62
-        writer = ShardStore(root, hot=hot)
-        writer.put(key, {"v": "unsaved"})
-        reader = ShardStore(root, hot=hot)
-        assert reader.get(key) is None  # the tier reflects disk only
-        writer.save()
-        late = ShardStore(root, hot=hot)
-        assert late.get(key) == {"v": "unsaved"}
-        assert late.shards_read == 0    # save refreshed the tier
+    def test_a_path_under_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"keep")
+        with pytest.raises(NotADirectoryError):
+            ShardStore(str(path / "sub"))
+        assert path.read_bytes() == b"keep"
 
-    def test_lru_bound_holds(self):
-        hot = HotTier(max_shards=2)
-        for index in range(4):
-            hot.put(("r", "unit", index), {}, {})
-        assert len(hot) == 2
-
-    def test_session_shares_one_tier_across_calls(self, tmp_path):
-        root = str(tmp_path / "c")
-        session = Session()
-        session.check_many([("m.lev", MODULE)], cache=root)
-        tier = session.store_hot_tier()
-        baseline = tier.hits
-        stats = CheckStats()
-        session.check_many([("m.lev", MODULE)], cache=root, stats=stats)
-        assert stats.file_hits == 1
-        assert tier.hits > baseline  # the warm call read shards from memory
-
-
-class TestMigration:
-    def test_monolithic_file_migrates_once(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"schema": 3, "entries": {"junk": {"members": []}}},
-                      handle)
-        before = REGISTRY.counter("cache.store.migrations").value
-        store = ShardStore(path)
-        assert store.migrated
-        assert not os.path.exists(path)
-        assert REGISTRY.counter("cache.store.migrations").value == before + 1
-        # Idempotent: the next open finds no file and migrates nothing.
-        assert not ShardStore(path).migrated
-
-    def test_corrupt_file_takes_the_same_path(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{ not json")
-        results = Session().check_many([("m.lev", MODULE)], cache=path)
-        assert results[0].ok
-        assert os.path.isdir(path)
-        assert entry_keys(path)
+    @pytest.mark.parametrize("command", [
+        ["check", "{src}"],
+        ["build", "{src}"],
+        ["run", "--compiled", "{src}"],
+        ["fuzz", "--check", "--count", "1"],
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_every_command_refuses_before_any_work(self, tmp_path, capsys,
+                                                   command, under):
+        source = tmp_path / "m.lev"
+        source.write_text(MODULE + "\nmain = top\n")
+        blocker = tmp_path / "notes.txt"
+        blocker.write_bytes(b"keep")
+        cache = str(blocker / "sub") if under else str(blocker)
+        argv = [arg.format(src=source) for arg in command]
+        assert main(argv + ["--cache", cache]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and cache in line
+        assert blocker.read_bytes() == b"keep"
 
 
 class TestGcAndCompact:
@@ -474,4 +443,4 @@ class TestCacheCli:
         path = tmp_path / "cache.json"
         path.write_text("{\"schema\": 3, \"entries\": {}}")
         assert main(["cache", "stats", str(path)]) == 2
-        assert "legacy monolithic" in capsys.readouterr().err
+        assert "not a cache directory" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from repro.classes import (
     ABS2_BINDING,
     ABS_SIGNATURE,
     ClassEnv,
-    Dictionary,
     dictionary_binding,
     dictionary_data_decl,
     eta_expansion_binds_levity_polymorphic_value,
@@ -163,12 +162,6 @@ class TestLevityPolymorphicClasses:
         info = class_env.class_info("Num")
         fields = info.dictionary_field_types(INT_HASH_TY)
         assert fields["+"] == fun(INT_HASH_TY, INT_HASH_TY, INT_HASH_TY)
-
-    def test_runtime_dictionary_selection(self):
-        dictionary = Dictionary("Num", "Int#", {"+": "plus-impl"})
-        assert dictionary.select("+") == "plus-impl"
-        with pytest.raises(KeyError):
-            dictionary.select("nonexistent")
 
 
 class TestSubkindBaseline:

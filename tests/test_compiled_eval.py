@@ -237,6 +237,20 @@ class TestCompiledEvaluator:
         assert repl.repl_input("d7 1#") == "8#"
         assert lowered.value == before + 1
 
+    def test_repl_lowers_a_definition_once_across_lines(self):
+        """A definition an earlier line linked is reused by later lines
+        until a new definition replaces the REPL's program."""
+        repl = Session(DriverOptions(compiled=True))
+        assert repl.repl_input("d7 x = x +# 7#").startswith("d7")
+        lowered = REGISTRY.counter("codegen.compiled")
+        before = lowered.value
+        for _ in range(3):
+            assert repl.repl_input("d7 1#") == "8#"
+        assert lowered.value == before + 1
+        assert repl.repl_input("d7 x = x +# 8#").startswith("d7")
+        assert repl.repl_input("d7 1#") == "9#"
+        assert lowered.value == before + 2
+
 
 # ---------------------------------------------------------------------------
 # Linking on first use
@@ -376,7 +390,6 @@ class TestCodegenCache:
         assert warm.codegen_compiled == 0, \
             "warm run re-generated code the cache should have served"
         assert warm.codegen_cached == 3
-        assert cache.codegen_hits == 3
         assert "codegen: 0 function(s) compiled, 3 cached" in warm.pretty()
 
     def test_none_source_entry_is_a_miss(self, tmp_path):
@@ -390,8 +403,8 @@ class TestCodegenCache:
             (key, payload) for key, payload in cache.entries.items()
             if key.startswith(f"codegen{CODEGEN_VERSION}:")
             and "main" in payload["functions"])
-        cache.store_codegen(key, {"functions": {"main": None},
-                                  "arities": payload["arities"]})
+        cache.store(key, {"functions": {"main": None},
+                          "arities": payload["arities"]})
         cache.save()
         warm = Session(options).run(CACHED_SOURCE, "cache.lev",
                                     cache=ResultCache(path))
@@ -522,8 +535,8 @@ class TestCodegenTelemetry:
             (key, payload) for key, payload in cache.entries.items()
             if key.startswith(f"codegen{CODEGEN_VERSION}:")
             and "main" in payload["functions"])
-        cache.store_codegen(key, {"functions": {"main": "def _bind(:\n"},
-                                  "arities": payload["arities"]})
+        cache.store(key, {"functions": {"main": "def _bind(:\n"},
+                          "arities": payload["arities"]})
         cache.save()
         relinks = REGISTRY.counter("codegen.relinks")
         before = relinks.value

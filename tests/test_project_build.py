@@ -24,7 +24,6 @@ Covers the guarantees ``python -m repro build`` makes:
 """
 
 import json
-import os
 
 import pytest
 
@@ -285,22 +284,22 @@ class TestCrossModuleIncremental:
             [filename for filename, _ in moved]
 
     def test_v3_monolithic_document_degrades_to_cold(self, tmp_path):
-        # The one-time v3→v4 migration: a legacy monolithic cache *file*
-        # at the cache path (v3 entries can never hit under v4 — the
-        # schema is hashed into every key) is replaced by a cold shard
-        # directory, never an error.
+        # A legacy monolithic cache *file* at the cache path (v3 entries
+        # can never hit under v4 — the schema is hashed into every key)
+        # is not a cache directory: the build refuses it before checking
+        # anything and leaves it byte-identical.
         path = self.fresh_cache(tmp_path)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"schema": CACHE_SCHEMA - 1,
                        "entries": {"junk": {"members": []}}}, handle)
+        with open(path, "rb") as handle:
+            before = handle.read()
         stats = CheckStats()
-        check = self.build(PROJECT, path, stats)
-        assert check.ok
-        assert stats.checked > 0            # cold, not an error
-        assert os.path.isdir(path)          # migrated to the shard layout
-        warm_stats = CheckStats()
-        self.build(PROJECT, path, warm_stats)
-        assert warm_stats.checked == 0      # and rewritten as v4
+        with pytest.raises(FileExistsError):
+            self.build(PROJECT, path, stats)
+        assert stats.files == 0             # refused before any checking
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
     def test_body_edit_rechecks_one_unit_for_every_jobs(self, across_jobs):
         chain = ("module A where\n\nbase :: Int# -> Int#\nbase x = x +# 1#\n"
