@@ -1,4 +1,4 @@
-"""E14: fuzz-corpus throughput — generation, sharded checking, differential.
+"""E14: fuzz-corpus throughput — generation, batch checking, differential.
 
 The corpus-fuzzing subsystem (``repro.fuzz``, docs/FUZZ.md) turns the
 150-program templated corpus of E12 into open-ended random program
@@ -7,8 +7,9 @@ scale the ISSUE demands:
 
 * ``e14.generate``     — type-directed generation of the corpus (programs
   are built together with their reference semantics);
-* ``e14.check_jobs1`` / ``e14.check_jobs2`` — the corpus through the
-  sharded batch checker (``Session.check_many(jobs=N)``);
+* ``e14.check_jobs1`` — the corpus through the batch checker
+  (``Session.check_many``), in one process (the row keeps its name so
+  earlier snapshots still compare);
 * ``e14.cache_cold`` / ``e14.cache_warm`` — the corpus through the
   incremental result cache (a warm re-run must be answered entirely from
   the cache);
@@ -47,9 +48,8 @@ def _generate():
     return corpus
 
 
-def _check(sources, jobs=1, cache=None, stats=None):
-    results = Session().check_many(sources, jobs=jobs, cache=cache,
-                                   stats=stats)
+def _check(sources, cache=None, stats=None):
+    results = Session().check_many(sources, cache=cache, stats=stats)
     bad = [result.filename for result in results if not result.ok]
     assert not bad, f"fuzz corpus programs failed to check: {bad[:3]}"
     return results
@@ -62,8 +62,6 @@ def test_report_fuzz_corpus_throughput(tmp_path):
 
     time_op("e14.check_jobs1", _check, sources, repeats=1,
             meta={"programs": CORPUS_SIZE, "jobs": 1})
-    time_op("e14.check_jobs2", lambda: _check(sources, jobs=2), repeats=1,
-            meta={"programs": CORPUS_SIZE, "jobs": 2})
 
     cache_path = str(tmp_path / "e14-cache.json")
     time_op("e14.cache_cold", lambda: _check(sources, cache=cache_path),
@@ -96,8 +94,8 @@ def test_report_fuzz_corpus_throughput(tmp_path):
 
     import benchreport
     timings = {key: benchreport._TIMINGS[f"e14.{key}"]["seconds"]
-               for key in ("generate", "check_jobs1", "check_jobs2",
-                           "cache_cold", "cache_warm", "differential")}
+               for key in ("generate", "check_jobs1", "cache_cold",
+                           "cache_warm", "differential")}
     generate_rate = CORPUS_SIZE / timings["generate"]
     check_rate = CORPUS_SIZE / timings["check_jobs1"]
     warm_fraction = timings["cache_warm"] / timings["cache_cold"]
@@ -109,10 +107,6 @@ def test_report_fuzz_corpus_throughput(tmp_path):
                    sum(1 for program in corpus if program.fragment))
     record_counter("e14.generate.programs_per_sec", round(generate_rate, 1))
     record_counter("e14.check_jobs1.programs_per_sec", round(check_rate, 1))
-    record_counter("e14.check_jobs2.programs_per_sec",
-                   round(CORPUS_SIZE / timings["check_jobs2"], 1))
-    record_counter("e14.speedup.jobs2_vs_jobs1",
-                   round(timings["check_jobs1"] / timings["check_jobs2"], 2))
     record_counter("e14.cache.warm_fraction_of_cold", round(warm_fraction, 4))
     record_counter("e14.differential.programs_per_sec",
                    round(differential_rate, 1))
@@ -122,19 +116,15 @@ def test_report_fuzz_corpus_throughput(tmp_path):
                    report.counters.get("reference_checked", 0))
     record_counter("e14.cpu_count", os.cpu_count() or 1)
 
-    emit("E14: fuzz corpus at scale (generate -> shard-check -> "
+    emit("E14: fuzz corpus at scale (generate -> check -> "
          "differential)", [
              (f"generate ({CORPUS_SIZE} programs)",
               "new capability (templated corpus in E12)",
               f"{timings['generate'] * 1000:.0f}ms "
               f"({generate_rate:.0f} programs/s)"),
-             ("check jobs=1", "sharded batch checker",
+             ("check", "batch checker",
               f"{timings['check_jobs1'] * 1000:.0f}ms "
               f"({check_rate:.0f} programs/s)"),
-             ("check jobs=2",
-              f"{timings['check_jobs1'] / timings['check_jobs2']:.2f}x "
-              "vs jobs=1",
-              f"{timings['check_jobs2'] * 1000:.0f}ms"),
              ("cache cold -> warm", f"warm {warm_fraction:.1%} of cold",
               f"{timings['cache_cold'] * 1000:.0f}ms -> "
               f"{timings['cache_warm'] * 1000:.0f}ms"),

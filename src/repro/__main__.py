@@ -6,12 +6,10 @@ Subcommands:
   over one or more files; print each binding's scheme (GHCi-style rep
   defaulting unless ``--explicit-reps``) and any diagnostics with source
   spans plus GHC-style caret snippets.  Exit status 1 when any file
-  fails.  ``--jobs N`` walks the files across N worker processes
-  (re-checking exactly what one process would); ``--cache PATH``
-  re-uses results per binding (keyed by the binding's source slice and
-  the schemes of the bindings it uses, so one edit re-checks only its
-  dependents); ``--stats`` prints per-binding timings and cache hit/miss
-  counts.
+  fails.  ``--cache PATH`` re-uses results per binding (keyed by the
+  binding's source slice and the schemes of the bindings it uses, so one
+  edit re-checks only its dependents); ``--stats`` prints per-binding
+  timings and cache hit/miss counts.
 * ``build DIR|file.lev [...]`` — check a multi-module project: files name
   themselves with ``module M where`` headers and see each other's exports
   through ``import N`` declarations.  The module DAG is walked level by
@@ -42,9 +40,8 @@ Subcommands:
 
 ``check``/``run``/``compile`` also accept ``--trace out.json`` (or the
 ``REPRO_TRACE`` environment variable), which records the pipeline's spans
-— parse, depgraph, unit.infer/unit.unify, cache.lookup, pool.shard,
-eval.run, codegen.lower/link, including worker-process spans on their own pid
-rows — as Chrome trace-event JSON loadable in Perfetto
+— parse, depgraph, unit.infer/unit.unify, cache.lookup, eval.run,
+codegen.lower/link — as Chrome trace-event JSON loadable in Perfetto
 (see docs/OBSERVABILITY.md).
 * ``cache ACTION PATH`` — maintain a sharded result-cache directory
   (schema v4, ``docs/INCREMENTAL.md``): ``stats`` summarises per-table
@@ -61,7 +58,7 @@ rows — as Chrome trace-event JSON loadable in Perfetto
 * ``fuzz`` — generate a corpus of random well-typed programs
   (``--seed``/``--count``/``--depth``), optionally dump it as ``.lev``
   files (``--emit DIR``) and/or run the differential harness over it
-  (``--check``, sharded with ``--jobs``/``--cache``).  On a failure,
+  (``--check``, incremental with ``--cache``).  On a failure,
   ``--save-shrunk DIR`` writes a hypothesis-minimised reproducer.
 
 Examples::
@@ -144,8 +141,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sources = [(path, _read_source(path)) for path in args.files]
     stats = CheckStats() if args.stats else None
     with Session(_options(args)) as session:
-        results = session.check_many(sources, jobs=args.jobs,
-                                     cache=args.cache, stats=stats)
+        results = session.check_many(sources, cache=args.cache,
+                                     stats=stats)
     source_of = dict(sources)
     if args.json:
         if stats is not None:
@@ -183,8 +180,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     stats = CheckStats() if args.stats else None
     run_result = None
     with Session(_options(args)) as session:
-        check = check_project(sources, jobs=args.jobs, cache=args.cache,
-                              session=session, stats=stats)
+        check = check_project(sources, cache=args.cache, session=session,
+                              stats=stats)
         if args.run and check.ok:
             run_result = run_project(session, check, entry=args.entry,
                                      cache=args.cache)
@@ -344,8 +341,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     with Session(_options(args)) as session:
         harness = DifferentialHarness(session=session)
-        report = harness.run_corpus(programs, jobs=args.jobs,
-                                    cache=args.cache)
+        report = harness.run_corpus(programs, cache=args.cache)
         print(report.pretty())
         if report.failures and args.save_shrunk:
             first = report.failures[0]
@@ -519,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the Section 5.1 levity post-pass (ablation)")
     check.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="shard the files across N worker processes "
-                            "(default: 1, in-process)")
     check.add_argument("--cache", default=None, metavar="PATH",
                        help="incremental result cache keyed per binding "
                             "(source slice + dependency schemes; see "
@@ -531,9 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "hit/miss counts, and the unified telemetry "
                             "counters")
     check.add_argument("--trace", default=None, metavar="PATH",
-                       help="write pipeline spans (including worker "
-                            "processes) as Chrome trace-event JSON, "
-                            "loadable in Perfetto")
+                       help="write pipeline spans as Chrome trace-event "
+                            "JSON, loadable in Perfetto")
     check.set_defaults(func=_cmd_check)
 
     build = sub.add_parser(
@@ -557,9 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--json", action="store_true",
                        help="emit one machine-readable JSON document "
                             "(module graph, per-file results, stats)")
-    build.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="shard each DAG level's modules across N worker "
-                            "processes (default: 1, in-process)")
     build.add_argument("--cache", default=None, metavar="PATH",
                        help="cross-module incremental cache: unit keys fold "
                             "in imported schemes, so a body-only edit "
@@ -570,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "telemetry metrics")
     build.add_argument("--trace", default=None, metavar="PATH",
                        help="write pipeline spans (project.graph, "
-                            "module.resolve, workers) as Chrome trace-event "
+                            "module.resolve, ...) as Chrome trace-event "
                             "JSON")
     build.set_defaults(func=_cmd_build)
 
@@ -676,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--emit", default=None, metavar="DIR",
                       help="write the corpus as .lev files usable by "
                            "'repro check'")
-    fuzz.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="shard the type-check pass across N workers")
     fuzz.add_argument("--cache", default=None, metavar="PATH",
                       help="incremental result cache for the type-check "
                            "pass (docs/BATCH.md)")

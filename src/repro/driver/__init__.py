@@ -15,12 +15,11 @@ reproduction as one pipeline::
 * :mod:`repro.driver.depgraph` — binding-level dependency graphs: each
   module is broken into SCC-condensed **compilation units** checked in
   dependency order (the granularity of error recovery and caching);
-* :mod:`repro.driver.batch` — the one unit walk every check runs
-  (``Session.check`` is the walk over one file without a cache),
-  in-process or across worker processes, over a binding-level
-  incremental result cache (``Session.check_many(jobs=..., cache=...,
-  stats=...)`` and ``python -m repro check --jobs N --cache PATH
-  --stats``);
+* :mod:`repro.driver.batch` — the one unit walk every check runs, in
+  the calling process (``Session.check`` is the walk over one file
+  without a cache), over a binding-level incremental result cache
+  (``Session.check_many(cache=..., stats=...)`` and
+  ``python -m repro check --cache PATH --stats``);
 * :mod:`repro.driver.store` — the sharded, content-addressed on-disk
   store behind the result cache (schema v4): 256 lazily-loaded shards
   per key namespace, per-shard dirty tracking and atomic merge-then-
@@ -38,7 +37,7 @@ The ``python -m repro`` command line lives in :mod:`repro.__main__` and is
 a thin wrapper over this package.
 """
 
-from .batch import CheckStats, ResultCache, check_many_sharded
+from .batch import CheckStats, ResultCache
 from .depgraph import CheckUnit, ModulePlan, build_plan
 from .store import CACHE_SCHEMA, ShardStore
 from .lower import LoweringError, lower_binding, lower_entry, lower_type
@@ -84,7 +83,6 @@ __all__ = [
     "ShardStore",
     "build_plan",
     "build_project_plan",
-    "check_many_sharded",
     "check_project",
     "discover_sources",
     "run_project",

@@ -1,4 +1,4 @@
-"""Sharded parallel batch checking with a **binding-level** incremental cache.
+"""Batch checking with a **binding-level** incremental cache.
 
 PR 3 cached whole source texts; this version caches **compilation units**
 (single bindings or mutually recursive SCC groups, see
@@ -36,20 +36,15 @@ Three layers:
   clobber each other's fresh entries.
 
 * **The walk** — every check goes through one per-file unit walk
-  (:func:`_walk`): a file's units in dependency order, each either a
-  cache hit or a check.  :func:`check_modules` runs it over one level of
-  modules — ``Session.check`` is a one-file level without a cache,
-  :func:`check_many_sharded` a one-level project build whose modules
-  have no imports in scope, and :mod:`repro.driver.project` calls it
-  once per DAG level.  A unit checked in this process keeps its
+  (:func:`_walk`), in the calling process: a file's units in dependency
+  order, each either a cache hit or a check.  :func:`check_modules` runs
+  it over one level of modules — ``Session.check`` is a one-file level
+  without a cache, ``Session.check_many`` a one-level project build whose
+  modules have no imports in scope, and :mod:`repro.driver.project`
+  calls it once per DAG level.  A unit checked here keeps its
   :class:`UnitOutcome`; keys and payloads are built only where a unit
-  meets a cache or crosses to or from a worker, so a walk without a
-  cache computes no fingerprint, key or payload.  With ``jobs > 1`` the
-  walk runs inside the session's worker processes, one whole file per
-  job: workers store their checks into a cache object they never save
-  and ship every unit's payload back, and the parent alone stores and
-  saves.  Where the walk runs therefore never changes what it
-  re-checks.
+  meets a cache, so a walk without a cache computes no fingerprint, key
+  or payload.
 
 File-level payload helpers (:func:`result_to_payload` /
 :func:`result_from_payload` / :func:`payload_bytes`) are unchanged from
@@ -63,7 +58,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
@@ -74,11 +68,7 @@ from ..frontend.lexer import Span
 from ..infer.schemes import Scheme
 from ..surface.ast import ImportDecl, TypeSig
 from ..surface.prelude import prelude_schemes
-from ..telemetry import (
-    REGISTRY as _REGISTRY,
-    SHARD_TID_BASE,
-    TRACER as _TRACER,
-)
+from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from .depgraph import CheckUnit, ModulePlan, build_plan
 from .store import CACHE_SCHEMA, ShardStore
 from .session import (
@@ -93,12 +83,10 @@ from .session import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "PARALLEL_MODE_ENV",
     "CheckStats",
     "ResultCache",
     "cache_key",
     "canonical_scheme",
-    "check_many_sharded",
     "check_modules",
     "codegen_cache_key",
     "file_key",
@@ -193,14 +181,14 @@ def payload_bytes(payload: dict) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Unit payloads (the cache + worker-IPC format)
+# Unit payloads (the cache format)
 # ---------------------------------------------------------------------------
 
 
 def canonical_scheme(scheme: Scheme) -> str:
     """The canonical textual form of a scheme: the fully explicit rendering.
 
-    This is what unit cache keys hash and what workers/cache hits parse
+    This is what unit cache keys hash and what cache hits parse
     back (via :func:`repro.frontend.parser.parse_scheme`) to rebuild a
     dependent's typing environment.  Explicit runtime reps are mandatory —
     the display-defaulted rendering would erase levity polymorphism.
@@ -240,7 +228,7 @@ def _abs_span(unit: CheckUnit,
 
 
 def payload_from_unit_outcome(outcome: UnitOutcome) -> dict:
-    """Convert one checked unit into its slim cache/IPC payload."""
+    """Convert one checked unit into its slim cache payload."""
     unit = outcome.unit
     members = []
     for member in outcome.members:
@@ -500,17 +488,16 @@ class ResultCache:
     :class:`repro.driver.store.ShardStore` (see that module for the
     layout, atomicity and GC story); shards load lazily, so construction
     is O(1) regardless of cache size.  Without a path the cache is a
-    plain in-process dict (the REPL's state, tests) that worker
-    processes cannot read, so checks against it stay in-process.
+    plain in-process dict (the REPL's state, tests).
 
     Every lookup shape-checks what it reads: a malformed entry
     (hand-edited shard, truncated write) is a miss, which the re-check
     overwrites.  Hit and miss counts live in :class:`CheckStats` and the
     ``cache.*``/``codegen.*`` telemetry counters.  :meth:`save` persists
     **exactly the dirty shards**, each with the atomic
-    merge-then-replace discipline — concurrent ``--jobs`` runs sharing
-    one ``--cache`` directory can neither interleave a torn shard nor
-    silently drop each other's work.
+    merge-then-replace discipline — concurrent ``repro`` processes
+    sharing one ``--cache`` directory can neither interleave a torn shard
+    nor silently drop each other's work.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
@@ -660,21 +647,22 @@ def store_codegen(cache: ResultCache, units,
 # ---------------------------------------------------------------------------
 
 
+
+
 @dataclass
 class UnitTiming:
     """One unit's row in the ``--stats`` table."""
 
     filename: str
     names: Tuple[str, ...]
-    #: Wall seconds the check took (in-process or in a worker); None for
-    #: rows that were never timed (cache hits and deduplicated copies).
+    #: Wall seconds the check took; None for a cache hit, which was never
+    #: timed.
     seconds: Optional[float]
-    #: Where the row came from: "checked" (type-checked this call),
-    #: "hit" (served from the unit cache), or "skipped" (a deduplicated
-    #: copy — an identical file was walked once elsewhere in the batch).
-    #: Cache hits used to record 0.0 seconds, which made them
-    #: indistinguishable from genuinely instant units; the explicit
-    #: source plus ``seconds=None`` removes that ambiguity.
+    #: Where the row came from: "checked" (type-checked this call) or
+    #: "hit" (served from the unit cache).  Cache hits used to record 0.0
+    #: seconds, which made them indistinguishable from genuinely instant
+    #: units; the explicit source plus ``seconds=None`` removes that
+    #: ambiguity.
     source: str
 
 
@@ -690,9 +678,6 @@ class CheckStats:
     checked: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Units of deduplicated copies (an identical module walked once
-    #: elsewhere in the batch).
-    skipped: int = 0
     timings: List[UnitTiming] = field(default_factory=list)
 
     def note(self, filename: str, unit: CheckUnit,
@@ -701,9 +686,6 @@ class CheckStats:
         if source == "hit":
             self.cache_hits += 1
             _REGISTRY.inc("cache.unit_hits")
-        elif source == "skipped":
-            self.skipped += 1
-            _REGISTRY.inc("batch.units_skipped")
         else:
             self.checked += 1
             _REGISTRY.inc("batch.units_checked")
@@ -720,7 +702,6 @@ class CheckStats:
             "checked": self.checked,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "skipped": self.skipped,
             "timings": [
                 {"filename": t.filename, "names": list(t.names),
                  "seconds": t.seconds, "source": t.source}
@@ -728,15 +709,12 @@ class CheckStats:
         }
 
     def pretty(self, slowest: int = 10) -> str:
-        summary = (
+        lines = [
             f"files: {self.files}  file hits: {self.file_hits}  "
             f"units: {self.units}  checked: {self.checked}  "
             f"cache hits: {self.cache_hits}  "
             f"cache misses: {self.cache_misses}"
-        )
-        if self.skipped:
-            summary += f"  skipped: {self.skipped}"
-        lines = [summary]
+        ]
         if self.parse_failures:
             lines.append(f"parse failures: {self.parse_failures}")
         timed = [t for t in self.timings if t.seconds is not None]
@@ -760,7 +738,7 @@ class CheckStats:
 
 
 # ---------------------------------------------------------------------------
-# The unit walk (in-process and inside workers)
+# The unit walk
 # ---------------------------------------------------------------------------
 
 #: name -> canonical scheme rendering (None = that binding failed): a
@@ -772,13 +750,13 @@ class _FileState:
     """One module's parse, plan and per-unit records.
 
     Each unit resolves to one of two records: the :class:`UnitOutcome` of
-    a check in this process, or the payload of a cache hit or a worker's
-    check.  A defined name's scheme is kept in the form its record gave
-    it (an object from an outcome, a canonical rendering from a payload)
-    and converted only on demand: to an object for the environment of a
-    unit checked here, to a rendering for a cache key or an export map.
-    A rendering that fails to re-parse (a printer gap) re-checks its
-    defining unit here instead of propagating junk.
+    a check in this process, or the payload of a cache hit.  A defined
+    name's scheme is kept in the form its record gave it (an object from
+    an outcome, a canonical rendering from a payload) and converted only
+    on demand: to an object for the environment of a unit checked here,
+    to a rendering for a cache key or an export map.  A rendering that
+    fails to re-parse (a printer gap) re-checks its defining unit here
+    instead of propagating junk.
 
     ``scope`` maps the imported names the module references to the
     canonical renderings of their exported schemes, or is None in
@@ -791,7 +769,6 @@ class _FileState:
     def __init__(self, filename: str, source: str, pipeline: Pipeline,
                  scope: Optional[_Renderings] = None) -> None:
         self.filename = filename
-        self.source = source
         self.scope = scope
         self.pipeline = pipeline
         self.parsed, self.parse_diagnostics = pipeline.parse(source, filename)
@@ -799,24 +776,12 @@ class _FileState:
         if self.parsed is not None:
             with _TRACER.span("depgraph", file=filename):
                 self.plan = build_plan(self.parsed)
-        #: uid -> the unit's outcome (checked here) or payload.
+        #: uid -> the unit's outcome (checked here) or cached payload.
         self.records: Dict[int, Union[UnitOutcome, dict]] = {}
         #: name -> canonical scheme rendering (None = failed).
         self.scheme_srcs: _Renderings = dict(scope or {})
         #: name -> Scheme object (None = failed).
         self.schemes: Dict[str, Optional[Scheme]] = {}
-
-    @property
-    def units(self) -> List[CheckUnit]:
-        return self.plan.units if self.plan is not None else []
-
-    @property
-    def signature(self) -> Tuple:
-        """Everything the walk depends on besides the cache: modules with
-        equal signatures walk once per batch."""
-        scope = self.scope
-        return self.source, (None if scope is None
-                             else tuple(sorted(scope.items())))
 
     def resolve(self, unit: CheckUnit, record: Union[UnitOutcome, dict],
                payload: Optional[dict] = None) -> None:
@@ -925,12 +890,8 @@ class _FileState:
             record = self.records[unit.uid]
             if isinstance(record, UnitOutcome):
                 for member in record.members:
-                    diagnostics = member.diagnostics
-                    if diagnostics and diagnostics[0].filename != filename:
-                        # A deduplicated copy shares its original's outcomes.
-                        diagnostics = [dataclasses.replace(d, filename=filename)
-                                       for d in diagnostics]
-                    entries[member.decl_index] = (member.summary, diagnostics)
+                    entries[member.decl_index] = (member.summary,
+                                                  member.diagnostics)
                 continue
             complete = False
             for decl_index, member in zip(unit.member_decls,
@@ -974,16 +935,10 @@ class _FileState:
         return result
 
 
-#: One unit's resolution in a walk: (uid, key, payload, check seconds).
-#: The key and payload are None where the unit met no cache, the seconds
-#: None for a cache hit.
-_Step = Tuple[int, Optional[str], Optional[dict], Optional[float]]
-
-
 def _walk(state: _FileState, cache: Optional[ResultCache],
-          fingerprint: Optional[str]) -> List[_Step]:
+          fingerprint: Optional[str], stats: CheckStats) -> None:
     """The unit walk: ``state``'s units in dependency order, each a cache
-    hit or a check.
+    hit or a check, noted in ``stats``.
 
     A hit exports its scheme renderings just as a check does, so the next
     unit's key resolves either way: a dependent of an edited unit whose
@@ -994,9 +949,8 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
     """
     pipeline = state.pipeline
     plan = state.plan
-    steps: List[_Step] = []
-    for unit in state.units:
-        key = payload = None
+    filename = state.filename
+    for unit in plan.units:
         if cache is not None:
             key = unit_key(unit.source, state.dep_items(unit),
                            pipeline.options, fingerprint)
@@ -1004,248 +958,27 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
                 payload = cache.lookup(key)
             if payload is not None:
                 state.resolve(unit, payload)
-                steps.append((unit.uid, key, payload, None))
+                stats.note(filename, unit, None, "hit")
                 continue
         outcome = pipeline.check_unit(plan, unit, state.available_for(unit))
+        payload = None
         if cache is not None:
             payload = payload_from_unit_outcome(outcome)
             cache.store(key, payload)
+            stats.cache_misses += 1
+            _REGISTRY.inc("cache.unit_misses")
         state.resolve(unit, outcome, payload)
-        steps.append((unit.uid, key, payload, outcome.seconds))
-    return steps
+        stats.note(filename, unit, outcome.seconds, "checked")
 
 
 # ---------------------------------------------------------------------------
-# Worker processes
+# The batch entry point
 # ---------------------------------------------------------------------------
-
-#: The per-process warm session (prelude built once per worker).
-_WORKER_SESSION: Optional[Session] = None
-
-
-def _worker_init(options_state: dict, trace_enabled: bool = False) -> None:
-    global _WORKER_SESSION
-    # Under the fork start method the child inherits the parent tracer's
-    # buffered events and epoch; reset so the worker payload carries only
-    # spans this process actually recorded, timed from its own clock.
-    _TRACER.reset(process_name="repro worker")
-    if trace_enabled:
-        _TRACER.enable()
-    else:
-        _TRACER.disable()
-    _WORKER_SESSION = Session(DriverOptions(**options_state))
-
-
-#: One worker job: (position in the batch, filename, source, scope).
-_FileJob = Tuple[int, str, str, Optional[_Renderings]]
-
-
-def _worker_walk(shard: List[_FileJob], cache_path: Optional[str]
-                 ) -> Tuple[List[Tuple[int, List[_Step]]], Optional[dict]]:
-    """Walk one shard of files in a worker process.
-
-    The worker re-derives each plan from the shipped source and runs the
-    walk against the cache directory, so its steps are byte-identical to
-    an in-process walk against the same cache.  It stores what it checks
-    into the cache object it opened, so a later file of the shard can
-    hit, but never saves it: the parent alone stores and saves.  Every
-    step ships back with its payload.
-
-    Returns ``(steps per job, trace_payload)``: when the worker tracer is
-    on, the second element ships this process's spans (with its pid and
-    wall-clock epoch) back for the parent to rebase onto its timeline.
-    """
-    session = _WORKER_SESSION
-    assert session is not None, "worker used without _worker_init"
-    cache = fingerprint = None
-    if cache_path is not None:
-        cache = ResultCache(cache_path)
-        fingerprint = options_fingerprint(session.options)
-    traced = _TRACER.enabled
-    out = []
-    for position, filename, source, scope in shard:
-        if traced:
-            _TRACER.begin("worker.file", file=filename)
-        try:
-            state = _FileState(filename, source, session.pipeline, scope)
-            steps = _walk(state, cache, fingerprint)
-            out.append((position, [
-                (uid, key, payload if payload is not None
-                 else payload_from_unit_outcome(state.records[uid]), seconds)
-                for uid, key, payload, seconds in steps]))
-        finally:
-            if traced:
-                _TRACER.end("worker.file")
-    return out, (_TRACER.worker_payload() if traced else None)
-
-
-def _shard(items: List, jobs: int) -> List[List]:
-    """Contiguous shards, one per worker (a single IPC round-trip each)."""
-    size, remainder = divmod(len(items), jobs)
-    shards = []
-    start = 0
-    for worker in range(jobs):
-        stop = start + size + (1 if worker < remainder else 0)
-        if stop > start:
-            shards.append(items[start:stop])
-        start = stop
-    return shards
-
-
-# ---------------------------------------------------------------------------
-# Parallel scheduling policy
-# ---------------------------------------------------------------------------
-
-#: Environment override for the serial-cutoff heuristics:
-#: ``auto`` (default) applies them, ``always`` fans out whenever
-#: ``jobs > 1`` (benchmarks/tests proving pool reuse), ``never`` forces
-#: the in-process path.
-PARALLEL_MODE_ENV = "REPRO_PARALLEL"
-
-#: Fewest units that may ship to one worker before fan-out is worth its
-#: dispatch cost (pickling + IPC; spawn is already amortised by the
-#: persistent pool, but a warm round-trip is still not free).
-_MIN_UNITS_PER_WORKER = 4
-
-
-def _parallel_mode() -> str:
-    mode = os.environ.get(PARALLEL_MODE_ENV, "auto").strip().lower()
-    return mode if mode in ("auto", "always", "never") else "auto"
-
-
-def _effective_jobs(jobs: int, units: int, files: int) -> int:
-    """How many workers a batch of ``files`` files to walk, holding
-    ``units`` units between them, should actually use.
-
-    ``auto`` mode applies the serial cutoff (tiny batches and 1-CPU hosts
-    never pay worker dispatch) and autotunes the shard count so every
-    worker has at least :data:`_MIN_UNITS_PER_WORKER` units; ``always``
-    and ``never`` bypass the heuristics in either direction.
-    """
-    if jobs <= 1:
-        return 1
-    mode = _parallel_mode()
-    if mode == "never":
-        return 1
-    if mode == "always":
-        return jobs
-    cpus = os.cpu_count() or 1
-    if cpus <= 1 or files <= 1:
-        return 1
-    jobs = min(jobs, cpus, files)
-    while jobs > 1 and units < jobs * _MIN_UNITS_PER_WORKER:
-        jobs -= 1
-    return jobs
-
-
-def _dispatch(states: List[_FileState], options: DriverOptions, jobs: int,
-              cache: Optional[ResultCache], session: Session
-              ) -> List[Optional[List[_Step]]]:
-    """Walk ``states`` across the session's worker pool, one file per job.
-
-    Returns each state's steps, or None where the caller walks it
-    in-process instead: under the serial policy (:func:`_effective_jobs`),
-    with a cache that has no path (workers cannot read it), and for
-    whatever a pool that cannot spawn or breaks mid-batch did not deliver
-    — the broken pool is discarded, and the next batch may respawn it.
-    The pool is otherwise reused across batches, so spawn cost is paid at
-    most once per session.
-    """
-    walked: List[Optional[List[_Step]]] = [None] * len(states)
-    if jobs <= 1 or not states:
-        return walked
-    effective = _effective_jobs(
-        jobs, sum(len(state.units) for state in states), len(states))
-    if effective <= 1 or (cache is not None and cache.path is None):
-        session.pool_stats["serial_batches"] += 1
-        _REGISTRY.inc("pool.serial_batches")
-        return walked
-
-    from concurrent.futures.process import BrokenProcessPool
-
-    shipped = [(position, state.filename, state.source, state.scope)
-               for position, state in enumerate(states)]
-    cache_path = cache.path if cache is not None else None
-    # Each shard gets its own synthetic tid row: the dispatch windows
-    # overlap each other by design, and separate rows keep the B/E stack
-    # discipline intact per (pid, tid).  Worker spans come back in the
-    # result payload and are rebased onto this timeline under the
-    # worker's own pid, temporally inside their shard window.
-    traced = _TRACER.enabled
-    begun = ended = 0
-    try:
-        executor = session.acquire_pool(effective, options)
-        futures = []
-        for shard_index, shard in enumerate(
-                _shard(shipped, min(effective, len(shipped)))):
-            if traced:
-                _TRACER.begin("pool.shard", tid=SHARD_TID_BASE + shard_index,
-                              shard=shard_index, files=len(shard))
-                begun += 1
-            futures.append(executor.submit(_worker_walk, shard, cache_path))
-        for shard_index, future in enumerate(futures):
-            shard_steps, trace_payload = future.result()
-            for position, steps in shard_steps:
-                walked[position] = steps
-            if traced:
-                _TRACER.merge_worker(trace_payload)
-                _TRACER.end("pool.shard", tid=SHARD_TID_BASE + shard_index)
-                ended += 1
-        session.pool_stats["parallel_batches"] += 1
-        _REGISTRY.inc("pool.parallel_batches")
-    except (OSError, BrokenProcessPool):
-        for shard_index in range(ended, begun):
-            _TRACER.end("pool.shard", tid=SHARD_TID_BASE + shard_index)
-        session.discard_pool()
-        session.pool_stats["serial_batches"] += 1
-        _REGISTRY.inc("pool.serial_batches")
-    return walked
-
-
-# ---------------------------------------------------------------------------
-# The batch entry points
-# ---------------------------------------------------------------------------
-
-
-def check_many_sharded(sources: Iterable[Tuple[str, str]],
-                       options: Optional[DriverOptions] = None,
-                       jobs: int = 1,
-                       cache: Union[ResultCache, str, None] = None,
-                       session: Optional[Session] = None,
-                       stats: Optional[CheckStats] = None,
-                       ) -> List[CheckResult]:
-    """Check many ``(filename, source)`` programs at unit granularity.
-
-    A one-level project build whose modules have no imports in scope:
-    every file goes through :func:`check_modules` in single-file mode, so
-    ``import`` declarations warn instead of resolving.  With a cache, an
-    unchanged file is answered from one file-level entry without even
-    re-parsing; every other file is parsed, planned and walked unit by
-    unit — hits from the per-unit cache (source slice + dependency
-    schemes), checks otherwise, in-process or across ``jobs`` worker
-    processes.
-
-    Results always come back **in input order**.  A file whose every
-    unit was checked in this process gets a full result (``parsed`` and
-    scheme objects set); one with any unit from the cache or a worker
-    gets the slim payload-backed form (``scheme``/``parsed``/``env`` are
-    None).  ``stats`` (a :class:`CheckStats`) collects per-unit timing
-    and cache hit/miss counts for ``--stats``.
-    """
-    options = options or DriverOptions()
-    if session is None:
-        session = Session(options)
-    if isinstance(cache, str):
-        cache = ResultCache(cache)
-    modules = [(filename, source, None) for filename, source in sources]
-    return [result for result, _exports in check_modules(
-        modules, options, jobs, cache, session, stats)]
 
 
 def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
-                  options: DriverOptions, jobs: int,
-                  cache: Optional[ResultCache], session: Session,
-                  stats: Optional[CheckStats] = None
+                  options: DriverOptions, cache: Optional[ResultCache],
+                  session: Session, stats: Optional[CheckStats] = None
                   ) -> List[Tuple[CheckResult, Optional[_Renderings]]]:
     """Check one level of modules, given as ``(filename, source, scope)``.
 
@@ -1256,12 +989,11 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     did not parse.  With a cache, an unchanged module is answered from
     its file-level entry — in project mode together with its
     ``exports:`` entry, which importers need without a re-parse; every
-    other module goes through the unit walk.  Identical modules walk
-    once, their copies counted as ``skipped``.  ``stats`` counters
-    accumulate, so the project build threads one object through its
-    levels.
+    other module goes through the unit walk, so a later copy of an
+    identical module hits the units an earlier one stored.  ``stats``
+    counters accumulate, so the project build threads one object through
+    its levels.
     """
-    jobs = max(1, int(jobs or 1))
     if stats is None:
         # Counting always (into an internal CheckStats) keeps the
         # telemetry registry's cache.*/batch.* counters accurate whether
@@ -1295,41 +1027,9 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     stats.files += len(modules)
     stats.parse_failures += parse_failures
 
-    # Identical modules walk once (in a worker, or here); each copy takes
-    # the first one's records, and its units count as "skipped".
-    walked = [state for _, state in active if state.plan is not None]
-    first: Dict[Tuple, _FileState] = {}
-    originals = [first.setdefault(state.signature, state) for state in walked]
-    unique = list(first.values())
-    steps_of = {id(state): steps for state, steps in zip(
-        unique, _dispatch(unique, options, jobs, cache, session))
-        if steps is not None}
-    for state, original in zip(walked, originals):
-        steps = steps_of.get(id(original))
-        if steps is None:
-            steps = steps_of[id(state)] = _walk(state, cache, fingerprint)
-        elif original is state:
-            # Shipped back by a worker: the parent stores its checks.
-            for uid, key, payload, seconds in steps:
-                state.resolve(state.plan.units[uid], payload)
-                if cache is not None and seconds is not None:
-                    cache.store(key, payload)
-        else:
-            for unit in state.units:
-                state.resolve(unit, original.records[unit.uid])
-        for uid, _key, _payload, seconds in steps:
-            unit = state.plan.units[uid]
-            if original is not state:
-                stats.note(state.filename, unit, None, "skipped")
-            elif seconds is None:
-                stats.note(state.filename, unit, None, "hit")
-            else:
-                if cache is not None:
-                    stats.cache_misses += 1
-                    _REGISTRY.inc("cache.unit_misses")
-                stats.note(state.filename, unit, seconds, "checked")
-
     for index, state in active:
+        if state.plan is not None:
+            _walk(state, cache, fingerprint, stats)
         result = state.assemble()
         exports = state.exports() if state.scope is not None else None
         done[index] = (result, exports)

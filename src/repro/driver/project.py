@@ -34,8 +34,7 @@ source text), and per-module exports come from ``exports:`` entries.
 Checking walks the DAG level by level (every module's imports live in
 strictly earlier levels), handing each level to
 :func:`repro.driver.batch.check_modules` — the unit walk single-file
-``check`` uses too, so whole modules shard across the session's
-persistent worker pool in DAG level order.
+``check`` uses too.
 """
 
 from __future__ import annotations
@@ -224,7 +223,7 @@ class ProjectPlan:
     #: node indices in dependency (topological) order.
     order: List[int]
     #: DAG levels of the checkable nodes: every module's imports resolve
-    #: to strictly earlier levels.  This is the sharding order.
+    #: to strictly earlier levels.  This is the checking order.
     levels: List[List[int]]
     #: node index -> graph-level diagnostics.  Membership means the module
     #: is structurally skipped (cycle member, duplicate name, failed or
@@ -430,7 +429,6 @@ def _add_cross_module_hints(plan: ProjectPlan,
 
 def check_project(sources: Iterable[Tuple[str, str]],
                   options: Optional[DriverOptions] = None,
-                  jobs: int = 1,
                   cache: Union[ResultCache, str, None] = None,
                   session: Optional[Session] = None,
                   stats: Optional[CheckStats] = None) -> ProjectCheck:
@@ -485,8 +483,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
                 scope = {name: in_scope[name] for name in node.foreign
                          if name in in_scope}
             modules.append((node.filename, node.source, scope))
-        checked = check_modules(modules, options, jobs, cache, session,
-                                stats)
+        checked = check_modules(modules, options, cache, session, stats)
         for index, (result, module_exports) in zip(level_nodes, checked):
             results[index] = result
             exports[index] = module_exports

@@ -563,12 +563,6 @@ class Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def _shutdown_executor(executor) -> None:
-    """GC/close hook for a session's worker pool (must not capture the
-    session itself, or the ``weakref.finalize`` would keep it alive)."""
-    executor.shutdown(wait=False, cancel_futures=True)
-
-
 class Session:
     """A long-lived driver session: cached prelude, batch checking, REPL state."""
 
@@ -591,93 +585,12 @@ class Session:
         #: Generated sources of the bindings earlier lines linked against
         #: ``_repl_check``; dropped whenever that check is replaced.
         self._repl_sources: Dict[str, str] = {}
-        #: The persistent worker pool (lazily spawned, reused across
-        #: ``check_many`` calls) and the counters that make its lifecycle
-        #: observable to benchmarks and tests.
-        self._pool = None
-        self._pool_size = 0
-        self._pool_options: Optional[tuple] = None
-        self._pool_finalizer = None
-        self.pool_stats: Dict[str, int] = {
-            "pools_created": 0,
-            "pools_reused": 0,
-            "parallel_batches": 0,
-            "serial_batches": 0,
-        }
-
-    # -- the persistent worker pool -------------------------------------------
-
-    def acquire_pool(self, jobs: int, options: Optional[DriverOptions] = None):
-        """The session's :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-        Created on first use and **reused across batch calls** — worker
-        processes keep their warm per-process :class:`Session` (prelude
-        built once) between calls, so repeated ``check_many(jobs=N)`` pays
-        process spawn at most once.  The pool is replaced only when a
-        caller needs more workers than it has or checks under different
-        options (workers bake options in at init).  CPython spawns the
-        actual worker processes lazily on first submit, so an unused pool
-        costs nothing.
-
-        Raising is the caller's signal to fall back to in-process
-        checking; :meth:`discard_pool` then drops any broken pool.
-        """
-        import dataclasses as _dataclasses
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .batch import _worker_init
-
-        options_state = _dataclasses.asdict(options if options is not None
-                                            else self.options)
-        # Tracing state is baked into the workers at init, so it is part
-        # of the pool's identity: enabling --trace between batches must
-        # respawn the pool rather than reuse untraced workers.
-        pool_key = (options_state, _TRACER.enabled)
-        if self._pool is not None:
-            if self._pool_size >= jobs and self._pool_options == pool_key:
-                self.pool_stats["pools_reused"] += 1
-                _REGISTRY.inc("pool.pools_reused")
-                return self._pool
-            self._shutdown_pool()
-        pool = ProcessPoolExecutor(max_workers=jobs,
-                                   initializer=_worker_init,
-                                   initargs=(options_state, _TRACER.enabled))
-        self._pool = pool
-        self._pool_size = jobs
-        self._pool_options = pool_key
-        self.pool_stats["pools_created"] += 1
-        _REGISTRY.inc("pool.pools_created")
-        import weakref
-
-        self._pool_finalizer = weakref.finalize(self, _shutdown_executor,
-                                                pool)
-        return pool
-
-    def discard_pool(self) -> None:
-        """Drop the worker pool (after a BrokenProcessPool, or to force the
-        next batch to respawn)."""
-        self._shutdown_pool()
-
-    def _shutdown_pool(self) -> None:
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if self._pool is not None:
-            _shutdown_executor(self._pool)
-            self._pool = None
-            self._pool_size = 0
-            self._pool_options = None
-
-    def close(self) -> None:
-        """Shut down the worker pool.  Idempotent; the session remains
-        usable (a later batch call simply respawns the pool)."""
-        self._shutdown_pool()
 
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release: a session owns no process or open file."""
 
     # -- the one-shot pipeline entry points ----------------------------------
 
@@ -687,60 +600,60 @@ class Session:
         (``parsed`` and every scheme object set)."""
         from .batch import check_modules
 
-        return check_modules([(filename, source, None)], self.options, 1,
+        return check_modules([(filename, source, None)], self.options,
                              None, self)[0][0]
 
     def check_many(self, sources: Iterable[Tuple[str, str]],
-                   jobs: Optional[int] = None,
                    cache=None, stats=None) -> List[CheckResult]:
         """Batch API: check many ``(filename, source)`` programs per call.
 
-        Reuses the cached prelude environment across programs — the
-        throughput benchmarks (``bench_e12``/``bench_e13``/``bench_e15``)
-        and the CLI's multi-file mode both call this.
+        A one-level project build whose modules have no imports in scope:
+        every file goes through the unit walk in single-file mode, so
+        ``import`` declarations warn instead of resolving.  Reuses the
+        cached prelude environment across programs — the throughput
+        benchmarks (``bench_e12``/``bench_e13``/``bench_e15``) and the
+        CLI's multi-file mode both call this.
 
-        * ``jobs`` — walk the files that missed the file-level cache
-          across that many worker processes; results come back in input
-          order regardless of completion order, and the units re-checked
-          are the same for every ``jobs``.
         * ``cache`` — a path (or :class:`repro.driver.batch.ResultCache`)
           keyed per compilation unit by the unit's source slice plus the
           schemes of its direct dependencies; editing one binding
           re-checks only that binding's SCC and the dependents whose
-          dependency schemes actually changed.
+          dependency schemes actually changed.  An unchanged file is
+          answered from one file-level entry without even re-parsing.
         * ``stats`` — a :class:`repro.driver.batch.CheckStats` collecting
           per-unit timing and cache hit/miss counts (``--stats``).
 
-        A file whose every unit was checked in this process gets a full
-        result, as :meth:`check` returns; one with any unit from the cache
-        or a worker gets the slim payload form (rendered schemes and
-        diagnostics preserved; ``scheme``/``parsed``/``env`` are ``None``)
-        — see :mod:`repro.driver.batch`.
+        Results come back in input order.  A file whose every unit was
+        checked in this call gets a full result, as :meth:`check` returns;
+        one with any unit from the cache gets the slim payload form
+        (rendered schemes and diagnostics preserved;
+        ``scheme``/``parsed``/``env`` are ``None``) — see
+        :mod:`repro.driver.batch`.
         """
-        from .batch import check_many_sharded
+        from .batch import ResultCache, check_modules
 
-        return check_many_sharded(sources, self.options,
-                                  jobs=jobs or 1, cache=cache, session=self,
-                                  stats=stats)
+        if isinstance(cache, str):
+            cache = ResultCache(cache)
+        modules = [(filename, source, None) for filename, source in sources]
+        return [result for result, _exports in check_modules(
+            modules, self.options, cache, self, stats)]
 
     def check_project(self, sources: Iterable[Tuple[str, str]],
-                      jobs: Optional[int] = None,
                       cache=None, stats=None):
         """Check a multi-module project (``module``/``import`` files).
 
         Builds the module DAG over the ``(filename, source)`` items,
         rejects import cycles with span-carrying diagnostics, and walks
         the DAG level by level with each module's imported schemes in
-        scope — whole modules shard across the worker pool in level
-        order, and with a ``cache`` the build is incremental across both
-        bindings *and* module boundaries (see
-        :mod:`repro.driver.project` and docs/PROJECTS.md).  Returns a
+        scope; with a ``cache`` the build is incremental across both
+        bindings *and* module boundaries (see :mod:`repro.driver.project`
+        and docs/PROJECTS.md).  Returns a
         :class:`repro.driver.project.ProjectCheck`.
         """
         from .project import check_project as _check_project
 
-        return _check_project(sources, self.options, jobs=jobs or 1,
-                              cache=cache, session=self, stats=stats)
+        return _check_project(sources, self.options, cache=cache,
+                              session=self, stats=stats)
 
     def run(self, source: str, filename: str = "<input>",
             entry: str = "main", cache=None) -> RunResult:

@@ -36,8 +36,8 @@ oracle             property checked
 
 A corpus is type-checked in one
 :meth:`repro.driver.session.Session.check_many` call, the unit walk every
-check runs; ``jobs=``/``cache=`` are forwarded to it, which is how the CLI
-and ``bench_e14`` run 1000+-program corpora.
+check runs; ``cache=`` is forwarded to it, which is how the CLI and
+``bench_e14`` run 1000+-program corpora.
 """
 
 from __future__ import annotations
@@ -180,12 +180,12 @@ class DifferentialHarness:
                          report: Optional[FuzzReport],
                          check: Optional[CheckResult] = None) -> None:
         if check is not None and check.parsed is not None:
-            # Full in-process results carry the parse tree and schemes, so
-            # the run stage must not pay for a second parse+infer pass.
+            # Full results carry the parse tree and schemes, so the run
+            # stage must not pay for a second parse+infer pass.
             run = self.session.run_from_check(check)
         else:
-            # Slim results (sharded workers / cache hits) cannot seed the
-            # evaluator; re-check in-process for the execution oracles.
+            # Slim results (cache hits) cannot seed the evaluator;
+            # re-check for the execution oracles.
             run = self.session.run(program.source, program.filename)
         if not run.ok:
             fail("run", "; ".join(d.pretty() for d in run.check.errors))
@@ -246,19 +246,17 @@ class DifferentialHarness:
     # -- corpora ---------------------------------------------------------------
 
     def run_corpus(self, programs: Sequence[GenProgram],
-                   jobs: Optional[int] = None,
                    cache=None, stats=None) -> FuzzReport:
         """Check a whole corpus through :meth:`Session.check_many`, then
-        run every oracle per program.  ``jobs``/``cache`` shard the
-        type-check pass at binding granularity, so a re-fuzz over a
-        mostly-unchanged corpus re-checks only the bindings that actually
-        changed (``stats`` observes the unit cache exactly as ``repro
-        check --stats`` does).  The run/roundtrip oracles are inherently
-        in-process."""
+        run every oracle per program.  ``cache`` serves the type-check
+        pass at binding granularity, so a re-fuzz over a mostly-unchanged
+        corpus re-checks only the bindings that actually changed
+        (``stats`` observes the unit cache exactly as ``repro check
+        --stats`` does)."""
         report = FuzzReport()
         checks = self.session.check_many(
             [(program.filename, program.source) for program in programs],
-            jobs=jobs, cache=cache, stats=stats)
+            cache=cache, stats=stats)
         for program, check in zip(programs, checks):
             report.programs += 1
             if program.fragment:

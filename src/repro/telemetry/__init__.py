@@ -3,12 +3,10 @@
 Two process-global singletons:
 
 * :data:`TRACER` — nested spans exported as Chrome trace-event JSON
-  (``--trace out.json``, loadable in Perfetto); worker-process spans are
-  shipped back through the shard IPC payload and rebased onto the parent
-  timeline with their own pid rows.
+  (``--trace out.json``, loadable in Perfetto), all on one process row.
 * :data:`REGISTRY` — the unified Counter/Gauge/Histogram registry that
   absorbs the pipeline's formerly scattered counters (solver ops, cache
-  hit/miss, pool reuse, codegen, compiled-runtime calls).
+  hit/miss, codegen, compiled-runtime calls).
 
 Both are off by default and near-free when off; see docs/OBSERVABILITY.md
 for the span taxonomy and metric names.
@@ -23,7 +21,6 @@ from .metrics import (
     stats_document,
 )
 from .trace import (
-    SHARD_TID_BASE,
     TRACE_ENV,
     TRACER,
     Tracer,
@@ -39,7 +36,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "stats_document",
-    "SHARD_TID_BASE",
     "TRACE_ENV",
     "TRACER",
     "Tracer",

@@ -2,13 +2,13 @@
 
 Before this module existed the pipeline's counters were scattered:
 union-find ops lived on each ``UnifierState``, per-unit hit/miss on
-``CheckStats``, pool reuse on ``Session.pool_stats``, codegen counts on
-``CompiledProgram``, and benchmarks reached into module internals to read
-them.  The :class:`MetricsRegistry` absorbs all of them under namespaced
-metric names (``solver.*``, ``cache.*``, ``cache.store.*`` for the
-sharded on-disk store, ``batch.*``, ``pool.*``, ``codegen.*``,
-``runtime.*``, ``eval.*`` — see docs/OBSERVABILITY.md) and emits one
-machine-readable document via :meth:`MetricsRegistry.snapshot`.
+``CheckStats``, codegen counts on ``CompiledProgram``, and benchmarks
+reached into module internals to read them.  The :class:`MetricsRegistry`
+absorbs all of them under namespaced metric names (``solver.*``,
+``cache.*``, ``cache.store.*`` for the sharded on-disk store,
+``batch.*``, ``codegen.*``, ``runtime.*``, ``eval.*`` — see
+docs/OBSERVABILITY.md) and emits one machine-readable document via
+:meth:`MetricsRegistry.snapshot`.
 
 Cost model:
 

@@ -14,15 +14,11 @@ Design constraints (see docs/OBSERVABILITY.md):
   ``tracer.enabled`` attribute; :meth:`Tracer.span` returns a
   preallocated no-op singleton when disabled so a stray unguarded call
   allocates nothing.
-* **Multi-process** — worker processes run their own tracer and ship
-  ``worker_payload()`` back through the existing shard IPC result;
-  the parent rebases those events onto its own timeline using the
-  wall-clock epoch delta, so worker rows appear under distinct pids at
-  the correct position inside their ``pool.shard`` window.
+* **One process, one row** — every check runs in the calling process,
+  so every event carries this process's pid and tid 0.
 
 Timestamps are microseconds (floats) relative to the tracer's
-``perf_counter`` epoch; ``epoch_wall`` (``time.time()`` captured at the
-same instant) is what makes cross-process rebasing possible.
+``perf_counter`` epoch.
 """
 
 from __future__ import annotations
@@ -37,12 +33,6 @@ from typing import Any, Dict, List, Optional
 #: just ``1``/``true``/``yes``/``on``) the CLI writes the export there on
 #: exit unless ``--trace`` named an explicit destination.
 TRACE_ENV = "REPRO_TRACE"
-
-#: Synthetic tid base for ``pool.shard`` dispatch rows: shard *i* is drawn
-#: on tid ``SHARD_TID_BASE + i`` of the parent process so the dispatch
-#: windows (which overlap each other by design) never violate the B/E
-#: stack discipline of the main thread's tid 0 row.
-SHARD_TID_BASE = 1000
 
 
 class _NoopSpan:
@@ -67,46 +57,38 @@ _NOOP_SPAN = _NoopSpan()
 class _Span:
     """Context manager emitting a matched B/E event pair."""
 
-    __slots__ = ("_tracer", "_name", "_tid")
+    __slots__ = ("_tracer", "_name")
 
-    def __init__(self, tracer: "Tracer", name: str, tid: int,
+    def __init__(self, tracer: "Tracer", name: str,
                  args: Optional[Dict[str, Any]]):
         self._tracer = tracer
         self._name = name
-        self._tid = tid
-        tracer._emit("B", name, tid, args)
+        tracer._emit("B", name, args)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._tracer._emit("E", self._name, self._tid, None)
+        self._tracer._emit("E", self._name, None)
         return False
 
 
 class Tracer:
     """Collects Chrome trace events for one process.
 
-    All spans are attributed to this process's pid; ``tid`` defaults to 0
-    (the logical main thread) but callers may draw on synthetic tids (see
-    :data:`SHARD_TID_BASE`) for rows that intentionally overlap.
+    All spans are attributed to this process's pid and to tid 0, its one
+    row.
     """
 
-    __slots__ = ("enabled", "pid", "epoch_wall", "_epoch_pc", "_events",
-                 "process_name")
+    __slots__ = ("enabled", "pid", "_epoch_pc", "_events")
 
-    def __init__(self, process_name: str = "repro"):
+    def __init__(self):
         self.enabled = False
-        self.process_name = process_name
         self._events: List[Dict[str, Any]] = []
-        self._rebase_clocks()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _rebase_clocks(self) -> None:
         self.pid = os.getpid()
         self._epoch_pc = time.perf_counter()
-        self.epoch_wall = time.time()
+
+    # -- lifecycle -----------------------------------------------------------
 
     def enable(self) -> None:
         self.enabled = True
@@ -114,108 +96,62 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
-    def reset(self, process_name: Optional[str] = None) -> None:
-        """Drop all events and re-anchor the clocks to *now*.
-
-        Worker processes **must** call this from their initializer: under
-        the ``fork`` start method the child inherits the parent tracer's
-        event buffer and epoch, and without a reset the parent's events
-        would be shipped back (duplicated) in the worker payload.
-        """
-        if process_name is not None:
-            self.process_name = process_name
-        self._events = []
-        self._rebase_clocks()
-
     # -- recording -----------------------------------------------------------
 
     def _now_us(self) -> float:
         return (time.perf_counter() - self._epoch_pc) * 1e6
 
-    def _emit(self, ph: str, name: str, tid: int,
+    def _emit(self, ph: str, name: str,
               args: Optional[Dict[str, Any]]) -> None:
         event: Dict[str, Any] = {
             "name": name,
             "ph": ph,
             "ts": self._now_us(),
             "pid": self.pid,
-            "tid": tid,
+            "tid": 0,
             "cat": "repro",
         }
         if args:
             event["args"] = args
         self._events.append(event)
 
-    def begin(self, name: str, tid: int = 0, **args: Any) -> None:
+    def begin(self, name: str, **args: Any) -> None:
         """Open a span (must be closed with a matching :meth:`end`)."""
         if self.enabled:
-            self._emit("B", name, tid, args or None)
+            self._emit("B", name, args or None)
 
-    def end(self, name: str, tid: int = 0) -> None:
+    def end(self, name: str) -> None:
         if self.enabled:
-            self._emit("E", name, tid, None)
+            self._emit("E", name, None)
 
-    def span(self, name: str, tid: int = 0, **args: Any):
+    def span(self, name: str, **args: Any):
         """Context manager span; a no-op singleton when disabled."""
         if not self.enabled:
             return _NOOP_SPAN
-        return _Span(self, name, tid, args or None)
+        return _Span(self, name, args or None)
 
-    def instant(self, name: str, tid: int = 0, **args: Any) -> None:
+    def instant(self, name: str, **args: Any) -> None:
         """A zero-duration marker (``ph: "i"``)."""
         if self.enabled:
             event = {"name": name, "ph": "i", "ts": self._now_us(),
-                     "pid": self.pid, "tid": tid, "cat": "repro", "s": "t"}
+                     "pid": self.pid, "tid": 0, "cat": "repro", "s": "t"}
             if args:
                 event["args"] = args
             self._events.append(event)
 
-    # -- export / merging ----------------------------------------------------
+    # -- export ---------------------------------------------------------------
 
     def drain(self) -> List[Dict[str, Any]]:
         """Return and clear the buffered events."""
         events, self._events = self._events, []
         return events
 
-    def worker_payload(self) -> Dict[str, Any]:
-        """The per-shard IPC payload a worker ships back to the parent."""
-        return {
-            "pid": self.pid,
-            "epoch_wall": self.epoch_wall,
-            "process_name": self.process_name,
-            "events": self.drain(),
-        }
-
-    def merge_worker(self, payload: Optional[Dict[str, Any]]) -> None:
-        """Fold a worker's events onto this tracer's timeline.
-
-        Worker timestamps are relative to the *worker's* perf_counter
-        epoch; the wall-clock delta between the two epochs rebases them
-        onto the parent timeline.  Events keep the worker's pid, which is
-        what gives each worker its own process row in Perfetto.
-        """
-        if not payload or not payload.get("events"):
-            return
-        delta_us = (payload["epoch_wall"] - self.epoch_wall) * 1e6
-        name = payload.get("process_name") or "repro worker"
-        pids = set()
-        for event in payload["events"]:
-            event = dict(event)
-            event["ts"] = event["ts"] + delta_us
-            pids.add(event["pid"])
-            self._events.append(event)
-        for pid in pids:
-            self._events.append({
-                "name": "process_name", "ph": "M", "ts": 0.0,
-                "pid": pid, "tid": 0, "args": {"name": name},
-            })
-
     def export(self) -> Dict[str, Any]:
         """The full Chrome trace-event document (object form)."""
         metadata = [{
             "name": "process_name", "ph": "M", "ts": 0.0,
             "pid": self.pid, "tid": 0,
-            "args": {"name": self.process_name},
+            "args": {"name": "repro"},
         }]
         return {
             "traceEvents": metadata + list(self._events),

@@ -1,16 +1,19 @@
-"""Tests for sharded parallel batch checking and the incremental cache.
+"""Tests for batch checking and the incremental cache.
 
 Covers the batch-path guarantees the driver makes:
 
-* output order matches input order at ``jobs > 1``;
-* a poisoned binding in one shard never affects another program;
+* output order matches input order;
+* a poisoned binding in one program never affects another program;
 * cache hits return byte-identical results, and editing one source
   invalidates exactly that entry;
-* ``jobs`` never changes what is re-checked: counts and results agree at
-  ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``.
+* an incremental re-check counts exactly the units it re-checked;
+* the walk runs in the calling process: no module imports a process
+  pool.
 """
 
+import ast
 import os
+import pathlib
 
 import pytest
 
@@ -71,28 +74,18 @@ def _shard_files(root):
 
 class TestSharding:
     def test_output_order_matches_input_order(self):
-        corpus = make_corpus(11)  # odd count: shards are uneven
-        results = Session().check_many(corpus, jobs=2)
+        corpus = make_corpus(11)
+        results = Session().check_many(corpus)
         assert [r.filename for r in results] == [fn for fn, _ in corpus]
         # Each program's own binding is in its own result.
         for i, result in enumerate(results):
             assert result.bindings[0].name == f"add{i}"
 
-    def test_parallel_matches_serial(self):
-        corpus = make_corpus(6)
-        session = Session()
-        serial = session.check_many(corpus)
-        parallel = session.check_many(corpus, jobs=3)
-        for one, other in zip(serial, parallel):
-            assert one.ok == other.ok
-            assert [b.rendered for b in one.bindings] == \
-                [b.rendered for b in other.bindings]
-
     def test_poisoned_binding_does_not_leak_across_shards(self):
         corpus = make_corpus(8)
         corpus[2] = ("poison.lev",
                      "bad :: Int#\nbad = notInScope\nalso = 1 + 1\n")
-        results = Session().check_many(corpus, jobs=2)
+        results = Session().check_many(corpus)
         assert not results[2].ok
         assert any("not in scope" in d.message for d in results[2].diagnostics)
         # The poisoned module still checked its other binding...
@@ -100,19 +93,14 @@ class TestSharding:
         # ...and every other program is untouched.
         assert all(r.ok for i, r in enumerate(results) if i != 2)
 
-    def test_jobs_one_with_more_workers_than_programs(self):
-        corpus = make_corpus(2)
-        results = Session().check_many(corpus, jobs=8)
-        assert [r.ok for r in results] == [True, True]
-
     def test_duplicate_sources_check_once(self, tmp_path):
         source = "v :: Int\nv = 1 + 2\n"
         corpus = [("a.lev", source), ("b.lev", source), ("c.lev", source)]
         cache = ResultCache(str(tmp_path / "cache.json"))
         stats = CheckStats()
-        results = Session().check_many(corpus, jobs=2, cache=cache,
-                                       stats=stats)
-        # One check, one store; every caller still gets its own filename.
+        results = Session().check_many(corpus, cache=cache, stats=stats)
+        # One check, one store: the copies hit the unit the first stored,
+        # and every caller still gets its own filename.
         assert stats.checked == 1
         assert [r.filename for r in results] == ["a.lev", "b.lev", "c.lev"]
         assert all(r.ok for r in results)
@@ -270,13 +258,13 @@ class TestCli:
             path.write_text(f"v{i} :: Int\nv{i} = {i} + {i}\n")
             files.append(str(path))
         cache = str(tmp_path / "cache.json")
-        code = main(["check", "--jobs", "2", "--cache", cache, *files])
+        code = main(["check", "--cache", cache, *files])
         assert code == 0
         assert os.path.exists(cache)
         out = capsys.readouterr().out
         assert "v0 :: Int" in out and "v2 :: Int" in out
         # Warm re-run through the CLI exits cleanly too.
-        assert main(["check", "--jobs", "2", "--cache", cache, *files]) == 0
+        assert main(["check", "--cache", cache, *files]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +348,6 @@ class TestBindingLevelInvalidation:
         assert payload_bytes(result_to_payload(cold)) == \
             payload_bytes(result_to_payload(warm[0]))
 
-    def test_jobs_path_matches_serial_unit_path(self, tmp_path):
-        corpus = [("dep.lev", DEP_MODULE)] + make_corpus(5)
-        serial = Session().check_many(corpus, cache=str(tmp_path / "a.json"))
-        parallel = Session().check_many(corpus, jobs=2,
-                                        cache=str(tmp_path / "b.json"))
-        assert [payload_bytes(result_to_payload(r)) for r in serial] == \
-            [payload_bytes(result_to_payload(r)) for r in parallel]
-
 
 #: Two files sharing one identical unit (`shared`, same slice, no deps).
 SHARED_UNIT = [
@@ -380,7 +360,7 @@ SHARED_UNIT = [
 
 class TestOneWalk:
     """``Session.check`` and every batch call run one unit walk; keys and
-    payloads exist only where a unit meets a cache or a worker."""
+    payloads exist only where a unit meets a cache."""
 
     def test_without_a_cache_a_shared_unit_is_checked_in_each_file(self):
         from repro.driver import CheckStats
@@ -442,7 +422,7 @@ class TestOneWalk:
         stats = CheckStats()
         results = Session().check_many([("a.lev", source), ("b.lev", source)],
                                        stats=stats)
-        assert [t.source for t in stats.timings] == ["checked", "skipped"]
+        assert [t.source for t in stats.timings] == ["checked", "checked"]
         for result in results:
             assert result.parsed is not None
             assert [d.filename for d in result.diagnostics] == \
@@ -469,41 +449,63 @@ def _tagged(tag):
     return source
 
 
-class TestJobsDoNotChangeWhatIsRechecked:
-    """One unit walk for every ``jobs``: counts and results agree at
-    ``jobs=1`` and at ``jobs=2`` under ``REPRO_PARALLEL=always|never``."""
+def _counts(stats):
+    return stats.checked, stats.cache_hits, stats.cache_misses
 
-    def test_body_edits_in_two_files(self, across_jobs):
+
+class TestJobsDoNotChangeWhatIsRechecked:
+    """An incremental re-check counts exactly the units it re-checked."""
+
+    def test_body_edits_in_two_files(self, tmp_path):
         from repro.driver import CheckStats
 
+        cache = str(tmp_path / "cache")
         cold = [(f"dep_{tag}.lev", _tagged(tag)) for tag in ("a", "b")]
         # Each file's first binding keeps its scheme: its three dependents
-        # stay hits wherever the walk runs (early cutoff).
+        # stay hits (early cutoff).
         edited = [(name, source.replace("x +# 1#", "x +# 2#"))
                   for name, source in cold]
+        with Session() as session:
+            session.check_many(cold, cache=cache)
+            stats = CheckStats()
+            session.check_many(edited, cache=cache, stats=stats)
+        assert _counts(stats) == (2, 6, 2)
 
-        def scenario(jobs, cache):
-            with Session() as session:
-                session.check_many(cold, jobs=jobs, cache=cache)
-                stats = CheckStats()
-                results = session.check_many(edited, jobs=jobs, cache=cache,
-                                             stats=stats)
-            return stats, results
-
-        assert across_jobs(scenario) == (2, 6, 2)
-
-    def test_cold_run_counts_every_check_as_a_miss(self, across_jobs):
+    def test_cold_run_counts_every_check_as_a_miss(self, tmp_path):
         from repro.driver import CheckStats
 
-        def scenario(jobs, cache):
-            stats = CheckStats()
-            with Session() as session:
-                results = session.check_many([("dep.lev", DEP_MODULE)],
-                                             jobs=jobs, cache=cache,
-                                             stats=stats)
-            return stats, results
+        stats = CheckStats()
+        with Session() as session:
+            session.check_many([("dep.lev", DEP_MODULE)],
+                               cache=str(tmp_path / "cache"), stats=stats)
+        assert _counts(stats) == (4, 0, 4)
 
-        assert across_jobs(scenario) == (4, 0, 4)
+
+class TestOneProcess:
+    def test_no_module_imports_a_process_pool(self):
+        """The unit walk runs where it is called: nothing under
+        ``repro`` imports ``concurrent.futures`` or ``multiprocessing``."""
+        import repro
+
+        forbidden = ("concurrent.futures", "multiprocessing")
+        offenders = []
+        root = pathlib.Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module] + [f"{node.module}.{alias.name}"
+                                             for alias in node.names]
+                else:
+                    continue
+                offenders.extend(
+                    f"{path.relative_to(root)}:{node.lineno}: {name}"
+                    for name in names
+                    if any(name == module or name.startswith(module + ".")
+                           for module in forbidden))
+        assert offenders == []
 
 
 class TestStats:

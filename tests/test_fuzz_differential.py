@@ -75,14 +75,13 @@ class TestFixedSeedCorpus:
 
 
 class TestShardedAndCachedChecking:
-    """The harness rides the sharded batch checker (jobs= / cache=)."""
+    """The harness rides the batch checker's cache (cache=)."""
 
     def test_jobs_and_cache_agree_with_serial(self, harness, tmp_path):
         corpus = generate_corpus(7, 40)
         serial = harness.run_corpus(corpus)
         cache_path = str(tmp_path / "fuzz-cache.json")
-        sharded = DifferentialHarness().run_corpus(corpus, jobs=2,
-                                                   cache=cache_path)
+        sharded = DifferentialHarness().run_corpus(corpus, cache=cache_path)
         assert serial.ok and sharded.ok
         assert serial.counters == sharded.counters
         # Warm re-run: every type-check answered from the cache.

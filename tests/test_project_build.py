@@ -9,14 +9,14 @@ Covers the guarantees ``python -m repro build`` makes:
   and duplicate module names with span-carrying diagnostics, and skips
   modules downstream of a failure structurally;
 * diamond imports resolve each shared dependency once; whole-module
-  results come back in input order under ``--jobs``;
+  results come back in input order;
 * the schema-v3 cache gives **cross-file early cutoff**: a body-only
   edit re-checks exactly one unit (importing modules are file-level
   hits, never re-parsed), a scheme change invalidates precisely the
   downstream units naming it, a moved-but-unedited module stays a hit,
   and warm results are byte-identical to cold ones;
-* ``--jobs`` never changes what a build re-checks, and ``check`` and
-  ``build`` entries never answer each other;
+* a body edit re-checks one unit, and ``check`` and ``build`` entries
+  never answer each other;
 * a schema-v2 cache document degrades to a cold cache, not an error;
 * scope errors over a sibling module's export gain an "add import" note;
 * the REPL ``:load`` rides the same plan and re-checks cross-module
@@ -301,7 +301,7 @@ class TestCrossModuleIncremental:
         with open(path, "rb") as handle:
             assert handle.read() == before
 
-    def test_body_edit_rechecks_one_unit_for_every_jobs(self, across_jobs):
+    def test_body_edit_rechecks_one_unit_for_every_jobs(self, tmp_path):
         chain = ("module A where\n\nbase :: Int# -> Int#\nbase x = x +# 1#\n"
                  "\nmid = base 1#\n\ntop = mid +# 2#\n\nlone :: Int#\n"
                  "lone = 7#\n")
@@ -309,18 +309,16 @@ class TestCrossModuleIncremental:
         cold = [("a.lev", chain), ("b.lev", user)]
         edited = [("a.lev", chain.replace("x +# 1#", "x +# 2#")),
                   ("b.lev", user)]
-
-        def scenario(jobs, cache):
-            with Session() as session:
-                check_project(cold, jobs=jobs, cache=cache, session=session)
-                stats = CheckStats()
-                check = check_project(edited, jobs=jobs, cache=cache,
-                                      session=session, stats=stats)
-            assert check.ok and stats.file_hits == 1   # B, never re-parsed
-            return stats, check.results
-
-        # base re-checks; mid, top and lone stay hits wherever A's walk runs.
-        assert across_jobs(scenario) == (1, 3, 1)
+        cache = str(tmp_path / "cache")
+        with Session() as session:
+            check_project(cold, cache=cache, session=session)
+            stats = CheckStats()
+            check = check_project(edited, cache=cache, session=session,
+                                  stats=stats)
+        assert check.ok and stats.file_hits == 1   # B, never re-parsed
+        # base re-checks; mid, top and lone stay hits.
+        assert (stats.checked, stats.cache_hits, stats.cache_misses) == \
+            (1, 3, 1)
 
     def test_check_and_build_entries_never_answer_each_other(self, tmp_path,
                                                              capsys):
@@ -341,18 +339,6 @@ class TestCrossModuleIncremental:
         assert main(["check", "--cache", cache, world]) == 1
         assert unresolved in capsys.readouterr().out
 
-    def test_parallel_build_matches_serial(self, tmp_path):
-        serial = check_project(PROJECT, session=Session())
-        with Session() as session:
-            parallel = check_project(PROJECT, jobs=2, session=session,
-                                     cache=ResultCache(),
-                                     stats=CheckStats())
-        assert project_bytes(parallel.results) == \
-            [payload_bytes(result_to_payload(r)) for r in
-             check_project(PROJECT, session=Session(), cache=ResultCache(),
-                           stats=CheckStats()).results]
-        assert [r.ok for r in parallel.results] == \
-            [r.ok for r in serial.results]
 
 
 class TestCrossModuleScopeHints:

@@ -4,14 +4,12 @@ Covers the subsystem's load-bearing guarantees:
 
 * trace export is well-formed Chrome trace-event JSON — every ``B`` has a
   matching ``E`` and sibling spans never overlap on a (pid, tid) row;
-* worker-process spans ship back through the shard IPC payload and merge
-  onto the parent timeline with distinct pids, inside their shard window;
 * a disabled tracer is allocation-free on the hot path (gc-count pin);
 * the metrics registry resets **in place** (held ``Counter`` references
   survive), which is what stops benchmark E-sections sharing one process
   from leaking counters into each other;
-* ``CheckStats`` rows carry an explicit ``source`` (``hit`` / ``checked``
-  / ``skipped``) and cache hits no longer masquerade as 0.0-second units.
+* ``CheckStats`` rows carry an explicit ``source`` (``hit`` /
+  ``checked``) and cache hits no longer masquerade as 0.0-second units.
 """
 
 import gc
@@ -23,7 +21,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.driver import DriverOptions, Session
-from repro.driver.batch import CheckStats, ResultCache, check_many_sharded
+from repro.driver.batch import CheckStats, ResultCache
 from repro.telemetry import (
     REGISTRY,
     TRACER,
@@ -32,7 +30,7 @@ from repro.telemetry import (
     validate_events,
     validate_trace_document,
 )
-from repro.telemetry.trace import SHARD_TID_BASE, _NOOP_SPAN
+from repro.telemetry.trace import _NOOP_SPAN
 
 TWO_UNIT_MODULE = """\
 helper :: Int# -> Int#
@@ -129,66 +127,11 @@ class TestTraceExport:
 
 
 # ---------------------------------------------------------------------------
-# Worker-span merging
+# Trace export through the CLI
 # ---------------------------------------------------------------------------
 
 
-class TestWorkerMerge:
-    def test_merge_worker_rebases_and_keeps_pid(self):
-        parent = Tracer()
-        parent.enable()
-        payload = {
-            "pid": 4242,
-            # The worker's wall epoch is 1ms after the parent's.
-            "epoch_wall": parent.epoch_wall + 0.001,
-            "process_name": "repro worker",
-            "events": [
-                {"name": "w", "ph": "B", "ts": 10.0, "pid": 4242, "tid": 0},
-                {"name": "w", "ph": "E", "ts": 20.0, "pid": 4242, "tid": 0},
-            ],
-        }
-        parent.merge_worker(payload)
-        events = parent.drain()
-        spans = [e for e in events if e["ph"] in "BE"]
-        assert [e["pid"] for e in spans] == [4242, 4242]
-        # Wall-clock epochs are ~1e9 s, so the delta carries ~0.1 µs of
-        # float rounding — irrelevant at trace resolution.
-        assert spans[0]["ts"] == pytest.approx(1010.0, abs=1.0)
-        assert spans[1]["ts"] == pytest.approx(1020.0, abs=1.0)
-        assert any(e["ph"] == "M" and e["pid"] == 4242 for e in events)
-
-    def test_parallel_check_merges_worker_spans_under_shards(self, tmp_path,
-                                                            monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
-        TRACER.enable()
-        with Session() as session:
-            results = session.check_many(
-                [("a.lev", TWO_UNIT_MODULE), ("b.lev", SECOND_MODULE)],
-                jobs=2, stats=CheckStats())
-        assert all(r.ok for r in results)
-        events = TRACER.drain()
-        validate_events(events)
-        parent_pid = os.getpid()
-        worker_pids = {e["pid"] for e in events
-                       if e["ph"] in "BE" and e["pid"] != parent_pid}
-        assert worker_pids, "no worker spans merged back"
-        # Shard dispatch windows live on synthetic tids of the parent.
-        windows = {}
-        for event in events:
-            if event["name"] == "pool.shard":
-                assert event["tid"] >= SHARD_TID_BASE
-                windows.setdefault(event["tid"], {})[event["ph"]] = \
-                    event["ts"]
-        assert windows
-        for spans in windows.values():
-            assert spans["B"] <= spans["E"]
-        # Every worker span falls inside some shard dispatch window.
-        for event in events:
-            if event["ph"] in "BE" and event["pid"] != parent_pid:
-                assert any(w["B"] <= event["ts"] <= w["E"]
-                           for w in windows.values()), \
-                    f"worker span outside every shard window: {event}"
-
+class TestCliTrace:
     def test_cli_trace_flag_writes_valid_document(self, tmp_path, capsys):
         source = tmp_path / "t.lev"
         source.write_text(TWO_UNIT_MODULE)
@@ -199,6 +142,8 @@ class TestWorkerMerge:
             doc = json.load(handle)
         events = validate_trace_document(doc)
         assert any(e["name"] == "unit.infer" for e in events)
+        # The walk runs in this process: one pid, one row.
+        assert {(e["pid"], e["tid"]) for e in events} == {(os.getpid(), 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,54 +276,32 @@ class TestCheckStatsSource:
     def test_hits_record_none_seconds_with_hit_source(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache.json"))
         cold = CheckStats()
-        check_many_sharded([("a.lev", TWO_UNIT_MODULE)], DriverOptions(),
-                           cache=cache, stats=cold)
+        Session(DriverOptions()).check_many([("a.lev", TWO_UNIT_MODULE)],
+                                            cache=cache, stats=cold)
         assert cold.checked == 2 and cold.cache_hits == 0
         assert all(t.source == "checked" and t.seconds is not None
                    for t in cold.timings)
         warm_cache = ResultCache(str(tmp_path / "cache.json"))
         warm = CheckStats()
-        check_many_sharded([("a.lev", TWO_UNIT_MODULE)], DriverOptions(),
-                           cache=warm_cache, stats=warm)
+        Session(DriverOptions()).check_many([("a.lev", TWO_UNIT_MODULE)],
+                                            cache=warm_cache, stats=warm)
         # The whole file short-circuits on the file-level entry.
         assert warm.file_hits == 1 and warm.units == 0
 
     def test_unit_hits_are_untimed_not_zero_seconds(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache.json"))
-        check_many_sharded([("a.lev", TWO_UNIT_MODULE)], DriverOptions(),
-                           cache=cache, stats=CheckStats())
+        Session(DriverOptions()).check_many([("a.lev", TWO_UNIT_MODULE)],
+                                            cache=cache, stats=CheckStats())
         edited = TWO_UNIT_MODULE.replace("1 + 2", "2 + 3")
         stats = CheckStats()
-        check_many_sharded([("a.lev", edited)], DriverOptions(),
-                           cache=cache, stats=stats)
+        Session(DriverOptions()).check_many([("a.lev", edited)],
+                                            cache=cache, stats=stats)
         hits = [t for t in stats.timings if t.source == "hit"]
         checked = [t for t in stats.timings if t.source == "checked"]
         assert hits and checked
         assert all(t.seconds is None for t in hits)
         rendered = stats.pretty()
         assert "untimed units" in rendered and "hit: 1" in rendered
-
-    def test_skipped_rows_render_distinctly(self):
-        stats = CheckStats()
-
-        class FakeUnit:
-            names = ("dup",)
-
-        stats.note("a.lev", FakeUnit(), None, "skipped")
-        assert stats.skipped == 1 and stats.cache_hits == 0
-        assert "skipped: 1" in stats.pretty()
-        assert stats.as_dict()["timings"][0]["source"] == "skipped"
-
-    def test_duplicate_jobs_count_as_skipped_in_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
-        stats = CheckStats()
-        with Session() as session:
-            results = session.check_many(
-                [("a.lev", TWO_UNIT_MODULE), ("b.lev", TWO_UNIT_MODULE)],
-                jobs=2, stats=stats)
-        assert all(r.ok for r in results)
-        assert stats.skipped == 2  # b.lev deduplicated against a.lev
-        assert stats.checked == 2
 
     def test_timing_rows_carry_their_source(self):
         stats = CheckStats()
