@@ -122,7 +122,7 @@ def test_report_incremental_recheck(tmp_path):
         pristine cold state (persisting would make repeat timings all-hit
         and misstate the miss counts)."""
         warm = ResultCache(cache_path)
-        warm.path = None
+        warm.save = lambda: None
         return warm
 
     # -- warm no-op: the pure hit path ---------------------------------------

@@ -102,7 +102,7 @@ def test_report_project_build(tmp_path):
         """A warm cache that never persists: every repeat starts from the
         pristine cold state."""
         warm = ResultCache(cache_path)
-        warm.path = None
+        warm.save = lambda: None
         return warm
 
     def rebuild(edited_items, stats=None):

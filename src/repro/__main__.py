@@ -58,7 +58,7 @@ codegen.lower/link — as Chrome trace-event JSON loadable in Perfetto
 * ``fuzz`` — generate a corpus of random well-typed programs
   (``--seed``/``--count``/``--depth``), optionally dump it as ``.lev``
   files (``--emit DIR``) and/or run the differential harness over it
-  (``--check``, incremental with ``--cache``).  On a failure,
+  (``--check``).  On a failure,
   ``--save-shrunk DIR`` writes a hypothesis-minimised reproducer.
 
 Examples::
@@ -280,9 +280,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.align_steps < 0:
         raise _CliError("--align-steps must be non-negative")
     try:
-        reports = validate_paths(args.paths, _options(args),
-                                 entry=args.entry,
-                                 align_steps=args.align_steps)
+        with Session(_options(args)) as session:
+            reports = validate_paths(args.paths, session, entry=args.entry,
+                                     align_steps=args.align_steps)
     except OSError as exc:
         raise _CliError(f"cannot read {exc.filename or '?'}: "
                         f"{exc.strerror or exc}") from exc
@@ -340,16 +340,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 0
 
     with Session(_options(args)) as session:
-        harness = DifferentialHarness(session=session)
-        report = harness.run_corpus(programs, cache=args.cache)
+        harness = DifferentialHarness(session)
+        report = harness.run_corpus(programs)
         print(report.pretty())
         if report.failures and args.save_shrunk:
             first = report.failures[0]
-            probe = DifferentialHarness(session=session)
 
             def still_fails(candidate) -> bool:
                 return any(failure.oracle == first.oracle
-                           for failure in probe.check_program(candidate))
+                           for failure in harness.check_program(candidate))
 
             shrunk = shrink_counterexample(still_fails, gen_options)
             if shrunk is not None:
@@ -665,9 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--emit", default=None, metavar="DIR",
                       help="write the corpus as .lev files usable by "
                            "'repro check'")
-    fuzz.add_argument("--cache", default=None, metavar="PATH",
-                      help="incremental result cache for the type-check "
-                           "pass (docs/BATCH.md)")
     fuzz.add_argument("--save-shrunk", default=None, metavar="DIR",
                       help="on failure, save a hypothesis-shrunk minimal "
                            ".lev reproducer under DIR")

@@ -326,16 +326,14 @@ def options_fingerprint(options: DriverOptions) -> str:
                           ).hexdigest()[:16]
 
 
-def cache_key(source: str, options: DriverOptions,
-              _fingerprint: Optional[str] = None) -> str:
+def cache_key(source: str, fingerprint: str) -> str:
     """SHA-256 of a source text, namespaced by schema + options.
 
-    For units the ``source`` is the unit's declaration slice; filenames
-    are deliberately excluded, so renaming a file (or moving a binding
-    within one) re-uses its cached results.  ``_fingerprint`` lets batch
-    loops amortise the options digest across thousands of keys.
+    ``fingerprint`` is :func:`options_fingerprint` of the options the
+    check runs under.  For units the ``source`` is the unit's declaration
+    slice; filenames are deliberately excluded, so renaming a file (or
+    moving a binding within one) re-uses its cached results.
     """
-    fingerprint = _fingerprint or options_fingerprint(options)
     hasher = hashlib.sha256()
     hasher.update(f"repro-check:{CACHE_SCHEMA}:"
                   f"{fingerprint}:".encode("utf-8"))
@@ -350,8 +348,7 @@ _FAILED_DEP = "\x01failed"
 
 def unit_key(unit_source: str,
              dep_items: Iterable[Tuple[str, Optional[str]]],
-             options: DriverOptions,
-             _fingerprint: Optional[str] = None) -> str:
+             fingerprint: str) -> str:
     """The cache key of one unit: source slice + direct-dependency schemes.
 
     ``dep_items`` pairs each direct dependency's name with the canonical
@@ -360,8 +357,7 @@ def unit_key(unit_source: str,
     *scheme* changes — the early-cutoff property.
     """
     hasher = hashlib.sha256()
-    hasher.update(cache_key(unit_source, options,
-                            _fingerprint).encode("utf-8"))
+    hasher.update(cache_key(unit_source, fingerprint).encode("utf-8"))
     for name, scheme_src in sorted(dep_items):
         hasher.update(b"\x00dep\x00")
         hasher.update(name.encode("utf-8"))
@@ -372,8 +368,7 @@ def unit_key(unit_source: str,
 
 
 def file_key(source: str, scope: Optional[Dict[str, Optional[str]]],
-             options: DriverOptions,
-             _fingerprint: Optional[str] = None) -> str:
+             fingerprint: str) -> str:
     """The key of a module's whole-file entry (the ``pfile:`` table).
 
     ``scope`` maps each imported name the module references to the
@@ -388,11 +383,10 @@ def file_key(source: str, scope: Optional[Dict[str, Optional[str]]],
     """
     mode = "file" if scope is None else "module"
     return "pfile:" + unit_key(f"{mode}:{source}", (scope or {}).items(),
-                               options, _fingerprint)
+                               fingerprint)
 
 
-def outline_key(source: str, options: DriverOptions,
-                _fingerprint: Optional[str] = None) -> str:
+def outline_key(source: str, fingerprint: str) -> str:
     """Key of a source's ``outline:`` side-table entry.
 
     An outline is a pure function of the source text (module name, import
@@ -400,7 +394,7 @@ def outline_key(source: str, options: DriverOptions,
     project planner build the module graph for unchanged files without
     re-parsing them.
     """
-    return "outline:" + cache_key(source, options, _fingerprint)
+    return "outline:" + cache_key(source, fingerprint)
 
 
 def codegen_cache_key(key: str) -> str:
@@ -501,7 +495,6 @@ class ResultCache:
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
         self._store = ShardStore(path) if path is not None else None
         self._memory: Dict[str, dict] = {}
 
@@ -564,12 +557,9 @@ class ResultCache:
 
     def save(self) -> None:
         """Persist dirty shards (see :meth:`ShardStore.save`); a no-op
-        for in-memory caches and when nothing changed.  Callers that
-        nulled ``path`` after construction (benchmarks do, to get a
-        read-only view) persist nothing."""
-        if self.path is None or self._store is None:
-            return
-        self._store.save()
+        for in-memory caches and when nothing changed."""
+        if self._store is not None:
+            self._store.save()
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +567,7 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-def load_codegen(cache: ResultCache, check: CheckResult,
-                 options: DriverOptions):
+def load_codegen(cache: ResultCache, check: CheckResult, fingerprint: str):
     """Resolve cached compiled sources for a fully-checked module.
 
     Returns ``(sources, units)``.  ``sources`` maps binding names to the
@@ -588,7 +577,8 @@ def load_codegen(cache: ResultCache, check: CheckResult,
     lowered the misses it reached.
 
     Keys are the **existing per-unit check keys** (source slice +
-    dependency schemes) under the :func:`codegen_cache_key` namespace.
+    dependency schemes, under the ``fingerprint`` of the options ``check``
+    was made with) in the :func:`codegen_cache_key` namespace.
     One extra validation is needed that check results do not: compiled
     call sites bake in each callee's *syntactic arity* (how many
     parameters its equation binds), which a scheme does not determine —
@@ -603,14 +593,13 @@ def load_codegen(cache: ResultCache, check: CheckResult,
         binding.name: (canonical_scheme(binding.scheme)
                        if binding.scheme is not None else None)
         for binding in check.bindings}
-    fingerprint = options_fingerprint(options)
     sources: Dict[str, str] = {}
     units: List[Tuple[str, Tuple[str, ...], Dict[str, int]]] = []
     for unit in plan.units:
         key = codegen_cache_key(unit_key(
             unit.source,
             [(dep, scheme_srcs.get(dep)) for dep in unit.deps],
-            options, fingerprint))
+            fingerprint))
         arities = {dep: arity_of[dep] for dep in unit.deps
                    if dep in arity_of}
         units.append((key, unit.names, arities))
@@ -952,8 +941,7 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
     filename = state.filename
     for unit in plan.units:
         if cache is not None:
-            key = unit_key(unit.source, state.dep_items(unit),
-                           pipeline.options, fingerprint)
+            key = unit_key(unit.source, state.dep_items(unit), fingerprint)
             with _TRACER.span("cache.lookup"):
                 payload = cache.lookup(key)
             if payload is not None:
@@ -977,10 +965,14 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
 
 
 def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
-                  options: DriverOptions, cache: Optional[ResultCache],
-                  session: Session, stats: Optional[CheckStats] = None
+                  cache: Optional[ResultCache], session: Session,
+                  stats: Optional[CheckStats] = None
                   ) -> List[Tuple[CheckResult, Optional[_Renderings]]]:
     """Check one level of modules, given as ``(filename, source, scope)``.
+
+    ``session`` checks and renders, and its options are the ones every
+    key is made with, so an entry always answers the options it was
+    checked under.
 
     ``scope`` maps the imported names a module references to their
     exported renderings, or is None in single-file mode (see
@@ -1000,7 +992,8 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
         # or not the caller asked for a --stats table.
         stats = CheckStats()
     pipeline = session.pipeline
-    fingerprint = options_fingerprint(options) if cache is not None else None
+    fingerprint = options_fingerprint(pipeline.options) \
+        if cache is not None else None
 
     done: List[Optional[Tuple[CheckResult, Optional[_Renderings]]]] = \
         [None] * len(modules)
@@ -1008,7 +1001,7 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     active: List[Tuple[int, _FileState]] = []
     for index, (filename, source, scope) in enumerate(modules):
         if cache is not None:
-            key = keys[index] = file_key(source, scope, options, fingerprint)
+            key = keys[index] = file_key(source, scope, fingerprint)
             payload = cache.lookup_file(key)
             exports = cache.lookup_exports(key) \
                 if payload is not None and scope is not None else None

@@ -133,14 +133,10 @@ class ModulePlan:
 
     parsed: ParsedModule
     units: List[CheckUnit]
-    #: FunBind decl index -> uid of the unit containing it.
-    unit_of_decl: Dict[int, int]
     #: name -> decl index of its *defining* (last) FunBind.
     defining_decl: Dict[str, int]
     #: name -> uid of the unit whose member is the defining decl.
     defining_unit: Dict[str, int]
-    #: decl indices of TypeSig declarations without a matching binding.
-    orphan_sigs: List[int]
     #: The module's name: the ``module M where`` header's name when the
     #: file has one, else the parser's default ("Main").
     module_name: str = "Main"
@@ -153,14 +149,6 @@ class ModulePlan:
     @property
     def has_header(self) -> bool:
         return self.header_span is not None
-
-    @property
-    def import_names(self) -> Tuple[str, ...]:
-        """Imported module names, declaration order, de-duplicated."""
-        seen: Dict[str, None] = {}
-        for name, _span in self.imports:
-            seen.setdefault(name, None)
-        return tuple(seen)
 
 
 def decl_references(bind: FunBind) -> FrozenSet[str]:
@@ -259,12 +247,6 @@ def build_plan(parsed: ParsedModule) -> ModulePlan:
             if span is not None:
                 imports.append((decl.name, span))
 
-    orphan_sigs = [index
-                   for name, indices in sorted(sig_decls_of.items())
-                   for index in indices
-                   if name not in bound_names]
-    orphan_sigs.sort()
-
     # Edges between FunBind decl indices; references resolve to the
     # *defining* declaration of the referenced name.  The incremental
     # parser memoises per-decl references; fall back to the AST walk.
@@ -286,7 +268,6 @@ def build_plan(parsed: ParsedModule) -> ModulePlan:
     sccs = _tarjan(fun_decls, edges)
 
     units: List[CheckUnit] = []
-    unit_of_decl: Dict[int, int] = {}
     defining_unit: Dict[str, int] = {}
     for uid, members in enumerate(sccs):
         member_names: List[str] = []
@@ -319,13 +300,11 @@ def build_plan(parsed: ParsedModule) -> ModulePlan:
             foreign=tuple(sorted(foreign)))
         units.append(unit)
         for index in members:
-            unit_of_decl[index] = uid
             bind = module.decls[index]
             if bound_names[bind.name] == index:
                 defining_unit[bind.name] = uid
 
-    return ModulePlan(parsed=parsed, units=units, unit_of_decl=unit_of_decl,
+    return ModulePlan(parsed=parsed, units=units,
                       defining_decl=bound_names, defining_unit=defining_unit,
-                      orphan_sigs=orphan_sigs,
                       module_name=module.name, header_span=header_span,
                       imports=tuple(imports))

@@ -62,7 +62,6 @@ from .session import (
     BindingSummary,
     CheckResult,
     Diagnostic,
-    DriverOptions,
     Pipeline,
     RunResult,
     Session,
@@ -169,13 +168,12 @@ def _salvage_name(source: str) -> Optional[str]:
 
 
 def _outline_node(index: int, filename: str, source: str,
-                  pipeline: Pipeline, options: DriverOptions,
-                  cache: Optional[ResultCache],
-                  fingerprint: Optional[str]) -> ModuleNode:
+                  pipeline: Pipeline, cache: Optional[ResultCache],
+                  fingerprint: str) -> ModuleNode:
     """Resolve one file's outline: from the cache side-table, else by
     parsing (and storing the outline for the next build)."""
-    key = outline_key(source, options, fingerprint)
     if cache is not None:
+        key = outline_key(source, fingerprint)
         payload = cache.lookup_outline(key)
         if payload is not None:
             _REGISTRY.inc("project.outline_hits")
@@ -238,18 +236,16 @@ class ProjectPlan:
 
 def build_project_plan(items: Sequence[Tuple[str, str]],
                        pipeline: Pipeline,
-                       options: DriverOptions,
-                       cache: Optional[ResultCache] = None,
-                       fingerprint: Optional[str] = None) -> ProjectPlan:
+                       cache: Optional[ResultCache] = None) -> ProjectPlan:
     """Build the module graph over ``(filename, source)`` items.
 
     Outlines come from the cache side-table when possible — a warm build
     reconstructs the whole graph without parsing a single file.
     """
-    fingerprint = fingerprint or options_fingerprint(options)
+    fingerprint = options_fingerprint(pipeline.options)
     with _TRACER.span("project.graph", modules=len(items)):
-        nodes = [_outline_node(index, filename, source, pipeline, options,
-                               cache, fingerprint)
+        nodes = [_outline_node(index, filename, source, pipeline, cache,
+                               fingerprint)
                  for index, (filename, source) in enumerate(items)]
 
         diagnostics: Dict[int, List[Diagnostic]] = {}
@@ -428,29 +424,25 @@ def _add_cross_module_hints(plan: ProjectPlan,
 
 
 def check_project(sources: Iterable[Tuple[str, str]],
-                  options: Optional[DriverOptions] = None,
-                  cache: Union[ResultCache, str, None] = None,
-                  session: Optional[Session] = None,
+                  cache: Union[ResultCache, str, None] = None, *,
+                  session: Session,
                   stats: Optional[CheckStats] = None) -> ProjectCheck:
     """Check a whole project: build the module DAG, walk it level by
     level, and resolve each module through the incremental batch
     machinery with its imports' exported schemes in scope.
 
-    Results come back in input order.  Modules the graph rejects (cycle
-    members, duplicates, failed imports) get error results carrying the
-    graph diagnostics and are never checked.
+    ``session`` checks every module, and its options key every cache
+    entry.  Results come back in input order.  Modules the graph rejects
+    (cycle members, duplicates, failed imports) get error results
+    carrying the graph diagnostics and are never checked.
     """
-    if session is None:
-        session = Session(options)
-    if options is None:
-        options = session.options
     if isinstance(cache, str):
         cache = ResultCache(cache)
     if stats is None:
         stats = CheckStats()
 
     items = list(sources)
-    plan = build_project_plan(items, session.pipeline, options, cache)
+    plan = build_project_plan(items, session.pipeline, cache)
     _REGISTRY.inc("project.builds")
     _REGISTRY.inc("project.modules", len(items))
     _REGISTRY.inc("project.dag_levels", len(plan.levels))
@@ -483,7 +475,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
                 scope = {name: in_scope[name] for name in node.foreign
                          if name in in_scope}
             modules.append((node.filename, node.source, scope))
-        checked = check_modules(modules, options, cache, session, stats)
+        checked = check_modules(modules, cache, session, stats)
         for index, (result, module_exports) in zip(level_nodes, checked):
             results[index] = result
             exports[index] = module_exports

@@ -567,9 +567,8 @@ class Session:
     """A long-lived driver session: cached prelude, batch checking, REPL state."""
 
     def __init__(self, options: Optional[DriverOptions] = None) -> None:
-        self.options = options or DriverOptions()
-        self._base_env = prelude_env()
-        self.pipeline = Pipeline(self._base_env, self.options)
+        #: The session's one copy of its options is ``pipeline.options``.
+        self.pipeline = Pipeline(prelude_env(), options)
         #: REPL state.  The REPL's own declarations form the overlay
         #: module of a project: the ``:load``-ed ``(filename, source)``
         #: items, or nothing at all (``_repl_project`` is None).  The
@@ -600,8 +599,7 @@ class Session:
         (``parsed`` and every scheme object set)."""
         from .batch import check_modules
 
-        return check_modules([(filename, source, None)], self.options,
-                             None, self)[0][0]
+        return check_modules([(filename, source, None)], None, self)[0][0]
 
     def check_many(self, sources: Iterable[Tuple[str, str]],
                    cache=None, stats=None) -> List[CheckResult]:
@@ -636,7 +634,7 @@ class Session:
             cache = ResultCache(cache)
         modules = [(filename, source, None) for filename, source in sources]
         return [result for result, _exports in check_modules(
-            modules, self.options, cache, self, stats)]
+            modules, cache, self, stats)]
 
     def check_project(self, sources: Iterable[Tuple[str, str]],
                       cache=None, stats=None):
@@ -652,8 +650,7 @@ class Session:
         """
         from .project import check_project as _check_project
 
-        return _check_project(sources, self.options, cache=cache,
-                              session=self, stats=stats)
+        return _check_project(sources, cache, session=self, stats=stats)
 
     def run(self, source: str, filename: str = "<input>",
             entry: str = "main", cache=None) -> RunResult:
@@ -700,17 +697,17 @@ class Session:
             check.ok = False
             return result
 
-        compiled = self.options.compiled
+        compiled = self.pipeline.options.compiled
         sources = None
         codegen_units = None
         cache_obj = None
         if compiled and cache is not None:
-            from .batch import ResultCache, load_codegen
+            from .batch import ResultCache, load_codegen, options_fingerprint
 
             cache_obj = ResultCache(cache) if isinstance(cache, str) \
                 else cache
-            sources, codegen_units = load_codegen(cache_obj, check,
-                                                  self.options)
+            sources, codegen_units = load_codegen(
+                cache_obj, check, options_fingerprint(self.pipeline.options))
         traced = _TRACER.enabled
         try:
             evaluator = Evaluator(Program.from_check(check),
@@ -998,10 +995,11 @@ class Session:
                 exc = decl_error
             return f"parse error: {exc}"
         check = self._repl_check
-        env = check.env if check is not None else self._base_env
+        env = check.env if check is not None else self.pipeline.base_env
         try:
-            binding = infer_binding("it", (), expr, env=env,
-                                    options=self.options.infer_options())
+            binding = infer_binding(
+                "it", (), expr, env=env,
+                options=self.pipeline.options.infer_options())
         except ReproError as exc:
             return f"type error: {exc}"
         if not binding.ok:
@@ -1012,8 +1010,9 @@ class Session:
         it = self._repl_it(text)
         if isinstance(it, str):
             return it
+        printer_options = self.pipeline.options.printer_options()
         return f"{text.strip()} :: " \
-               f"{render_scheme(it[1].scheme, self.options.printer_options())}"
+               f"{render_scheme(it[1].scheme, printer_options)}"
 
     def _repl_eval(self, text: str,
                    decl_error: Optional[ParseError] = None) -> str:
@@ -1025,7 +1024,8 @@ class Session:
         check = self._repl_check
         program = Program.from_check(check) if check is not None \
             else Program()
-        evaluator = Evaluator(program, compiled=self.options.compiled,
+        evaluator = Evaluator(program,
+                              compiled=self.pipeline.options.compiled,
                               compiled_sources=self._repl_sources)
         try:
             value = evaluator.force(evaluator.eval(it[0]))

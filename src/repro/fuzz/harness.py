@@ -36,17 +36,17 @@ oracle             property checked
 
 A corpus is type-checked in one
 :meth:`repro.driver.session.Session.check_many` call, the unit walk every
-check runs; ``cache=`` is forwarded to it, which is how the CLI and
-``bench_e14`` run 1000+-program corpora.
+check runs.  Without a cache every result is complete, so the execution
+oracles run from it without a second parse or inference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ParseError
-from ..driver.session import CheckResult, DriverOptions, Session
+from ..driver.session import CheckResult, Session
 from ..frontend.parser import parse_module
 from ..infer.schemes import Scheme
 from ..pretty.printer import render_scheme
@@ -106,11 +106,10 @@ class FuzzReport:
 class DifferentialHarness:
     """Run generated programs through the pipeline and all oracles."""
 
-    def __init__(self, options: Optional[DriverOptions] = None,
-                 session: Optional[Session] = None,
+    def __init__(self, session: Optional[Session] = None,
                  validate: bool = True,
                  align_steps: int = 12) -> None:
-        self.session = session or Session(options)
+        self.session = session or Session()
         #: Discharge the per-program Simulation obligations (the sixth
         #: oracle) for every program that engages the machine.  The small
         #: ``align_steps`` default keeps corpus runs inside a test-suite
@@ -138,12 +137,12 @@ class DifferentialHarness:
             return failures
         self._check_intended_types(program, check, fail)
         self._check_roundtrip(program, fail)
-        self._check_execution(program, fail, report, check)
+        self._check_execution(program, check, fail, report)
         return failures
 
     def _check_intended_types(self, program: GenProgram, check: CheckResult,
                               fail) -> None:
-        printer_options = self.session.options.printer_options()
+        printer_options = self.session.pipeline.options.printer_options()
         rendered_by_name = {binding.name: binding.rendered
                             for binding in check.bindings}
         for name, intended in program.intended.items():
@@ -176,17 +175,9 @@ class DifferentialHarness:
         if again != reparsed:
             fail("roundtrip", "parse . pretty is not a fixpoint")
 
-    def _check_execution(self, program: GenProgram, fail,
-                         report: Optional[FuzzReport],
-                         check: Optional[CheckResult] = None) -> None:
-        if check is not None and check.parsed is not None:
-            # Full results carry the parse tree and schemes, so the run
-            # stage must not pay for a second parse+infer pass.
-            run = self.session.run_from_check(check)
-        else:
-            # Slim results (cache hits) cannot seed the evaluator;
-            # re-check for the execution oracles.
-            run = self.session.run(program.source, program.filename)
+    def _check_execution(self, program: GenProgram, check: CheckResult,
+                         fail, report: Optional[FuzzReport]) -> None:
+        run = self.session.run_from_check(check)
         if not run.ok:
             fail("run", "; ".join(d.pretty() for d in run.check.errors))
             return
@@ -245,18 +236,12 @@ class DifferentialHarness:
 
     # -- corpora ---------------------------------------------------------------
 
-    def run_corpus(self, programs: Sequence[GenProgram],
-                   cache=None, stats=None) -> FuzzReport:
+    def run_corpus(self, programs: Sequence[GenProgram]) -> FuzzReport:
         """Check a whole corpus through :meth:`Session.check_many`, then
-        run every oracle per program.  ``cache`` serves the type-check
-        pass at binding granularity, so a re-fuzz over a mostly-unchanged
-        corpus re-checks only the bindings that actually changed
-        (``stats`` observes the unit cache exactly as ``repro check
-        --stats`` does)."""
+        run every oracle per program."""
         report = FuzzReport()
         checks = self.session.check_many(
-            [(program.filename, program.source) for program in programs],
-            cache=cache, stats=stats)
+            [(program.filename, program.source) for program in programs])
         for program, check in zip(programs, checks):
             report.programs += 1
             if program.fragment:

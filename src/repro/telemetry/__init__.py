@@ -4,9 +4,9 @@ Two process-global singletons:
 
 * :data:`TRACER` — nested spans exported as Chrome trace-event JSON
   (``--trace out.json``, loadable in Perfetto), all on one process row.
-* :data:`REGISTRY` — the unified Counter/Gauge/Histogram registry that
-  absorbs the pipeline's formerly scattered counters (solver ops, cache
-  hit/miss, codegen, compiled-runtime calls).
+* :data:`REGISTRY` — the unified counter registry that absorbs the
+  pipeline's formerly scattered counters (solver ops, cache hit/miss,
+  codegen, compiled-runtime calls).
 
 Both are off by default and near-free when off; see docs/OBSERVABILITY.md
 for the span taxonomy and metric names.
@@ -14,8 +14,6 @@ for the span taxonomy and metric names.
 
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     REGISTRY,
     stats_document,
@@ -31,8 +29,6 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "stats_document",

@@ -44,49 +44,6 @@ class Counter:
         self.value = 0
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Histogram:
-    """Summary statistics over observed values (no buckets)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.reset()
-
-    def observe(self, value) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-
-    def summary(self) -> Dict[str, Any]:
-        mean = self.total / self.count if self.count else 0
-        return {"count": self.count, "total": self.total,
-                "min": self.min, "max": self.max, "mean": mean}
-
-
 class MetricsRegistry:
     """Name → metric map with get-or-create accessors.
 
@@ -96,15 +53,13 @@ class MetricsRegistry:
     out of the loop and keep the reference forever.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
+    __slots__ = ("enabled", "_counters")
 
     def __init__(self):
         #: Gates *hot-path* counters only (compiled-call entry, trampoline
         #: bounces).  Fold-point publishing ignores this flag.
         self.enabled = False
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def enable(self) -> None:
         self.enabled = True
@@ -115,23 +70,8 @@ class MetricsRegistry:
             metric = self._counters[name] = Counter()
         return metric
 
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge()
-        return metric
-
-    def histogram(self, name: str) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram()
-        return metric
-
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
-
-    def observe(self, name: str, value) -> None:
-        self.histogram(name).observe(value)
 
     def merge_counts(self, counts: Mapping[str, Any],
                      prefix: str = "") -> None:
@@ -155,41 +95,18 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """One nested, JSON-ready document of every live metric."""
-        doc: Dict[str, Any] = {
-            "counters": {name: metric.value
-                         for name, metric in sorted(self._counters.items())},
-            "gauges": {name: metric.value
-                       for name, metric in sorted(self._gauges.items())},
-        }
-        if self._histograms:
-            doc["histograms"] = {
-                name: metric.summary()
-                for name, metric in sorted(self._histograms.items())}
-        return doc
+        return {"counters": {name: metric.value for name, metric
+                             in sorted(self._counters.items())}}
 
     def reset(self) -> None:
         """Zero every metric in place (identities survive — see class doc)."""
         for metric in self._counters.values():
             metric.reset()
-        for metric in self._gauges.values():
-            metric.reset()
-        for metric in self._histograms.values():
-            metric.reset()
 
     def pretty(self, indent: str = "  ") -> str:
         """Human-readable dump for the ``--stats`` text path."""
-        lines = []
-        snapshot = self.snapshot()
-        for name, value in snapshot["counters"].items():
-            lines.append(f"{indent}{name}: {value}")
-        for name, value in snapshot["gauges"].items():
-            lines.append(f"{indent}{name}: {value}")
-        for name, summary in snapshot.get("histograms", {}).items():
-            lines.append(
-                f"{indent}{name}: count={summary['count']} "
-                f"mean={summary['mean']:.6g} min={summary['min']} "
-                f"max={summary['max']}")
-        return "\n".join(lines)
+        return "\n".join(f"{indent}{name}: {value}" for name, value
+                         in self.snapshot()["counters"].items())
 
 
 #: The process-global registry every layer publishes into.

@@ -46,10 +46,11 @@ def validate_check(session, check, entry: str = "main",
                          align_steps=align_steps)
 
 
-def validate_paths(paths: Sequence[str], options=None,
+def validate_paths(paths: Sequence[str], session=None,
                    entry: str = "main",
                    align_steps: int = 64) -> List[ValidationReport]:
-    """Validate ``.lev`` files and/or project directories.
+    """Validate ``.lev`` files and/or project directories, checked by
+    ``session`` (a fresh default one when omitted).
 
     Directories are treated as multi-module projects (checked through the
     module DAG, then validated over the merged project); plain files are
@@ -62,7 +63,7 @@ def validate_paths(paths: Sequence[str], options=None,
         merged_check,
     )
 
-    session = Session(options)
+    session = session or Session()
     reports: List[ValidationReport] = []
     for path in paths:
         if os.path.isdir(path):

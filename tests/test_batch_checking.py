@@ -167,9 +167,10 @@ class TestIncrementalCache:
             [d.pretty() for d in cold[0].diagnostics]
 
     def test_key_depends_on_options_and_source(self):
-        default = DriverOptions()
-        explicit = DriverOptions(explicit_runtime_reps=True)
-        assert options_fingerprint(default) != options_fingerprint(explicit)
+        default = options_fingerprint(DriverOptions())
+        explicit = options_fingerprint(
+            DriverOptions(explicit_runtime_reps=True))
+        assert default != explicit
         assert cache_key("x = 1\n", default) != cache_key("x = 2\n", default)
         assert cache_key("x = 1\n", default) != cache_key("x = 1\n", explicit)
 
@@ -237,6 +238,44 @@ class TestIncrementalCache:
             corpus, cache=ResultCache(path), stats=stats)
         assert stats.file_hits == 3
         assert stats.cache_misses == 0
+
+
+#: The rendering of ``f x = x`` under each ``explicit_runtime_reps``.
+IDENTITY_RENDERED = {False: "a -> a", True: "forall (a :: Type). a -> a"}
+
+
+def _check_with(api, explicit, cache=None, stats=None):
+    session = Session(DriverOptions(explicit_runtime_reps=explicit))
+    items = [("f.lev", "f x = x\n")]
+    if api == "check_many":
+        return session.check_many(items, cache=cache, stats=stats)
+    return session.check_project(items, cache=cache, stats=stats).results
+
+
+class TestOneCacheTwoOptionSets:
+    """The session that checks is the one whose options key the cache, so
+    one cache directory answers each option set with its own results."""
+
+    @pytest.mark.parametrize("api", ["check_many", "check_project"])
+    @pytest.mark.parametrize("order", [(False, True), (True, False)],
+                             ids=["default-first", "explicit-first"])
+    def test_each_session_renders_what_a_cold_check_renders(
+            self, api, order, tmp_path):
+        cache = str(tmp_path / "cache")
+        # The first pass fills the cache for each option set in turn; the
+        # second is answered from it whole.
+        for file_hits in (0, 1):
+            for explicit in order:
+                stats = CheckStats()
+                results = _check_with(api, explicit, cache, stats)
+                cold = _check_with(api, explicit)
+                assert [b.rendered for b in results[0].bindings] == \
+                    [IDENTITY_RENDERED[explicit]]
+                assert [payload_bytes(result_to_payload(r))
+                        for r in results] == \
+                    [payload_bytes(result_to_payload(r)) for r in cold]
+                assert stats.file_hits == file_hits
+                assert stats.checked == 1 - file_hits
 
 
 class TestPayloads:

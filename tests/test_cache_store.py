@@ -262,7 +262,6 @@ class TestRefusal:
         ["check", "{src}"],
         ["build", "{src}"],
         ["run", "--compiled", "{src}"],
-        ["fuzz", "--check", "--count", "1"],
     ])
     @pytest.mark.parametrize("under", [False, True])
     def test_every_command_refuses_before_any_work(self, tmp_path, capsys,

@@ -58,7 +58,7 @@ class TestCompiledCorpus:
     def test_full_corpus_compiled_zero_disagreements(self, corpus):
         """All five oracles hold with the compiled evaluator driving the
         ``run``/``reference``/``differential`` checks."""
-        harness = DifferentialHarness(DriverOptions(compiled=True))
+        harness = DifferentialHarness(Session(DriverOptions(compiled=True)))
         report = harness.run_corpus(corpus)
         assert report.programs == CORPUS_SIZE
         assert report.ok, report.pretty(max_failures=3)

@@ -74,21 +74,6 @@ class TestFixedSeedCorpus:
         assert report.ok, report.pretty(max_failures=3)
 
 
-class TestShardedAndCachedChecking:
-    """The harness rides the batch checker's cache (cache=)."""
-
-    def test_jobs_and_cache_agree_with_serial(self, harness, tmp_path):
-        corpus = generate_corpus(7, 40)
-        serial = harness.run_corpus(corpus)
-        cache_path = str(tmp_path / "fuzz-cache.json")
-        sharded = DifferentialHarness().run_corpus(corpus, cache=cache_path)
-        assert serial.ok and sharded.ok
-        assert serial.counters == sharded.counters
-        # Warm re-run: every type-check answered from the cache.
-        warm = DifferentialHarness().run_corpus(corpus, cache=cache_path)
-        assert warm.ok and warm.counters == serial.counters
-
-
 class TestHypothesisIntegration:
     @given(generated_programs())
     @settings(max_examples=30, deadline=None,

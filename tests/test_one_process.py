@@ -227,12 +227,15 @@ class TestNoJobs:
         ["check", "--jobs", "2", "a.lev"],
         ["build", "--jobs", "2", "project"],
         ["fuzz", "--jobs", "2", "--check"],
-    ], ids=["check", "build", "fuzz"])
+        # The fuzz harness's type-check pass has no cache either.
+        ["fuzz", "--cache", "c", "--check"],
+    ], ids=["check", "build", "fuzz", "fuzz-cache"])
     def test_cli_refuses_the_jobs_flag(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[1]}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("call", [
         lambda: Session().check_many([], jobs=2),

@@ -136,7 +136,7 @@ class TestModuleSyntax:
 class TestProjectPlan:
     def test_dag_levels(self):
         session = Session()
-        plan = build_project_plan(PROJECT, session.pipeline, session.options)
+        plan = build_project_plan(PROJECT, session.pipeline)
         assert plan.ok
         by_file = {node.filename: node for node in plan.nodes}
         assert by_file["nat.lev"].level == 0

@@ -231,14 +231,8 @@ class TestRegistryReset:
         registry = MetricsRegistry()
         counter = registry.counter("x")
         counter.inc(5)
-        gauge = registry.gauge("g")
-        gauge.set(7)
-        histogram = registry.histogram("h")
-        histogram.observe(3.5)
         registry.reset()
         assert registry.counter("x") is counter and counter.value == 0
-        assert registry.gauge("g") is gauge and gauge.value == 0
-        assert histogram.count == 0 and histogram.min is None
         counter.inc(2)  # a held reference keeps counting after reset
         assert registry.snapshot()["counters"]["x"] == 2
 
