@@ -24,8 +24,8 @@ well-typed L program compiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..core.errors import CompilationError, TypeCheckError
 from ..lang_l.syntax import (
@@ -74,15 +74,15 @@ from ..lang_m.syntax import (
 class VarEnv:
     """The compilation variable environment ``V``.
 
-    Maps L term variables to M variables and remembers every M variable that
-    has been introduced, so that freshness side-conditions (``p ∉ dom(V)``)
-    hold by construction.  The paper's ``Γ ∝ V`` compatibility condition —
-    that ``V`` maps each term variable bound in ``Γ`` to an M variable of the
-    matching register sort — is checked by :meth:`compatible_with`.
+    Maps L term variables to M variables.  Freshness side-conditions
+    (``p ∉ dom(V)``) hold by construction: every M variable the compiler
+    introduces comes from ``fresh_pointer_var`` or ``fresh_integer_var``.
+    The paper's ``Γ ∝ V`` compatibility condition — that ``V`` maps each
+    term variable bound in ``Γ`` to an M variable of the matching register
+    sort — is checked by :meth:`compatible_with`.
     """
 
     mapping: Tuple[Tuple[str, MVar], ...] = ()
-    introduced: Tuple[MVar, ...] = ()
 
     def lookup(self, name: str) -> Optional[MVar]:
         for source, target in reversed(self.mapping):
@@ -91,11 +91,7 @@ class VarEnv:
         return None
 
     def bind(self, name: str, var: MVar) -> "VarEnv":
-        return VarEnv(self.mapping + ((name, var),),
-                      self.introduced + (var,))
-
-    def extend_fresh(self, var: MVar) -> "VarEnv":
-        return VarEnv(self.mapping, self.introduced + (var,))
+        return VarEnv(self.mapping + ((name, var),))
 
     def compatible_with(self, ctx: Context) -> bool:
         """The paper's ``Γ ∝ V`` condition (used by the Compilation theorem)."""
@@ -184,8 +180,7 @@ class Compiler:
         if isinstance(expr, Con):
             # C_CON: evaluate the field strictly, then build the box.
             fresh = fresh_integer_var()
-            env_prime = env.extend_fresh(fresh)
-            field_code = self.compile(ctx, env_prime, expr.argument)
+            field_code = self.compile(ctx, env, expr.argument)
             self.strict_lets += 1
             return MLetStrict(fresh, field_code, MConVar(fresh))
 
@@ -224,14 +219,12 @@ class Compiler:
             # the primop itself sees only literals and integer registers.
             lets = []
             atoms = []
-            env_prime = env
             for argument in expr.arguments:
                 if isinstance(argument, Lit):
                     atoms.append(MLit(argument.value))
                     continue
                 fresh = fresh_integer_var()
-                env_prime = env_prime.extend_fresh(fresh)
-                code = self.compile(ctx, env_prime, argument)
+                code = self.compile(ctx, env, argument)
                 lets.append((fresh, code))
                 atoms.append(MVarRef(fresh))
             self.primop_forms += 1
@@ -267,18 +260,16 @@ class Compiler:
         if argument_kind == KIND_PTR:
             # C_APPLAZY: let p = t2 in t1 p
             fresh = fresh_pointer_var()
-            env_prime = env.extend_fresh(fresh)
-            function_code = self.compile(ctx, env_prime, expr.function)
-            argument_code = self.compile(ctx, env_prime, expr.argument)
+            function_code = self.compile(ctx, env, expr.function)
+            argument_code = self.compile(ctx, env, expr.argument)
             self.lazy_lets += 1
             return MLet(fresh, argument_code, MAppVar(function_code, fresh))
 
         if argument_kind == KIND_INT:
             # C_APPINT: let! i = t2 in t1 i
             fresh = fresh_integer_var()
-            env_prime = env.extend_fresh(fresh)
-            function_code = self.compile(ctx, env_prime, expr.function)
-            argument_code = self.compile(ctx, env_prime, expr.argument)
+            function_code = self.compile(ctx, env, expr.function)
+            argument_code = self.compile(ctx, env, expr.argument)
             self.strict_lets += 1
             return MLetStrict(fresh, argument_code,
                               MAppVar(function_code, fresh))

@@ -122,7 +122,9 @@ class RunTable:
         are numbered in order of first occurrence, each binder getting a
         new number, and the heap cells reachable from ``expr`` follow in
         the order their pointers were first seen.  Variables are keyed by
-        name, as a frozen ``MVar`` hashes a new tuple on every lookup."""
+        name: a ``str`` caches its hash, while an ``MVar`` tuple combines
+        the hashes of its two fields on every lookup.  Fresh names never
+        repeat, so a name stands for one variable."""
         nodes = self._nodes
         intern = nodes.setdefault  # intern(node, len(nodes)) numbers node
         names: Dict[str, int] = {}

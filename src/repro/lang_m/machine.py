@@ -42,6 +42,7 @@ from .syntax import (
     MPrimOp,
     MVar,
     MVarRef,
+    VALUE_FORMS,
     fresh_pointer_var,
 )
 
@@ -196,13 +197,17 @@ class MachineResult:
 
 
 class Machine:
-    """A mutable M machine implementing the Figure 6 transition rules."""
+    """A mutable M machine implementing the Figure 6 transition rules.
+
+    ``stack`` is given and reported top frame first, but kept top frame
+    last, so that a push or a pop is O(1).
+    """
 
     def __init__(self, expr: MExpr,
                  heap: Optional[Dict[MVar, MExpr]] = None,
                  stack: Optional[List[Frame]] = None) -> None:
         self.expr: MExpr = expr
-        self.stack: List[Frame] = list(stack or [])
+        self.stack: List[Frame] = list(reversed(stack or ()))
         self.heap: Dict[MVar, MExpr] = dict(heap or {})
         self.costs = MachineCosts()
         self.aborted = False
@@ -210,12 +215,13 @@ class Machine:
     # -- state inspection ----------------------------------------------------
 
     def state(self) -> MachineState:
-        return MachineState(self.expr, tuple(self.stack),
+        return MachineState(self.expr, tuple(reversed(self.stack)),
                             tuple(self.heap.items()))
 
     def is_final(self) -> bool:
         """Final states: aborted, or a value with an empty stack."""
-        return self.aborted or (self.expr.is_value() and not self.stack)
+        return self.aborted or (not self.stack
+                                and type(self.expr) in VALUE_FORMS)
 
     # -- the transition function ----------------------------------------------
 
@@ -230,7 +236,7 @@ class Machine:
         self.costs.steps += 1
         expr = self.expr
 
-        if not expr.is_value():
+        if type(expr) not in VALUE_FORMS:
             self._step_expression(expr)
         else:
             self._step_value(expr)
@@ -238,12 +244,12 @@ class Machine:
 
     def _step_expression(self, expr: MExpr) -> None:
         if isinstance(expr, MAppVar):  # PAPP
-            self.stack.insert(0, AppVarFrame(expr.argument))
+            self.stack.append(AppVarFrame(expr.argument))
             self.costs.stack_pushes += 1
             self.expr = expr.function
             return
         if isinstance(expr, MAppLit):  # IAPP
-            self.stack.insert(0, AppLitFrame(expr.argument))
+            self.stack.append(AppLitFrame(expr.argument))
             self.costs.stack_pushes += 1
             self.expr = expr.function
             return
@@ -253,12 +259,12 @@ class Machine:
                 raise MachineError(
                     f"pointer variable {expr.var.name!r} is not in the heap")
             self.costs.heap_lookups += 1
-            if binding.is_value():  # VAL
+            if type(binding) in VALUE_FORMS:  # VAL
                 self.expr = binding
                 return
             # EVAL: blackhole the binding and push an update frame.
             del self.heap[expr.var]
-            self.stack.insert(0, ForceFrame(expr.var))
+            self.stack.append(ForceFrame(expr.var))
             self.costs.stack_pushes += 1
             self.costs.thunk_forces += 1
             self.expr = binding
@@ -272,20 +278,29 @@ class Machine:
             self.expr = expr.body.substitute_var(expr.var, pointer)
             return
         if isinstance(expr, MLetStrict):  # SLET
-            self.stack.insert(0, LetFrame(expr.var, expr.body))
+            self.stack.append(LetFrame(expr.var, expr.body))
             self.costs.stack_pushes += 1
             self.expr = expr.rhs
             return
         if isinstance(expr, MCase):  # CASE
-            self.stack.insert(0, CaseFrame(expr.binder, expr.body))
+            self.stack.append(CaseFrame(expr.binder, expr.body))
             self.costs.stack_pushes += 1
             self.expr = expr.scrutinee
             return
         if isinstance(expr, MFix):  # FIX
             # Tie the knot through the heap: allocate the fix term itself
-            # as a thunk under its binder and continue with the body, so
-            # recursive occurrences force it like any other pointer.
-            self.heap[expr.var] = expr
+            # as a thunk and continue with the body, so recursive
+            # occurrences force it like any other pointer.  Under its own
+            # Force frame the knot is being re-tied at its own address;
+            # otherwise, as in LET, the address is fresh, so a second run
+            # of the same ``fix`` cannot overwrite a live cell.
+            pointer = expr.var
+            top = self.stack[-1] if self.stack else None
+            if type(top) is not ForceFrame or top.pointer != pointer:
+                pointer = fresh_pointer_var(pointer.name + "_")
+                expr = MFix(pointer, expr.body.substitute_var(expr.var,
+                                                              pointer))
+            self.heap[pointer] = expr
             self.costs.heap_allocations += 1
             self.costs.fix_unrollings += 1
             self.expr = expr.body
@@ -297,16 +312,16 @@ class Machine:
                 done.append(rest[0].value)
                 rest = rest[1:]
             if rest:
-                self.stack.insert(0, PrimFrame(expr.name, tuple(done),
-                                               tuple(rest[1:])))
+                self.stack.append(PrimFrame(expr.name, tuple(done),
+                                            tuple(rest[1:])))
                 self.costs.stack_pushes += 1
                 self.expr = rest[0]
                 return
             self._apply_primop(expr.name, done)
             return
         if isinstance(expr, MCaseLit):  # CASELIT
-            self.stack.insert(0, CaseLitFrame(expr.alternatives,
-                                              expr.default))
+            self.stack.append(CaseLitFrame(expr.alternatives,
+                                           expr.default))
             self.costs.stack_pushes += 1
             self.expr = expr.scrutinee
             return
@@ -323,7 +338,7 @@ class Machine:
     def _step_value(self, value: MExpr) -> None:
         if not self.stack:
             raise MachineError("value with empty stack should be final")
-        frame = self.stack.pop(0)
+        frame = self.stack.pop()
         self.costs.stack_pops += 1
 
         if isinstance(frame, AppVarFrame):  # PPOP
@@ -381,8 +396,8 @@ class Machine:
                 done += (pending[0].value,)
                 pending = pending[1:]
             if pending:
-                self.stack.insert(0, PrimFrame(frame.name, done,
-                                               pending[1:]))
+                self.stack.append(PrimFrame(frame.name, done,
+                                            pending[1:]))
                 self.costs.stack_pushes += 1
                 self.expr = pending[0]
                 return

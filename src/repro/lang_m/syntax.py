@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Union
+from typing import FrozenSet, NamedTuple
 
 
 class VarSort:
@@ -29,9 +29,9 @@ class VarSort:
     INTEGER = "integer"
 
 
-@dataclass(frozen=True)
-class MVar:
-    """An M variable ``y``, which is either a pointer ``p`` or an integer ``i``."""
+class MVar(NamedTuple):
+    """An M variable ``y``, either a pointer ``p`` or an integer ``i``: a
+    named tuple, so that ``==`` and ``hash`` (every heap lookup) run in C."""
 
     name: str
     sort: str  # VarSort.POINTER or VarSort.INTEGER
@@ -63,7 +63,14 @@ def fresh_integer_var(prefix: str = "i") -> MVar:
 
 
 class MExpr:
-    """Abstract base class of M expressions ``t``."""
+    """Abstract base class of M expressions ``t``.
+
+    Nodes are slotted dataclasses with structural ``==`` and ``hash``,
+    immutable by convention: never assign to a field.  (A frozen dataclass
+    costs two to three times as much to build, and most steps build one.)
+    """
+
+    __slots__ = ()
 
     def free_vars(self) -> FrozenSet[MVar]:
         raise NotImplementedError
@@ -76,10 +83,6 @@ class MExpr:
         """Substitute an integer literal for an integer variable (IPOP/ILET/IMAT)."""
         raise NotImplementedError
 
-    def is_value(self) -> bool:
-        """Is this a value ``w ::= λy.t | I#[n] | n``?"""
-        return False
-
     def pretty(self) -> str:
         raise NotImplementedError
 
@@ -87,7 +90,7 @@ class MExpr:
         return self.pretty()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MVarRef(MExpr):
     """A variable occurrence ``y``."""
 
@@ -106,7 +109,7 @@ class MVarRef(MExpr):
         return self.var.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MLit(MExpr):
     """An integer literal ``n`` — a value."""
 
@@ -121,14 +124,11 @@ class MLit(MExpr):
     def substitute_literal(self, var: MVar, value: int) -> MExpr:
         return self
 
-    def is_value(self) -> bool:
-        return True
-
     def pretty(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MLam(MExpr):
     """A λ-abstraction ``λy.t`` — a value.
 
@@ -158,14 +158,11 @@ class MLam(MExpr):
             return self
         return MLam(self.var, self.body.substitute_literal(var, value))
 
-    def is_value(self) -> bool:
-        return True
-
     def pretty(self) -> str:
         return f"\\{self.var.name}. {self.body.pretty()}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MAppVar(MExpr):
     """Application to a variable: ``t y`` (A-normal form)."""
 
@@ -193,7 +190,7 @@ class MAppVar(MExpr):
         return f"{fun} {self.argument.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MAppLit(MExpr):
     """Application to an integer literal: ``t n``."""
 
@@ -218,7 +215,7 @@ class MAppLit(MExpr):
         return f"{fun} {self.argument}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MLet(MExpr):
     """Lazy let: ``let p = t1 in t2`` — allocates a thunk on the heap."""
 
@@ -256,7 +253,7 @@ class MLet(MExpr):
                 f"{self.body.pretty()}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MLetStrict(MExpr):
     """Strict let: ``let! y = t1 in t2`` — evaluates ``t1`` on the stack."""
 
@@ -293,7 +290,7 @@ class MLetStrict(MExpr):
                 f"{self.body.pretty()}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MCase(MExpr):
     """``case t1 of I#[y] → t2`` — force and unpack a boxed integer."""
 
@@ -329,7 +326,7 @@ class MCase(MExpr):
                 f"-> {self.body.pretty()}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MConVar(MExpr):
     """``I#[y]`` — a boxed integer whose field is still a variable."""
 
@@ -348,7 +345,7 @@ class MConVar(MExpr):
         return f"I#[{self.var.name}]"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MConLit(MExpr):
     """``I#[n]`` — a fully evaluated boxed integer: a value."""
 
@@ -363,21 +360,19 @@ class MConLit(MExpr):
     def substitute_literal(self, var: MVar, value: int) -> MExpr:
         return self
 
-    def is_value(self) -> bool:
-        return True
-
     def pretty(self) -> str:
         return f"I#[{self.value}]"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MFix(MExpr):
     """``fix p. t`` — recursion, compiled from L's ``fix x:τ. e``.
 
     The binder is always a *pointer* variable: the machine ties the knot
-    by allocating the ``fix`` term itself as a heap thunk under ``p`` and
-    continuing with the body (rule FIX), so recursive occurrences go
-    through an ordinary heap lookup / EVAL force.
+    by allocating the ``fix`` term itself as a heap thunk (at a fresh
+    address, unless it re-ties its own cell ``p``) and continuing with the
+    body (rule FIX), so recursive occurrences go through an ordinary heap
+    lookup / EVAL force.
     """
 
     var: MVar
@@ -408,7 +403,7 @@ class MFix(MExpr):
         return f"fix {self.var.name}. {self.body.pretty()}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MPrimOp(MExpr):
     """``op#(a1, …, ak)`` — a saturated integer primop.
 
@@ -442,7 +437,7 @@ class MPrimOp(MExpr):
         return f"{self.name}({args})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MCaseLit(MExpr):
     """``case t of { n1 → t1; …; _ → d }`` — branch on an integer literal."""
 
@@ -477,7 +472,7 @@ class MCaseLit(MExpr):
                 f"_ -> {self.default.pretty()} }}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MError(MExpr):
     """The ``error`` constant — aborts the machine (rule ERR)."""
 
@@ -497,6 +492,10 @@ class MError(MExpr):
 M_ERROR = MError()
 
 
+#: The classes of the value forms ``w ::= λy.t | I#[n] | n``.
+VALUE_FORMS = frozenset({MLam, MLit, MConLit})
+
+
 def is_answer(expr: MExpr) -> bool:
     """Is ``expr`` one of the value forms ``w``?"""
-    return expr.is_value()
+    return type(expr) in VALUE_FORMS

@@ -8,10 +8,15 @@ from repro.lang_l import Context, INT, INT_HASH, Lit as LLit, Var as LVar, lam
 from repro.lang_l.examples import LEVITY_VIOLATIONS, WELL_TYPED
 from repro.lang_l.syntax import App as LApp, Con as LCon, boxed_int
 from repro.lang_m import (
+    AppLitFrame,
+    CaseLitFrame,
+    ForceFrame,
+    LetFrame,
     Machine,
     MAppLit,
     MAppVar,
     MCase,
+    MCaseLit,
     MConLit,
     MConVar,
     MError,
@@ -21,13 +26,26 @@ from repro.lang_m import (
     MLetStrict,
     MLit,
     MPrimOp,
+    MVar,
     MVarRef,
     RunTable,
+    VarSort,
     fresh_integer_var,
     fresh_pointer_var,
     joinable,
     run,
 )
+
+
+#: Summed machine costs of the CI fuzz corpus (the validation smoke's
+#: seed and size).  They follow from the machine's rules alone, so no
+#: change of how terms or stacks are represented may move them.
+CI_CORPUS_COSTS = {
+    "steps": 4160, "heap_allocations": 122, "thunk_forces": 38,
+    "thunk_updates": 38, "heap_lookups": 131, "stack_pushes": 1727,
+    "stack_pops": 1727, "substitutions": 1523, "primops": 491,
+    "fix_unrollings": 31, "branches": 166,
+}
 
 
 def _spin():
@@ -115,6 +133,62 @@ class TestMachine:
         states = machine.trace()
         assert len(states) >= 3
         assert states[0].expr == MLetStrict(i, MLit(1), MVarRef(i))
+
+    def test_stack_is_given_and_reported_top_first(self):
+        # ILET on the top frame doubles 3, then LMAT picks 6's branch;
+        # the frames in the other order would give 0.
+        i = fresh_integer_var()
+        double = LetFrame(i, MPrimOp("*#", (MVarRef(i), MLit(2))))
+        pick = CaseLitFrame(((6, MLit(60)),), MLit(0))
+        machine = Machine(MLit(3), stack=[double, pick])
+        assert machine.state().stack == (double, pick)
+        states = machine.trace()
+        assert [state.stack for state in states] == \
+            [(double, pick), (pick,), (pick,), ()]
+        assert states[-1].expr == MLit(60)
+
+    def test_trace_lists_pushed_frames_top_first(self):
+        i, j = fresh_integer_var(), fresh_integer_var()
+        curried = MLam(i, MLam(j, MPrimOp("-#", (MVarRef(i), MVarRef(j)))))
+        states = Machine(MAppLit(MAppLit(curried, 5), 2)).trace()
+        assert states[2].stack == (AppLitFrame(5), AppLitFrame(2))
+        assert states[-1].expr == MLit(3)
+
+
+class TestRepresentation:
+    """Variables are named tuples and nodes slotted dataclasses: equality
+    and hashing stay structural, and the node class is part of it."""
+
+    def test_equal_variables_find_the_same_heap_cell(self):
+        first = MVar("cell", VarSort.POINTER)
+        second = MVar("cell", VarSort.POINTER)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert run(MVarRef(second), heap={first: MConLit(5)}).unwrap() \
+            == MConLit(5)
+
+    def test_variables_of_different_sorts_differ(self):
+        assert MVar("x", VarSort.POINTER) != MVar("x", VarSort.INTEGER)
+        assert repr(MVar("x", VarSort.INTEGER)) == "x:i"
+
+    def test_equal_terms_are_equal_and_hash_equal(self):
+        def build():
+            p = MVar("p", VarSort.POINTER)
+            i = MVar("i", VarSort.INTEGER)
+            return MLet(p, MConLit(1),
+                        MCaseLit(MPrimOp("+#", (MLit(1), MVarRef(i))),
+                                 ((0, MVarRef(p)),), MError()))
+
+        assert build() is not build()
+        assert build() == build() and hash(build()) == hash(build())
+        assert {build(): 1}[build()] == 1
+
+    def test_node_classes_are_part_of_equality(self):
+        p = fresh_pointer_var()
+        body = MVarRef(p)
+        assert MLam(p, body) != MFix(p, body)
+        assert MLit(3) != MConLit(3)
+        assert repr(MLit(3)) == "MLit(value=3)"
 
 
 class TestJoinability:
@@ -314,6 +388,43 @@ class TestWholeLanguageMachine:
         assert result.costs.fix_unrollings == 1
         assert result.costs.heap_allocations == 1
 
+    def test_fix_allocates_a_fresh_cell_unless_it_reties_its_own_knot(
+            self):
+        p, i = fresh_pointer_var("loop"), fresh_integer_var()
+        body = MLam(i, MAppVar(MVarRef(p), i))
+        machine = Machine(MFix(p, body))
+        machine.step()
+        (cell,) = machine.heap
+        assert cell != p and cell.name.startswith(p.name + "_")
+        renamed = body.substitute_var(p, cell)
+        assert machine.heap[cell] == MFix(cell, renamed)
+        assert machine.expr == renamed
+        # Forced from its own cell, the fix term keeps that address.
+        machine = Machine(MFix(p, body), stack=[ForceFrame(p)])
+        machine.step()
+        assert machine.heap == {p: MFix(p, body)}
+        assert machine.expr == body
+
+    def test_one_fix_run_twice_keeps_both_cells(self):
+        """``g i = fix f. λx. case x of {0 → i; _ → f (x - 1)}``: forcing
+        ``g 2`` after ``g 1`` must not overwrite the cell ``g 1``'s loop
+        reads, so ``(g 1) 1`` still answers 1."""
+        f, g, h1, h2 = (fresh_pointer_var() for _ in range(4))
+        i, x, y, s, r = (fresh_integer_var() for _ in range(5))
+        loop = MFix(f, MLam(x, MCaseLit(
+            MVarRef(x), ((0, MVarRef(i)),),
+            MLetStrict(y, MPrimOp("-#", (MVarRef(x), MLit(1))),
+                       MAppVar(MVarRef(f), y)))))
+        uses = MLetStrict(s, MAppLit(MVarRef(h1), 0),
+                          MLetStrict(r, MAppLit(MVarRef(h2), 0),
+                                     MAppLit(MVarRef(h1), 1)))
+        term = MLet(g, MLam(i, loop),
+                    MLet(h1, MAppLit(MVarRef(g), 1),
+                         MLet(h2, MAppLit(MVarRef(g), 2), uses)))
+        result = run(term)
+        assert result.unwrap() == MLit(1)
+        assert result.costs.fix_unrollings == 3
+
     def test_fix_is_rejected_on_integer_binders(self):
         from repro.lang_m import MFix
 
@@ -342,6 +453,21 @@ class TestWholeLanguageMachine:
         assert outcome.costs.fix_unrollings <= 3
         assert outcome.costs.primops >= 300
         assert outcome.costs.branches >= 100
+
+    def test_ci_fuzz_corpus_costs_are_pinned(self):
+        from repro.driver import Session
+        from repro.driver.lower import lower_checked
+        from repro.fuzz import GenOptions, generate_corpus
+
+        totals = dict.fromkeys(CI_CORPUS_COSTS, 0)
+        with Session() as session:
+            for program in generate_corpus(20260731, 120,
+                                           GenOptions(fragment_bias=1.0)):
+                term = lower_checked(session.check(program.source))
+                costs = compile_and_run(term).costs.as_dict()
+                for name, count in costs.items():
+                    totals[name] += count
+        assert totals == CI_CORPUS_COSTS
 
     def test_costs_dict_carries_the_new_counters(self):
         from repro.lang_m import MPrimOp

@@ -217,6 +217,32 @@ class TestValidateTerm:
         assert report.machine_agrees is True
         assert report.machine_value == "I#[6]"
 
+    def test_one_fix_run_twice_validates(self):
+        # `g i = fix f. \x. case x of { 0 -> i; _ -> f (x -# 1) }`: the
+        # machine runs the one compiled `fix` for `g 1` and for `g 2`,
+        # and `g 1`'s loop must still read its own cell afterwards.
+        from repro.compile import compile_and_run
+        from repro.lang_l.syntax import (
+            App, CaseLit, INT_HASH, Lam, Var, app, arrow)
+
+        int_fun = arrow(INT_HASH, INT_HASH)
+        loop = Fix("f", int_fun, Lam("x", INT_HASH, CaseLit(
+            Var("x"), ((0, Var("i")),),
+            App(Var("f"), PrimOp("-#", (Var("x"), Lit(1)))))))
+        uses = Lam("h1", int_fun, Lam("h2", int_fun, App(
+            Lam("s", INT_HASH, App(Lam("r", INT_HASH, App(Var("h1"), Lit(1))),
+                                   App(Var("h2"), Lit(0)))),
+            App(Var("h1"), Lit(0)))))
+        term = App(Lam("g", arrow(INT_HASH, INT_HASH, INT_HASH),
+                       app(uses, App(Var("g"), Lit(1)),
+                           App(Var("g"), Lit(2)))),
+                   Lam("i", INT_HASH, loop))
+        assert evaluate(term).unwrap() == Lit(1)
+        assert compile_and_run(term).unwrap() == MLit(1)
+        report = validate_term(term)
+        assert report.ok, report.pretty()
+        assert report.obligations_checked == 21
+
     def test_nontermination_is_a_skip_not_a_verdict(self):
         # `(fix f. \x. f x) (I# 0)` spins forever; the validator cannot
         # align a trace that never settles, and says so instead of
