@@ -8,7 +8,7 @@ through :meth:`repro.driver.Session.check_many` with
   checks and stores everything, then a warm re-run over the unchanged
   corpus that must be answered entirely from the cache.
 
-The warm-to-cold fraction and the store's shard counts land in
+The warm-to-cold fraction and the store's key and entry counts land in
 ``BENCH_perf.json`` under ``e13.*``.  Correctness (ordering, ok-ness,
 cache hit counts, byte-identical warm results) is asserted always; the
 warm-cache wall-clock gate is skipped under ``BENCH_REPORT_ONLY`` like
@@ -65,12 +65,12 @@ def test_report_parallel_batch_throughput(tmp_path):
     assert [payload_bytes(result_to_payload(r)) for r in cold] == \
         [payload_bytes(result_to_payload(r)) for r in warm], \
         "cache hits must be byte-identical to the results they cached"
-    # Store-level shape of the warm run (schema v4): answered from the
-    # file-entry shards alone, and a no-op save writes nothing back.
-    assert warm_cache.shards_written == 0
-    record_counter("e13.store.warm_shards_read", warm_cache.shards_read)
-    record_counter("e13.store.warm_shards_written",
-                   warm_cache.shards_written)
+    # Store-level shape of the warm run: answered from the file entries
+    # alone, and a no-op save writes nothing back.
+    assert warm_cache.entries_written == 0
+    record_counter("e13.store.warm_keys_read", warm_cache.keys_read)
+    record_counter("e13.store.warm_entries_written",
+                   warm_cache.entries_written)
 
     import benchreport
     cold_seconds = benchreport._TIMINGS["e13.cache_cold"]["seconds"]

@@ -76,11 +76,11 @@ def test_report_fuzz_corpus_throughput(tmp_path):
     assert warm_stats.file_hits == CORPUS_SIZE \
         and warm_stats.cache_misses == 0, \
         "warm run was not answered entirely from the cache"
-    # Store-level shape (schema v4): a warm no-op writes nothing back.
-    assert warm_cache.shards_written == 0
-    record_counter("e14.store.warm_shards_read", warm_cache.shards_read)
-    record_counter("e14.store.warm_shards_written",
-                   warm_cache.shards_written)
+    # Store-level shape: a warm no-op writes nothing back.
+    assert warm_cache.entries_written == 0
+    record_counter("e14.store.warm_keys_read", warm_cache.keys_read)
+    record_counter("e14.store.warm_entries_written",
+                   warm_cache.entries_written)
 
     sample = corpus[:DIFFERENTIAL_SAMPLE]
 

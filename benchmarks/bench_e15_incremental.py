@@ -136,13 +136,13 @@ def test_report_incremental_recheck(tmp_path):
     assert warm_stats.cache_misses == 0
     assert payload_bytes(result_to_payload(warm[0])) == \
         payload_bytes(result_to_payload(cold[0]))
-    # Store-level shape of the warm no-op (schema v4): one file-entry
-    # shard read, nothing written back.
+    # Store-level shape of the warm no-op: one file-entry key read,
+    # nothing written back.
     probe = throwaway_cache()
     session.check_many([(FILENAME, source)], cache=probe)
-    assert probe.shards_written == 0
-    record_counter("e15.store.warm_shards_read", probe.shards_read)
-    record_counter("e15.store.warm_shards_written", probe.shards_written)
+    assert probe.entries_written == 0
+    record_counter("e15.store.warm_keys_read", probe.keys_read)
+    record_counter("e15.store.warm_entries_written", probe.entries_written)
 
     # -- the headline: edit one leaf binding's body --------------------------
     leaf = f"b{NUM_BINDINGS - 1}"          # nothing depends on the last one

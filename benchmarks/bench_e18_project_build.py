@@ -115,13 +115,13 @@ def test_report_project_build(tmp_path):
                    repeats=3, meta={"modules": NUM_MODULES})
     assert noop_stats.checked == 0
     assert project_bytes(noop.results) == project_bytes(cold.results)
-    # Store-level shape of the warm no-op (schema v4): outline + file
+    # Store-level shape of the warm no-op: outline, file and exports
     # entries only, nothing written back.
     probe = throwaway_cache()
     check_project(items, cache=probe, session=Session())
-    assert probe.shards_written == 0
-    record_counter("e18.store.warm_shards_read", probe.shards_read)
-    record_counter("e18.store.warm_shards_written", probe.shards_written)
+    assert probe.entries_written == 0
+    record_counter("e18.store.warm_keys_read", probe.keys_read)
+    record_counter("e18.store.warm_entries_written", probe.entries_written)
 
     # -- the headline: body-only edit in the base module ----------------------
     base_name, base_source = items[0]

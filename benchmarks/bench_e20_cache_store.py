@@ -1,27 +1,27 @@
-"""E20: the sharded content-addressed cache store vs the monolithic file.
+"""E20: the SQLite cache store vs the monolithic file.
 
-The tentpole measurement of the schema-v4 store (``repro.driver.store``):
-a synthetic cache of ``NUM_ENTRIES`` unit-shaped entries is written once
-through :class:`~repro.driver.store.ShardStore` and once as the old
+The measurement of the store (``repro.driver.store``, schema v5): a
+synthetic cache of ``NUM_ENTRIES`` unit-shaped entries is written once
+through :class:`~repro.driver.store.CacheStore` and once as the old
 monolithic v3 document, then the workloads that used to scale with
 *corpus history* are timed against both layouts:
 
 * ``e20.warm_noop.legacy`` / ``.current`` — the no-change probe: the
   monolithic layout must parse the whole document to answer any lookup;
-  the sharded store reads only the shards it probes (gated at >= 5x at
-  10k entries unless ``BENCH_REPORT_ONLY``);
+  the store reads only the keys it probes (gated at >= 5x at 10k
+  entries unless ``BENCH_REPORT_ONLY``);
 * ``e20.single_edit.legacy`` / ``.current`` — persisting one changed
-  entry: whole-document read-merge-rewrite vs exactly the dirty shards
-  (the save is asserted — always — to write <= 2 shard files);
+  entry: whole-document read-merge-rewrite vs one transaction of the
+  changed entries (the save is asserted — always — to write <= 2);
 * ``e20.check_warm_noop`` — an end-to-end ``check_many`` no-op against a
   cache padded with the full synthetic corpus, proving the O(touched)
-  property survives the driver stack (byte-identical results, a handful
-  of shards read);
+  property survives the driver stack (byte-identical results, one key
+  read per file);
 * two **processes** racing ``save()`` on one store directory, released
   by a barrier: the union of both write sets must survive (asserted
   always — this is the multi-writer contract the ROADMAP's
   checking-as-a-service story leans on);
-* counters: per-scenario ``shards_read`` / ``shards_written`` and the
+* counters: per-scenario ``keys_read`` / ``entries_written`` and the
   process-wide ``cache.store.*`` registry counters.
 """
 
@@ -36,13 +36,13 @@ from benchreport import drain_registry, emit, record_counter, report_only, \
     time_op
 from repro.driver import CheckStats, ResultCache, Session
 from repro.driver.batch import payload_bytes, result_to_payload
-from repro.driver.store import ShardStore
+from repro.driver.store import CacheStore
 from repro.telemetry import REGISTRY
 
 NUM_ENTRIES = 10_000
 PROBES = 8                    # keys a warm no-op actually touches
 WARM_NOOP_SPEEDUP_FLOOR = 5.0
-SINGLE_EDIT_MAX_SHARDS = 2    # the edited unit + the file-level entry
+SINGLE_EDIT_MAX_ENTRIES = 2   # the edited unit + the file-level entry
 STRESS_WRITES = 1_000         # per writer process
 
 
@@ -68,7 +68,7 @@ def make_corpus(num=NUM_ENTRIES):
 
 
 def _stress_writer(root, tag, count, barrier):
-    store = ShardStore(root)
+    store = CacheStore(root)
     for i in range(count):
         store.put(hashlib.sha256(f"stress-{tag}-{i}".encode()).hexdigest(),
                   {"writer": tag, "i": i})
@@ -82,13 +82,13 @@ def test_report_cache_store(tmp_path):
     probes = [_key(i) for i in range(0, NUM_ENTRIES, NUM_ENTRIES // PROBES)]
 
     # -- the two layouts, same 10k entries -----------------------------------
-    sharded_root = str(tmp_path / "sharded")
-    seed = ShardStore(sharded_root)
+    store_root = str(tmp_path / "store")
+    seed = CacheStore(store_root)
     for key, payload in corpus.items():
         seed.put(key, payload)
     seed.save()
     record_counter("e20.entries", NUM_ENTRIES)
-    record_counter("e20.seed.shards_written", seed.shards_written)
+    record_counter("e20.seed.entries_written", seed.entries_written)
 
     monolithic_path = str(tmp_path / "monolithic.json")
     with open(monolithic_path, "w", encoding="utf-8") as handle:
@@ -101,21 +101,21 @@ def test_report_cache_store(tmp_path):
             entries = json.load(handle)["entries"]
         return [entries[key] for key in probes]
 
-    def sharded_noop():
-        store = ShardStore(sharded_root)
+    def store_noop():
+        store = CacheStore(store_root)
         found = [store.get(key) for key in probes]
-        assert store.save() == 0    # nothing dirty: nothing written
+        assert store.save() == 0    # nothing put: nothing written
         return found, store
 
     legacy_found = time_op("e20.warm_noop.legacy", monolithic_noop,
                            repeats=3, meta={"entries": NUM_ENTRIES,
                                             "probes": PROBES})
-    found, probe_store = time_op("e20.warm_noop.current", sharded_noop,
+    found, probe_store = time_op("e20.warm_noop.current", store_noop,
                                  repeats=3, meta={"entries": NUM_ENTRIES,
                                                   "probes": PROBES})
     assert found == legacy_found, "layouts disagree on the probed entries"
-    assert probe_store.shards_read <= PROBES
-    record_counter("e20.warm_noop.shards_read", probe_store.shards_read)
+    assert probe_store.keys_read <= PROBES
+    record_counter("e20.warm_noop.keys_read", probe_store.keys_read)
 
     # -- single edit: persist one changed entry ------------------------------
     edited_key = probes[0]
@@ -129,23 +129,23 @@ def test_report_cache_store(tmp_path):
 
     counter = iter(range(10_000))
 
-    def sharded_single_edit():
-        store = ShardStore(sharded_root)
+    def store_single_edit():
+        store = CacheStore(store_root)
         store.put(edited_key, {"edit": next(counter)})
         store.put(f"pfile:{edited_key}", {"edit": "file entry"})
         written = store.save()
-        assert written <= SINGLE_EDIT_MAX_SHARDS, \
-            f"single edit rewrote {written} shards"
+        assert written <= SINGLE_EDIT_MAX_ENTRIES, \
+            f"single edit wrote {written} entries"
         return store
 
     time_op("e20.single_edit.legacy", monolithic_single_edit, repeats=3,
             meta={"entries": NUM_ENTRIES})
-    edit_store = time_op("e20.single_edit.current", sharded_single_edit,
+    edit_store = time_op("e20.single_edit.current", store_single_edit,
                          repeats=3, meta={"entries": NUM_ENTRIES})
-    record_counter("e20.single_edit.shards_written",
-                   edit_store.shards_written)
+    record_counter("e20.single_edit.entries_written",
+                   edit_store.entries_written)
     # Put the seed corpus back so later sections see pristine entries.
-    restore = ShardStore(sharded_root)
+    restore = CacheStore(store_root)
     restore.put(edited_key, corpus[edited_key])
     restore.save()
 
@@ -164,12 +164,12 @@ def test_report_cache_store(tmp_path):
     for writer in writers:
         writer.join(120)
         assert writer.exitcode == 0
-    survived = ShardStore(stress_root).load_all()
+    survived = CacheStore(stress_root).load_all()
     lost = 2 * STRESS_WRITES - len(survived)
     record_counter("e20.stress.entries", len(survived))
     record_counter("e20.stress.lost", lost)
     assert lost == 0, f"concurrent writers lost {lost} entries"
-    assert ShardStore(stress_root).verify() == []
+    assert CacheStore(stress_root).verify() == []
 
     # -- end-to-end: a check_many no-op against the padded cache -------------
     check_corpus = [(f"p{i}.lev",
@@ -177,7 +177,7 @@ def test_report_cache_store(tmp_path):
                     for i in range(4)]
     check_root = str(tmp_path / "check-cache")
     cold = Session().check_many(check_corpus, cache=check_root)
-    pad = ShardStore(check_root)
+    pad = CacheStore(check_root)
     for key, payload in corpus.items():
         pad.put(key, payload)
     pad.save()
@@ -188,7 +188,7 @@ def test_report_cache_store(tmp_path):
         results = Session().check_many(check_corpus, cache=warm_cache,
                                        stats=stats)
         assert stats.file_hits == len(check_corpus)
-        assert warm_cache.shards_written == 0
+        assert warm_cache.entries_written == 0
         return results, warm_cache
 
     warm, warm_cache = time_op("e20.check_warm_noop", warm_check, repeats=3,
@@ -197,10 +197,10 @@ def test_report_cache_store(tmp_path):
     assert [payload_bytes(result_to_payload(r)) for r in warm] == \
         [payload_bytes(result_to_payload(r)) for r in cold], \
         "warm results must be byte-identical to cold ones"
-    assert warm_cache.shards_read <= len(check_corpus), \
-        "a warm no-op read more shards than it has files"
-    record_counter("e20.check_warm_noop.shards_read",
-                   warm_cache.shards_read)
+    assert warm_cache.keys_read <= len(check_corpus), \
+        "a warm no-op read more keys than it has files"
+    record_counter("e20.check_warm_noop.keys_read",
+                   warm_cache.keys_read)
     record_counter("e20.store",
                    REGISTRY.counters_with_prefix("cache.store."))
 
@@ -217,16 +217,16 @@ def test_report_cache_store(tmp_path):
                    round(edit_legacy_s / edit_current_s, 2)
                    if edit_current_s > 0 else 0)
 
-    emit(f"E20: sharded cache store ({NUM_ENTRIES} entries)", [
+    emit(f"E20: SQLite cache store ({NUM_ENTRIES} entries)", [
         ("warm no-op, monolithic", "reads everything",
          f"{legacy_s * 1000:.1f}ms"),
-        ("warm no-op, sharded", f"{speedup:.1f}x vs monolithic",
+        ("warm no-op, SQLite", f"{speedup:.1f}x vs monolithic",
          f"{current_s * 1000:.1f}ms "
-         f"({probe_store.shards_read} shard(s))"),
+         f"({probe_store.keys_read} key(s))"),
         ("single edit persist", f"{edit_legacy_s / edit_current_s:.1f}x "
          "vs monolithic",
          f"{edit_current_s * 1000:.1f}ms "
-         f"({edit_store.shards_written} shard(s))"),
+         f"({edit_store.entries_written} entr(ies))"),
         ("two-writer stress", "0 entries lost",
          f"{len(survived)} survived"),
     ])
@@ -234,6 +234,6 @@ def test_report_cache_store(tmp_path):
     if report_only():
         pytest.skip("BENCH_REPORT_ONLY set: timings recorded, gate skipped")
     assert speedup >= WARM_NOOP_SPEEDUP_FLOOR, (
-        f"sharded warm no-op was only {speedup:.1f}x faster than the "
+        f"SQLite warm no-op was only {speedup:.1f}x faster than the "
         f"monolithic layout at {NUM_ENTRIES} entries "
         f"(floor: {WARM_NOOP_SPEEDUP_FLOOR}x)")

@@ -43,16 +43,16 @@ Subcommands:
 — parse, depgraph, unit.infer/unit.unify, cache.lookup, eval.run,
 codegen.lower/link — as Chrome trace-event JSON loadable in Perfetto
 (see docs/OBSERVABILITY.md).
-* ``cache ACTION PATH`` — maintain a sharded result-cache directory
-  (schema v4, ``docs/INCREMENTAL.md``): ``stats`` summarises per-table
-  shard/entry/byte counts, ``verify`` structurally checks every shard
-  (schema, key→shard assignment, payload shapes; exit 1 on problems),
+* ``cache ACTION PATH`` — maintain a result-cache directory (schema v5,
+  one SQLite database, ``docs/INCREMENTAL.md``): ``stats`` counts
+  entries and bytes per key namespace, ``verify`` runs SQLite's
+  integrity check and shape-checks every payload (exit 1 on problems),
   ``gc --max-age AGE`` drops entries not stored or consumed within AGE
   (``30d``, ``12h``, ``90m`` or plain seconds), and ``compact``
-  rewrites shards canonically, dropping empties.  Every ``--cache PATH``
-  is such a directory, created on first use; a PATH that is, or lies
-  under, a regular file is refused with one ``error:`` line (exit 2)
-  before any work, and the file is left as it was.
+  vacuums the database.  Every ``--cache PATH`` is such a directory,
+  created on first use; a PATH that is, or lies under, a regular file,
+  or whose database SQLite cannot use, is refused with one ``error:``
+  line (exit 2) before any work, and the file is left as it was.
 * ``repl`` — a small read-eval-print loop (declarations accumulate;
   ``:t expr`` shows a type; ``:q`` quits).
 * ``fuzz`` — generate a corpus of random well-typed programs
@@ -80,6 +80,7 @@ import sys
 from typing import List, Optional
 
 from .driver import DriverOptions, Session
+from .driver.store import StoreError
 from .telemetry import REGISTRY, TRACER, env_trace_path, stats_document
 
 
@@ -395,10 +396,7 @@ def _cache_payload_validator():
     from .driver.store import table_of
 
     validators = {
-        # Whole-file entries now live in pfile/; older caches may still
-        # hold some in the unit table.
-        "unit": lambda payload: (_unit_payload_valid(payload)
-                                 or _file_payload_valid(payload)),
+        "unit": _unit_payload_valid,
         "pfile": _file_payload_valid,
         "outline": _outline_payload_valid,
         "exports": _exports_payload_valid,
@@ -415,24 +413,24 @@ def _cache_payload_validator():
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .driver.store import ShardStore
+    from .driver.store import CacheStore
 
     if os.path.isfile(args.path):
         raise _CliError(f"{args.path} is a file, not a cache directory")
     if not os.path.isdir(args.path):
         raise _CliError(f"no cache directory at {args.path}")
-    store = ShardStore(args.path)
+    store = CacheStore(args.path)
     if args.action == "stats":
         document = store.stats()
         if args.json:
             print(json.dumps(document, indent=2, sort_keys=True))
         else:
             print(f"cache {document['root']} (schema {document['schema']}): "
-                  f"{document['entries']} entries in {document['shards']} "
-                  f"shard file(s), {document['bytes']} bytes")
+                  f"{document['entries']} entries, "
+                  f"{document['bytes']} bytes")
             for table, row in sorted(document["tables"].items()):
                 print(f"  {table}: {row['entries']} entries, "
-                      f"{row['shards']} shard(s), {row['bytes']} bytes")
+                      f"{row['bytes']} payload bytes")
         return 0
     if args.action == "verify":
         problems = store.verify(_cache_payload_validator())
@@ -467,14 +465,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _open_cache(path: str) -> None:
     """Refuse an unusable ``--cache`` path before any checking: opening
     the store creates its directory, which fails when the path is, or
-    lies under, a regular file."""
-    from .driver.store import ShardStore
+    lies under, a regular file, and opens its database, which fails when
+    SQLite cannot use it."""
+    from .driver.store import CacheStore
 
     try:
-        ShardStore(path)
-    except OSError as exc:
+        CacheStore(path).close()
+    except (OSError, StoreError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
         raise _CliError(f"cannot use {path} as a cache directory "
-                        f"({exc.strerror or exc})") from exc
+                        f"({reason})") from exc
 
 
 def _cmd_repl(args: argparse.Namespace) -> int:
@@ -618,15 +618,14 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=_cmd_validate)
 
     cache = sub.add_parser(
-        "cache", help="maintain a sharded result-cache directory "
-                      "(stats / verify / gc / compact)")
+        "cache", help="maintain a result-cache directory, one SQLite "
+                      "database (stats / verify / gc / compact)")
     cache.add_argument("action", choices=["stats", "verify", "gc",
                                           "compact"],
-                       help="stats: per-table shard/entry/byte counts; "
-                            "verify: structural + payload-shape check "
+                       help="stats: entry/byte counts per key namespace; "
+                            "verify: SQLite integrity + payload-shape check "
                             "(exit 1 on problems); gc: drop entries older "
-                            "than --max-age; compact: rewrite shards "
-                            "canonically, dropping empties")
+                            "than --max-age; compact: vacuum the database")
     cache.add_argument("path", help="the cache directory (a --cache PATH)")
     cache.add_argument("--max-age", default=None, metavar="AGE",
                        help="for gc: maximum entry age — 30d, 12h, 90m, "
@@ -693,7 +692,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if trace_out:
             TRACER.write(trace_out)
         return code
-    except _CliError as exc:
+    except (_CliError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

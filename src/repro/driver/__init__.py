@@ -20,18 +20,17 @@ reproduction as one pipeline::
   without a cache), over a binding-level incremental result cache
   (``Session.check_many(cache=..., stats=...)`` and
   ``python -m repro check --cache PATH --stats``);
-* :mod:`repro.driver.store` — the sharded, content-addressed on-disk
-  store behind the result cache (schema v4): 256 lazily-loaded shards
-  per key namespace, per-shard dirty tracking and atomic merge-then-
-  replace saves, and the ``python -m repro cache
-  stats|verify|gc|compact`` maintenance surface;
+* :mod:`repro.driver.store` — the on-disk store behind the result
+  cache (schema v5): one SQLite table per cache directory, read key by
+  key and written in one transaction per save, and the ``python -m
+  repro cache stats|verify|gc|compact`` maintenance surface;
 * :mod:`repro.driver.project` — the module-level layer on top: ``module``
   / ``import`` resolution, the project DAG with cycle rejection, and
   cross-module incremental builds (``Session.check_project`` and
   ``python -m repro build DIR``);
 * :mod:`repro.driver.lower` — the bridge from checked surface programs
   into the formal calculus L (and from there through ``compile/`` to the
-  M machine).
+  M machine), imported only by the commands that lower.
 
 The ``python -m repro`` command line lives in :mod:`repro.__main__` and is
 a thin wrapper over this package.
@@ -39,8 +38,7 @@ a thin wrapper over this package.
 
 from .batch import CheckStats, ResultCache
 from .depgraph import CheckUnit, ModulePlan, build_plan
-from .store import CACHE_SCHEMA, ShardStore
-from .lower import LoweringError, lower_binding, lower_entry, lower_type
+from .store import CACHE_SCHEMA
 from .project import (
     ModuleNode,
     ProjectCheck,
@@ -71,7 +69,6 @@ __all__ = [
     "CompileResult",
     "Diagnostic",
     "DriverOptions",
-    "LoweringError",
     "ModuleNode",
     "ModulePlan",
     "Pipeline",
@@ -80,14 +77,10 @@ __all__ = [
     "ResultCache",
     "RunResult",
     "Session",
-    "ShardStore",
     "build_plan",
     "build_project_plan",
     "check_project",
     "discover_sources",
     "run_project",
-    "lower_binding",
-    "lower_entry",
-    "lower_type",
     "render_snippet",
 ]

@@ -27,13 +27,11 @@ Three layers:
   absolute lines on the way out.
 
 * **The cache** — :class:`ResultCache`, mapping unit keys to unit
-  payloads.  On disk it is a **sharded store**
-  (:mod:`repro.driver.store`, schema v4): 256 key-prefix shards per key
-  namespace, loaded lazily and persisted per-shard with the atomic
-  merge-then-replace discipline — a warm no-op run reads only the shards
-  it probes, a single-unit edit rewrites only the shards it dirtied, and
-  concurrent runs sharing a cache directory cannot tear a shard or
-  clobber each other's fresh entries.
+  payloads.  On disk it is one SQLite table (:mod:`repro.driver.store`,
+  schema v5) — a warm no-op run reads only the keys it probes and writes
+  nothing, a single-unit edit writes only its own entries, in one
+  transaction, and concurrent runs sharing a cache directory lose none
+  of each other's entries.
 
 * **The walk** — every check goes through one per-file unit walk
   (:func:`_walk`), in the calling process: a file's units in dependency
@@ -70,7 +68,7 @@ from ..surface.ast import ImportDecl, TypeSig
 from ..surface.prelude import prelude_schemes
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from .depgraph import CheckUnit, ModulePlan, build_plan
-from .store import CACHE_SCHEMA, ShardStore
+from .store import CACHE_SCHEMA, CacheStore
 from .session import (
     BindingSummary,
     CheckResult,
@@ -100,10 +98,6 @@ __all__ = [
     "store_codegen",
     "unit_key",
 ]
-
-# CACHE_SCHEMA now lives in repro.driver.store (the on-disk layer owns
-# the on-disk version number) and is re-exported here for key derivation
-# and compatibility.
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +472,23 @@ def _outline_payload_valid(payload: dict) -> bool:
 class ResultCache:
     """A store-backed map from cache keys to payloads.
 
-    With a ``path`` the entries live in a sharded directory managed by
-    :class:`repro.driver.store.ShardStore` (see that module for the
-    layout, atomicity and GC story); shards load lazily, so construction
-    is O(1) regardless of cache size.  Without a path the cache is a
-    plain in-process dict (the REPL's state, tests).
+    With a ``path`` the entries live in the cache directory's database,
+    managed by :class:`repro.driver.store.CacheStore` (see that module for
+    the table, transactions and GC); entries are read key by key, so
+    construction is O(1) regardless of cache size.  Without a path the
+    cache is a plain in-process dict (the REPL's state, tests).
 
     Every lookup shape-checks what it reads: a malformed entry
-    (hand-edited shard, truncated write) is a miss, which the re-check
-    overwrites.  Hit and miss counts live in :class:`CheckStats` and the
-    ``cache.*``/``codegen.*`` telemetry counters.  :meth:`save` persists
-    **exactly the dirty shards**, each with the atomic
-    merge-then-replace discipline — concurrent ``repro`` processes
-    sharing one ``--cache`` directory can neither interleave a torn shard
-    nor silently drop each other's work.
+    (hand-edited row, payload of another shape) is a miss, which the
+    re-check overwrites.  Hit and miss counts live in :class:`CheckStats`
+    and the ``cache.*``/``codegen.*`` telemetry counters.  :meth:`save`
+    writes **exactly the entries stored since the last save**, in one
+    transaction — concurrent ``repro`` processes sharing one ``--cache``
+    directory cannot drop each other's work.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self._store = ShardStore(path) if path is not None else None
+        self._store = CacheStore(path) if path is not None else None
         self._memory: Dict[str, dict] = {}
 
     @property
@@ -511,12 +504,12 @@ class ResultCache:
         return self._store.load_all()
 
     @property
-    def shards_read(self) -> int:
-        return self._store.shards_read if self._store is not None else 0
+    def keys_read(self) -> int:
+        return self._store.keys_read if self._store is not None else 0
 
     @property
-    def shards_written(self) -> int:
-        return self._store.shards_written if self._store is not None else 0
+    def entries_written(self) -> int:
+        return self._store.entries_written if self._store is not None else 0
 
     def _get(self, key: str,
              valid: Callable[[dict], bool]) -> Optional[dict]:
@@ -556,8 +549,9 @@ class ResultCache:
         return self._get(key, _codegen_payload_valid)
 
     def save(self) -> None:
-        """Persist dirty shards (see :meth:`ShardStore.save`); a no-op
-        for in-memory caches and when nothing changed."""
+        """Write the entries stored since the last save (see
+        :meth:`CacheStore.save`); a no-op for in-memory caches and when
+        nothing changed."""
         if self._store is not None:
             self._store.save()
 

@@ -21,7 +21,7 @@ baked in at compile time:
 
 The compiler's unit of output is *Python source text* (one ``_bind``
 definition per binding), which the per-unit codegen cache in
-``driver/batch.py`` stores (the ``codegen/`` shard table of the v4 store,
+``driver/batch.py`` stores (``codegen`` keys in the cache database,
 ``driver/store.py``).  Of a binding's three phases, generating its source
 is the cheap one (~55 µs for a typical binding under CPython 3.11);
 CPython's ``compile()`` of that source costs several times more (~240 µs)
@@ -835,7 +835,7 @@ class CompiledProgram:
             compiled = self._link(name, function, source)
         self.sources[name] = source
         self.functions[name] = compiled
-        # Source text is what the codegen side-table shards persist, so
+        # Source text is what the codegen side-table persists, so
         # its volume is the side-table's growth rate.
         _REGISTRY.inc("codegen.source_bytes", len(source))
         return compiled

@@ -5,7 +5,7 @@ union-find ops lived on each ``UnifierState``, per-unit hit/miss on
 ``CheckStats``, codegen counts on ``CompiledProgram``, and benchmarks
 reached into module internals to read them.  The :class:`MetricsRegistry`
 absorbs all of them under namespaced metric names (``solver.*``,
-``cache.*``, ``cache.store.*`` for the sharded on-disk store,
+``cache.*``, ``cache.store.*`` for the on-disk store,
 ``batch.*``, ``codegen.*``, ``runtime.*``, ``eval.*`` — see
 docs/OBSERVABILITY.md) and emits one machine-readable document via
 :meth:`MetricsRegistry.snapshot`.

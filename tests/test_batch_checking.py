@@ -45,12 +45,12 @@ UNITS_PER_PROGRAM = 2
 
 
 def _rewrite_entries(path, mutate):
-    """Edit a sharded cache in place: load every entry, apply ``mutate``
-    to the entries dict, write the changed ones back (the moral
-    equivalent of hand-editing the old monolithic JSON document)."""
-    from repro.driver.store import ShardStore
+    """Edit a cache in place: load every entry, apply ``mutate`` to the
+    entries dict, write the changed ones back (the moral equivalent of
+    hand-editing the database)."""
+    from repro.driver.store import CacheStore
 
-    store = ShardStore(path)
+    store = CacheStore(path)
     entries = store.load_all()
     mutate(entries)
     for key, payload in entries.items():
@@ -58,16 +58,13 @@ def _rewrite_entries(path, mutate):
     store.save()
 
 
-def _shard_files(root):
-    """{relative path: file text} for every data file under a cache root
-    (the empty ``.lock`` flock siblings are not data and are skipped)."""
+def _cache_files(root):
+    """{relative path: file bytes} for every file under a cache root."""
     snapshot = {}
     for dirpath, _dirs, names in os.walk(root):
         for name in names:
-            if name.endswith(".lock"):
-                continue
             full = os.path.join(dirpath, name)
-            with open(full, "r", encoding="utf-8") as handle:
+            with open(full, "rb") as handle:
                 snapshot[os.path.relpath(full, root)] = handle.read()
     return snapshot
 
@@ -598,8 +595,7 @@ class TestStats:
 class TestAtomicCache:
     def test_concurrent_saves_merge_instead_of_clobbering(self, tmp_path):
         """Two runs sharing a --cache path must not lose each other's
-        entries: save() re-reads the file and merges before the atomic
-        replace."""
+        entries: save() writes only its own entries, in one transaction."""
         path = str(tmp_path / "shared.json")
         one = ResultCache(path)
         two = ResultCache(path)   # loaded before 'one' saves
@@ -611,46 +607,52 @@ class TestAtomicCache:
         merged = ResultCache(path)
         assert len(merged.entries) == (2 * UNITS_PER_PROGRAM + 2) + (1 + 1)
 
-    def test_failed_save_leaves_the_old_shards_intact(self, tmp_path,
-                                                      monkeypatch):
+    def test_failed_save_rolls_back_and_leaves_no_side_file(
+            self, tmp_path, monkeypatch):
         import json as json_module
 
         import repro.driver.store as store_module
 
         path = str(tmp_path / "cache.json")
         Session().check_many(make_corpus(1), cache=path)
-        before = _shard_files(path)
+        before = _cache_files(path)
+        assert list(before) == ["cache.sqlite"]
         cache = ResultCache(path)
         cache.store("deadbeef", {"members": []})
+        cache.store("feedface", {"members": []})
+        real_dumps = json_module.dumps
+        calls = []
 
-        def explode(*args, **kwargs):
-            raise RuntimeError("disk full")
+        def explode_on_the_second_entry(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("disk full")
+            return real_dumps(*args, **kwargs)
 
-        monkeypatch.setattr(store_module.json, "dump", explode)
-        try:
+        monkeypatch.setattr(store_module.json, "dumps",
+                            explode_on_the_second_entry)
+        with pytest.raises(RuntimeError):
             cache.save()
-        except RuntimeError:
-            pass
-        monkeypatch.setattr(store_module.json, "dump", json_module.dump)
-        # Every shard file is untouched and still valid JSON...
-        assert _shard_files(path) == before
-        assert ResultCache(path).entries
-        # ...and no temp files leak.
-        leftovers = [name for name in _shard_files(path)
-                     if ".repro-shard-" in name]
-        assert leftovers == []
+        monkeypatch.setattr(store_module.json, "dumps", real_dumps)
+        # The first entry was inserted before the failure; the rollback
+        # took it back, the database is byte-identical, and no journal
+        # is left beside it.
+        assert len(calls) == 2
+        assert _cache_files(path) == before
+        entries = ResultCache(path).entries
+        assert entries and not {"deadbeef", "feedface"} & set(entries)
 
     def test_save_is_a_noop_when_nothing_changed(self, tmp_path):
         path = str(tmp_path / "cache.json")
         Session().check_many(make_corpus(1), cache=path)
-        before = _shard_files(path)
+        before = _cache_files(path)
         warm = ResultCache(path)
         Session().check_many(make_corpus(1), cache=warm)  # all hits
-        # Per-shard dirty tracking: a no-op run neither rewrites any
-        # shard file nor even loads the ones it never probed.
-        assert warm.shards_written == 0
-        assert warm.shards_read < len(before)
-        assert _shard_files(path) == before
+        # A no-op run writes no entry and reads only the key it probes:
+        # the file-level entry, of the three the corpus stored.
+        assert warm.entries_written == 0
+        assert warm.keys_read == 1 < len(ResultCache(path).entries)
+        assert _cache_files(path) == before
 
 
 class TestReviewRegressions:

@@ -1,15 +1,17 @@
-"""Tests for the sharded cache store (``repro.driver.store``).
+"""Tests for the cache store (``repro.driver.store``).
 
-Covers the properties the v4 layout promises:
+Covers the properties the v5 database promises:
 
-* key→table/shard assignment is total, stable and verifiable;
-* entries round-trip through shard files byte-for-byte (hypothesis);
-* per-shard dirty tracking — no-op saves write nothing, a single store
-  writes exactly one shard;
+* key→namespace assignment is total and stable;
+* entries round-trip through the database (hypothesis);
+* no-op saves write nothing, a single store writes one entry, and a warm
+  no-op check reads only the keys it probes;
 * two *processes* racing on one cache directory lose no entries;
 * a cache path that is, or lies under, a regular file is refused and
   the file left byte-identical, by the store and by every command that
-  takes ``--cache``;
+  takes ``--cache``; so is a database that is not one, is truncated, or
+  is locked past the busy timeout, and a v4 shard tree is left alone;
+* a check without a cache imports neither ``sqlite3`` nor the lowering;
 * ``canonical_scheme`` memoisation renders each scheme object once;
 * the ``python -m repro cache`` maintenance actions.
 """
@@ -17,8 +19,11 @@ Covers the properties the v4 layout promises:
 import json
 import multiprocessing
 import os
+import sqlite3
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +32,8 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.driver import DriverOptions, ResultCache, Session
 from repro.driver.batch import CheckStats, canonical_scheme
-from repro.driver.store import (
-    CACHE_SCHEMA,
-    SHARD_COUNT,
-    ShardStore,
-    shard_of,
-    table_of,
-)
+import repro.driver.store as store_module
+from repro.driver.store import CACHE_SCHEMA, CacheStore, StoreError, table_of
 from repro.telemetry import REGISTRY
 
 
@@ -48,7 +48,34 @@ top = mid +# 2#
 
 
 def entry_keys(root):
-    return set(ShardStore(root).load_all())
+    return set(CacheStore(root).load_all())
+
+
+def database(root):
+    return os.path.join(root, store_module.DATABASE_NAME)
+
+
+def hand_edit(root, sql, *parameters):
+    """Run one statement on a cache's database, as a hand edit would."""
+    db = sqlite3.connect(database(root))
+    try:
+        with db:
+            db.execute(sql, parameters)
+    finally:
+        db.close()
+
+
+def seeded(tmp_path):
+    """A cache directory holding one checked module's entries."""
+    root = str(tmp_path / "c")
+    Session().check_many([("m.lev", MODULE)], cache=root)
+    return root
+
+
+def backdate(root, key, days=100):
+    """Age one entry's GC stamp by ``days``, as time passing would."""
+    hand_edit(root, "UPDATE entry SET stamp = ? WHERE key = ?",
+              time.time() - days * 24 * 3600, key)
 
 
 class TestKeyAssignment:
@@ -64,23 +91,14 @@ class TestKeyAssignment:
         assert table_of(f"codegenx:{hex64}") == "unit"
         assert table_of(f"future:{hex64}") == "unit"
 
-    def test_shard_of_uses_the_trailing_digest(self):
-        hex64 = "7f" + "0" * 62
-        assert shard_of(hex64) == 0x7F
-        assert shard_of(f"pfile:{hex64}") == 0x7F
-        assert shard_of(f"exports:pfile:{hex64}") == 0x7F
-        assert shard_of(f"codegen1:{hex64}") == 0x7F
-
     @given(st.text(min_size=1, max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_assignment_is_total_and_stable(self, key):
-        # Any key — even junk — lands in exactly one (table, shard), and
-        # the assignment is a pure function of the key.
+        # Any key — even junk — lands in exactly one namespace, and the
+        # assignment is a pure function of the key.
         table = table_of(key)
-        index = shard_of(key)
         assert table in ("unit", "pfile", "outline", "exports", "codegen")
-        assert 0 <= index < SHARD_COUNT
-        assert (table_of(key), shard_of(key)) == (table, index)
+        assert table_of(key) == table
 
 
 # JSON-able payloads: the value space cache entries live in.
@@ -103,61 +121,61 @@ class TestRoundTrip:
 
         with tempfile.TemporaryDirectory() as base:
             root = os.path.join(base, "store")
-            store = ShardStore(root)
+            store = CacheStore(root)
             for key, payload in entries.items():
                 store.put(key, payload)
             store.save()
             # A fresh store sees exactly what was written, per key and in
-            # aggregate, and every shard file self-verifies.
-            fresh = ShardStore(root)
+            # aggregate, and the database self-verifies.
+            fresh = CacheStore(root)
             for key, payload in entries.items():
                 assert fresh.get(key) == payload
             assert fresh.load_all() == entries
-            assert ShardStore(root).verify() == []
+            assert CacheStore(root).verify() == []
 
     def test_save_returns_written_and_merges_concurrents(self, tmp_path):
         root = str(tmp_path / "c")
-        one = ShardStore(root)
-        two = ShardStore(root)
+        one = CacheStore(root)
+        two = CacheStore(root)
         key_a = "aa" + "0" * 62
         key_b = "bb" + "0" * 62
         one.put(key_a, {"v": 1})
         two.put(key_b, {"v": 2})
         assert one.save() == 1
-        assert two.save() == 1  # merged, not clobbered
-        assert ShardStore(root).load_all() == {key_a: {"v": 1},
+        assert two.save() == 1  # added to, not clobbered
+        assert CacheStore(root).load_all() == {key_a: {"v": 1},
                                                key_b: {"v": 2}}
 
 
 class TestDirtyTracking:
     def test_identical_put_is_free(self, tmp_path):
         root = str(tmp_path / "c")
-        store = ShardStore(root)
+        store = CacheStore(root)
         key = "cc" + "0" * 62
         assert store.put(key, {"v": 1}) is True
         assert store.save() == 1
-        warm = ShardStore(root)
+        warm = CacheStore(root)
         assert warm.put(key, {"v": 1}) is False
         assert warm.save() == 0
 
-    def test_single_store_writes_a_single_shard(self, tmp_path):
+    def test_single_store_writes_a_single_entry(self, tmp_path):
         root = str(tmp_path / "c")
-        seed = ShardStore(root)
+        seed = CacheStore(root)
         for byte in range(8):
             seed.put(f"{byte:02x}" + "0" * 62, {"v": byte})
         seed.save()
-        editor = ShardStore(root)
+        editor = CacheStore(root)
         editor.put("05" + "0" * 62, {"v": "edited"})
         assert editor.save() == 1
-        assert editor.shards_written == 1
+        assert editor.entries_written == 1
+        assert CacheStore(root).get("05" + "0" * 62) == {"v": "edited"}
 
-    def test_warm_noop_reads_only_probed_shards(self, tmp_path):
+    def test_warm_noop_reads_only_probed_keys(self, tmp_path):
         # The O(touched) property at the checking level: a warm no-op
-        # check against a cache padded with entries in many shards reads
-        # only the shard(s) it probes.
+        # check against a padded cache reads only the key it probes.
         root = str(tmp_path / "c")
         Session().check_many([("m.lev", MODULE)], cache=root)
-        pad = ShardStore(root)
+        pad = CacheStore(root)
         for byte in range(64):
             pad.put(f"{byte:02x}" + "f" * 62, {"pad": byte})
         pad.save()
@@ -165,12 +183,12 @@ class TestDirtyTracking:
         stats = CheckStats()
         Session().check_many([("m.lev", MODULE)], cache=warm, stats=stats)
         assert stats.file_hits == 1
-        assert warm.shards_read == 1     # the file-level entry's shard
-        assert warm.shards_written == 0
+        assert warm.keys_read == 1       # the file-level entry
+        assert warm.entries_written == 0
 
 
 def _writer_main(root, tag, count, barrier):
-    store = ShardStore(root)
+    store = CacheStore(root)
     for i in range(count):
         payload_key = f"{i % 16:x}{tag}" + "0" * 56
         key = payload_key[:64].ljust(64, "0")
@@ -197,12 +215,13 @@ class TestConcurrency:
         for writer in writers:
             writer.join(60)
             assert writer.exitcode == 0
-        merged = ShardStore(root).load_all()
+        merged = CacheStore(root).load_all()
         for tag in ("a", "b"):
             tagged = [key for key, payload in merged.items()
                       if payload.get("writer") == tag]
             assert len(tagged) == 16  # 64 writes over 16 distinct keys
-        assert ShardStore(root).verify() == []
+        assert CacheStore(root).verify() == []
+        assert os.listdir(root) == [store_module.DATABASE_NAME]
 
     def test_two_check_processes_share_one_cache_dir(self, tmp_path):
         # Two concurrent CLI processes sharing one --cache directory; both
@@ -246,7 +265,7 @@ class TestRefusal:
         path = tmp_path / "notes.txt"
         path.write_bytes(b"keep")
         with pytest.raises(FileExistsError):
-            ShardStore(str(path))
+            CacheStore(str(path))
         with pytest.raises(FileExistsError):
             Session().check_many([("m.lev", MODULE)], cache=str(path))
         assert path.read_bytes() == b"keep"
@@ -255,7 +274,7 @@ class TestRefusal:
         path = tmp_path / "notes.txt"
         path.write_bytes(b"keep")
         with pytest.raises(NotADirectoryError):
-            ShardStore(str(path / "sub"))
+            CacheStore(str(path / "sub"))
         assert path.read_bytes() == b"keep"
 
     @pytest.mark.parametrize("command", [
@@ -280,82 +299,170 @@ class TestRefusal:
         assert blocker.read_bytes() == b"keep"
 
 
+class TestUnusableDatabase:
+    """A ``cache.sqlite`` SQLite cannot use ends a ``repro check --cache``
+    in one ``error:`` line with exit 2, and the file is left as it was."""
+
+    def refused(self, tmp_path, capsys, root):
+        source = tmp_path / "m.lev"
+        source.write_text(MODULE)
+        before = Path(database(root)).read_bytes()
+        assert main(["check", "--cache", root, str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert Path(database(root)).read_bytes() == before
+        assert os.listdir(root) == [store_module.DATABASE_NAME]
+        return line
+
+    def test_a_file_that_is_not_a_database(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / store_module.DATABASE_NAME).write_bytes(b"not sqlite " * 64)
+        line = self.refused(tmp_path, capsys, str(root))
+        assert "not a database" in line
+
+    def test_a_truncated_database(self, tmp_path, capsys):
+        root = seeded(tmp_path)
+        data = Path(database(root)).read_bytes()
+        with open(database(root), "wb") as handle:
+            handle.write(data[:len(data) // 2])
+        line = self.refused(tmp_path, capsys, root)
+        assert "malformed" in line
+
+    def test_a_database_locked_past_the_timeout(self, tmp_path, capsys,
+                                                monkeypatch):
+        root = seeded(tmp_path)
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_SECONDS", 0.1)
+        holder = sqlite3.connect(database(root), isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            started = time.monotonic()
+            line = self.refused(tmp_path, capsys, root)
+            assert time.monotonic() - started < 30
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert "locked" in line
+
+    def test_the_store_raises_a_store_error(self, tmp_path):
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / store_module.DATABASE_NAME).write_bytes(b"junk" * 64)
+        with pytest.raises(StoreError):
+            CacheStore(str(root))
+        with pytest.raises(StoreError):
+            Session().check_many([("m.lev", MODULE)], cache=str(root))
+        assert (root / store_module.DATABASE_NAME).read_bytes() == \
+            b"junk" * 64
+
+    def test_a_v4_shard_tree_is_ignored_not_deleted(self, tmp_path):
+        root = tmp_path / "c"
+        (root / "unit").mkdir(parents=True)
+        shard = root / "unit" / "ab.json"
+        shard.write_text('{"schema": 4, "entries": {}, "stamps": {}}')
+        (root / "unit" / "ab.json.lock").write_bytes(b"")
+        stats = CheckStats()
+        Session().check_many([("m.lev", MODULE)], cache=str(root),
+                             stats=stats)
+        assert stats.cache_misses == 3
+        assert shard.read_text() == \
+            '{"schema": 4, "entries": {}, "stamps": {}}'
+        assert sorted(os.listdir(root)) == [store_module.DATABASE_NAME,
+                                            "unit"]
+        assert sorted(os.listdir(root / "unit")) == ["ab.json",
+                                                     "ab.json.lock"]
+
+
+class TestLazyImports:
+    def test_a_check_without_a_cache_imports_no_lowering_or_sqlite(self):
+        script = (
+            "import sys\n"
+            "import repro.driver\n"
+            "from repro.driver import Session\n"
+            "assert Session().check('f :: Int# -> Int#\\nf x = x +# 1#\\n',"
+            " 'm.lev').ok\n"
+            "print(sorted(name for name in sys.modules if name in "
+            "('repro.driver.lower', 'repro.lang_l', 'sqlite3')))\n")
+        env = dict(os.environ,
+                   PYTHONPATH="src" + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        output = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120,
+                                check=True).stdout
+        assert output.strip() == "[]"
+
+
 class TestGcAndCompact:
     def test_gc_drops_only_old_entries(self, tmp_path):
-        import time
-
         root = str(tmp_path / "c")
-        store = ShardStore(root)
+        store = CacheStore(root)
         old_key = "aa" + "0" * 62
         new_key = "bb" + "0" * 62
         store.put(old_key, {"v": "old"})
         store.put(new_key, {"v": "new"})
         store.save()
-        # Backdate one entry's stamp by rewriting its shard document.
-        shard_path = os.path.join(root, "unit", "aa.json")
-        with open(shard_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        document["stamps"][old_key] = time.time() - 100 * 24 * 3600
-        with open(shard_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        kept, dropped = ShardStore(root).gc(30 * 24 * 3600)
+        backdate(root, old_key)
+        kept, dropped = CacheStore(root).gc(30 * 24 * 3600)
         assert (kept, dropped) == (1, 1)
-        survivors = ShardStore(root).load_all()
+        survivors = CacheStore(root).load_all()
         assert set(survivors) == {new_key}
-        # The emptied shard file is gone entirely.
-        assert not os.path.exists(shard_path)
 
     def test_recent_hit_keeps_an_entry_alive(self, tmp_path):
-        import time
-
         root = str(tmp_path / "c")
-        store = ShardStore(root)
+        store = CacheStore(root)
         key = "cc" + "0" * 62
         store.put(key, {"v": 1})
         store.save()
-        shard_path = os.path.join(root, "unit", "cc.json")
-        with open(shard_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        document["stamps"][key] = time.time() - 100 * 24 * 3600
-        with open(shard_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+        backdate(root, key)
         # A read refreshes the stale stamp at save time...
-        reader = ShardStore(root)
+        reader = CacheStore(root)
         assert reader.get(key) == {"v": 1}
-        assert reader.save() == 1   # the refresh dirtied the shard
+        assert reader.save() == 1   # the refresh wrote the entry
         # ...so a subsequent age-bounded gc keeps the entry.
-        assert ShardStore(root).gc(30 * 24 * 3600) == (1, 0)
+        assert CacheStore(root).gc(30 * 24 * 3600) == (1, 0)
 
     def test_compact_preserves_entries(self, tmp_path):
         root = str(tmp_path / "c")
         Session().check_many([("m.lev", MODULE)], cache=root)
-        before = ShardStore(root).load_all()
-        ShardStore(root).compact()
-        assert ShardStore(root).load_all() == before
-        assert ShardStore(root).verify() == []
+        before = CacheStore(root).load_all()
+        CacheStore(root).compact()
+        assert CacheStore(root).load_all() == before
+        assert CacheStore(root).verify() == []
 
 
 class TestVerify:
-    def test_misplaced_entry_is_reported(self, tmp_path):
+    def test_unreadable_payload_is_reported(self, tmp_path):
         root = str(tmp_path / "c")
-        store = ShardStore(root)
+        store = CacheStore(root)
         store.put("aa" + "0" * 62, {"v": 1})
         store.save()
-        os.rename(os.path.join(root, "unit", "aa.json"),
-                  os.path.join(root, "unit", "bb.json"))
-        problems = ShardStore(root).verify()
+        hand_edit(root, "UPDATE entry SET payload = '{ torn'")
+        problems = CacheStore(root).verify()
         assert len(problems) == 1
-        assert "belongs in" in problems[0]
+        assert "unreadable payload" in problems[0]
+        # The lookup path treats the same row as a miss.
+        assert CacheStore(root).get("aa" + "0" * 62) is None
 
-    def test_wrong_schema_is_reported(self, tmp_path):
+    def test_a_damaged_index_is_reported(self, tmp_path):
+        # One byte changed in the primary-key index's copy of a key: the
+        # database still opens, and SQLite's integrity check finds it.
         root = str(tmp_path / "c")
-        os.makedirs(os.path.join(root, "unit"))
-        with open(os.path.join(root, "unit", "00.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump({"schema": CACHE_SCHEMA + 1, "entries": {}}, handle)
-        problems = ShardStore(root).verify()
-        assert len(problems) == 1
-        assert "schema" in problems[0]
+        store = CacheStore(root)
+        key = "ab" * 32
+        store.put(key, {"v": 1})
+        store.save()
+        data = Path(database(root)).read_bytes()
+        at = data.rindex(key.encode())
+        assert at != data.index(key.encode())  # the index's copy
+        with open(database(root), "r+b") as handle:
+            handle.seek(at)
+            handle.write(b"c")
+        problems = CacheStore(root).verify()
+        assert problems
+        assert all(problem.startswith(database(root))
+                   for problem in problems)
 
 
 class TestSchemeRenderMemo:
@@ -392,33 +499,26 @@ class TestSchemeRenderMemo:
 
 
 class TestCacheCli:
-    def seeded(self, tmp_path):
-        root = str(tmp_path / "c")
-        Session().check_many([("m.lev", MODULE)], cache=root)
-        return root
-
     def test_stats_json(self, tmp_path, capsys):
-        root = self.seeded(tmp_path)
+        root = seeded(tmp_path)
         assert main(["cache", "stats", "--json", root]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == CACHE_SCHEMA
+        assert document["schema"] == CACHE_SCHEMA == 5
         assert document["entries"] == 4  # 3 units + 1 file entry
-        assert document["tables"]["unit"]["shards"] >= 1
+        assert document["tables"]["unit"]["entries"] == 3
+        assert document["tables"]["pfile"]["entries"] == 1
 
     def test_verify_ok_and_failure(self, tmp_path, capsys):
-        root = self.seeded(tmp_path)
+        root = seeded(tmp_path)
         assert main(["cache", "verify", root]) == 0
         assert "ok" in capsys.readouterr().out
-        shard = next(os.path.join(root, "unit", name)
-                     for name in sorted(os.listdir(
-                         os.path.join(root, "unit"))))
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.write("{ torn")
+        hand_edit(root, "UPDATE entry SET payload = '{ torn' "
+                  "WHERE key LIKE 'pfile:%'")
         assert main(["cache", "verify", root]) == 1
         assert "unreadable" in capsys.readouterr().out
 
     def test_gc_and_compact(self, tmp_path, capsys):
-        root = self.seeded(tmp_path)
+        root = seeded(tmp_path)
         assert main(["cache", "gc", "--max-age", "30d", "--json",
                      root]) == 0
         assert json.loads(capsys.readouterr().out) == {"kept": 4,
@@ -427,15 +527,27 @@ class TestCacheCli:
         capsys.readouterr()
         assert main(["cache", "stats", "--json", root]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 4
+        assert main(["cache", "gc", "--max-age", "0s", root]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json", root]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
 
     def test_gc_requires_max_age(self, tmp_path, capsys):
-        root = self.seeded(tmp_path)
+        root = seeded(tmp_path)
         assert main(["cache", "gc", root]) == 2
         assert "--max-age" in capsys.readouterr().err
 
     def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
         assert main(["cache", "stats", str(tmp_path / "absent")]) == 2
         assert "no cache directory" in capsys.readouterr().err
+
+    def test_garbage_database_is_a_usage_error(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / store_module.DATABASE_NAME).write_bytes(b"junk" * 64)
+        assert main(["cache", "stats", str(root)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "not a database" in line
 
     def test_legacy_file_is_explained(self, tmp_path, capsys):
         path = tmp_path / "cache.json"
