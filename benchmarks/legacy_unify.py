@@ -56,6 +56,9 @@ class LegacyUnifierState:
     def is_rep_uvar(self, name: str) -> bool:
         return name in self.rep_uvar_names
 
+    def default_rep(self, name: str, rep: Rep) -> None:
+        self.rep_solutions[name] = rep
+
     def fresh_type_uvar(self, kind: Optional[Kind] = None,
                         prefix: str = "alpha") -> TyUVar:
         if kind is None:

@@ -4,7 +4,6 @@ from .builtin import (
     ABS1_BINDING,
     ABS2_BINDING,
     ABS_SIGNATURE,
-    class_prelude_module,
     eq_int_hash_instance,
     eq_int_instance,
     make_eq_class,

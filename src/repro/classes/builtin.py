@@ -35,8 +35,6 @@ from ..surface.ast import (
     Expr,
     FunBind,
     InstanceDecl,
-    Module,
-    TypeSig,
     apply,
     lams,
 )
@@ -281,18 +279,3 @@ def standard_class_env(levity_polymorphic: bool = True,
                                     env)
         class_env.register_instance(eq_int_hash_instance(), inferencer, env)
     return class_env
-
-
-def class_prelude_module(levity_polymorphic: bool = True) -> Module:
-    """A surface module declaring the classes, instances and abs1/abs2."""
-    decls = [
-        make_num_class(levity_polymorphic),
-        make_eq_class(levity_polymorphic),
-        num_int_instance(),
-        eq_int_instance(),
-    ]
-    if levity_polymorphic:
-        decls.extend([num_int_hash_instance(), num_double_hash_instance(),
-                      eq_int_hash_instance()])
-    decls.extend([TypeSig("abs1", ABS_SIGNATURE), ABS1_BINDING])
-    return Module("ClassPrelude", decls)

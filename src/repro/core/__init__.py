@@ -44,7 +44,6 @@ from .kinds import (
     Type,
     TypeKind,
     arrow_kind,
-    fresh_kind_var,
     kind_of_type_constructor,
     type_kind,
     unboxed_tuple_kind,
@@ -55,7 +54,6 @@ from .levity import (
     check_argument_kind,
     check_binder_kind,
     kind_is_fixed,
-    rep_is_fixed,
 )
 from .rep import (
     ADDR_REP,

@@ -24,7 +24,6 @@ are cached, and the ``free_*`` queries are memoised per node (see
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Tuple
 
 from .rep import (
@@ -391,14 +390,6 @@ def arrow_kind(*kinds: Kind) -> Kind:
     for argument in reversed(kinds[:-1]):
         result = ArrowKind(argument, result)
     return result
-
-
-_kind_var_counter = itertools.count()
-
-
-def fresh_kind_var(prefix: str = "k") -> KindVar:
-    """A fresh kind unification variable."""
-    return KindVar._fresh(next(_kind_var_counter), prefix)
 
 
 def kind_of_type_constructor(arity: int, result: Kind = TYPE_LIFTED) -> Kind:

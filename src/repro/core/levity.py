@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence
 
 from .errors import LevityPolymorphicArgument, LevityPolymorphicBinder
 from .kinds import Kind, TypeKind
-from .rep import Rep
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ def kind_is_fixed(kind: Kind) -> bool:
     and E_LAM of Figure 3.
     """
     return isinstance(kind, TypeKind) and kind.rep.is_concrete()
-
-
-def rep_is_fixed(rep: Rep) -> bool:
-    """Is the representation concrete (free of representation variables)?"""
-    return rep.is_concrete()
 
 
 def check_binder_kind(kind: Kind, what: str = "bound variable") -> None:

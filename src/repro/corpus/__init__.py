@@ -8,7 +8,7 @@ from .analysis import (
     survey_classes,
     survey_functions,
 )
-from .classes_db import CLASSES, ClassEntry, MethodEntry, corpus_by_name, corpus_size
+from .classes_db import CLASSES, ClassEntry, MethodEntry, corpus_by_name
 from .functions_db import (
     COMPOSE_NOT_YET_GENERALISED,
     LEVITY_GENERALISED_FUNCTIONS,

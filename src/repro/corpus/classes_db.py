@@ -280,7 +280,3 @@ CLASSES: Tuple[ClassEntry, ...] = (
 
 def corpus_by_name() -> Dict[str, ClassEntry]:
     return {entry.name: entry for entry in CLASSES}
-
-
-def corpus_size() -> int:
-    return len(CLASSES)

@@ -21,6 +21,13 @@ file outlives a command.  SQLite's locking relies on the file system's,
 which is unreliable on network file systems: keep a shared cache
 directory on a local disk.
 
+The store also keeps SQLite's default ``synchronous=FULL``: a commit
+returns once its data is on disk.  Those flushes take most of a small
+save's time, but they are safety code.  An entry lost in a crash would
+cost only a re-check, while a ``cache.sqlite`` torn by an operating-system
+crash or power loss under a weaker setting is refused with ``error:``
+until someone deletes it.
+
 The root path must be a directory: opening a store creates it, and a
 path that exists as a regular file, or lies under one, is refused with
 an ``OSError`` and left untouched.  A ``cache.sqlite`` that SQLite cannot

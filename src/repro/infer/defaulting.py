@@ -9,11 +9,13 @@ sacrifices principal types for the levity-polymorphic fragment (footnote 11).
 :func:`generalise` implements the full pipeline used when a binding has no
 type signature:
 
-1. zonk the inferred type;
+1. zonk the inferred type, so every free variable left is an unsolved
+   class root of the solver's one store;
 2. default every free representation unification variable to ``LiftedRep``
-   (unless the ablation flag ``generalise_reps`` is set, in which case the
-   variables are quantified instead — producing exactly the un-compilable
-   scheme the paper warns about, which the downstream levity check rejects);
+   with :meth:`UnifierState.default_rep` (unless the ablation flag
+   ``generalise_reps`` is set, in which case the variables are quantified
+   instead — producing exactly the un-compilable scheme the paper warns
+   about, which the downstream levity check rejects);
 3. quantify the remaining free type unification variables, giving them
    user-facing names ``a``, ``b``, … and their zonked kinds;
 4. split the wanted class constraints into those that mention quantified
@@ -57,9 +59,7 @@ def default_rep_uvars(state: UnifierState, type_: SType,
     for name in sorted(zonked.free_rep_vars()):
         if name in avoid or not state.is_rep_uvar(name):
             continue
-        if name in state.rep_solutions:
-            continue
-        state.rep_solutions[name] = LIFTED
+        state.default_rep(name, LIFTED)
         defaulted.append(name)
     return tuple(defaulted)
 
@@ -104,8 +104,7 @@ def generalise(state: UnifierState, env: TypeEnv, type_: SType,
         zonked = state.zonk_type(type_)
         candidates = [name for name in sorted(zonked.free_rep_vars())
                       if state.is_rep_uvar(name)
-                      and name not in env_rep_vars
-                      and name not in state.rep_solutions]
+                      and name not in env_rep_vars]
         for index, name in enumerate(candidates):
             new_name = f"r{index + 1}" if len(candidates) > 1 else "r"
             generalised_reps.append(new_name)

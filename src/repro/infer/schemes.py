@@ -140,17 +140,3 @@ class TypeEnv:
         for env in reversed(chain):
             result.update(env.bindings)
         return result
-
-    def free_uvars(self) -> FrozenSet[str]:
-        """Type unification variables free in any binding (for generalisation)."""
-        out: FrozenSet[str] = frozenset()
-        for scheme in self.all_bindings().values():
-            out = out | scheme.body.free_uvars()
-        return out
-
-    def free_rep_vars(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for scheme in self.all_bindings().values():
-            out = (out | scheme.body.free_rep_vars()) - frozenset(
-                scheme.rep_binders)
-        return out

@@ -6,9 +6,11 @@ as the choice of a ``Rep`` is a boon for type inference: when GHC checks
 representation unification variable ``ρ`` with ``α :: TYPE ρ``, and ordinary
 unification does the rest.  This module provides exactly that machinery:
 
-* :class:`UnifierState` — the store of solutions for type unification
+* :class:`UnifierState` — the one store of solutions for type unification
   variables (``TyUVar``), representation unification variables
   (``RepVar(unification=True)``) and kind unification variables;
+  defaulting (:mod:`repro.infer.defaulting`) writes to it only through
+  :meth:`UnifierState.default_rep`;
 * ``unify_types`` / ``unify_kinds`` / ``unify_reps`` — first-order
   unification with occurs checks;
 * ``zonk_*`` — replace solved variables by their solutions, the analogue of
@@ -34,9 +36,11 @@ instead uses, per sort:
   terms with an explicit worklist, resolving only the *head* of each subterm,
   so no recursion depth is consumed by either solution chains or deep
   structural spines;
-* **memoised zonking** over the hash-consed term graph, invalidated by a
-  store version counter, with an inertness fast path: a term containing no
-  unification variables touched by this state zonks to itself.
+* **zonking with an inertness fast path**: a term containing no
+  unification variables touched by this state zonks to itself, unwalked;
+* **one kinding function**: a binding's kind check resolves the head and
+  otherwise hands the zonked term to the memoised
+  :func:`repro.surface.types.kind_of_type`.
 
 Fresh variables are numbered from a per-state integer counter shared by all
 three sorts (matching the seed's name sequence) and format their user-facing
@@ -56,6 +60,7 @@ from ..core.kinds import (
 )
 from ..core.rep import Rep, RepVar, SumRep, TupleRep
 from ..surface.types import (
+    Binder,
     ClassConstraint,
     ForAllTy,
     FunTy,
@@ -75,8 +80,7 @@ class UnifierStats:
 
     __slots__ = ("unify_types_calls", "unify_reps_calls", "unify_kinds_calls",
                  "type_bindings", "rep_bindings", "kind_bindings",
-                 "finds", "unions", "occurs_checks",
-                 "zonk_memo_hits", "zonk_memo_misses")
+                 "finds", "unions", "occurs_checks")
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -130,66 +134,17 @@ class _UnionFind:
         return root1
 
 
-class _SolutionView:
-    """Dict-like, union-find-aware view of one sort's solutions.
-
-    Kept for API compatibility with the seed solver, whose per-sort solution
-    dictionaries were plain ``{name: term}`` attributes (``defaulting.py``
-    and external callers read and write them).  Lookups resolve the name to
-    its class root first, so a variable that was unified into a solved class
-    correctly reports that solution.
-    """
-
-    __slots__ = ("_uf", "_sols", "_state")
-
-    def __init__(self, uf: _UnionFind, sols: Dict[str, object],
-                 state: "UnifierState") -> None:
-        self._uf = uf
-        self._sols = sols
-        self._state = state
-
-    def get(self, name: str, default=None):
-        return self._sols.get(self._uf.find(name), default)
-
-    def __contains__(self, name: str) -> bool:
-        return self._uf.find(name) in self._sols
-
-    def __getitem__(self, name: str):
-        value = self.get(name)
-        if value is None:
-            raise KeyError(name)
-        return value
-
-    def __setitem__(self, name: str, term) -> None:
-        self._sols[self._uf.find(name)] = term
-        self._state._version += 1
-
-    def __len__(self) -> int:
-        return len(self._sols)
-
-    def __iter__(self):
-        return iter(self._sols)
-
-    def __bool__(self) -> bool:
-        return bool(self._sols)
-
-
 class UnifierState:
     """Mutable solver state: solutions for all three sorts of variables."""
 
-    __slots__ = ("stats", "_next_id", "_version", "_memo_version",
-                 "_tuf", "_ruf", "_kuf",
+    __slots__ = ("stats", "_next_id", "_tuf", "_ruf", "_kuf",
                  "_type_sol", "_rep_sol", "_kind_sol",
                  "_type_vars", "_rep_vars", "_kind_vars",
-                 "_pending_rep_uvars", "_rep_uvar_names",
-                 "_zonk_type_memo", "_zonk_kind_memo", "_zonk_rep_memo",
-                 "type_solutions", "rep_solutions", "kind_solutions")
+                 "_pending_rep_uvars", "_rep_uvar_names")
 
     def __init__(self) -> None:
         self.stats = UnifierStats()
         self._next_id = 0
-        self._version = 0
-        self._memo_version = 0
         self._tuf = _UnionFind(self.stats)
         self._ruf = _UnionFind(self.stats)
         self._kuf = _UnionFind(self.stats)
@@ -205,13 +160,6 @@ class UnifierState:
         #: name set; flushed on the first is_rep_uvar query.
         self._pending_rep_uvars: List[RepVar] = []
         self._rep_uvar_names: Set[str] = set()
-        self._zonk_type_memo: Dict[SType, SType] = {}
-        self._zonk_kind_memo: Dict[Kind, Kind] = {}
-        self._zonk_rep_memo: Dict[Rep, Rep] = {}
-        # Seed-compatible dict-like views of the solution stores.
-        self.type_solutions = _SolutionView(self._tuf, self._type_sol, self)
-        self.rep_solutions = _SolutionView(self._ruf, self._rep_sol, self)
-        self.kind_solutions = _SolutionView(self._kuf, self._kind_sol, self)
 
     # -- fresh variables -----------------------------------------------------
 
@@ -228,19 +176,15 @@ class UnifierState:
 
     def is_rep_uvar(self, name: str) -> bool:
         """Was ``name`` created by :meth:`fresh_rep_uvar` (vs. a rigid var)?"""
-        return name in self._rep_uvar_name_set()
-
-    def _rep_uvar_name_set(self) -> Set[str]:
         pending = self._pending_rep_uvars
         if pending:
             self._rep_uvar_names.update(var.name for var in pending)
             pending.clear()
-        return self._rep_uvar_names
+        return name in self._rep_uvar_names
 
-    @property
-    def rep_uvar_names(self) -> Set[str]:
-        """Names of every rep unification variable this state invented."""
-        return self._rep_uvar_name_set()
+    def default_rep(self, name: str, rep: Rep) -> None:
+        """Solve the class of rep unification variable ``name`` to ``rep``."""
+        self._rep_sol[self._ruf.find(name)] = rep
 
     def fresh_type_uvar(self, kind: Optional[Kind] = None,
                         prefix: str = "alpha") -> TyUVar:
@@ -256,14 +200,7 @@ class UnifierState:
     def fresh_kind_uvar(self, prefix: str = "kappa") -> KindVar:
         return KindVar._fresh(self._fresh_id(), prefix)
 
-    # -- memo management -------------------------------------------------------
-
-    def _sync_memo(self) -> None:
-        if self._memo_version != self._version:
-            self._zonk_type_memo.clear()
-            self._zonk_kind_memo.clear()
-            self._zonk_rep_memo.clear()
-            self._memo_version = self._version
+    # -- inertness -------------------------------------------------------------
 
     def _names_inert_rep(self, names: FrozenSet[str]) -> bool:
         """No name in ``names`` was unioned or solved at the rep sort."""
@@ -282,10 +219,6 @@ class UnifierState:
 
     def zonk_rep(self, rep: Rep) -> Rep:
         """Replace solved representation variables by their solutions."""
-        self._sync_memo()
-        return self._zonk_rep(rep)
-
-    def _zonk_rep(self, rep: Rep) -> Rep:
         if isinstance(rep, RepVar):
             if not rep.unification:
                 return rep
@@ -294,70 +227,45 @@ class UnifierState:
                     else self._ruf.find(name))
             solution = self._rep_sol.get(root)
             if solution is not None:
-                return self._zonk_rep(solution)
+                return self.zonk_rep(solution)
             if root == rep.name:
                 return rep
             return self._rep_vars[root]
         free = rep.free_rep_vars()
         if not free or self._names_inert_rep(free):
             return rep
-        memo = self._zonk_rep_memo
-        out = memo.get(rep)
-        if out is not None:
-            self.stats.zonk_memo_hits += 1
-            return out
-        self.stats.zonk_memo_misses += 1
         if isinstance(rep, TupleRep):
-            out = TupleRep(self._zonk_rep(r) for r in rep.reps)
-        elif isinstance(rep, SumRep):
-            out = SumRep(self._zonk_rep(r) for r in rep.alternatives)
-        else:  # pragma: no cover - no other compound reps exist
-            out = rep
-        memo[rep] = out
-        return out
+            return TupleRep(self.zonk_rep(r) for r in rep.reps)
+        if isinstance(rep, SumRep):
+            return SumRep(self.zonk_rep(r) for r in rep.alternatives)
+        return rep  # pragma: no cover - no other compound reps exist
 
     def zonk_kind(self, kind: Kind) -> Kind:
-        self._sync_memo()
-        return self._zonk_kind(kind)
-
-    def _zonk_kind(self, kind: Kind) -> Kind:
         if isinstance(kind, TypeKind):
             rep = kind.rep
-            zonked = self._zonk_rep(rep)
+            zonked = self.zonk_rep(rep)
             if zonked is rep:
                 return kind
             return TypeKind(zonked)
         if isinstance(kind, ArrowKind):
-            memo = self._zonk_kind_memo
-            out = memo.get(kind)
-            if out is not None:
-                self.stats.zonk_memo_hits += 1
-                return out
-            self.stats.zonk_memo_misses += 1
-            argument = self._zonk_kind(kind.argument)
-            result = self._zonk_kind(kind.result)
-            out = kind if (argument is kind.argument
-                           and result is kind.result) \
-                else ArrowKind(argument, result)
-            memo[kind] = out
-            return out
+            argument = self.zonk_kind(kind.argument)
+            result = self.zonk_kind(kind.result)
+            if argument is kind.argument and result is kind.result:
+                return kind
+            return ArrowKind(argument, result)
         if isinstance(kind, KindVar):
             if not kind.unification:
                 return kind
             root = self._kuf.find(kind.name)
             solution = self._kind_sol.get(root)
             if solution is not None:
-                return self._zonk_kind(solution)
+                return self.zonk_kind(solution)
             if root == kind.name:
                 return kind
             return self._kind_vars[root]
         return kind
 
     def zonk_type(self, type_: SType) -> SType:
-        self._sync_memo()
-        return self._zonk_type(type_)
-
-    def _zonk_type(self, type_: SType) -> SType:
         tt = type(type_)
         if tt is TyUVar:
             name = type_.name
@@ -365,64 +273,53 @@ class UnifierState:
                     else self._tuf.find(name))
             solution = self._type_sol.get(root)
             if solution is not None:
-                return self._zonk_type(solution)
+                return self.zonk_type(solution)
             var = self._type_vars.get(root, type_)
-            kind = self._zonk_kind(var.kind)
+            kind = self.zonk_kind(var.kind)
             if var is type_ and kind is type_.kind:
                 return type_
             return TyUVar(var.name, kind)
         if tt is TyVar:
-            kind = self._zonk_kind(type_.kind)
+            kind = self.zonk_kind(type_.kind)
             return type_ if kind is type_.kind else TyVar(type_.name, kind)
         if tt is TyCon:
-            kind = self._zonk_kind(type_.kind)
+            kind = self.zonk_kind(type_.kind)
             return type_ if kind is type_.kind else TyCon(type_.name, kind)
 
-        # Composite nodes: inert fast path, then memoised rebuild.
+        # Composite nodes: inert fast path, then rebuild.
         if not type_.free_uvars():
             free_reps = type_.free_rep_vars()
             if ((not free_reps or self._names_inert_rep(free_reps))
                     and self._kinds_inert()):
                 return type_
-        memo = self._zonk_type_memo
-        out = memo.get(type_)
-        if out is not None:
-            self.stats.zonk_memo_hits += 1
-            return out
-        self.stats.zonk_memo_misses += 1
-
         if tt is FunTy:
-            argument = self._zonk_type(type_.argument)
-            result = self._zonk_type(type_.result)
-            out = type_ if (argument is type_.argument
-                            and result is type_.result) \
-                else FunTy(argument, result)
-        elif tt is TyApp:
-            function = self._zonk_type(type_.function)
-            argument = self._zonk_type(type_.argument)
-            out = type_ if (function is type_.function
-                            and argument is type_.argument) \
-                else TyApp(function, argument)
-        elif tt is UnboxedTupleTy:
-            out = UnboxedTupleTy(self._zonk_type(c)
-                                 for c in type_.components)
-        elif tt is ForAllTy:
+            argument = self.zonk_type(type_.argument)
+            result = self.zonk_type(type_.result)
+            if argument is type_.argument and result is type_.result:
+                return type_
+            return FunTy(argument, result)
+        if tt is TyApp:
+            function = self.zonk_type(type_.function)
+            argument = self.zonk_type(type_.argument)
+            if function is type_.function and argument is type_.argument:
+                return type_
+            return TyApp(function, argument)
+        if tt is UnboxedTupleTy:
+            return UnboxedTupleTy(self.zonk_type(c)
+                                  for c in type_.components)
+        if tt is ForAllTy:
             # NB: binder kinds are zonked too — a solved ``ρ`` inside a
             # binder kind (e.g. ``forall (a :: TYPE ρ). …``) must be
             # substituted, which the seed solver forgot to do.
-            from ..surface.types import Binder
-            binders = tuple(Binder(b.name, self._zonk_kind(b.kind))
+            binders = tuple(Binder(b.name, self.zonk_kind(b.kind))
                             for b in type_.binders)
-            out = ForAllTy(binders, self._zonk_type(type_.body))
-        elif tt is QualTy:
+            return ForAllTy(binders, self.zonk_type(type_.body))
+        if tt is QualTy:
             constraints = tuple(
-                ClassConstraint(c.class_name, self._zonk_type(c.argument))
+                ClassConstraint(c.class_name, self.zonk_type(c.argument))
                 for c in type_.constraints)
-            out = QualTy(constraints, self._zonk_type(type_.body))
-        else:
-            out = type_
-        memo[type_] = out
-        return out
+            return QualTy(constraints, self.zonk_type(type_.body))
+        return type_
 
     # -- head resolution -------------------------------------------------------
 
@@ -536,7 +433,6 @@ class UnifierState:
                     f"{self.zonk_rep(rep).pretty()}")
             self._rep_sol[root] = rep
         self.stats.rep_bindings += 1
-        self._version += 1
 
     def _occurs_rep(self, root: str, rep: Rep) -> bool:
         """Does the class ``root`` occur in ``rep`` (solutions resolved)?"""
@@ -620,7 +516,6 @@ class UnifierState:
                     f"{self.zonk_kind(kind).pretty()} (infinite kind)")
             self._kind_sol[root] = kind
         self.stats.kind_bindings += 1
-        self._version += 1
 
     def _occurs_kind(self, root: str, kind: Kind) -> bool:
         """Does the class ``root`` occur in ``kind`` (solutions resolved)?"""
@@ -723,7 +618,6 @@ class UnifierState:
             self.unify_kinds(var.kind, self._kind_of(type_))
             self._type_sol[root] = type_
         self.stats.type_bindings += 1
-        self._version += 1
 
     def _occurs_type(self, root: str, type_: SType) -> bool:
         """Does the class ``root`` occur in ``type_`` (solutions resolved)?"""
@@ -764,65 +658,15 @@ class UnifierState:
         return False
 
     def _kind_of(self, type_: SType) -> Kind:
-        """The kind of a possibly-unzonked type, resolving variable heads.
+        """The kind of a possibly-unzonked type.
 
-        Mirrors :func:`repro.surface.types.kind_of_type` but never needs the
-        term to be zonked first: unification-variable heads are resolved on
-        the fly and kind comparisons happen on zonked kinds.  This is what
-        lets :meth:`_bind_type` kind-check a binding without re-zonking the
-        whole right-hand side (the seed solver's quadratic hot spot).
+        A variable or constructor head carries its kind; any other term is
+        zonked and kinded by :func:`repro.surface.types.kind_of_type`, whose
+        ``KindError`` texts therefore print zonked subterms.  An inert term
+        zonks to itself, so repeated binds against the same wide term hit
+        ``kind_of_type``'s global memo.
         """
-        from ..core.errors import KindError, TypeCheckError
-
         type_ = self._head_type(type_)
         if isinstance(type_, (TyCon, TyVar, TyUVar)):
             return type_.kind
-        # Inert terms (no unification variables this state could have
-        # touched) kind-check via the globally memoised kinding function:
-        # repeated binds against the same wide term become O(1).
-        if not type_.free_uvars():
-            free_reps = type_.free_rep_vars()
-            if ((not free_reps or self._names_inert_rep(free_reps))
-                    and self._kinds_inert()):
-                return kind_of_type(type_)
-        if isinstance(type_, FunTy):
-            from ..core.kinds import TYPE_LIFTED
-            for side, label in ((type_.argument, "argument"),
-                                (type_.result, "result")):
-                side_kind = self.zonk_kind(self._kind_of(side))
-                if not isinstance(side_kind, TypeKind):
-                    raise KindError(
-                        f"the {label} of a function arrow must have a value "
-                        f"kind, but {self.zonk_type(side).pretty()} has kind "
-                        f"{side_kind.pretty()}")
-            return TYPE_LIFTED
-        if isinstance(type_, TyApp):
-            function_kind = self.zonk_kind(self._kind_of(type_.function))
-            argument_kind = self.zonk_kind(self._kind_of(type_.argument))
-            if not isinstance(function_kind, ArrowKind):
-                raise KindError(
-                    f"{self.zonk_type(type_.function).pretty()} of kind "
-                    f"{function_kind.pretty()} cannot be applied to a type "
-                    "argument")
-            if function_kind.argument != argument_kind:
-                raise KindError(
-                    f"kind mismatch in {self.zonk_type(type_).pretty()}: "
-                    f"expected {function_kind.argument.pretty()}, got "
-                    f"{argument_kind.pretty()}")
-            return function_kind.result
-        if isinstance(type_, UnboxedTupleTy):
-            reps: List[Rep] = []
-            for component in type_.components:
-                component_kind = self.zonk_kind(self._kind_of(component))
-                if not isinstance(component_kind, TypeKind):
-                    raise KindError(
-                        f"unboxed tuple component "
-                        f"{self.zonk_type(component).pretty()} has "
-                        f"non-value kind {component_kind.pretty()}")
-                reps.append(component_kind.rep)
-            return TypeKind(TupleRep(reps))
-        if isinstance(type_, (ForAllTy, QualTy)):
-            # Zonked foralls/qualified types delegate to the pure kinding
-            # function, which also handles rep binders correctly.
-            return kind_of_type(self.zonk_type(type_))
-        raise TypeCheckError(f"unknown surface type form: {type_!r}")
+        return kind_of_type(self.zonk_type(type_))

@@ -47,7 +47,6 @@ from .syntax import (
     VarSort,
     fresh_integer_var,
     fresh_pointer_var,
-    is_answer,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -494,8 +494,3 @@ M_ERROR = MError()
 
 #: The classes of the value forms ``w ::= λy.t | I#[n] | n``.
 VALUE_FORMS = frozenset({MLam, MLit, MConLit})
-
-
-def is_answer(expr: MExpr) -> bool:
-    """Is ``expr`` one of the value forms ``w``?"""
-    return type(expr) in VALUE_FORMS

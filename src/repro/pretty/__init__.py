@@ -3,7 +3,6 @@
 from .printer import (
     PrinterOptions,
     default_reps_for_display,
-    render_kind,
     render_scheme,
     render_type,
 )
@@ -11,7 +10,6 @@ from .printer import (
 __all__ = [
     "PrinterOptions",
     "default_reps_for_display",
-    "render_kind",
     "render_scheme",
     "render_type",
 ]

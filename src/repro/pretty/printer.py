@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.kinds import Kind, TYPE_LIFTED, TypeKind
+from ..core.kinds import TYPE_LIFTED, TypeKind
 from ..core.rep import LIFTED, Rep, RepVar
 from ..infer.schemes import Scheme
 from ..surface.types import ForAllTy, SType
@@ -76,10 +76,3 @@ def render_type(type_: SType,
                 options: Optional[PrinterOptions] = None) -> str:
     """Render a surface type under the same defaulting convention."""
     return render_scheme(Scheme.from_type(type_), options)
-
-
-def render_kind(kind: Kind,
-                options: Optional[PrinterOptions] = None) -> str:
-    """Render a kind, hiding representation variables unless asked."""
-    options = options or PrinterOptions()
-    return kind.pretty(explicit_runtime_reps=options.print_explicit_runtime_reps)

@@ -6,11 +6,9 @@ from .checker import (
     LEGACY_UNDEFINED,
     LegacySignature,
     describe_error_message,
-    legacy_check_instantiation,
     legacy_infer_wrapper_kind,
     legacy_instantiation_ok,
     legacy_restrictions,
-    saturated_arrow_kind,
 )
 from .kinds import (
     HASH,

@@ -29,9 +29,9 @@ two designs side by side:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..core.errors import KindError, TypeCheckError
+from ..core.errors import TypeCheckError
 from ..surface.types import SType
 from .kinds import HASH, LegacyKind, OPEN_KIND, STAR, is_subkind_of, legacy_kind_of
 
@@ -80,34 +80,12 @@ def legacy_infer_wrapper_kind(wraps: LegacySignature) -> LegacySignature:
                            magical=False)
 
 
-def legacy_check_instantiation(signature: LegacySignature,
-                               at_type: SType) -> None:
-    """Raise the legacy-style error message when instantiation is rejected."""
-    if legacy_instantiation_ok(signature, at_type):
-        return
-    raise KindError(describe_error_message(signature, at_type))
-
-
 def describe_error_message(signature: LegacySignature,
                            at_type: SType) -> str:
     """The kind-mismatch message, with OpenKind embarrassingly on display."""
     return (f"Couldn't match kind '{signature.quantified_kind.pretty()}' "
             f"with '{legacy_kind_of(at_type).pretty()}' arising from a use "
             f"of '{signature.name}' at type '{at_type.pretty()}'")
-
-
-def saturated_arrow_kind(saturated: bool) -> Tuple[LegacyKind, LegacyKind,
-                                                   LegacyKind]:
-    """The legacy kind of ``(->)``: different when partially applied!
-
-    Fully saturated uses were given ``OpenKind -> OpenKind -> Type`` while
-    partial applications got ``Type -> Type -> Type`` — the "sleight-of-hand"
-    that confused keen students of type theory (Section 3.2).  Returns the
-    (argument, argument, result) kinds.
-    """
-    if saturated:
-        return (OPEN_KIND, OPEN_KIND, STAR)
-    return (STAR, STAR, STAR)
 
 
 def legacy_restrictions() -> Dict[str, str]:

@@ -31,7 +31,7 @@ cached free-variable sets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.errors import KindError, ScopeError, TypeCheckError
 from ..core.kinds import (
@@ -871,16 +871,6 @@ def fun(*types: SType) -> SType:
     for argument in reversed(types[:-1]):
         result = FunTy(argument, result)
     return result
-
-
-def forall_reps(names: Sequence[str], body: SType) -> ForAllTy:
-    """``forall (r1 :: Rep) ... . body``."""
-    return ForAllTy(tuple(Binder(n, REP_KIND) for n in names), body)
-
-
-def forall_types(binders: Sequence[Tuple[str, Kind]], body: SType) -> ForAllTy:
-    """``forall (a1 :: k1) ... . body``."""
-    return ForAllTy(tuple(Binder(n, k) for n, k in binders), body)
 
 
 def rep_var_kind(name: str) -> TypeKind:

@@ -160,6 +160,39 @@ class TestUnification:
         with pytest.raises(OccursCheckError):
             state.unify_kinds(kappa, ArrowKind(kappa, TYPE_LIFTED))
 
+    def test_defaulting_a_unioned_rep_class_defaults_it_once(self):
+        """ρ0 ~ ρ1 form one class: one defaulted name, both zonk lifted."""
+        from repro.infer.defaulting import default_rep_uvars
+        state = UnifierState()
+        rho0, rho1 = state.fresh_rep_uvar(), state.fresh_rep_uvar()
+        state.unify_reps(rho1, rho0)
+        pair = UnboxedTupleTy([state.fresh_type_uvar(TypeKind(rho0)),
+                               state.fresh_type_uvar(TypeKind(rho1))])
+        assert len(default_rep_uvars(state, pair)) == 1
+        assert state.zonk_rep(rho0) == LIFTED
+        assert state.zonk_rep(rho1) == LIFTED
+
+    def test_default_rep_solves_the_class_root(self):
+        """Defaulting either member of a rep class solves the whole class."""
+        for member in (0, 1):
+            state = UnifierState()
+            rhos = (state.fresh_rep_uvar(), state.fresh_rep_uvar())
+            state.unify_reps(*rhos)
+            state.default_rep(rhos[member].name, INT_REP)
+            assert [state.zonk_rep(rho) for rho in rhos] == [INT_REP] * 2
+
+    def test_binding_an_ill_kinded_term_reports_it_zonked(self):
+        """α := Maybe β after β := Int# prints the solved argument."""
+        from repro.core.errors import KindError
+        state = UnifierState()
+        beta = state.fresh_type_uvar()
+        state.unify_types(beta, INT_HASH_TY)
+        alpha = state.fresh_type_uvar()
+        with pytest.raises(KindError) as info:
+            state.unify_types(alpha, TyApp(MAYBE_TY, beta))
+        assert str(info.value) == ("kind mismatch in Maybe Int#: expected "
+                                   "Type, got TYPE IntRep")
+
     def test_variable_variable_chains_collapse(self):
         """A chain α0 ~ α1 ~ … ~ αn zonks every link to the one solution."""
         state = UnifierState()

@@ -1,13 +1,16 @@
 """Property-based tests for the union-find unifier (hypothesis).
 
-Three algebraic properties the solver must satisfy on *random* terms:
+Four algebraic properties the solver must satisfy on *random* terms:
 
 * **zonking is a fixpoint** — ``zonk(zonk(t)) == zonk(t)`` for every type,
   kind and rep, whatever unifications happened before;
 * **unification is idempotent** — re-unifying two already-unified terms
-  succeeds and creates no new bindings (the store version is unchanged);
+  succeeds and creates no new bindings (the bind counters are unchanged);
 * **unification actually unifies** — after ``unify(t1, t2)`` succeeds,
-  ``zonk(t1) == zonk(t2)``.
+  ``zonk(t1) == zonk(t2)``;
+* **binding preserves kinds** — after ``unify_types(α, t)`` succeeds,
+  ``zonk(kind(α)) == kind_of_type(zonk(t))`` (Section 5.2: representation
+  information flows through the kinds).
 
 The strategies build kind-correct first-order types over the built-in
 constructors, rigid/unification rep variables, and unboxed tuples, then
@@ -43,6 +46,7 @@ from repro.surface.types import (
     MAYBE_TY,
     TyApp,
     UnboxedTupleTy,
+    kind_of_type,
 )
 
 UNIFY_ERRORS = (UnificationError, OccursCheckError, KindError)
@@ -73,7 +77,6 @@ _base_types = st.sampled_from([INT_TY, BOOL_TY, INT_HASH_TY, DOUBLE_HASH_TY])
 
 def _maybe_of(t):
     # ``Maybe`` only applies to lifted types; fall back to Maybe Int.
-    from repro.surface.types import kind_of_type
     from repro.core.kinds import TYPE_LIFTED
 
     if kind_of_type(t) == TYPE_LIFTED:
@@ -185,6 +188,12 @@ def _abstract_rep(state, rep, rng):
 # ---------------------------------------------------------------------------
 
 
+def _bindings(state):
+    """The solver's bind counts: every union or solution, of each sort."""
+    stats = state.stats
+    return stats.type_bindings, stats.rep_bindings, stats.kind_bindings
+
+
 @given(type_=types, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_reunifying_unified_types_is_a_noop(type_, seed):
@@ -193,15 +202,11 @@ def test_reunifying_unified_types_is_a_noop(type_, seed):
     state = UnifierState()
     abstracted = _abstract_type(state, type_, random.Random(seed))
     state.unify_types(abstracted, type_)  # unifiable by construction
-    version_before = state._version
-    bindings_before = (state.stats.type_bindings, state.stats.rep_bindings,
-                       state.stats.kind_bindings)
+    bindings_before = _bindings(state)
     # Re-unifying the already-unified pair must succeed and bind nothing.
     state.unify_types(abstracted, type_)
     state.unify_types(state.zonk_type(abstracted), state.zonk_type(type_))
-    assert state._version == version_before
-    assert (state.stats.type_bindings, state.stats.rep_bindings,
-            state.stats.kind_bindings) == bindings_before
+    assert _bindings(state) == bindings_before
 
 
 @given(rep=reps, seed=st.integers(0, 2**32 - 1))
@@ -217,10 +222,10 @@ def test_reunifying_unified_reps_is_a_noop(rep, seed):
         # ``rep`` may contain the strategy's shared unification variables,
         # which an abstraction hole can capture (ρ ~ TupleRep [.. ρ ..]).
         assume(False)
-    version_before = state._version
+    bindings_before = _bindings(state)
     state.unify_reps(abstracted, rep)
     state.unify_reps(state.zonk_rep(abstracted), state.zonk_rep(rep))
-    assert state._version == version_before
+    assert _bindings(state) == bindings_before
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +256,28 @@ def test_successful_rep_unification_makes_zonked_reps_equal(rep, seed):
     except OccursCheckError:
         assume(False)
     assert state.zonk_rep(abstracted) == state.zonk_rep(rep)
+
+
+# ---------------------------------------------------------------------------
+# Binding preserves kinds
+# ---------------------------------------------------------------------------
+
+
+@given(type_=types, seed=st.integers(0, 2**32 - 1),
+       noise=st.lists(st.tuples(types, types), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_binding_a_uvar_gives_it_the_zonked_terms_kind(type_, seed, noise):
+    import random
+
+    rng = random.Random(seed)
+    state = _fresh_state_with_noise(noise)
+    term = _abstract_type(state, type_, rng)
+    if rng.random() < 0.5:
+        state.unify_types(term, type_)  # solve the holes first
+    alpha = state.fresh_type_uvar()
+    try:
+        state.unify_types(alpha, term)
+    except KindError:
+        # An unsolved hole under ``Maybe`` has kind ``TYPE ρ``, not ``Type``.
+        assume(False)
+    assert state.zonk_kind(alpha.kind) == kind_of_type(state.zonk_type(term))
