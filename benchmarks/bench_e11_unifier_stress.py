@@ -16,7 +16,12 @@ This benchmark measures the production union-find solver
   components unified against a concrete tuple, twice (the second pass is
   all lookups);
 * **many-binding modules** — a module of chained function bindings, run
-  through the full inference engine with each solver.
+  through the full inference engine with each solver.  Each binding is a
+  ``case`` of ``MODULE_ALTERNATIVES`` alternatives, every one calling the
+  previous binding on the same parameters, so inference builds solution
+  chains as long as the ``case`` inside one binding: the seed solver walks
+  them again at every use (quadratic in the alternatives), the union-find
+  solver compresses them.
 
 Wall-clock numbers land in ``BENCH_perf.json`` (keys ``e11.*``).  The
 deep-chain workload must show a >= 3x speedup, the wide-tuple one >= 2x
@@ -38,13 +43,17 @@ from benchreport import emit, record_counter, record_timing, report_only, time_o
 from repro.core.rep import INT_REP, LIFTED, DOUBLE_REP, TupleRep
 from legacy_unify import LegacyUnifierState
 from repro.infer.unify import UnifierState
-from repro.surface.ast import EVar, FunBind, Module, apply
+from repro.surface.ast import (Alternative, ECase, EVar, FunBind, Module,
+                               apply)
 from repro.surface.prelude import prelude_env
 from repro.surface.types import INT_TY, UnboxedTupleTy, INT_HASH_TY, DOUBLE_HASH_TY
 
 DEEP_CHAIN_N = 1200
 WIDE_TUPLE_N = 400
-MODULE_BINDINGS = 120
+MODULE_BINDINGS = 12
+#: The module holds DEEP_CHAIN_N alternatives in all, as many as the deep
+#: chain's links.
+MODULE_ALTERNATIVES = DEEP_CHAIN_N // MODULE_BINDINGS
 
 SPEEDUP_FLOOR = 3.0
 
@@ -96,12 +105,21 @@ def _wide_tuples(state_cls, n=WIDE_TUPLE_N):
     return state
 
 
-def _chained_module(n=MODULE_BINDINGS):
-    """``f0 x = x;  f_i x = f_{i-1} x`` — n bindings, each inferred in turn."""
-    decls = [FunBind("f0", ["x"], EVar("x"))]
+def _chained_module(n=MODULE_BINDINGS, alternatives=MODULE_ALTERNATIVES):
+    """``f_i n x = case n of { 0# -> f_{i-1} n x; 1# -> f_{i-1} n x; …;
+    _ -> f_{i-1} n x }`` — n bindings of ``alternatives`` alternatives
+    each (``f0`` returns ``x``), inferred in turn."""
+    def dispatch(rhs):
+        return ECase(EVar("n"),
+                     [Alternative(f"{k}#", (), rhs)
+                      for k in range(alternatives - 1)]
+                     + [Alternative("_", (), rhs)])
+
+    decls = [FunBind("f0", ["n", "x"], dispatch(EVar("x")))]
     for i in range(1, n):
-        decls.append(FunBind(f"f{i}", ["x"],
-                             apply(EVar(f"f{i - 1}"), EVar("x"))))
+        decls.append(FunBind(
+            f"f{i}", ["n", "x"],
+            dispatch(apply(EVar(f"f{i - 1}"), EVar("n"), EVar("x")))))
     return Module("Stress", decls)
 
 
@@ -150,12 +168,12 @@ def test_report_unifier_stress_speedup():
                          repeats=3, meta={"n": WIDE_TUPLE_N})
     record_counter("e11.wide_tuple.solver_ops", wide_state.stats.as_dict())
 
+    module_meta = {"bindings": MODULE_BINDINGS,
+                   "alternatives": MODULE_ALTERNATIVES}
     time_op("e11.module.legacy", _infer_stress_module,
-            LegacyUnifierState, repeats=2,
-            meta={"bindings": MODULE_BINDINGS})
+            LegacyUnifierState, repeats=2, meta=module_meta)
     time_op("e11.module.current", _infer_stress_module,
-            UnifierState, repeats=2,
-            meta={"bindings": MODULE_BINDINGS})
+            UnifierState, repeats=2, meta=module_meta)
 
     import benchreport
     timings = benchreport._TIMINGS
@@ -178,7 +196,7 @@ def test_report_unifier_stress_speedup():
         f"deep-chain speedup {speedups['e11.deep_chain']:.2f}x fell below "
         f"the {SPEEDUP_FLOOR}x acceptance floor")
     # Softer regression tripwires for the other workloads (typically ~20x
-    # and ~4x respectively; generous slack for noisy machines).
+    # and ~3x respectively; generous slack for noisy machines).
     assert speedups["e11.wide_tuple"] >= 2.0
     assert speedups["e11.module"] >= 1.5
 
