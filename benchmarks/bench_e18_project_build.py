@@ -29,13 +29,8 @@ cold ones, and the body-edit rebuild must re-check exactly one unit.
 import pytest
 
 from benchreport import emit, record_counter, report_only, time_op
-from repro.driver import (
-    CheckStats,
-    DriverOptions,
-    ResultCache,
-    Session,
-    check_project,
-)
+from repro.driver import CheckStats, DriverOptions, ResultCache, Session
+from repro.driver.project import check_project
 from repro.driver.batch import payload_bytes, result_to_payload
 from repro.telemetry import REGISTRY
 

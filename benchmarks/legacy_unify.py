@@ -12,13 +12,20 @@ union-find + interned terms.  This module exists so that
 ``benchmarks/bench_e11_unifier_stress.py`` can measure an honest wall-clock
 speedup against the very code it replaced, on the same workloads, in the
 same process.  Do not use it outside the benchmark harness.
+
+It keeps the production solver's interface to the inferencer, levels
+included: fresh type and rep variables are born at the current level, and
+a bind lowers every unsolved variable of the (already zonked) term to the
+bound variable's level, so ``generalise`` quantifies the same variables
+with either solver.  Kind variables, which inference never creates, keep
+no level.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 from repro.core.errors import OccursCheckError, UnificationError
 from repro.core.kinds import ArrowKind, Kind, KindVar, TypeKind
@@ -43,18 +50,18 @@ class LegacyUnifierState:
     type_solutions: Dict[str, SType] = field(default_factory=dict)
     rep_solutions: Dict[str, Rep] = field(default_factory=dict)
     kind_solutions: Dict[str, Kind] = field(default_factory=dict)
-    rep_uvar_names: set = field(default_factory=set)
+    #: Name -> level of every type and rep variable this state made.
+    type_levels: Dict[str, int] = field(default_factory=dict)
+    rep_levels: Dict[str, int] = field(default_factory=dict)
+    level: int = 0
     _counter: "itertools.count" = field(default_factory=itertools.count)
 
     # -- fresh variables -----------------------------------------------------
 
     def fresh_rep_uvar(self, prefix: str = "rho") -> RepVar:
         var = RepVar(f"{prefix}{next(self._counter)}", unification=True)
-        self.rep_uvar_names.add(var.name)
+        self.rep_levels[var.name] = self.level
         return var
-
-    def is_rep_uvar(self, name: str) -> bool:
-        return name in self.rep_uvar_names
 
     def default_rep(self, name: str, rep: Rep) -> None:
         self.rep_solutions[name] = rep
@@ -63,10 +70,33 @@ class LegacyUnifierState:
                         prefix: str = "alpha") -> TyUVar:
         if kind is None:
             kind = TypeKind(self.fresh_rep_uvar())
-        return TyUVar(f"{prefix}{next(self._counter)}", kind)
+        var = TyUVar(f"{prefix}{next(self._counter)}", kind)
+        self.type_levels[var.name] = self.level
+        return var
 
     def fresh_kind_uvar(self, prefix: str = "kappa") -> KindVar:
         return KindVar(f"{prefix}{next(self._counter)}", unification=True)
+
+    # -- levels ----------------------------------------------------------------
+
+    def enter_level(self) -> None:
+        self.level += 1
+
+    def leave_level(self) -> None:
+        self.level -= 1
+
+    def type_level(self, name: str) -> Optional[int]:
+        return self.type_levels.get(name)
+
+    def rep_level(self, name: str) -> Optional[int]:
+        return self.rep_levels.get(name)
+
+    @staticmethod
+    def _lower(levels: Dict[str, int], names: FrozenSet[str],
+               level: int) -> None:
+        for name in names:
+            if levels.get(name, 0) > level:
+                levels[name] = level
 
     # -- zonking ---------------------------------------------------------------
 
@@ -154,6 +184,8 @@ class LegacyUnifierState:
             raise OccursCheckError(
                 f"representation variable {var.name} occurs in "
                 f"{rep.pretty()}")
+        self._lower(self.rep_levels, rep.free_rep_vars(),
+                    self.rep_levels.get(var.name, 0))
         self.rep_solutions[var.name] = rep
 
     # -- kind unification --------------------------------------------------------
@@ -231,6 +263,9 @@ class LegacyUnifierState:
             raise OccursCheckError(
                 f"type variable {var.name} occurs in {type_.pretty()} "
                 "(infinite type)")
+        level = self.type_levels.get(var.name, 0)
+        self._lower(self.type_levels, type_.free_uvars(), level)
+        self._lower(self.rep_levels, type_.free_rep_vars(), level)
         from repro.surface.types import kind_of_type
         self.unify_kinds(var.kind, kind_of_type(type_))
         self.type_solutions[var.name] = type_

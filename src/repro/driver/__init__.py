@@ -27,7 +27,8 @@ reproduction as one pipeline::
 * :mod:`repro.driver.project` — the module-level layer on top: ``module``
   / ``import`` resolution, the project DAG with cycle rejection, and
   cross-module incremental builds (``Session.check_project`` and
-  ``python -m repro build DIR``);
+  ``python -m repro build DIR``); imported only by the commands that
+  build projects, so its names are imported from it, not from here;
 * :mod:`repro.driver.lower` — the bridge from checked surface programs
   into the formal calculus L (and from there through ``compile/`` to the
   M machine), imported only by the commands that lower.
@@ -39,15 +40,6 @@ a thin wrapper over this package.
 from .batch import CheckStats, ResultCache
 from .depgraph import CheckUnit, ModulePlan, build_plan
 from .store import CACHE_SCHEMA
-from .project import (
-    ModuleNode,
-    ProjectCheck,
-    ProjectPlan,
-    build_project_plan,
-    check_project,
-    discover_sources,
-    run_project,
-)
 from .session import (
     BindingSummary,
     CheckResult,
@@ -69,18 +61,11 @@ __all__ = [
     "CompileResult",
     "Diagnostic",
     "DriverOptions",
-    "ModuleNode",
     "ModulePlan",
     "Pipeline",
-    "ProjectCheck",
-    "ProjectPlan",
     "ResultCache",
     "RunResult",
     "Session",
     "build_plan",
-    "build_project_plan",
-    "check_project",
-    "discover_sources",
-    "run_project",
     "render_snippet",
 ]

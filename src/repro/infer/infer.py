@@ -11,12 +11,13 @@ paper-specific twists:
    *simplification* over the old sub-kinding implementation.
 
 2. **Never infer levity polymorphism.**  When a binding without a signature
-   is generalised, any representation variable that could be generalised is
+   is generalised, any representation variable that could be generalised
+   (one born in the binding's own level, see :mod:`repro.infer.unify`) is
    instead defaulted to ``LiftedRep`` (:mod:`repro.infer.defaulting`).
    Declared signatures, on the other hand, may be levity-polymorphic; they
    are *checked*, and a desugarer-style post-pass
-   (:mod:`repro.infer.levity_check`) enforces the Section 5.1 restrictions
-   on every binder and argument site.
+   (:mod:`repro.infer.levity_check`), run once per top-level binding,
+   enforces the Section 5.1 restrictions on every binder and argument site.
 
 The engine records binder/argument sites as it goes and exposes them through
 :class:`BindingResult`, so callers (and tests) can inspect exactly why a
@@ -253,10 +254,10 @@ class Inferencer:
             return FunTy(binder_type, body_type), constraints
 
         if isinstance(expr, ELet):
-            result = self._infer_local_binding(env, expr)
-            body_env = env.bind(expr.var, result.scheme)
+            scheme, residual = self._infer_local_binding(env, expr)
+            body_env = env.bind(expr.var, scheme)
             body_type, constraints = self.infer(body_env, expr.body)
-            return body_type, constraints + list(result.residual_constraints)
+            return body_type, constraints + residual
 
         if isinstance(expr, EIf):
             condition_type, constraints = self.infer(env, expr.condition)
@@ -436,15 +437,15 @@ class Inferencer:
     def infer_binding(self, env: TypeEnv, name: str, params: Sequence[str],
                       rhs: Expr,
                       signature: Optional[SType] = None) -> BindingResult:
-        """Infer or check one top-level (or let) binding."""
+        """Infer or check one top-level binding, then levity-check it.
+
+        The levity check runs once, over the records of the whole binding
+        (its local ``let`` bindings included), after every variable in it
+        has been solved or defaulted.
+        """
         records_start = len(self.records)
-        if signature is not None:
-            scheme, residual = self._check_against_signature(
-                env, name, params, rhs, signature)
-            defaulted: Tuple[str, ...] = ()
-        else:
-            scheme, residual, defaulted = self._infer_unsigned(
-                env, name, params, rhs)
+        scheme, residual, defaulted = self._infer_or_check(
+            env, name, params, rhs, signature)
 
         report = LevityCheckReport()
         if self.options.run_levity_check:
@@ -465,8 +466,9 @@ class Inferencer:
     def _publish_solver_stats(self) -> None:
         """Fold this state's solver counters into the global registry.
 
-        Runs once per successfully checked binding (``solver.*`` metric
-        names mirror :class:`repro.infer.unify.UnifierStats` fields).
+        Runs once per successfully checked top-level binding, its local
+        ``let`` bindings included (``solver.*`` metric names mirror
+        :class:`repro.infer.unify.UnifierStats` fields).
         """
         stats = getattr(self.state, "stats", None)
         if stats is None:
@@ -481,22 +483,41 @@ class Inferencer:
                 _REGISTRY.counter("solver." + key).inc(delta)
         self._solver_published = counts
 
+    def _infer_or_check(self, env: TypeEnv, name: str,
+                        params: Sequence[str], rhs: Expr,
+                        signature: Optional[SType]
+                        ) -> Tuple[Scheme, List[ClassConstraint],
+                                   Tuple[str, ...]]:
+        if signature is not None:
+            scheme, residual = self._check_against_signature(
+                env, name, params, rhs, signature)
+            return scheme, residual, ()
+        return self._infer_unsigned(env, name, params, rhs)
+
     def _infer_unsigned(self, env: TypeEnv, name: str,
                         params: Sequence[str], rhs: Expr
                         ) -> Tuple[Scheme, List[ClassConstraint],
                                    Tuple[str, ...]]:
-        param_types: List[SType] = []
-        local_env = env
-        for param in params:
-            binder_type = self.state.fresh_type_uvar()
-            self.record_binder(binder_type,
-                               f"parameter {param!r} of {name!r}")
-            param_types.append(binder_type)
-            local_env = local_env.bind(param, Scheme.monomorphic(binder_type))
-        # Monomorphic recursion: the binding may refer to itself.
-        self_type = self.state.fresh_type_uvar()
-        local_env = local_env.bind(name, Scheme.monomorphic(self_type))
-        rhs_type, wanted = self.infer(local_env, rhs)
+        # The binding's own variables are born one level deeper than the
+        # environment's, which is how generalise tells them apart.
+        state = self.state
+        state.enter_level()
+        try:
+            param_types: List[SType] = []
+            local_env = env
+            for param in params:
+                binder_type = state.fresh_type_uvar()
+                self.record_binder(binder_type,
+                                   f"parameter {param!r} of {name!r}")
+                param_types.append(binder_type)
+                local_env = local_env.bind(param,
+                                           Scheme.monomorphic(binder_type))
+            # Monomorphic recursion: the binding may refer to itself.
+            self_type = state.fresh_type_uvar()
+            local_env = local_env.bind(name, Scheme.monomorphic(self_type))
+            rhs_type, wanted = self.infer(local_env, rhs)
+        finally:
+            state.leave_level()
         full_type: SType = rhs_type
         if param_types:
             full_type = fun(*param_types, rhs_type)
@@ -504,10 +525,10 @@ class Inferencer:
         if traced:
             _TRACER.begin("unit.unify", binding=name)
         try:
-            self.state.unify_types(self_type, full_type)
+            state.unify_types(self_type, full_type)
             wanted = self._discharge(wanted)
             result: GeneralisationResult = generalise(
-                self.state, env, full_type, wanted,
+                state, full_type, wanted,
                 generalise_reps=self.options.generalise_reps)
         finally:
             if traced:
@@ -550,9 +571,14 @@ class Inferencer:
         finally:
             self.givens = previous_givens
 
-    def _infer_local_binding(self, env: TypeEnv, let: ELet) -> BindingResult:
-        return self.infer_binding(env, let.var, (), let.rhs,
-                                  signature=let.signature)
+    def _infer_local_binding(self, env: TypeEnv, let: ELet
+                             ) -> Tuple[Scheme, List[ClassConstraint]]:
+        """Infer or check a ``let``: its records wait for the enclosing
+        top-level binding's levity check."""
+        scheme, residual, _ = self._infer_or_check(
+            env, let.var, (), let.rhs, let.signature)
+        self._require_no_residual(let.var, residual)
+        return scheme, residual
 
 
 # ---------------------------------------------------------------------------

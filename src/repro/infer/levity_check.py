@@ -14,6 +14,12 @@ complete, in the desugarer, once all unification variables have been solved
 Keeping the records around (rather than raising eagerly) matches the paper's
 observation that the check "can be easily performed after type inference is
 complete" and gives far better error messages than failing mid-unification.
+
+The inferencer runs the check once per top-level binding, over the records
+of the whole binding, its local ``let`` bindings included.  A ``let`` is not
+checked on its own: its binders may get their representations only from
+code after it, as ``z`` gets ``IntRep`` from ``y +# 1#`` in
+``f x = let y = (\\z -> z) x in y +# 1#``.
 """
 
 from __future__ import annotations

@@ -377,6 +377,8 @@ class TestUnusableDatabase:
 
 class TestLazyImports:
     def test_a_check_without_a_cache_imports_no_lowering_or_sqlite(self):
+        """A one-file check loads no lowering, no project layer (it builds
+        no module DAG) and no sqlite3."""
         script = (
             "import sys\n"
             "import repro.driver\n"
@@ -384,7 +386,8 @@ class TestLazyImports:
             "assert Session().check('f :: Int# -> Int#\\nf x = x +# 1#\\n',"
             " 'm.lev').ok\n"
             "print(sorted(name for name in sys.modules if name in "
-            "('repro.driver.lower', 'repro.lang_l', 'sqlite3')))\n")
+            "('repro.driver.lower', 'repro.driver.project', 'repro.lang_l',"
+            " 'sqlite3')))\n")
         env = dict(os.environ,
                    PYTHONPATH="src" + os.pathsep
                    + os.environ.get("PYTHONPATH", ""))

@@ -376,6 +376,43 @@ class TestInference:
         assert result.levity_report.violations
 
 
+class TestOneLevityPassPerBinding:
+    """The Section 5.1 check runs once, after the whole top-level binding
+    is inferred and defaulted: a local ``let`` is not checked on its own,
+    before the enclosing binding has solved its variables."""
+
+    def test_a_let_is_checked_once_its_binding_is_solved(self):
+        # Checked on its own, ``z`` still has the kind TYPE ρ of ``x``;
+        # ``y +# 1#`` solves ρ := IntRep afterwards.
+        from repro.frontend import parse_expr
+
+        rhs = parse_expr(r"let y = (\z -> z) x in y +# 1#")
+        result = infer_binding("f", ["x"], rhs)
+        assert result.ok
+        assert result.scheme.pretty() == "Int# -> Int#"
+
+    def test_a_violation_inside_a_let_is_raised_under_the_binding(self):
+        from repro.frontend import parse_expr
+
+        rhs = parse_expr("let g :: forall (r :: Rep) (a :: TYPE r). a -> a; "
+                         r"g = \y -> y in g x")
+        with pytest.raises(LevityPolymorphicBinder) as info:
+            infer_binding("f", ["x"], rhs)
+        assert str(info.value).startswith(
+            "in the binding for 'f': A levity-polymorphic binder is not "
+            "allowed: lambda binder 'y' has a levity-polymorphic type")
+
+    def test_a_let_publishes_no_solver_counters_of_its_own(self, monkeypatch):
+        from repro.frontend import parse_expr
+
+        published = []
+        monkeypatch.setattr(Inferencer, "_publish_solver_stats",
+                            lambda self: published.append(self))
+        rhs = parse_expr(r"let y = (\z -> z) x in let w = y in w +# 1#")
+        infer_binding("f", ["x"], rhs)
+        assert len(published) == 1
+
+
 class TestPreludeSchemes:
     def test_error_scheme_is_levity_polymorphic(self):
         assert ERROR_SCHEME.is_levity_polymorphic()

@@ -27,10 +27,8 @@ import json
 
 import pytest
 
-from repro.driver import (
-    CheckStats,
-    ResultCache,
-    Session,
+from repro.driver import CheckStats, ResultCache, Session
+from repro.driver.project import (
     build_project_plan,
     check_project,
     discover_sources,
