@@ -18,7 +18,10 @@ Speedups are reported two ways:
   up into a ``speedups`` section;
 * **recorded baseline** — if ``benchmarks/BENCH_baseline.json`` exists
   (a committed snapshot of an earlier run), every timing key present in
-  both files gets a ``vs_baseline`` speedup.
+  both files gets a ``vs_baseline`` speedup, provided the two entries'
+  ``meta`` agree on every key but ``repeats``; a key whose ``meta``
+  differ measures another workload and is listed in ``baseline_mismatch``
+  instead.
 
 Report-only mode: when the environment variable ``BENCH_REPORT_ONLY`` is
 set (as the CI workflow does), benchmarks should record timings but skip
@@ -142,19 +145,34 @@ def _pair_speedups(timings):
     return speedups
 
 
+def _workload(entry):
+    """A timing's ``meta`` without ``repeats``: what was measured."""
+    return {key: value for key, value in entry.get("meta", {}).items()
+            if key != "repeats"}
+
+
 def _baseline_speedups(timings, baseline):
-    """Compare this run's timings against a recorded baseline snapshot."""
+    """Compare this run's timings against a recorded baseline snapshot.
+
+    Returns the speedups and the sorted keys that both hold but whose
+    workloads (see :func:`_workload`) differ, which are not compared.
+    """
     out = {}
+    mismatch = []
     base_timings = (baseline or {}).get("timings", {})
     for key, entry in timings.items():
         base = base_timings.get(key)
-        if base and entry["seconds"] > 0:
+        if not base:
+            continue
+        if _workload(entry) != _workload(base):
+            mismatch.append(key)
+        elif entry["seconds"] > 0:
             out[key] = {
                 "baseline_seconds": base["seconds"],
                 "current_seconds": entry["seconds"],
                 "speedup": base["seconds"] / entry["seconds"],
             }
-    return out
+    return out, sorted(mismatch)
 
 
 def write_perf_json(path=PERF_JSON_PATH, baseline_path=BASELINE_JSON_PATH):
@@ -177,7 +195,8 @@ def write_perf_json(path=PERF_JSON_PATH, baseline_path=BASELINE_JSON_PATH):
     baseline = _load_baseline(baseline_path)
     if baseline is not None:
         report["baseline_file"] = os.path.relpath(baseline_path, _REPO_ROOT)
-        report["vs_baseline"] = _baseline_speedups(_TIMINGS, baseline)
+        (report["vs_baseline"],
+         report["baseline_mismatch"]) = _baseline_speedups(_TIMINGS, baseline)
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")

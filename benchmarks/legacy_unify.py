@@ -17,8 +17,7 @@ It keeps the production solver's interface to the inferencer, levels
 included: fresh type and rep variables are born at the current level, and
 a bind lowers every unsolved variable of the (already zonked) term to the
 bound variable's level, so ``generalise`` quantifies the same variables
-with either solver.  Kind variables, which inference never creates, keep
-no level.
+with either solver.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
 from repro.core.errors import OccursCheckError, UnificationError
-from repro.core.kinds import ArrowKind, Kind, KindVar, TypeKind
+from repro.core.kinds import ArrowKind, Kind, TypeKind
 from repro.core.rep import Rep, RepVar, SumRep, TupleRep
 from repro.surface.types import (
     ForAllTy,
@@ -45,11 +44,10 @@ from repro.surface.types import (
 
 @dataclass
 class LegacyUnifierState:
-    """Mutable solver state: solutions for all three sorts of variables."""
+    """Mutable solver state: solutions for both sorts of variables."""
 
     type_solutions: Dict[str, SType] = field(default_factory=dict)
     rep_solutions: Dict[str, Rep] = field(default_factory=dict)
-    kind_solutions: Dict[str, Kind] = field(default_factory=dict)
     #: Name -> level of every type and rep variable this state made.
     type_levels: Dict[str, int] = field(default_factory=dict)
     rep_levels: Dict[str, int] = field(default_factory=dict)
@@ -73,9 +71,6 @@ class LegacyUnifierState:
         var = TyUVar(f"{prefix}{next(self._counter)}", kind)
         self.type_levels[var.name] = self.level
         return var
-
-    def fresh_kind_uvar(self, prefix: str = "kappa") -> KindVar:
-        return KindVar(f"{prefix}{next(self._counter)}", unification=True)
 
     # -- levels ----------------------------------------------------------------
 
@@ -109,11 +104,6 @@ class LegacyUnifierState:
         if isinstance(kind, ArrowKind):
             return ArrowKind(self.zonk_kind(kind.argument),
                              self.zonk_kind(kind.result))
-        if isinstance(kind, KindVar):
-            solution = self.kind_solutions.get(kind.name)
-            if solution is None:
-                return kind
-            return self.zonk_kind(solution)
         return kind
 
     def zonk_type(self, type_: SType) -> SType:
@@ -194,12 +184,6 @@ class LegacyUnifierState:
         kind1 = self.zonk_kind(kind1)
         kind2 = self.zonk_kind(kind2)
         if kind1 == kind2:
-            return
-        if isinstance(kind1, KindVar) and kind1.unification:
-            self.kind_solutions[kind1.name] = kind2
-            return
-        if isinstance(kind2, KindVar) and kind2.unification:
-            self.kind_solutions[kind2.name] = kind1
             return
         if isinstance(kind1, TypeKind) and isinstance(kind2, TypeKind):
             self.unify_reps(kind1.rep, kind2.rep)

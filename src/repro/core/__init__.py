@@ -39,7 +39,6 @@ from .kinds import (
     ArrowKind,
     ConstraintKind,
     Kind,
-    KindVar,
     RepKind,
     Type,
     TypeKind,

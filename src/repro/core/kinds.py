@@ -10,15 +10,16 @@ This module provides:
 * :class:`ArrowKind` — the kind of type constructors such as
   ``Maybe :: Type -> Type``;
 * :class:`ConstraintKind` — the kind of class constraints (needed for the
-  levity-polymorphic classes of Section 7.3);
-* :class:`KindVar` — kind variables, for the kind-polymorphic fragments of
-  the surface language.
+  levity-polymorphic classes of Section 7.3).
+
+Kinds have no variables of their own: the only variables in a kind are
+the representation variables inside its ``TYPE r`` parts.
 
 Kinds are immutable and hashable, so they can be used as dictionary keys by
 the inference engine.  Like the ``Rep`` algebra, kinds are **hash-consed**
 (except ``TYPE r`` at a representation *variable*, which is too short-lived
 to be worth a table entry): equal kinds are usually the same object, hashes
-are cached, and the ``free_*`` queries are memoised per node (see
+are cached, and ``free_rep_vars`` is memoised per node (see
 ``docs/PERF.md``).
 """
 
@@ -43,12 +44,11 @@ _EMPTY_NAMES: FrozenSet[str] = frozenset()
 class Kind:
     """Abstract base class of kinds."""
 
-    __slots__ = ("_hash", "_free_rep", "_free_kind")
+    __slots__ = ("_hash", "_free_rep")
 
     def _init_caches(self) -> None:
         self._hash = None
         self._free_rep = None
-        self._free_kind = None
 
     def free_rep_vars(self) -> FrozenSet[str]:
         free = self._free_rep
@@ -57,28 +57,15 @@ class Kind:
             self._free_rep = free
         return free
 
-    def free_kind_vars(self) -> FrozenSet[str]:
-        free = self._free_kind
-        if free is None:
-            free = self._compute_free_kind_vars()
-            self._free_kind = free
-        return free
-
     def _compute_free_rep_vars(self) -> FrozenSet[str]:
-        raise NotImplementedError
-
-    def _compute_free_kind_vars(self) -> FrozenSet[str]:
         raise NotImplementedError
 
     def substitute_reps(self, mapping: Dict[str, Rep]) -> "Kind":
         raise NotImplementedError
 
-    def substitute_kinds(self, mapping: Dict[str, "Kind"]) -> "Kind":
-        raise NotImplementedError
-
     def is_concrete(self) -> bool:
-        """No representation or kind variables anywhere inside."""
-        return not self.free_rep_vars() and not self.free_kind_vars()
+        """No representation variables anywhere inside."""
+        return not self.free_rep_vars()
 
     def __hash__(self) -> int:
         h = self._hash
@@ -127,16 +114,10 @@ class TypeKind(Kind):
     def _compute_free_rep_vars(self) -> FrozenSet[str]:
         return self.rep.free_rep_vars()
 
-    def _compute_free_kind_vars(self) -> FrozenSet[str]:
-        return _EMPTY_NAMES
-
     def substitute_reps(self, mapping: Dict[str, Rep]) -> Kind:
         if not mapping or self.free_rep_vars().isdisjoint(mapping):
             return self
         return TypeKind(self.rep.substitute(mapping))
-
-    def substitute_kinds(self, mapping: Dict[str, Kind]) -> Kind:
-        return self
 
     def is_lifted_type_kind(self) -> bool:
         """Is this exactly ``Type`` (that is, ``TYPE LiftedRep``)?"""
@@ -187,20 +168,11 @@ class ArrowKind(Kind):
     def _compute_free_rep_vars(self) -> FrozenSet[str]:
         return self.argument.free_rep_vars() | self.result.free_rep_vars()
 
-    def _compute_free_kind_vars(self) -> FrozenSet[str]:
-        return self.argument.free_kind_vars() | self.result.free_kind_vars()
-
     def substitute_reps(self, mapping: Dict[str, Rep]) -> Kind:
         if not mapping or self.free_rep_vars().isdisjoint(mapping):
             return self
         return ArrowKind(self.argument.substitute_reps(mapping),
                          self.result.substitute_reps(mapping))
-
-    def substitute_kinds(self, mapping: Dict[str, Kind]) -> Kind:
-        if not mapping or self.free_kind_vars().isdisjoint(mapping):
-            return self
-        return ArrowKind(self.argument.substitute_kinds(mapping),
-                         self.result.substitute_kinds(mapping))
 
     def _compute_hash(self) -> int:
         return hash(("ArrowKind", self.argument, self.result))
@@ -239,13 +211,7 @@ class _NullaryKind(Kind):
     def _compute_free_rep_vars(self) -> FrozenSet[str]:
         return _EMPTY_NAMES
 
-    def _compute_free_kind_vars(self) -> FrozenSet[str]:
-        return _EMPTY_NAMES
-
     def substitute_reps(self, mapping: Dict[str, Rep]) -> Kind:
-        return self
-
-    def substitute_kinds(self, mapping: Dict[str, Kind]) -> Kind:
         return self
 
     def _compute_hash(self) -> int:
@@ -277,79 +243,6 @@ class RepKind(_NullaryKind):
 
     __slots__ = ()
     _PRETTY = "Rep"
-
-
-class KindVar(Kind):
-    """A kind variable, used by kind polymorphism in the surface language."""
-
-    __slots__ = ("_name", "unification", "_fresh_id", "_fresh_prefix")
-
-    _intern: Dict[Tuple[str, bool], "KindVar"] = {}
-
-    def __new__(cls, name: str, unification: bool = False) -> "KindVar":
-        key = (name, unification)
-        instance = cls._intern.get(key)
-        if instance is None:
-            instance = object.__new__(cls)
-            instance._init_caches()
-            instance._name = name
-            instance.unification = unification
-            instance._fresh_id = None
-            instance._fresh_prefix = None
-            cls._intern[key] = instance
-        return instance
-
-    def __init__(self, name: str = "", unification: bool = False) -> None:
-        pass
-
-    @classmethod
-    def _fresh(cls, uid: int, prefix: str,
-               unification: bool = True) -> "KindVar":
-        """A fresh variable whose name ``f"{prefix}{uid}"`` is formatted lazily."""
-        instance = object.__new__(cls)
-        instance._init_caches()
-        instance._name = None
-        instance.unification = unification
-        instance._fresh_id = uid
-        instance._fresh_prefix = prefix
-        return instance
-
-    @property
-    def name(self) -> str:
-        name = self._name
-        if name is None:
-            name = f"{self._fresh_prefix}{self._fresh_id}"
-            self._name = name
-        return name
-
-    def _compute_free_rep_vars(self) -> FrozenSet[str]:
-        return _EMPTY_NAMES
-
-    def _compute_free_kind_vars(self) -> FrozenSet[str]:
-        return frozenset({self.name})
-
-    def substitute_reps(self, mapping: Dict[str, Rep]) -> Kind:
-        return self
-
-    def substitute_kinds(self, mapping: Dict[str, Kind]) -> Kind:
-        if not mapping:
-            return self
-        return mapping.get(self.name, self)
-
-    def _compute_hash(self) -> int:
-        return hash((self.name, self.unification))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (type(other) is KindVar
-                and self.unification == other.unification
-                and self.name == other.name)
-
-    __hash__ = Kind.__hash__
-
-    def pretty(self, explicit_runtime_reps: bool = True) -> str:
-        return self.name
 
 
 # -- canonical kinds ---------------------------------------------------------

@@ -195,10 +195,9 @@ class Inferencer:
                       span=None) -> None:
         self.records.append(LevityRecord("binder", description, type_, span))
 
-    def record_argument(self, type_: SType, description: str,
+    def record_argument(self, type_: SType, argument: Expr,
                         span=None) -> None:
-        self.records.append(LevityRecord("argument", description, type_,
-                                         span))
+        self.records.append(LevityRecord("argument", argument, type_, span))
 
     # ------------------------------------------------------------- expressions
 
@@ -235,10 +234,8 @@ class Inferencer:
             result_type = self.state.fresh_type_uvar()
             self._unify_at(expr, function_type,
                            FunTy(argument_type, result_type))
-            self.record_argument(
-                argument_type,
-                f"argument {expr.argument.pretty()!r} of an application",
-                self._span(expr.argument) or self._span(expr))
+            self.record_argument(argument_type, expr.argument,
+                                 self._span(expr.argument) or self._span(expr))
             return result_type, constraints
 
         if isinstance(expr, ELam):
@@ -449,9 +446,7 @@ class Inferencer:
 
         report = LevityCheckReport()
         if self.options.run_levity_check:
-            report = check_records(
-                self.state, self.records[records_start:],
-                collect=True)
+            report = check_records(self.state, self.records[records_start:])
             if not self.options.collect_levity_violations and report.violations:
                 first = report.violations[0]
                 exc_type = (LevityPolymorphicBinder

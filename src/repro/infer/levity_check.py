@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Union
 
 from ..core.errors import KindError, TypeCheckError
-from ..core.kinds import Kind, TypeKind
-from ..core.levity import LevityChecker, LevityViolation
+from ..core.kinds import Kind
+from ..core.levity import LevityChecker, LevityViolation, kind_is_fixed
+from ..surface.ast import Expr
 from ..surface.types import SType, kind_of_type
 from .unify import UnifierState
 
@@ -40,11 +41,19 @@ class LevityRecord:
     """One place where the Section 5.1 restrictions must be verified."""
 
     kind_of_site: str      # "binder" or "argument"
-    description: str       # e.g. "lambda binder 'x' in 'abs2'"
+    #: A binder's description (e.g. "lambda binder 'x'"), or an argument
+    #: site's expression, which :meth:`description` renders only for a
+    #: site that fails the check.
+    subject: Union[str, Expr]
     type: SType
     #: Source span of the recorded site (the sub-expression, when the
     #: inference engine had one on record), threaded onto any violation.
     span: Optional[object] = None
+
+    def description(self) -> str:
+        if self.kind_of_site == "binder":
+            return self.subject
+        return f"argument {self.subject.pretty()!r} of an application"
 
 
 @dataclass
@@ -75,15 +84,13 @@ def kind_of_zonked(state: UnifierState, type_: SType) -> Kind:
 
 
 def check_records(state: UnifierState,
-                  records: List[LevityRecord],
-                  collect: bool = True) -> LevityCheckReport:
-    """Run the two Section 5.1 checks over all recorded sites.
+                  records: List[LevityRecord]) -> LevityCheckReport:
+    """Run the two Section 5.1 checks over all recorded sites, gathering
+    every violation into the report.
 
-    With ``collect=True`` (the default) every violation is gathered into the
-    report; with ``collect=False`` the first violation raises the matching
-    :class:`~repro.core.errors.LevityError` subclass immediately.
+    A site's description is rendered only when the site fails.
     """
-    checker = LevityChecker(collect=collect)
+    checker = LevityChecker(collect=True)
     report = LevityCheckReport()
     for record in records:
         report.checked_sites += 1
@@ -94,14 +101,16 @@ def check_records(state: UnifierState,
             # binder violation so the caller sees a single failure channel.
             report.violations.append(
                 LevityViolation(record.kind_of_site,
-                                f"{record.description}: {exc}", None,
+                                f"{record.description()}: {exc}", None,
                                 record.span))
+            continue
+        if kind_is_fixed(kind):
             continue
         seen = len(checker.violations)
         if record.kind_of_site == "binder":
-            checker.check_binder(kind, record.description)
+            checker.check_binder(kind, record.description())
         else:
-            checker.check_argument(kind, record.description)
+            checker.check_argument(kind, record.description())
         if record.span is not None:
             # Stamp this record's span onto the violations it produced.
             checker.violations[seen:] = [

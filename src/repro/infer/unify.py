@@ -6,13 +6,15 @@ as the choice of a ``Rep`` is a boon for type inference: when GHC checks
 representation unification variable ``ρ`` with ``α :: TYPE ρ``, and ordinary
 unification does the rest.  This module provides exactly that machinery:
 
-* :class:`UnifierState` — the one store of solutions for type unification
-  variables (``TyUVar``), representation unification variables
-  (``RepVar(unification=True)``) and kind unification variables;
-  defaulting (:mod:`repro.infer.defaulting`) writes to it only through
+* :class:`UnifierState` — the one store of solutions for the two sorts of
+  unification variable, type variables (``TyUVar``) and representation
+  variables (``RepVar(unification=True)``); defaulting
+  (:mod:`repro.infer.defaulting`) writes to it only through
   :meth:`UnifierState.default_rep`;
-* ``unify_types`` / ``unify_kinds`` / ``unify_reps`` — first-order
-  unification with occurs checks;
+* ``unify_types`` / ``unify_reps`` — first-order unification with occurs
+  checks; ``unify_kinds`` — a structural walk over two kinds that
+  bottoms out in ``unify_reps`` (kinds hold no variables but the reps
+  inside ``TYPE``);
 * ``zonk_*`` — replace solved variables by their solutions, the analogue of
   GHC's *zonking* (Section 8.2 notes that levity checks must happen on
   zonked types).
@@ -25,7 +27,7 @@ makes the tests easier to write, but the observable behaviour is the same.
 original seed implementation kept one ``{name: term}`` dictionary per
 variable sort and re-zonked both sides of every ``unify_*`` call, which is
 quadratic on variable→variable solution chains.  The production solver
-instead uses, per sort:
+instead uses, per sort (type and rep):
 
 * a **union-find** forest with iterative path compression and union by rank,
   so a chain ``α0 ~ α1 ~ … ~ αn`` collapses to a single equivalence class
@@ -52,11 +54,10 @@ instead uses, per sort:
   shallower, and a variable of a binding's type that is deeper than the
   binding's outer level is not reachable from its environment:
   :func:`repro.infer.defaulting.generalise` quantifies or defaults
-  exactly those.  Kind variables, which inference never makes, have no
-  level.
+  exactly those.
 
-Fresh variables are numbered from a per-state integer counter shared by all
-three sorts (matching the seed's name sequence) and format their user-facing
+Fresh variables are numbered from a per-state integer counter shared by
+both sorts (matching the seed's name sequence) and format their user-facing
 name lazily, so ``fresh_*`` allocates no strings.
 """
 
@@ -65,12 +66,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.errors import OccursCheckError, UnificationError
-from ..core.kinds import (
-    ArrowKind,
-    Kind,
-    KindVar,
-    TypeKind,
-)
+from ..core.kinds import ArrowKind, Kind, TypeKind
 from ..core.rep import Rep, RepVar, SumRep, TupleRep
 from ..surface.types import (
     Binder,
@@ -92,7 +88,7 @@ class UnifierStats:
     """Operation counters for the solver — exported into ``BENCH_perf.json``."""
 
     __slots__ = ("unify_types_calls", "unify_reps_calls", "unify_kinds_calls",
-                 "type_bindings", "rep_bindings", "kind_bindings",
+                 "type_bindings", "rep_bindings",
                  "finds", "unions", "occurs_checks")
 
     def __init__(self) -> None:
@@ -119,7 +115,7 @@ class _UnionFind:
         #: Name -> level of the type or rep variables the state made; at a
         #: class root, the level of the class.  A name missing here was born
         #: at the state's current level and is not entered yet (or was made
-        #: outside the state).  The kind sort keeps no levels.
+        #: outside the state).
         self.level: Dict[str, int] = {}
         self.stats = stats
 
@@ -139,12 +135,11 @@ class _UnionFind:
         self.stats.finds += 1
         return root
 
-    def union(self, root1: str, root2: str,
-              unentered: Optional[int] = None) -> str:
+    def union(self, root1: str, root2: str, unentered: int) -> str:
         """Merge two distinct class roots; returns the surviving root.
 
-        For a sort with levels, ``unentered`` is the level of a root not in
-        the level map, and the survivor keeps the shallower of the two.
+        ``unentered`` is the level of a root not in the level map, and the
+        survivor keeps the shallower of the two levels.
         """
         rank = self.rank
         r1 = rank.get(root1, 0)
@@ -154,21 +149,19 @@ class _UnionFind:
         self.parent[root2] = root1
         if r1 == r2:
             rank[root1] = r1 + 1
-        if unentered is not None:
-            level = self.level
-            shallower = level.get(root2, unentered)
-            if shallower < level.get(root1, unentered):
-                level[root1] = shallower
+        level = self.level
+        shallower = level.get(root2, unentered)
+        if shallower < level.get(root1, unentered):
+            level[root1] = shallower
         self.stats.unions += 1
         return root1
 
 
 class UnifierState:
-    """Mutable solver state: solutions for all three sorts of variables."""
+    """Mutable solver state: solutions for both sorts of variables."""
 
-    __slots__ = ("stats", "level", "_next_id", "_tuf", "_ruf", "_kuf",
-                 "_type_sol", "_rep_sol", "_kind_sol",
-                 "_type_vars", "_rep_vars", "_kind_vars", "_born")
+    __slots__ = ("stats", "level", "_next_id", "_tuf", "_ruf",
+                 "_type_sol", "_rep_sol", "_type_vars", "_rep_vars", "_born")
 
     def __init__(self) -> None:
         self.stats = UnifierStats()
@@ -177,15 +170,12 @@ class UnifierState:
         self._next_id = 0
         self._tuf = _UnionFind(self.stats)
         self._ruf = _UnionFind(self.stats)
-        self._kuf = _UnionFind(self.stats)
         #: Class root -> non-variable solution term, per sort.
         self._type_sol: Dict[str, SType] = {}
         self._rep_sol: Dict[str, Rep] = {}
-        self._kind_sol: Dict[str, Kind] = {}
         #: Name -> variable object, for picking class representatives.
         self._type_vars: Dict[str, TyUVar] = {}
         self._rep_vars: Dict[str, RepVar] = {}
-        self._kind_vars: Dict[str, KindVar] = {}
         #: Variables born at ``level`` whose (lazily formatted) names are not
         #: yet in their sort's level map; entered on the next level change
         #: or level query.  Until then the solver reads a missing name as
@@ -221,9 +211,6 @@ class UnifierState:
         var = TyUVar._fresh(self._fresh_id(), prefix, kind)
         self._born.append(var)
         return var
-
-    def fresh_kind_uvar(self, prefix: str = "kappa") -> KindVar:
-        return KindVar._fresh(self._fresh_id(), prefix)
 
     # -- levels ------------------------------------------------------------------
 
@@ -290,10 +277,6 @@ class UnifierState:
                 return False
         return True
 
-    def _kinds_inert(self) -> bool:
-        """No kind variable was ever unioned or solved by this state."""
-        return not self._kind_sol and not self._kuf.parent
-
     # -- zonking ---------------------------------------------------------------
 
     def zonk_rep(self, rep: Rep) -> Rep:
@@ -332,16 +315,6 @@ class UnifierState:
             if argument is kind.argument and result is kind.result:
                 return kind
             return ArrowKind(argument, result)
-        if isinstance(kind, KindVar):
-            if not kind.unification:
-                return kind
-            root = self._kuf.find(kind.name)
-            solution = self._kind_sol.get(root)
-            if solution is not None:
-                return self.zonk_kind(solution)
-            if root == kind.name:
-                return kind
-            return self._kind_vars[root]
         return kind
 
     def zonk_type(self, type_: SType) -> SType:
@@ -368,8 +341,7 @@ class UnifierState:
         # Composite nodes: inert fast path, then rebuild.
         if not type_.free_uvars():
             free_reps = type_.free_rep_vars()
-            if ((not free_reps or self._names_inert_rep(free_reps))
-                    and self._kinds_inert()):
+            if not free_reps or self._names_inert_rep(free_reps):
                 return type_
         if tt is FunTy:
             argument = self.zonk_type(type_.argument)
@@ -416,20 +388,6 @@ class UnifierState:
                 return self._rep_vars[root]
             rep = solution
         return rep
-
-    def _head_kind(self, kind: Kind) -> Kind:
-        parent = self._kuf.parent
-        sols = self._kind_sol
-        while isinstance(kind, KindVar) and kind.unification:
-            name = kind.name
-            root = name if name not in parent else self._kuf.find(name)
-            solution = sols.get(root)
-            if solution is None:
-                if root == name:
-                    return kind
-                return self._kind_vars[root]
-            kind = solution
-        return kind
 
     def _head_type(self, type_: SType) -> SType:
         parent = self._tuf.parent
@@ -558,24 +516,16 @@ class UnifierState:
         """Unify two kinds.
 
         Under the old sub-kinding story this is where ``OpenKind`` magic
-        lived; with levity polymorphism it is plain structural unification
-        that bottoms out in :meth:`unify_reps`.
+        lived; with levity polymorphism it is a structural walk that
+        bottoms out in :meth:`unify_reps`: equal kinds pass, ``TYPE r1 ~
+        TYPE r2`` unifies the reps, arrow kinds unify pointwise, and
+        anything else fails.
         """
         self.stats.unify_kinds_calls += 1
         stack: List[Tuple[Kind, Kind]] = [(kind1, kind2)]
         while stack:
             left, right = stack.pop()
-            left = self._head_kind(left)
-            right = self._head_kind(right)
-            if left is right:
-                continue
-            if isinstance(left, KindVar) and left.unification:
-                self._bind_kind(left, right)
-                continue
-            if isinstance(right, KindVar) and right.unification:
-                self._bind_kind(right, left)
-                continue
-            if left == right:
+            if left is right or left == right:
                 continue
             if isinstance(left, TypeKind) and isinstance(right, TypeKind):
                 self.unify_reps(left.rep, right.rep)
@@ -587,46 +537,6 @@ class UnifierState:
             raise UnificationError(
                 f"cannot unify kinds {self.zonk_kind(left).pretty()} and "
                 f"{self.zonk_kind(right).pretty()}")
-
-    def _bind_kind(self, var: KindVar, kind: Kind) -> None:
-        root = self._kuf.find(var.name)
-        if isinstance(kind, KindVar) and kind.unification:
-            self._kind_vars.setdefault(var.name, var)
-            self._kind_vars.setdefault(kind.name, kind)
-            other = self._kuf.find(kind.name)
-            if other == root:
-                return
-            self._kuf.union(root, other)
-        else:
-            if self._occurs_kind(root, kind):
-                raise OccursCheckError(
-                    f"kind variable {var.name} occurs in "
-                    f"{self.zonk_kind(kind).pretty()} (infinite kind)")
-            self._kind_sol[root] = kind
-        self.stats.kind_bindings += 1
-
-    def _occurs_kind(self, root: str, kind: Kind) -> bool:
-        """Does the class ``root`` occur in ``kind`` (solutions resolved)?"""
-        self.stats.occurs_checks += 1
-        find = self._kuf.find
-        sols = self._kind_sol
-        stack: List[Kind] = [kind]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, KindVar):
-                if not current.unification:
-                    continue
-                r = find(current.name)
-                solution = sols.get(r)
-                if solution is not None:
-                    stack.append(solution)
-                elif r == root:
-                    return True
-                continue
-            if isinstance(current, ArrowKind):
-                stack.append(current.argument)
-                stack.append(current.result)
-        return False
 
     # -- type unification ----------------------------------------------------------
 

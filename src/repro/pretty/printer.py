@@ -29,9 +29,6 @@ class PrinterOptions:
 
     #: ``-fprint-explicit-runtime-reps``: show Rep binders and TYPE r kinds.
     print_explicit_runtime_reps: bool = False
-    #: ``-fprint-explicit-foralls``: show the forall telescope even when all
-    #: binders are invisible/inferrable.
-    print_explicit_foralls: bool = False
 
 
 def default_reps_for_display(scheme: Scheme) -> Scheme:
@@ -53,9 +50,6 @@ def render_scheme(scheme: Scheme,
         return scheme.pretty(explicit_runtime_reps=True)
 
     displayed = default_reps_for_display(scheme)
-    if options.print_explicit_foralls:
-        return displayed.pretty(explicit_runtime_reps=False)
-
     if any(kind != TYPE_LIFTED for _, kind in displayed.type_binders):
         # A binder whose kind is not Type even after defaulting (for example
         # ``(a :: TYPE IntRep)``) carries information the bare body cannot:

@@ -11,6 +11,8 @@ Covers the properties the v5 database promises:
   the file left byte-identical, by the store and by every command that
   takes ``--cache``; so is a database that is not one, is truncated, or
   is locked past the busy timeout, and a v4 shard tree is left alone;
+* a save SQLite refuses to write (a full disk, a read-only database)
+  leaves the database byte-identical;
 * a check without a cache imports neither ``sqlite3`` nor the lowering;
 * ``canonical_scheme`` memoisation renders each scheme object once;
 * the ``python -m repro cache`` maintenance actions.
@@ -373,6 +375,54 @@ class TestUnusableDatabase:
                                             "unit"]
         assert sorted(os.listdir(root / "unit")) == ["ab.json",
                                                      "ab.json.lock"]
+
+
+class TestRefusedSave:
+    """A save SQLite refuses to write ends a ``repro check --cache`` in one
+    ``error:`` line with exit 2, and the database is left as it was.
+
+    The store's connection is given a pragma under which SQLite refuses
+    the write itself: ``max_page_count`` at the current page count fails
+    as a full disk does, and ``query_only`` as a read-only directory does
+    (a chmod cannot refuse a process that runs as root).
+    """
+
+    @pytest.mark.parametrize("pragma, message", [
+        ("max_page_count", "database or disk is full"),
+        ("query_only", "attempt to write a readonly database"),
+    ])
+    def test_the_save_is_refused_and_the_database_untouched(
+            self, tmp_path, capsys, monkeypatch, pragma, message):
+        source = tmp_path / "m.lev"
+        source.write_text(MODULE)
+        root = str(tmp_path / "c")
+        assert main(["check", "--cache", root, str(source)]) == 0
+        # Forty new bindings: their entries need pages the file lacks.
+        source.write_text(MODULE + "".join(
+            f"\nadded{i} :: Int# -> Int#\nadded{i} n = n +# {i}#\n"
+            for i in range(40)))
+        before = Path(database(root)).read_bytes()
+        connect = sqlite3.connect
+
+        def refusing(*args, **kwargs):
+            db = connect(*args, **kwargs)
+            if pragma == "query_only":
+                db.execute("PRAGMA query_only = 1")
+            else:
+                (pages,) = db.execute("PRAGMA page_count").fetchone()
+                db.execute(f"PRAGMA max_page_count = {pages}")
+            return db
+
+        monkeypatch.setattr(sqlite3, "connect", refusing)
+        capsys.readouterr()
+        assert main(["check", "--cache", root, str(source)]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in captured.out + captured.err
+        assert Path(database(root)).read_bytes() == before
+        assert os.listdir(root) == [store_module.DATABASE_NAME]
 
 
 class TestLazyImports:

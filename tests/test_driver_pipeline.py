@@ -113,6 +113,42 @@ class TestCheck:
         assert not by_name["bad"].ok
         assert by_name["uses"].ok
 
+    def test_infers_through_a_higher_kinded_variable(self):
+        source = ("f :: forall (m :: Type -> Type) (a :: Type). m a -> m a\n"
+                  "f x = x\n"
+                  "g y = f y\n")
+        check = Session().check(source, "hk.lev")
+        assert check.ok
+        [g] = [b for b in check.bindings if b.name == "g"]
+        assert g.rendered == \
+            "forall (a :: Type -> Type) (b :: Type). a b -> a b"
+
+    def test_a_passing_check_renders_no_expression(self, monkeypatch):
+        """Levity records render an argument only for a failing site, so
+        nested applications cost no pretty-printing."""
+        import repro.surface.ast as ast
+
+        calls = []
+
+        def counting(method):
+            def pretty(self):
+                calls.append(type(self).__name__)
+                return method(self)
+            return pretty
+
+        for cls in vars(ast).values():
+            if (isinstance(cls, type) and issubclass(cls, ast.Expr)
+                    and "pretty" in vars(cls)):
+                monkeypatch.setattr(cls, "pretty", counting(cls.pretty))
+        nested = "x"
+        for _ in range(40):
+            nested = f"inc ({nested})"
+        source = ("inc :: Int# -> Int#\ninc n = n +# 1#\n"
+                  f"f :: Int# -> Int#\nf x = {nested}\n")
+        check = Session().check(source, "nested.lev")
+        assert check.ok
+        assert calls == []
+
     def test_defaulted_rep_vars_surface(self):
         check = Session().check("f x = x\n", "id.lev")
         [binding] = check.bindings

@@ -201,7 +201,7 @@ def _abstract_rep(state, rep, rng):
 def _bindings(state):
     """The solver's bind counts: every union or solution, of each sort."""
     stats = state.stats
-    return stats.type_bindings, stats.rep_bindings, stats.kind_bindings
+    return stats.type_bindings, stats.rep_bindings
 
 
 @given(type_=types, seed=st.integers(0, 2**32 - 1))

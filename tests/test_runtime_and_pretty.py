@@ -248,12 +248,6 @@ class TestPrettyPrinting:
     def test_error_default_display(self):
         assert render_scheme(ERROR_SCHEME) == "String -> a"
 
-    def test_explicit_foralls_without_reps(self):
-        rendered = render_scheme(
-            DOLLAR_SCHEME, PrinterOptions(print_explicit_foralls=True))
-        assert rendered.startswith("forall")
-        assert "Rep" not in rendered
-
     def test_render_plain_type(self):
         assert render_type(fun(INT_HASH_TY, INT_TY)) == "Int# -> Int"
 

@@ -236,7 +236,8 @@ class TestRegistryReset:
         counter.inc(2)  # a held reference keeps counting after reset
         assert registry.snapshot()["counters"]["x"] == 2
 
-    def test_sections_do_not_leak_through_drain(self):
+    @staticmethod
+    def _benchreport():
         bench_dir = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "benchmarks")
         sys.path.insert(0, bench_dir)
@@ -244,6 +245,10 @@ class TestRegistryReset:
             import benchreport
         finally:
             sys.path.remove(bench_dir)
+        return benchreport
+
+    def test_sections_do_not_leak_through_drain(self):
+        benchreport = self._benchreport()
         # Section 1: a check batch populates solver/batch counters.
         Session().check_many([("a.lev", TWO_UNIT_MODULE)], stats=CheckStats())
         first = benchreport.drain_registry()
@@ -253,6 +258,24 @@ class TestRegistryReset:
         second = benchreport.drain_registry()
         assert second["counters"]["batch.units_checked"] == 2
         assert second["counters"]["batch.files"] == 1
+
+    def test_the_baseline_compares_only_the_same_workload(self):
+        """Two timings are compared only when their ``meta`` agree on
+        every key but ``repeats``; the other shared keys are listed."""
+        benchreport = self._benchreport()
+        timings = {"same": {"seconds": 1.0, "meta": {"repeats": 3, "n": 9}},
+                   "other": {"seconds": 1.0, "meta": {"repeats": 3, "n": 9}},
+                   "bare": {"seconds": 1.0},
+                   "new": {"seconds": 1.0}}
+        baseline = {"timings": {
+            "same": {"seconds": 2.0, "meta": {"repeats": 5, "n": 9}},
+            "other": {"seconds": 2.0, "meta": {"repeats": 3, "n": 90}},
+            "bare": {"seconds": 3.0}}}
+        speedups, mismatch = benchreport._baseline_speedups(timings,
+                                                            baseline)
+        assert {key: row["speedup"] for key, row in speedups.items()} == \
+            {"same": 2.0, "bare": 3.0}
+        assert mismatch == ["other"]
 
     def test_merge_counts_prefixes(self):
         registry = MetricsRegistry()
