@@ -43,7 +43,7 @@ Subcommands:
 — parse, depgraph, unit.infer/unit.unify, cache.lookup, eval.run,
 codegen.lower/link — as Chrome trace-event JSON loadable in Perfetto
 (see docs/OBSERVABILITY.md).
-* ``cache ACTION PATH`` — maintain a result-cache directory (schema v5,
+* ``cache ACTION PATH`` — maintain a result-cache directory (schema v6,
   one SQLite database, ``docs/INCREMENTAL.md``): ``stats`` counts
   entries and bytes per key namespace, ``verify`` runs SQLite's
   integrity check and shape-checks every payload (exit 1 on problems),
@@ -387,10 +387,10 @@ def _parse_age(text: str) -> float:
 def _cache_payload_validator():
     """One ``validator(key, payload)`` covering every key namespace."""
     from .driver.batch import (
+        _block_outline_valid,
         _codegen_payload_valid,
         _exports_payload_valid,
         _file_payload_valid,
-        _outline_payload_valid,
         _unit_payload_valid,
     )
     from .driver.store import table_of
@@ -398,7 +398,7 @@ def _cache_payload_validator():
     validators = {
         "unit": _unit_payload_valid,
         "pfile": _file_payload_valid,
-        "outline": _outline_payload_valid,
+        "outline": _block_outline_valid,
         "exports": _exports_payload_valid,
         "codegen": _codegen_payload_valid,
     }

@@ -90,16 +90,15 @@ def check_argument_kind(kind: Kind, what: str = "function argument") -> None:
 
 @dataclass
 class LevityChecker:
-    """Accumulating checker used by the desugarer-style post-inference pass.
+    """Collecting checker used by the desugarer-style post-inference pass.
 
     GHC performs the levity checks in the desugarer, after all unification
     variables have been solved (Section 8.2).  The surface pipeline in
     :mod:`repro.infer.levity_check` mirrors that: it walks the elaborated
-    program, calling :meth:`check_binder` / :meth:`check_argument`, and
-    either collects violations (``collect=True``) or raises on the first one.
+    program, calling :meth:`check_binder` / :meth:`check_argument`, which
+    collect every violation in ``violations``.
     """
 
-    collect: bool = False
     violations: List[LevityViolation] = field(default_factory=list)
 
     def check_binder(self, kind: Kind, description: str) -> bool:
@@ -108,7 +107,7 @@ class LevityChecker:
             check_binder_kind(kind, description)
             return True
         except LevityPolymorphicBinder as exc:
-            self._record("binder", str(exc), kind)
+            self.violations.append(LevityViolation("binder", str(exc), kind))
             return False
 
     def check_argument(self, kind: Kind, description: str) -> bool:
@@ -117,24 +116,6 @@ class LevityChecker:
             check_argument_kind(kind, description)
             return True
         except LevityPolymorphicArgument as exc:
-            self._record("argument", str(exc), kind)
+            self.violations.append(
+                LevityViolation("argument", str(exc), kind))
             return False
-
-    def _record(self, which: str, message: str, kind: Kind) -> None:
-        violation = LevityViolation(which, message, kind)
-        if self.collect:
-            self.violations.append(violation)
-        elif which == "binder":
-            raise LevityPolymorphicBinder(message)
-        else:
-            raise LevityPolymorphicArgument(message)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def report(self) -> str:
-        """Human-readable report of all collected violations."""
-        if self.ok:
-            return "no levity-polymorphism violations"
-        return "\n".join(v.pretty() for v in self.violations)

@@ -21,7 +21,7 @@ reproduction as one pipeline::
   (``Session.check_many(cache=..., stats=...)`` and
   ``python -m repro check --cache PATH --stats``);
 * :mod:`repro.driver.store` — the on-disk store behind the result
-  cache (schema v5): one SQLite table per cache directory, read key by
+  cache (schema v6): one SQLite table per cache directory, read key by
   key and written in one transaction per save, and the ``python -m
   repro cache stats|verify|gc|compact`` maintenance surface;
 * :mod:`repro.driver.project` — the module-level layer on top: ``module``

@@ -11,11 +11,15 @@ PR 3 cached whole source texts; this version caches **compilation units**
 so editing one binding invalidates exactly that unit plus the units whose
 *dependency schemes actually change* — a dependent whose dependency was
 edited but re-checked to the same scheme is still a cache hit (early
-cutoff).  Parse is always re-done (it is cheap and yields the plan the
-walk needs); inference, the levity post-pass and Rep defaulting are what
-the cache skips.
+cutoff).  Inference, the levity post-pass and Rep defaulting are what the
+unit entries skip.  The same cutoff reaches the parser: the plan is built
+from **block outlines** (each declaration block's declarations with their
+kinds, names, spans and free names, see
+:class:`repro.frontend.parser.BlockOutline`), which the cache keeps under
+the digest of the block's text, so a block is parsed only when its
+outline is not cached or a unit that holds it is checked.
 
-Three layers:
+Four layers:
 
 * **Unit payloads** — :func:`payload_from_unit_outcome` converts one
   checked unit into a slim JSON dict: per-member rendered schemes, status,
@@ -26,9 +30,13 @@ Three layers:
   (an earlier binding grew) is still a hit and is re-stamped with correct
   absolute lines on the way out.
 
+* **Block outlines** — the ``outline:`` entries, one per block text,
+  read for a whole file in one batch (:meth:`ResultCache.read_outlines`)
+  after the session's block memo.
+
 * **The cache** — :class:`ResultCache`, mapping unit keys to unit
   payloads.  On disk it is one SQLite table (:mod:`repro.driver.store`,
-  schema v5) — a warm no-op run reads only the keys it probes and writes
+  schema v6) — a warm no-op run reads only the keys it probes and writes
   nothing, a single-unit edit writes only its own entries, in one
   transaction, and concurrent runs sharing a cache directory lose none
   of each other's entries.
@@ -63,8 +71,8 @@ from typing import (
 
 from ..core.errors import ParseError
 from ..frontend.lexer import Span
+from ..frontend.parser import BlockOutline, DeclOutline
 from ..infer.schemes import Scheme
-from ..surface.ast import ImportDecl, TypeSig
 from ..surface.prelude import prelude_schemes
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 from .depgraph import CheckUnit, ModulePlan, build_plan
@@ -83,6 +91,7 @@ __all__ = [
     "CACHE_SCHEMA",
     "CheckStats",
     "ResultCache",
+    "block_outline_key",
     "cache_key",
     "canonical_scheme",
     "check_modules",
@@ -90,7 +99,6 @@ __all__ = [
     "file_key",
     "load_codegen",
     "options_fingerprint",
-    "outline_key",
     "payload_bytes",
     "payload_from_unit_outcome",
     "result_from_payload",
@@ -380,15 +388,19 @@ def file_key(source: str, scope: Optional[Dict[str, Optional[str]]],
                                fingerprint)
 
 
-def outline_key(source: str, fingerprint: str) -> str:
-    """Key of a source's ``outline:`` side-table entry.
+#: The digest state every block outline key starts from.
+_OUTLINE_HASHER = hashlib.sha256(f"repro-outline:{CACHE_SCHEMA}:".encode())
 
-    An outline is a pure function of the source text (module name, import
-    declarations with spans, union of foreign references) that lets the
-    project planner build the module graph for unchanged files without
-    re-parsing them.
+
+def block_outline_key(text: str) -> str:
+    """Key of a declaration block's ``outline:`` entry.
+
+    An outline is a pure function of the block's text, so no option is
+    hashed in: every option set shares it.
     """
-    return "outline:" + cache_key(source, fingerprint)
+    hasher = _OUTLINE_HASHER.copy()
+    hasher.update(text.encode("utf-8"))
+    return "outline:" + hasher.hexdigest()
 
 
 def codegen_cache_key(key: str) -> str:
@@ -444,24 +456,58 @@ def _exports_payload_valid(payload: dict) -> bool:
     return True
 
 
-def _outline_payload_valid(payload: dict) -> bool:
-    """Shape-check an ``outline:`` side-table entry."""
+def _outline_payload(outline: BlockOutline) -> dict:
+    """A block outline as its ``outline:`` entry: per declaration ``[kind,
+    name, line, column, end line, end column, free names or null]``, lines
+    relative to the block, or the block's ``[message, line, column]``."""
+    return {
+        "decls": [[decl.kind, decl.name, *decl.span,
+                   sorted(decl.refs) if decl.refs is not None else None]
+                  for decl in outline.decls],
+        "error": list(outline.error) if outline.error else None,
+    }
+
+
+#: The declaration kinds of an outline (``decl_spans`` key tags).
+_DECL_KINDS = frozenset({"module", "import", "sig", "bind"})
+
+
+def _outline_from_payload(payload: dict) -> Optional[BlockOutline]:
+    """The outline an ``outline:`` entry holds, or None when the entry is
+    malformed (it then misses, and the re-parse overwrites it)."""
     try:
-        name = payload["name"]
-        if name is not None and not isinstance(name, str):
-            return False
-        if not isinstance(payload["parse_error"], bool):
-            return False
-        for import_name, span in payload["imports"]:
-            if not isinstance(import_name, str):
-                return False
-            Span(*span)
-        for foreign in payload["foreign"]:
-            if not isinstance(foreign, str):
-                return False
-    except (KeyError, TypeError, ValueError, IndexError):
-        return False
-    return True
+        decls, error = payload["decls"], payload["error"]
+        if type(decls) is not list:
+            return None
+        if error is not None:
+            message, line, column = error
+            if decls or type(message) is not str or type(line) is not int \
+                    or type(column) is not int:
+                return None
+            return BlockOutline((), (message, line, column))
+        outlines = []
+        for kind, name, line, column, end_line, end_column, refs in decls:
+            if kind not in _DECL_KINDS or type(name) is not str or \
+                    type(line) is not int or type(column) is not int or \
+                    type(end_line) is not int or type(end_column) is not int:
+                return None
+            if kind == "bind":
+                if type(refs) is not list or \
+                        not all(type(ref) is str for ref in refs):
+                    return None
+                refs = frozenset(refs)
+            elif refs is not None:
+                return None
+            outlines.append(DeclOutline(kind, name, Span(
+                line, column, end_line, end_column), refs))
+        return BlockOutline(tuple(outlines))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _block_outline_valid(payload: dict) -> bool:
+    """Shape-check an ``outline:`` entry (see :func:`_outline_payload`)."""
+    return _outline_from_payload(payload) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +588,36 @@ class ResultCache:
                       exports: Optional[Dict[str, Optional[str]]]) -> None:
         self.store("exports:" + file_key, {"exports": exports})
 
-    def lookup_outline(self, key: str) -> Optional[dict]:
-        return self._get(key, _outline_payload_valid)
+    def lookup_outline(self, keys: Sequence[str]
+                       ) -> Dict[str, BlockOutline]:
+        """The outlines of the well-formed ``outline:`` entries among
+        ``keys``, read from the store in one batch."""
+        if self._store is not None:
+            found = self._store.get_many(keys)
+        else:
+            found = {key: self._memory[key] for key in keys
+                     if key in self._memory}
+        outlines = {}
+        for key, payload in found.items():
+            outline = _outline_from_payload(payload)
+            if outline is not None:
+                outlines[key] = outline
+        return outlines
+
+    def read_outlines(self, texts: Sequence[str]
+                      ) -> Dict[str, BlockOutline]:
+        """The cached outlines of these block texts (the outline store
+        :func:`repro.frontend.parser.parse_module_incremental` reads)."""
+        keys = {block_outline_key(text): text for text in texts}
+        found = {keys[key]: outline for key, outline
+                 in self.lookup_outline(list(keys)).items()}
+        _REGISTRY.inc("cache.outline_hits", len(found))
+        return found
+
+    def write_outline(self, text: str, outline: BlockOutline) -> None:
+        """Keep the outline of a block that missed, now it is parsed."""
+        _REGISTRY.inc("cache.outline_misses")
+        self.store(block_outline_key(text), _outline_payload(outline))
 
     def lookup_codegen(self, key: str) -> Optional[dict]:
         return self._get(key, _codegen_payload_valid)
@@ -732,6 +806,10 @@ _Renderings = Dict[str, Optional[str]]
 class _FileState:
     """One module's parse, plan and per-unit records.
 
+    With a cache the module is planned from block outlines, and a block is
+    parsed only for a unit checked here (:meth:`check`), or for a result
+    whose every unit was checked here, which carries the whole parse.
+
     Each unit resolves to one of two records: the :class:`UnitOutcome` of
     a check in this process, or the payload of a cache hit.  A defined
     name's scheme is kept in the form its record gave it (an object from
@@ -750,11 +828,13 @@ class _FileState:
     """
 
     def __init__(self, filename: str, source: str, pipeline: Pipeline,
-                 scope: Optional[_Renderings] = None) -> None:
+                 scope: Optional[_Renderings] = None,
+                 cache: Optional["ResultCache"] = None) -> None:
         self.filename = filename
         self.scope = scope
         self.pipeline = pipeline
-        self.parsed, self.parse_diagnostics = pipeline.parse(source, filename)
+        self.parsed, self.parse_diagnostics = pipeline.parse(
+            source, filename, cache)
         self.plan: Optional[ModulePlan] = None
         if self.parsed is not None:
             with _TRACER.span("depgraph", file=filename):
@@ -810,13 +890,26 @@ class _FileState:
         self.scheme_srcs[name] = src
         return src
 
+    def _parse(self, indices: Iterable[int]) -> None:
+        """Parse the blocks of these declarations that are not parsed."""
+        unparsed = self.parsed.unparsed
+        indices = [index for index in indices if index in unparsed]
+        if indices:
+            with _TRACER.span("parse", file=self.filename):
+                self.parsed.parse_decls(indices)
+
+    def check(self, unit: CheckUnit) -> UnitOutcome:
+        """Check ``unit`` here, once the blocks of its declarations (its
+        members and their signatures) are parsed."""
+        self._parse(segment.decl_index for segment in unit.segments)
+        return self.pipeline.check_unit(self.plan, unit,
+                                        self.available_for(unit))
+
     def _recheck(self, name: str) -> Optional[Scheme]:
         uid = self.plan.defining_unit.get(name)
         if uid is None:
             return None
-        unit = self.plan.units[uid]
-        outcome = self.pipeline.check_unit(self.plan, unit,
-                                           self.available_for(unit))
+        outcome = self.check(self.plan.units[uid])
         for member in outcome.members:
             if member.summary.name == name:
                 return member.env_scheme
@@ -891,20 +984,19 @@ class _FileState:
 
         bound_names = plan.defining_decl
         single_file = self.scope is None
-        for index, decl in enumerate(parsed.module.decls):
-            if single_file and isinstance(decl, ImportDecl):
+        for index, (kind, name) in enumerate(parsed.decl_keys):
+            if single_file and kind == "import":
                 result.diagnostics.append(Diagnostic(
                     "warning", "parse",
-                    f"import {decl.name} is not resolved in single-file mode "
+                    f"import {name} is not resolved in single-file mode "
                     "(use 'python -m repro build' to check a project)",
                     filename, parsed.decl_span_list[index]))
                 continue
-            if isinstance(decl, TypeSig) and decl.name not in bound_names:
+            if kind == "sig" and name not in bound_names:
                 result.diagnostics.append(Diagnostic(
                     "warning", "infer",
-                    f"type signature for {decl.name!r} lacks a binding",
-                    filename, parsed.decl_spans.get(("sig", decl.name)),
-                    decl.name))
+                    f"type signature for {name!r} lacks a binding",
+                    filename, parsed.decl_spans.get(("sig", name)), name))
                 continue
             entry = entries.get(index)
             if entry is None:
@@ -913,6 +1005,7 @@ class _FileState:
             result.diagnostics.extend(diagnostics)
             result.bindings.append(summary)
         if complete:
+            self._parse(list(parsed.unparsed))
             result.parsed = parsed
         result.ok = not result.errors
         return result
@@ -930,10 +1023,8 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
     same key hits.  Without a cache every unit is checked, and no key or
     payload is built.
     """
-    pipeline = state.pipeline
-    plan = state.plan
     filename = state.filename
-    for unit in plan.units:
+    for unit in state.plan.units:
         if cache is not None:
             key = unit_key(unit.source, state.dep_items(unit), fingerprint)
             with _TRACER.span("cache.lookup"):
@@ -942,7 +1033,7 @@ def _walk(state: _FileState, cache: Optional[ResultCache],
                 state.resolve(unit, payload)
                 stats.note(filename, unit, None, "hit")
                 continue
-        outcome = pipeline.check_unit(plan, unit, state.available_for(unit))
+        outcome = state.check(unit)
         payload = None
         if cache is not None:
             payload = payload_from_unit_outcome(outcome)
@@ -1005,7 +1096,8 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
                 _REGISTRY.inc("cache.file_hits")
                 stats.file_hits += 1
                 continue
-        active.append((index, _FileState(filename, source, pipeline, scope)))
+        active.append((index, _FileState(filename, source, pipeline, scope,
+                                         cache)))
 
     parse_failures = sum(1 for _, state in active if state.plan is None)
     _REGISTRY.inc("batch.files", len(modules))

@@ -8,10 +8,11 @@ but the **binding group**:
 * :func:`decl_references` computes which module-level names a binding's
   right-hand side mentions (its free variables minus its parameters);
 * :func:`build_plan` resolves those references (**last definition wins**,
-  consistent with :meth:`repro.surface.ast.Module.bindings`), builds the
-  binding dependency graph over the module's ``FunBind`` declarations, and
-  condenses it into strongly connected components with an iterative
-  Tarjan pass;
+  consistent with :meth:`repro.surface.ast.Module.bindings`) from the
+  declarations' outlines alone, so no block need be parsed to plan it;
+  it then builds the binding dependency graph over the module's
+  ``FunBind`` declarations and condenses it into strongly connected
+  components with an iterative Tarjan pass;
 * the resulting :class:`ModulePlan` lists :class:`CheckUnit` values in
   **dependency order** (every unit appears after all the units it depends
   on), so the pipeline can thread a typing environment unit by unit.  An
@@ -37,7 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..frontend.lexer import Span
 from ..frontend.parser import ParsedModule
-from ..surface.ast import FunBind, ImportDecl, ModuleHeader, TypeSig
+from ..surface.ast import FunBind
 
 __all__ = [
     "CheckUnit",
@@ -129,7 +130,7 @@ class CheckUnit:
 
 @dataclass
 class ModulePlan:
-    """A parsed module broken into dependency-ordered check units."""
+    """A module broken into dependency-ordered check units."""
 
     parsed: ParsedModule
     units: List[CheckUnit]
@@ -145,6 +146,9 @@ class ModulePlan:
     #: ``import`` declarations in declaration order (name, span), duplicates
     #: kept so diagnostics can point at the exact occurrence.
     imports: Tuple[Tuple[str, Span], ...] = ()
+    #: References bound by no declaration of the module (sorted): the
+    #: union of the units' ``foreign`` names.
+    foreign: Tuple[str, ...] = ()
 
     @property
     def has_header(self) -> bool:
@@ -223,63 +227,76 @@ def _tarjan(order: List[int],
     return sccs
 
 
-def build_plan(parsed: ParsedModule) -> ModulePlan:
-    """Break a parsed module into dependency-ordered check units."""
-    module = parsed.module
-    source_lines = parsed.source.split("\n")
-    decl_span = dict(enumerate(parsed.decl_span_list))
+def build_plan(parsed: ParsedModule, units: bool = True) -> ModulePlan:
+    """Break a module into dependency-ordered check units.
 
-    fun_decls: List[int] = []
-    sig_decls_of: Dict[str, List[int]] = {}
+    Only the declarations' outlines are read (``decl_keys``, spans and
+    ``decl_refs``), so a module whose blocks are not parsed yet plans as
+    well as a parsed one.  With ``units=False`` the plan holds the
+    module-level facts alone (name, header, imports, definitions and
+    foreign references) and no units: the project graph needs no more.
+    """
     bound_names: Dict[str, int] = {}
     header_span: Optional[Span] = None
     imports: List[Tuple[str, Span]] = []
-    for index, decl in enumerate(module.decls):
-        if isinstance(decl, FunBind):
-            fun_decls.append(index)
-            bound_names[decl.name] = index       # last definition wins
-        elif isinstance(decl, TypeSig):
-            sig_decls_of.setdefault(decl.name, []).append(index)
-        elif isinstance(decl, ModuleHeader):
-            header_span = decl_span.get(index)
-        elif isinstance(decl, ImportDecl):
-            span = decl_span.get(index)
-            if span is not None:
-                imports.append((decl.name, span))
-
-    # Edges between FunBind decl indices; references resolve to the
-    # *defining* declaration of the referenced name.  The incremental
-    # parser memoises per-decl references; fall back to the AST walk.
+    refs: Dict[int, FrozenSet[str]] = {}
     memoised_refs = parsed.decl_refs
-    edges: Dict[int, List[int]] = {}
-    refs_of: Dict[int, FrozenSet[str]] = {}
-    for index in fun_decls:
-        bind = module.decls[index]
-        refs = None
-        if memoised_refs is not None and index < len(memoised_refs):
-            refs = memoised_refs[index]
-        if refs is None:
-            refs = decl_references(bind)
-        refs_of[index] = refs
-        targets = sorted({bound_names[name] for name in refs
-                          if name in bound_names})
-        edges[index] = targets
+    decl_span = dict(enumerate(parsed.decl_span_list))
+    for index, (kind, name) in enumerate(parsed.decl_keys):
+        if kind == "bind":
+            bound_names[name] = index       # last definition wins
+            # The parser keeps per-decl references; a module assembled
+            # elsewhere walks the AST.
+            found = None
+            if memoised_refs is not None and index < len(memoised_refs):
+                found = memoised_refs[index]
+            refs[index] = found if found is not None \
+                else decl_references(parsed.module.decls[index])
+        elif kind == "module":
+            header_span = decl_span.get(index)
+        elif kind == "import" and index in decl_span:
+            imports.append((name, decl_span[index]))
+    foreign = {name for names in refs.values() for name in names
+               if name not in bound_names}
+    layout = _layout(parsed, bound_names, refs) if units else []
+    defining_unit = {name: unit.uid for unit in layout
+                     for index, name in zip(unit.member_decls, unit.names)
+                     if bound_names[name] == index}
+    return ModulePlan(parsed=parsed, units=layout,
+                      defining_decl=bound_names, defining_unit=defining_unit,
+                      module_name=parsed.module.name,
+                      header_span=header_span, imports=tuple(imports),
+                      foreign=tuple(sorted(foreign)))
 
-    sccs = _tarjan(fun_decls, edges)
+
+def _layout(parsed: ParsedModule, bound_names: Dict[str, int],
+            refs: Dict[int, FrozenSet[str]]) -> List[CheckUnit]:
+    """The check units, in dependency order: the reference graph between
+    the FunBind decls (``refs``, in declaration order), condensed."""
+    source_lines = parsed.source.split("\n")
+    decl_span = dict(enumerate(parsed.decl_span_list))
+    names = [name for _kind, name in parsed.decl_keys]
+    sig_decls_of: Dict[str, List[int]] = {}
+    for index, (kind, name) in enumerate(parsed.decl_keys):
+        if kind == "sig":
+            sig_decls_of.setdefault(name, []).append(index)
+    # Edges between FunBind decl indices; references resolve to the
+    # *defining* declaration of the referenced name.
+    edges = {index: sorted({bound_names[name] for name in names_used
+                            if name in bound_names})
+             for index, names_used in refs.items()}
 
     units: List[CheckUnit] = []
-    defining_unit: Dict[str, int] = {}
-    for uid, members in enumerate(sccs):
+    for uid, members in enumerate(_tarjan(list(refs), edges)):
         member_names: List[str] = []
         segment_decls: List[int] = []
         deps: set = set()
         foreign: set = set()
         for index in members:
-            bind = module.decls[index]
-            member_names.append(bind.name)
-            segment_decls.extend(sig_decls_of.get(bind.name, []))
+            member_names.append(names[index])
+            segment_decls.extend(sig_decls_of.get(names[index], []))
             segment_decls.append(index)
-            for name in refs_of[index]:
+            for name in refs[index]:
                 if name in bound_names:
                     if bound_names[name] not in members:
                         deps.add(name)
@@ -290,21 +307,12 @@ def build_plan(parsed: ParsedModule) -> ModulePlan:
             _segment(source_lines, decl_index, decl_span[decl_index])
             for decl_index in segment_decls
             if decl_span.get(decl_index) is not None)
-        unit = CheckUnit(
+        units.append(CheckUnit(
             uid=uid,
             names=tuple(member_names),
             member_decls=tuple(members),
             segments=segments,
             deps=tuple(sorted(deps)),
             source="".join(segment.text for segment in segments),
-            foreign=tuple(sorted(foreign)))
-        units.append(unit)
-        for index in members:
-            bind = module.decls[index]
-            if bound_names[bind.name] == index:
-                defining_unit[bind.name] = uid
-
-    return ModulePlan(parsed=parsed, units=units,
-                      defining_decl=bound_names, defining_unit=defining_unit,
-                      module_name=module.name, header_span=header_span,
-                      imports=tuple(imports))
+            foreign=tuple(sorted(foreign))))
+    return units

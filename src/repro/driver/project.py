@@ -27,9 +27,10 @@ That second point is the cross-file early-cutoff property:
 * changing an exported *scheme* re-opens exactly the modules that import
   it, and within them re-checks exactly the units that name it.
 
-Warm no-op builds never parse at all: the module graph is rebuilt from
-``outline:`` side-table entries (name + imports + foreign references per
-source text), and per-module exports come from ``exports:`` entries.
+Warm no-op builds never parse at all: the module graph is planned from
+the block outlines the cache keeps (``outline:`` entries, see
+:mod:`repro.driver.batch`), and per-module exports come from ``exports:``
+entries.
 
 Checking walks the DAG level by level (every module's imports live in
 strictly earlier levels), handing each level to
@@ -49,14 +50,7 @@ from ..frontend.lexer import Span
 from ..frontend.parser import ParsedModule, parse_scheme
 from ..surface.ast import ImportDecl, Module, ModuleHeader
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
-from .batch import (
-    CheckStats,
-    ResultCache,
-    _span_to_list,
-    check_modules,
-    options_fingerprint,
-    outline_key,
-)
+from .batch import CheckStats, ResultCache, check_modules
 from .depgraph import _tarjan, build_plan
 from .session import (
     BindingSummary,
@@ -168,46 +162,20 @@ def _salvage_name(source: str) -> Optional[str]:
 
 
 def _outline_node(index: int, filename: str, source: str,
-                  pipeline: Pipeline, cache: Optional[ResultCache],
-                  fingerprint: str) -> ModuleNode:
-    """Resolve one file's outline: from the cache side-table, else by
-    parsing (and storing the outline for the next build)."""
-    if cache is not None:
-        key = outline_key(source, fingerprint)
-        payload = cache.lookup_outline(key)
-        if payload is not None:
-            _REGISTRY.inc("project.outline_hits")
-            header = payload.get("header_span")
-            return ModuleNode(
-                index, filename, source, payload["name"],
-                payload["parse_error"],
-                Span(*header) if header else None,
-                tuple((name, Span(*span))
-                      for name, span in payload["imports"]),
-                tuple(payload["foreign"]))
-    _REGISTRY.inc("project.outline_misses")
-    parsed, _diagnostics = pipeline.parse(source, filename)
+                  pipeline: Pipeline,
+                  cache: Optional[ResultCache]) -> ModuleNode:
+    """One file's node, planned from its block outlines: with a cache a
+    block is parsed only when neither the session's block memo nor the
+    cache has its outline.  The memo then keeps the outlines, so checking
+    the file in this build reads none of them again."""
+    parsed, _diagnostics = pipeline.parse(source, filename, cache)
     if parsed is None:
-        node = ModuleNode(index, filename, source, _salvage_name(source),
+        return ModuleNode(index, filename, source, _salvage_name(source),
                           True, None, (), ())
-    else:
-        plan = build_plan(parsed)
-        foreign = sorted({name for unit in plan.units
-                          for name in unit.foreign})
-        node = ModuleNode(
-            index, filename, source,
-            plan.module_name if plan.has_header else None,
-            False, plan.header_span, plan.imports, tuple(foreign))
-    if cache is not None:
-        cache.store(key, {
-            "name": node.name,
-            "parse_error": node.parse_error,
-            "header_span": _span_to_list(node.header_span),
-            "imports": [[name, _span_to_list(span)]
-                        for name, span in node.imports],
-            "foreign": list(node.foreign),
-        })
-    return node
+    plan = build_plan(parsed, units=False)
+    return ModuleNode(index, filename, source,
+                      plan.module_name if plan.has_header else None,
+                      False, plan.header_span, plan.imports, plan.foreign)
 
 
 @dataclass
@@ -239,13 +207,11 @@ def build_project_plan(items: Sequence[Tuple[str, str]],
                        cache: Optional[ResultCache] = None) -> ProjectPlan:
     """Build the module graph over ``(filename, source)`` items.
 
-    Outlines come from the cache side-table when possible — a warm build
-    reconstructs the whole graph without parsing a single file.
+    Block outlines come from the cache when it has them — a warm build
+    reconstructs the whole graph without parsing a single block.
     """
-    fingerprint = options_fingerprint(pipeline.options)
     with _TRACER.span("project.graph", modules=len(items)):
-        nodes = [_outline_node(index, filename, source, pipeline, cache,
-                               fingerprint)
+        nodes = [_outline_node(index, filename, source, pipeline, cache)
                  for index, (filename, source) in enumerate(items)]
 
         diagnostics: Dict[int, List[Diagnostic]] = {}

@@ -42,6 +42,7 @@ Stage inventory (``Pipeline.STAGES``):
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -372,14 +373,20 @@ class Pipeline:
                  options: Optional[DriverOptions] = None) -> None:
         self.base_env = base_env
         self.options = options or DriverOptions()
-        #: Session-lived memo of declaration-block parses: re-checking a
-        #: module re-lexes/parses only the blocks whose text changed.
-        self._block_memo: Dict[str, object] = {}
+        #: Session-lived memo of declaration blocks, least recently used
+        #: first: re-checking a module re-lexes/parses only the blocks
+        #: whose text changed.  It holds parses, and outlines read from a
+        #: cache.
+        self._block_memo: Dict[str, object] = OrderedDict()
 
     # -- parse ---------------------------------------------------------------
 
-    def parse(self, source: str, filename: str) -> Tuple[Optional[ParsedModule],
-                                                         List[Diagnostic]]:
+    def parse(self, source: str, filename: str, outlines=None
+              ) -> Tuple[Optional[ParsedModule], List[Diagnostic]]:
+        """Parse a module through the session's block memo.  With an
+        outline store (``outlines``, a cache) the module is outlined, and
+        its blocks are parsed when needed (see
+        :func:`repro.frontend.parser.parse_module_incremental`)."""
         from ..frontend.parser import parse_module_incremental
 
         traced = _TRACER.enabled
@@ -387,8 +394,9 @@ class Pipeline:
             _TRACER.begin("parse", file=filename)
         try:
             try:
-                return parse_module_incremental(source, filename,
-                                                memo=self._block_memo), []
+                return parse_module_incremental(
+                    source, filename, memo=self._block_memo,
+                    outlines=outlines), []
             except ParseError as exc:
                 span = Span(exc.line or 1, exc.column or 1,
                             exc.line or 1, exc.column or 1)

@@ -1,4 +1,4 @@
-"""The result cache's on-disk store: one SQLite table (schema v5).
+"""The result cache's on-disk store: one SQLite table (schema v6).
 
 Every ``--cache PATH`` is a directory holding one database,
 ``PATH/cache.sqlite``, with one table::
@@ -10,7 +10,8 @@ entry was last stored, or last served when that was more than
 :data:`STAMP_REFRESH_SECONDS` later; ``gc(max_age)`` drops entries by it.
 
 A :class:`CacheStore` reads each key it is asked for with one ``SELECT``
-and keeps its puts in memory.  :meth:`CacheStore.save` writes them, with
+(:meth:`CacheStore.get_many` reads a batch of keys with one) and keeps its
+puts in memory.  :meth:`CacheStore.save` writes them, with
 the stale stamps of the entries it served, in one ``BEGIN IMMEDIATE``
 transaction.  SQLite's locks serialise the writers, and a key has one
 deterministic payload, so processes saving into one directory lose
@@ -50,7 +51,9 @@ import contextlib
 import json
 import os
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..telemetry import REGISTRY as _REGISTRY
 
@@ -73,7 +76,9 @@ __all__ = [
 #: v4: the sharded store — entries split across per-table shard
 #: directories with per-entry GC stamps.
 #: v5: one SQLite database per cache directory.
-CACHE_SCHEMA = 5
+#: v6: ``outline:`` entries outline one declaration block each, keyed by
+#: the block's text, in place of one outline per module source.
+CACHE_SCHEMA = 6
 
 #: The database file inside a cache directory.
 DATABASE_NAME = "cache.sqlite"
@@ -89,6 +94,10 @@ STAMP_REFRESH_SECONDS = 7 * 24 * 3600.0
 
 _CREATE_TABLE = ("CREATE TABLE IF NOT EXISTS entry (key TEXT PRIMARY KEY, "
                  "payload TEXT NOT NULL, stamp REAL NOT NULL)")
+
+#: Keys one ``SELECT`` of :meth:`CacheStore.get_many` binds at most, well
+#: under the 999 variables older SQLite builds allow a statement.
+_BATCH_KEYS = 500
 
 
 def table_of(key: str) -> str:
@@ -118,6 +127,19 @@ def _decode(text) -> Optional[dict]:
         return json.loads(text)
     except (TypeError, ValueError):
         return None
+
+
+def _decode_many(texts: List[str]) -> List[Optional[dict]]:
+    """The payloads of ``texts``, as :func:`_decode` gives them: decoded
+    as one JSON array when that yields one value per text (one decoder
+    call, not one per payload), else one by one."""
+    try:
+        payloads = json.loads("[%s]" % ",".join(texts))
+        if len(payloads) == len(texts):
+            return payloads
+    except ValueError:
+        pass
+    return [_decode(text) for text in texts]
 
 
 class StoreError(Exception):
@@ -196,6 +218,43 @@ class CacheStore:
         if payload is not None:
             self._served.add(key)
         return payload
+
+    def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
+        """The payloads of those ``keys`` that have one, as :meth:`get`
+        gives them; the keys not read yet are read with one ``SELECT``
+        per :data:`_BATCH_KEYS` of them."""
+        rows, pending = self._rows, self._pending
+        unique = list(dict.fromkeys(keys))
+        unread = [key for key in unique
+                  if key not in rows and key not in pending]
+        if unread:
+            cutoff = time.time() - STAMP_REFRESH_SECONDS
+            with self._sql() as db:
+                for first in range(0, len(unread), _BATCH_KEYS):
+                    batch = unread[first:first + _BATCH_KEYS]
+                    for key, text, stale in db.execute(
+                            "SELECT key, payload, stamp < ? FROM entry "
+                            "WHERE key IN (%s)" % ", ".join("?" * len(batch)),
+                            (cutoff, *batch)):
+                        rows[key] = (text, stale)
+            for key in unread:
+                rows.setdefault(key, None)
+            self.keys_read += len(unread)
+            _REGISTRY.inc("cache.store.keys_read", len(unread))
+        stored = [key for key in unique
+                  if key not in pending and rows[key] is not None]
+        decoded = dict(zip(stored,
+                           _decode_many([rows[key][0] for key in stored])))
+        found = {}
+        for key in keys:
+            payload = pending.get(key)
+            if payload is None:
+                payload = decoded.get(key)
+                if payload is None:
+                    continue
+                self._served.add(key)
+            found[key] = payload
+        return found
 
     def put(self, key: str, payload: dict) -> bool:
         """Store a payload; returns False when it matched what was there

@@ -60,7 +60,7 @@ carrying a 1-based line/column position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import ParseError
 from ..core.kinds import (
@@ -120,6 +120,7 @@ from ..surface.types import (
     TyVar,
     UnboxedTupleTy,
 )
+from ..telemetry import REGISTRY as _REGISTRY
 from .lexer import (
     RESERVED_SYMBOLS,
     TOKEN_RE,
@@ -210,6 +211,41 @@ class ParsedModule:
     #: ``None`` as a whole (a module assembled elsewhere) means "compute
     #: on demand".
     decl_refs: Optional[List[Optional[FrozenSet[str]]]] = None
+    #: ``(kind, name)`` of every declaration (the ``decl_spans`` key),
+    #: parallel to ``module.decls``.  It comes from block outlines, so it
+    #: is whole even while some blocks are not parsed.
+    decl_keys: List[Tuple[str, str]] = field(default_factory=list)
+    #: Declaration index -> ``(text, line, first declaration, count)`` of
+    #: its block, for each block not parsed yet: ``module.decls`` holds
+    #: None for those declarations until :meth:`parse_decls` parses them.
+    unparsed: Dict[int, Tuple[str, int, int, int]] = field(
+        default_factory=dict, repr=False, compare=False)
+    #: The block memo those parses go through, and the memoised blocks
+    #: this module already holds (see :func:`_block_at`).
+    memo: Optional[Dict[str, object]] = field(
+        default=None, repr=False, compare=False)
+    used: set = field(default_factory=set, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.decl_keys:
+            self.decl_keys = [_decl_key(decl) for decl in self.module.decls]
+
+    def parse_decls(self, indices: Iterable[int]) -> None:
+        """Parse the blocks holding these declarations, where they are not
+        parsed yet."""
+        blocks = {self.unparsed[index] for index in indices
+                  if index in self.unparsed}
+        if not blocks:
+            return
+        decls = list(self.module.decls)
+        for text, line, first, count in sorted(blocks,
+                                               key=lambda block: block[2]):
+            block = _block_at(text, line, self.memo, self.used)
+            decls[first:first + count] = block.decls
+            self.expr_spans.update(block.expr_spans)
+            for index in range(first, first + count):
+                del self.unparsed[index]
+        self.module = Module(self.module.name, decls)
 
     def span_of_binding(self, name: str) -> Optional[Span]:
         """Best span for diagnostics about the binding ``name``."""
@@ -897,11 +933,40 @@ class Parser:
 # parses and lex/parses only the blocks that actually changed.  A block is
 # parsed with the file's line numbers, and its spans are re-based only when
 # the memo hands it out at another line.
+#
+# Planning needs less than a parse: each declaration's kind, name, span and
+# free names, which a block's *outline* keeps without the syntax trees.  An
+# outline's lines are relative to its block, so it answers the block at any
+# line, and it is small enough to keep in the result cache: with an outline
+# store, a module is planned from outlines and a block is parsed only when
+# its declarations are needed.
 
 
-#: Memoised block parses are dropped wholesale past this many entries
-#: (a simple bound; block texts are small but sessions are long-lived).
-_BLOCK_MEMO_LIMIT = 65536
+#: The memo keeps the most recently used blocks, and past this many drops
+#: the least recently used one (a block's parse holds ~6 KB, so ~50 MB).
+_BLOCK_MEMO_LIMIT = 8192
+
+
+class DeclOutline(NamedTuple):
+    """One declaration of a block, without its syntax tree."""
+
+    #: "module", "import", "sig" or "bind": the tag of ``decl_spans`` keys.
+    kind: str
+    name: str
+    #: Lines relative to the block's first line, which is line 0.
+    span: Span
+    #: A binding's free names (its right-hand side's free variables less
+    #: its parameters); None for other declarations.
+    refs: Optional[FrozenSet[str]]
+
+
+class BlockOutline(NamedTuple):
+    """What planning needs of one declaration block: its declarations'
+    outlines, or the block's parse error as (message, relative line,
+    column)."""
+
+    decls: Tuple[DeclOutline, ...] = ()
+    error: Optional[Tuple[str, int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -911,14 +976,8 @@ class _BlockParse:
     #: The line the block started on when it was parsed.
     line: int
     decls: Tuple[Decl, ...]
-    decl_span_list: Tuple[Span, ...]
     expr_spans: Dict[int, Span]
-    #: Free-variable references per decl (None for type signatures) —
-    #: computed once so the dependency planner skips the AST walk.
-    refs: Tuple[Optional[FrozenSet[str]], ...] = ()
-    #: (message-without-position-prefix, line, column) when the block does
-    #: not lex or parse; memoising failures keeps erroring files cheap too.
-    error: Optional[Tuple[str, int, int]] = None
+    outline: BlockOutline
 
 
 def _starts_decl(line: str) -> bool:
@@ -929,6 +988,7 @@ def _starts_decl(line: str) -> bool:
 
 
 def _parse_block(text: str, line: int) -> _BlockParse:
+    _REGISTRY.inc("frontend.blocks_parsed")
     try:
         # Module-shape validation (header first, imports before code) is
         # positional across the whole file, so it runs on assembly, not
@@ -936,14 +996,14 @@ def _parse_block(text: str, line: int) -> _BlockParse:
         parser = Parser(text, "<block>", line)
         decls, decl_span_list = parser.parse_decls()
     except ParseError as exc:
-        return _BlockParse(line, (), (), {}, (),
-                           (exc.message, exc.line, exc.column))
-    refs = tuple(
-        decl.rhs.free_vars() - frozenset(decl.params)
-        if isinstance(decl, FunBind) else None
-        for decl in decls)
-    return _BlockParse(line, tuple(decls), tuple(decl_span_list),
-                       parser.expr_spans, refs)
+        return _BlockParse(line, (), {}, BlockOutline(
+            error=(exc.message, exc.line - line, exc.column)))
+    outline = BlockOutline(tuple(
+        DeclOutline(*_decl_key(decl), _shift_span(span, -line),
+                    decl.rhs.free_vars() - frozenset(decl.params)
+                    if isinstance(decl, FunBind) else None)
+        for decl, span in zip(decls, decl_span_list)))
+    return _BlockParse(line, tuple(decls), parser.expr_spans, outline)
 
 
 def _shift_span(span: Span, delta: int) -> Span:
@@ -951,17 +1011,30 @@ def _shift_span(span: Span, delta: int) -> Span:
                 span.end_line + delta, span.end_column)
 
 
-def _block_at(text: str, line: int, memo: Optional[Dict[str, _BlockParse]],
+def _memo_get(memo: Optional[Dict[str, object]], text: str):
+    """The memo's entry for ``text`` (a parse or an outline), which
+    becomes its most recently used."""
+    entry = memo.pop(text, None) if memo is not None else None
+    if entry is not None:
+        memo[text] = entry
+    return entry
+
+
+def _memo_put(memo: Dict[str, object], text: str, entry) -> None:
+    memo[text] = entry
+    if len(memo) > _BLOCK_MEMO_LIMIT:
+        del memo[next(iter(memo))]
+
+
+def _block_at(text: str, line: int, memo: Optional[Dict[str, object]],
               used: set) -> _BlockParse:
     """The parse of the block ``text`` starting at ``line``, from the memo
     when it has one."""
-    block = memo.get(text) if memo is not None else None
-    if block is None:
+    block = _memo_get(memo, text)
+    if not isinstance(block, _BlockParse):
         block = _parse_block(text, line)
         if memo is not None:
-            if len(memo) >= _BLOCK_MEMO_LIMIT:
-                memo.clear()
-            memo[text] = block
+            _memo_put(memo, text, block)
     elif id(block) in used:
         # The same block text occurs twice in one module (duplicate
         # definitions).  Sharing the memoised AST would collide the
@@ -972,20 +1045,35 @@ def _block_at(text: str, line: int, memo: Optional[Dict[str, _BlockParse]],
     delta = line - block.line
     if not delta:
         return block
-    error = block.error and (block.error[0], block.error[1] + delta,
-                             block.error[2])
-    return _BlockParse(
-        line, block.decls,
-        tuple(_shift_span(span, delta) for span in block.decl_span_list),
-        {node: _shift_span(span, delta)
-         for node, span in block.expr_spans.items()},
-        block.refs, error)
+    return _BlockParse(line, block.decls,
+                       {node: _shift_span(span, delta)
+                        for node, span in block.expr_spans.items()},
+                       block.outline)
+
+
+def _outlines_of(texts: List[str], memo: Dict[str, object], outlines
+                 ) -> Dict[str, Optional[BlockOutline]]:
+    """The outline of each block text that the memo has, else that the
+    store ``outlines`` has, in one read; None for the others.  The
+    store's outlines go into the memo, so the session reads each once."""
+    known: Dict[str, Optional[BlockOutline]] = {}
+    for text in texts:
+        entry = _memo_get(memo, text)
+        known[text] = entry.outline if isinstance(entry, _BlockParse) \
+            else entry
+    missing = [text for text, found in known.items() if found is None]
+    if missing:
+        stored = outlines.read_outlines(missing)
+        for text, found in stored.items():
+            _memo_put(memo, text, found)
+        known.update(stored)
+    return known
 
 
 def parse_module_incremental(source: str, filename: str = "<input>",
                              name: str = "Main",
-                             memo: Optional[Dict[str, _BlockParse]] = None
-                             ) -> ParsedModule:
+                             memo: Optional[Dict[str, object]] = None,
+                             outlines=None) -> ParsedModule:
     """Parse a module block by block, reusing memoised block parses.
 
     A block whose text is already in ``memo`` skips lexing and parsing
@@ -995,28 +1083,63 @@ def parse_module_incremental(source: str, filename: str = "<input>",
     error.  A ``module M where`` header must be the *first* declaration
     (which also rules out duplicates), and ``import`` declarations must
     precede all signatures and bindings.
+
+    ``outlines``, when given, is a store of block outlines:
+    ``outlines.read_outlines(texts)`` maps the texts it knows to their
+    :class:`BlockOutline`, in one read, and ``outlines.write_outline(text,
+    outline)`` keeps a new one.  Then every block is outlined — from the
+    memo, else the store, else by parsing it (and writing its outline) —
+    and none is parsed for its syntax trees: the module comes back with
+    ``None`` for each declaration of a block not parsed, for
+    :meth:`ParsedModule.parse_decls` to parse when it is needed.  Errors
+    are found from outlines alone, so they are the same either way.
     """
-    decls: List[Decl] = []
-    decl_spans: Dict[Tuple[str, str], Span] = {}
-    expr_spans: Dict[int, Span] = {}
-    decl_span_list: List[Span] = []
-    decl_refs: List[Optional[FrozenSet[str]]] = []
-    used_blocks: set = set()
     lines = source.split("\n")
     starts = [index for index, line in enumerate(lines)
               if _starts_decl(line)]
     if not starts or starts[0] != 0:
         starts.insert(0, 0)  # the preamble of trivia before the first decl
     starts.append(len(lines))
+    texts = ["\n".join(lines[first:end])
+             for first, end in zip(starts, starts[1:])]
+    parsed = ParsedModule(Module(name, ()), filename, source, decl_refs=[],
+                          memo=memo)
+    decls: List[Optional[Decl]] = []
+    decl_keys, decl_span_list = parsed.decl_keys, parsed.decl_span_list
+    decl_spans, decl_refs = parsed.decl_spans, parsed.decl_refs
+    unparsed = parsed.unparsed
+    if outlines is not None:
+        parsed.memo = memo = {} if memo is None else memo
+        known = _outlines_of(texts, memo, outlines)
+
+    def outline(text: str, line: int) -> Tuple[BlockOutline,
+                                                Optional[_BlockParse]]:
+        """The outline of the block ``text`` at ``line``, and its parse
+        when it is parsed for its syntax trees now."""
+        if outlines is None:
+            block = _block_at(text, line, memo, parsed.used)
+            return block.outline, block
+        if text not in known:  # a block an unclosed comment extended
+            known.update(_outlines_of([text], memo, outlines))
+        found = known[text]
+        if found is None:
+            block = _parse_block(text, line)
+            outlines.write_outline(text, block.outline)
+            _memo_put(memo, text, block)
+            found = known[text] = block.outline
+        return found, None
+
     following = 1
     while following < len(starts):
         first = starts[following - 1]
-        block = _block_at("\n".join(lines[first:starts[following]]),
-                          first + 1, memo, used_blocks)
-        while block.error and block.error[0] == UNTERMINATED_COMMENT:
+        text = texts[following - 1]
+        block_outline, block = outline(text, first + 1)
+        while block_outline.error and \
+                block_outline.error[0] == UNTERMINATED_COMMENT:
             # The block ends inside a comment: extend it past the line
             # where the comment closes, unless the file ends first.
-            _, line, column = block.error
+            _, dline, column = block_outline.error
+            line = first + 1 + dline
             opener = sum(map(len, lines[:line - 1])) + line - 1 + column - 1
             close = block_comment_end(source, opener + len("{-"))
             if close < 0:
@@ -1024,34 +1147,46 @@ def parse_module_incremental(source: str, filename: str = "<input>",
             close_row = source.count("\n", 0, close)
             while starts[following] <= close_row:
                 following += 1
-            block = _block_at("\n".join(lines[first:starts[following]]),
-                              first + 1, memo, used_blocks)
+            text = "\n".join(lines[first:starts[following]])
+            block_outline, block = outline(text, first + 1)
         following += 1
-        if block.error is not None:
-            raise ParseError(*block.error)
-        for decl, span in zip(block.decls, block.decl_span_list):
-            decls.append(decl)
+        if block_outline.error is not None:
+            message, dline, column = block_outline.error
+            raise ParseError(message, first + 1 + dline, column)
+        line = first + 1
+        for kind, decl_name, span, refs in block_outline.decls:
+            key = (kind, decl_name)
+            span = _shift_span(span, line)
+            decl_keys.append(key)
             decl_span_list.append(span)
-            decl_spans.setdefault(_decl_key(decl), span)
-        decl_refs.extend(block.refs)
-        expr_spans.update(block.expr_spans)
+            decl_spans.setdefault(key, span)
+            decl_refs.append(refs)
+        if block is not None:
+            decls.extend(block.decls)
+            parsed.expr_spans.update(block.expr_spans)
+            continue
+        pending = (text, line, len(decls), len(block_outline.decls))
+        for _ in block_outline.decls:
+            unparsed[len(decls)] = pending
+            decls.append(None)
     seen_code = False
-    for index, (decl, span) in enumerate(zip(decls, decl_span_list)):
-        if isinstance(decl, ModuleHeader):
+    for index, ((kind, decl_name), span) in enumerate(
+            zip(decl_keys, decl_span_list)):
+        if kind == "module":
             if index != 0:
                 raise ParseError(
                     "the 'module ... where' header must be the first "
                     "declaration in the file", span.line, span.column)
-            name = decl.name
-        elif isinstance(decl, ImportDecl):
+            name = decl_name
+        elif kind == "import":
             if seen_code:
                 raise ParseError(
                     "imports must appear before all other declarations",
                     span.line, span.column)
         else:
             seen_code = True
-    return ParsedModule(Module(name, decls), filename, source,
-                        decl_spans, expr_spans, decl_span_list, decl_refs)
+    parsed.module = Module(name, decls)
+    return parsed
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def check_records(state: UnifierState,
 
     A site's description is rendered only when the site fails.
     """
-    checker = LevityChecker(collect=True)
+    checker = LevityChecker()
     report = LevityCheckReport()
     for record in records:
         report.checked_sites += 1

@@ -604,8 +604,13 @@ class TestAtomicCache:
                              cache=two)
         # 'two' saved last but must still contain 'one's entries
         # (per-unit and per-file entries both).
-        merged = ResultCache(path)
-        assert len(merged.entries) == (2 * UNITS_PER_PROGRAM + 2) + (1 + 1)
+        entries = ResultCache(path).entries
+        outlines = [key for key in entries if key.startswith("outline:")]
+        assert len(entries) - len(outlines) == \
+            (2 * UNITS_PER_PROGRAM + 2) + (1 + 1)
+        # And one outline per distinct block text: four per program, less
+        # the 'main :: Int' they share, and two for other.lev.
+        assert len(outlines) == (2 * 4 - 1) + 2
 
     def test_failed_save_rolls_back_and_leaves_no_side_file(
             self, tmp_path, monkeypatch):
@@ -706,3 +711,257 @@ class TestReviewRegressions:
         captured = capsys.readouterr()
         bare = json.loads(captured.out)
         assert isinstance(bare, list) and bare[0]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# Block outlines: with a cache, a block is parsed only when needed
+# ---------------------------------------------------------------------------
+
+
+def _corpus_items():
+    here = pathlib.Path(__file__).resolve().parent
+    paths = sorted(here.glob("golden/**/*.lev")) + \
+        sorted((here.parent / "examples").glob("*.lev"))
+    assert paths
+    return [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _bytes(result):
+    return payload_bytes(result_to_payload(result))
+
+
+def _sql(path, statement, *args):
+    """Run one statement on a cache directory's database, as a hand edit
+    would."""
+    import sqlite3
+
+    from repro.driver.store import DATABASE_NAME
+
+    with sqlite3.connect(os.path.join(path, DATABASE_NAME)) as db:
+        db.execute(statement, args)
+    db.close()
+
+
+def _drop_file_entries(cache):
+    """Forget an in-memory cache's whole-file entries."""
+    for key in [key for key in cache.entries if key.startswith("pfile:")]:
+        del cache.entries[key]
+
+
+def _parsed_blocks(check):
+    """How many blocks ``check()`` parses, by the frontend's counter."""
+    from repro.telemetry import REGISTRY
+
+    counter = REGISTRY.counter("frontend.blocks_parsed")
+    before = counter.value
+    result = check()
+    return result, counter.value - before
+
+
+class TestBlockOutlines:
+    def _assert_outline_path(self, items, open_cache, drop_file_entries):
+        """Every item checks byte-identically to an uncached check: cold
+        (outlines parsed and stored), from outlines and unit entries once
+        the file entries are gone, and warm (file hits).  Each check is
+        a fresh session, so no block memo answers for the cache."""
+        reference = Session()
+        want = [_bytes(reference.check(source, filename))
+                for filename, source in items]
+
+        def cached():
+            return [_bytes(Session().check_many(
+                [(filename, source)], cache=open_cache())[0])
+                for filename, source in items]
+
+        assert cached() == want
+        drop_file_entries()
+        assert cached() == want
+        assert cached() == want
+
+    def test_examples_and_golden_match_uncached(self, tmp_path):
+        path = str(tmp_path / "c")
+        self._assert_outline_path(
+            _corpus_items(), lambda: ResultCache(path),
+            lambda: _sql(path, "DELETE FROM entry WHERE key LIKE 'pfile:%'"))
+
+    def test_fuzz_corpus_matches_uncached(self):
+        from repro.fuzz import generate_corpus
+
+        items = [(program.filename, program.source)
+                 for program in generate_corpus(seed=11, count=80)]
+        cache = ResultCache()
+        self._assert_outline_path(items, lambda: cache,
+                                  lambda: _drop_file_entries(cache))
+
+    def test_byte_mutants_match_uncached(self):
+        """Mutants of one corpus share most blocks, so most outlines and
+        units hit while the mutated block misses or fails to parse."""
+        from test_frontend_roundtrip import _byte_mutants
+
+        items = [("mutant.lev", source)
+                 for source in _byte_mutants(2000, seed=20261017)]
+        cache = ResultCache()
+        self._assert_outline_path(items, lambda: cache,
+                                  lambda: _drop_file_entries(cache))
+
+    def test_a_body_edit_parses_its_unit_blocks_only(self, tmp_path):
+        path = str(tmp_path / "c")
+        source = ("base :: Int# -> Int#\nbase x = x +# 1#\n\n"
+                  "mid = base 1#\n\ntop = mid +# 2#\n\n"
+                  "lone :: Int#\nlone = 7#\n")
+        _, cold = _parsed_blocks(
+            lambda: Session().check_many([("m.lev", source)], cache=path))
+        assert cold == 6
+        edited = source.replace("x +# 1#", "x +# 2#")
+        stats = CheckStats()
+        [result], warm = _parsed_blocks(lambda: Session().check_many(
+            [("m.lev", edited)], cache=path, stats=stats))
+        # The new binding block misses its outline and is parsed once;
+        # the signature block hits its outline but is parsed for the
+        # unit; mid, top and lone parse nothing.
+        assert warm == 2
+        assert stats.checked == 1 and stats.cache_hits == 3
+        assert result.parsed is None        # a slim result, not complete
+        assert _bytes(result) == _bytes(Session().check(edited, "m.lev"))
+
+    def test_a_result_whose_every_unit_missed_carries_the_whole_parse(
+            self, tmp_path):
+        """A new option set misses every unit but no outline; the blocks
+        no unit holds (the import, the orphan signature) are parsed
+        last, so ``parsed`` holds every declaration."""
+        from repro.frontend import parse_module
+
+        path = str(tmp_path / "c")
+        source = "import Foo\n\nlone :: Int#\n\nf :: Int# -> Int#\nf x = x\n"
+        Session().check_many([("w.lev", source)], cache=path)
+        options = DriverOptions(explicit_runtime_reps=True)
+        [result], parsed = _parsed_blocks(lambda: Session(
+            options).check_many([("w.lev", source)], cache=path))
+        assert parsed == 4
+        assert result.parsed.module.pretty() == \
+            parse_module(source, "w.lev").module.pretty()
+        assert _bytes(result) == \
+            _bytes(Session(options).check(source, "w.lev"))
+
+    def test_a_moved_block_is_rebased(self, tmp_path):
+        path = str(tmp_path / "c")
+        source = ("lone :: Int#\n\nf :: Int# -> Int#\nf x = x\n\n"
+                  "bad :: forall (r :: Rep) (a :: TYPE r). a -> a\n"
+                  "bad x = x\n")
+        Session().check_many([("m.lev", source)], cache=path)
+        moved = "g :: Int#\ng = 1#\n\n-- a comment\n\n" + source
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("m.lev", moved)], cache=path))
+        assert parsed == 2                  # g's two new blocks only
+        assert _bytes(result) == _bytes(Session().check(moved, "m.lev"))
+        warning = next(d for d in result.diagnostics
+                       if "lacks a binding" in d.message)
+        assert warning.span.line == 6
+
+    def test_identical_blocks_in_one_file(self, tmp_path):
+        """Two identical blocks parse to distinct nodes, so each levity
+        error keeps its own position, also when both are parsed from
+        outlines (a new option set misses every unit, not the outlines)."""
+        path = str(tmp_path / "c")
+        twice = ("bad :: forall (r :: Rep) (a :: TYPE r). a -> a\n"
+                 "bad x = x\n\n") * 2 + "main :: Int#\nmain = 1#\n"
+        Session().check_many([("d.lev", twice)], cache=path)
+        options = DriverOptions(explicit_runtime_reps=True)
+        [result], parsed = _parsed_blocks(lambda: Session(
+            options).check_many([("d.lev", twice)], cache=path))
+        assert parsed == 6                  # every unit missed
+        assert result.parsed is not None    # so the result is complete
+        assert _bytes(result) == \
+            _bytes(Session(options).check(twice, "d.lev"))
+        lines = [d.span.line for d in result.errors]
+        assert len(set(lines)) == 2, lines
+
+    def test_a_block_that_ends_inside_a_comment(self, tmp_path):
+        path = str(tmp_path / "c")
+        source = ("a :: Int#\na = 1# {- a comment\nb = 2# -}\n\n"
+                  "c :: Int#\nc = a\n")
+        Session().check_many([("k.lev", source)], cache=path)
+        edited = source.replace("c = a", "c = a +# 1#")
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("k.lev", edited)], cache=path))
+        assert parsed == 2                  # c's two blocks
+        assert [b.name for b in result.bindings] == ["a", "c"]
+        assert _bytes(result) == _bytes(Session().check(edited, "k.lev"))
+
+    def test_a_later_parse_error_while_earlier_blocks_hit(self, tmp_path):
+        path = str(tmp_path / "c")
+        source = "a :: Int#\na = 1#\n\nb :: Int#\nb = 2#\n"
+        Session().check_many([("e.lev", source)], cache=path)
+        broken = source.replace("b = 2#", "b = (2#")
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("e.lev", broken)], cache=path))
+        assert parsed == 1
+        assert not result.ok
+        assert _bytes(result) == _bytes(Session().check(broken, "e.lev"))
+
+    @pytest.mark.parametrize("source, swapped", [
+        ("import Foo\n\nf = 1#\n", "f = 1#\n\nimport Foo\n"),
+        ("module M where\n\nf = 1#\n", "f = 1#\n\nmodule M where\n"),
+    ], ids=["import-order", "header-first"])
+    def test_module_shape_errors_from_outlines_alone(self, tmp_path, source,
+                                                     swapped):
+        path = str(tmp_path / "c")
+        Session().check_many([("s.lev", source)], cache=path)
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("s.lev", swapped)], cache=path))
+        assert parsed == 0                  # the same blocks, reordered
+        [error] = result.errors
+        assert error.stage == "parse" and error.span.line == 3
+        assert _bytes(result) == _bytes(Session().check(swapped, "s.lev"))
+
+    @pytest.mark.parametrize("payload", [
+        "{ torn", '{"decls": "x", "error": null}',
+        '{"decls": [["bind", "a", 0, 1, 0, 5, null]], "error": null}',
+        '{"decls": [], "error": ["oops", "1", 1]}',
+    ], ids=["not-json", "decls-not-a-list", "binding-without-refs",
+            "error-line-not-int"])
+    def test_a_malformed_outline_is_reparsed_and_overwritten(
+            self, tmp_path, payload):
+        from repro.__main__ import _cache_payload_validator
+        from repro.driver.store import CacheStore
+
+        path = str(tmp_path / "c")
+        source = "a :: Int#\na = 1#\n\nb = a\n"
+        Session().check_many([("o.lev", source)], cache=path)
+        _sql(path, "DELETE FROM entry WHERE key LIKE 'pfile:%'")
+        _sql(path, "UPDATE entry SET payload = ? WHERE key LIKE 'outline:%'",
+             payload)
+        stats = CheckStats()
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("o.lev", source)], cache=path, stats=stats))
+        assert parsed == 3                  # each outline missed
+        assert stats.cache_hits == 2        # the units still hit
+        assert _bytes(result) == _bytes(Session().check(source, "o.lev"))
+        assert CacheStore(path).verify(_cache_payload_validator()) == []
+
+    def test_an_unparsable_rendering_rechecks_its_unit_only(self, tmp_path):
+        """A cached scheme rendering that fails to re-parse re-checks its
+        defining unit, which parses that unit's blocks and no others."""
+        from repro.driver.store import table_of
+
+        path = str(tmp_path / "c")
+        source = ("base :: Int# -> Int#\nbase x = x +# 1#\n\n"
+                  "mid = base 1#\n\nlone :: Int#\nlone = 7#\n")
+        Session().check_many([("r.lev", source)], cache=path)
+        _sql(path, "DELETE FROM entry WHERE key LIKE 'pfile:%'")
+
+        def garble(entries):
+            for key, payload in entries.items():
+                if table_of(key) == "unit" and \
+                        payload["members"][0]["name"] == "base":
+                    payload["members"][0]["scheme_src"] = "Int# ->"
+
+        _rewrite_entries(path, garble)
+        stats = CheckStats()
+        [result], parsed = _parsed_blocks(lambda: Session().check_many(
+            [("r.lev", source)], cache=path, stats=stats))
+        # mid's key names the garbled rendering, so mid misses; checking
+        # it re-checks base, whose two blocks parse with mid's one.
+        assert parsed == 3
+        assert stats.checked == 1
+        assert _bytes(result) == _bytes(Session().check(source, "r.lev"))

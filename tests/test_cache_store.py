@@ -189,6 +189,39 @@ class TestDirtyTracking:
         assert warm.entries_written == 0
 
 
+class TestGetMany:
+    def test_one_read_counts_every_key_and_answers_like_get(self, tmp_path):
+        root = str(tmp_path / "c")
+        store = CacheStore(root)
+        for i in range(3):
+            store.put(f"k{i}", {"i": i})
+        store.save()
+        hand_edit(root, "UPDATE entry SET payload = '{ torn' WHERE key = 'k1'")
+        reader = CacheStore(root)
+        reader.put("new", {"i": 9})      # reads "new" to compare
+        found = reader.get_many(["k0", "k1", "k2", "absent", "new", "k0"])
+        # A payload that is not JSON is absent, as get() has it; the
+        # others decode one by one around it.
+        assert found == {"k0": {"i": 0}, "k2": {"i": 2}, "new": {"i": 9}}
+        assert reader.keys_read == 1 + 4  # k0, k1, k2, absent: once each
+        assert reader.get_many(["k2", "absent"]) == {"k2": {"i": 2}}
+        assert reader.keys_read == 1 + 4  # nothing read twice
+        assert [reader.get(key) for key in ("k0", "k1", "absent")] == \
+            [{"i": 0}, None, None]
+
+    def test_more_keys_than_one_statement_binds(self, tmp_path):
+        root = str(tmp_path / "c")
+        store = CacheStore(root)
+        keys = [f"k{i}" for i in range(store_module._BATCH_KEYS * 2 + 7)]
+        for i, key in enumerate(keys):
+            store.put(key, {"i": i})
+        store.save()
+        reader = CacheStore(root)
+        found = reader.get_many(keys)
+        assert found == {key: {"i": i} for i, key in enumerate(keys)}
+        assert reader.keys_read == len(keys)
+
+
 def _writer_main(root, tag, count, barrier):
     store = CacheStore(root)
     for i in range(count):
@@ -250,8 +283,9 @@ class TestConcurrency:
         for process in processes:
             assert process.wait(timeout=120) == 0
         keys = entry_keys(root)
-        # 4 unit entries + 4 file entries per run, all distinct sources.
-        assert len(keys) == 16
+        # 4 unit entries + 4 file entries + 8 block outlines per run, all
+        # distinct sources.
+        assert len(keys) == 32
         # And both runs replay warm out of the shared cache.
         stats = CheckStats()
         Session().check_many(
@@ -556,10 +590,12 @@ class TestCacheCli:
         root = seeded(tmp_path)
         assert main(["cache", "stats", "--json", root]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == CACHE_SCHEMA == 5
-        assert document["entries"] == 4  # 3 units + 1 file entry
+        assert document["schema"] == CACHE_SCHEMA == 6
+        # 3 units + 1 file entry + 4 block outlines
+        assert document["entries"] == 8
         assert document["tables"]["unit"]["entries"] == 3
         assert document["tables"]["pfile"]["entries"] == 1
+        assert document["tables"]["outline"]["entries"] == 4
 
     def test_verify_ok_and_failure(self, tmp_path, capsys):
         root = seeded(tmp_path)
@@ -574,12 +610,12 @@ class TestCacheCli:
         root = seeded(tmp_path)
         assert main(["cache", "gc", "--max-age", "30d", "--json",
                      root]) == 0
-        assert json.loads(capsys.readouterr().out) == {"kept": 4,
+        assert json.loads(capsys.readouterr().out) == {"kept": 8,
                                                        "dropped": 0}
         assert main(["cache", "compact", root]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--json", root]) == 0
-        assert json.loads(capsys.readouterr().out)["entries"] == 4
+        assert json.loads(capsys.readouterr().out)["entries"] == 8
         assert main(["cache", "gc", "--max-age", "0s", root]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--json", root]) == 0

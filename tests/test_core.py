@@ -214,15 +214,11 @@ class TestLevityRestrictions:
             check_binder_kind(kind)
 
     def test_checker_collect_mode(self):
-        checker = LevityChecker(collect=True)
+        checker = LevityChecker()
         assert checker.check_binder(TYPE_LIFTED, "x")
         assert not checker.check_binder(TypeKind(RepVar("r")), "y")
         assert not checker.check_argument(TypeKind(RepVar("s")), "z")
-        assert not checker.ok
-        assert len(checker.violations) == 2
-        assert "y" in checker.report() and "z" in checker.report()
-
-    def test_checker_raise_mode(self):
-        checker = LevityChecker(collect=False)
-        with pytest.raises(LevityPolymorphicBinder):
-            checker.check_binder(TypeKind(RepVar("r")), "x")
+        assert [v.kind_of_violation for v in checker.violations] == \
+            ["binder", "argument"]
+        binder, argument = (v.pretty() for v in checker.violations)
+        assert "y" in binder and "z" in argument

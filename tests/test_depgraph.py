@@ -31,6 +31,21 @@ class TestPlanning:
         assert by_name["b"].deps == ("a",)
         assert by_name["a"].deps == ()
 
+    def test_module_facts_alone_match_the_units(self):
+        source = ("module M where\nimport N\n\n"
+                  "f :: Int# -> Int#\nf x = x +# g (h 1#)\n"
+                  "g y = y\nk = f 2# +# ext\n")
+        full = plan_of(source)
+        facts = build_plan(parse_module(source, "plan.lev"), units=False)
+        assert facts.units == [] and facts.defining_unit == {}
+        assert facts.foreign == tuple(sorted(
+            {name for unit in full.units for name in unit.foreign})) == \
+            ("+#", "ext", "h")
+        assert (facts.module_name, facts.header_span, facts.imports,
+                facts.defining_decl) == \
+            (full.module_name, full.header_span, full.imports,
+             full.defining_decl)
+
     def test_references_exclude_parameters(self):
         plan = plan_of("f :: Int# -> Int#\nf x = x +# g 1#\ng y = y\n")
         module = plan.parsed.module

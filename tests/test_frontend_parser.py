@@ -480,6 +480,33 @@ class TestIncrementalParsing:
         added = set(memo) - blocks_before
         assert added == {"b = a +# 1#\n"}
 
+    def test_memo_keeps_the_most_recently_used_blocks(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.frontend import parser
+        from repro.telemetry import REGISTRY
+
+        monkeypatch.setattr(parser, "_BLOCK_MEMO_LIMIT", 4)
+        parsed = REGISTRY.counter("frontend.blocks_parsed")
+
+        def parse(source, memo):
+            before = parsed.value
+            parser.parse_module_incremental(source, memo=memo)
+            return parsed.value - before
+
+        for memo in (OrderedDict(), {}):
+            # Every module shares the block 'keep', so it stays recent;
+            # the other blocks are new each time.
+            for i in range(12):
+                assert parse(f"keep = 0#\n\nb{i} = {i}#\n", memo) == \
+                    (2 if i == 0 else 1)
+                assert len(memo) <= 4
+            assert list(memo) == ["b9 = 9#\n", "b10 = 10#\n",
+                                  "keep = 0#\n", "b11 = 11#\n"]
+            assert parse("keep = 0#\n\nb11 = 11#\n", memo) == 0
+            assert parse("b9 = 9#\n\nb10 = 10#\n", memo) == 0
+            assert parse("b0 = 0#\n", memo) == 1     # long evicted
+
     @pytest.mark.parametrize("broken", [
         "broken = ",
         "broken = 2.5",

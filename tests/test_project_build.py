@@ -248,6 +248,55 @@ class TestCrossModuleIncremental:
         assert stats.checked == 1, stats.pretty()
         assert stats.file_hits == 3
 
+    def _outline_counts(self, build):
+        from repro.telemetry import REGISTRY
+
+        names = ("cache.outline_hits", "cache.outline_misses",
+                 "frontend.blocks_parsed")
+        before = [REGISTRY.counter(name).value for name in names]
+        result = build()
+        return result, {name: REGISTRY.counter(name).value - value
+                        for name, value in zip(names, before)}
+
+    def test_the_graph_reads_block_outlines_once_per_build(self, tmp_path):
+        """The module graph is planned from the 20 block outlines of the
+        project; nat.lev, re-opened for its edited unit, answers them
+        from the session's block memo, so none is read twice."""
+        path = self.fresh_cache(tmp_path)
+        self.build(PROJECT, path)
+        _, counts = self._outline_counts(lambda: self.build(PROJECT, path))
+        assert counts == {"cache.outline_hits": 20,
+                          "cache.outline_misses": 0,
+                          "frontend.blocks_parsed": 0}
+        edited = NAT.replace("double# n = n +# n", "double# n = n *# 2#")
+        stats = CheckStats()
+        check, counts = self._outline_counts(lambda: self.build(
+            [("nat.lev", edited)] + PROJECT[1:], path, stats))
+        assert check.ok and stats.checked == 1
+        # The edited block misses and is parsed; its signature block is
+        # parsed for the re-checked unit.
+        assert counts == {"cache.outline_hits": 19,
+                          "cache.outline_misses": 1,
+                          "frontend.blocks_parsed": 2}
+        scratch = check_project([("nat.lev", edited)] + PROJECT[1:],
+                                session=Session())
+        assert project_bytes(check.results) == project_bytes(scratch.results)
+
+    def test_a_module_that_fails_to_parse_is_planned_from_outlines(
+            self, tmp_path):
+        broken = NAT.replace("double# n = n +# n", "double# n = (n +# n")
+        items = [("nat.lev", broken)] + PROJECT[1:]
+        path = self.fresh_cache(tmp_path)
+        cold = self.build(items, path)
+        assert not cold.ok
+        assert cold.plan.nodes[0].parse_error
+        assert cold.plan.nodes[0].name == "Nat"
+        warm, counts = self._outline_counts(lambda: self.build(items, path))
+        assert counts["frontend.blocks_parsed"] == 0
+        assert project_bytes(warm.results) == project_bytes(cold.results)
+        scratch = check_project(items, session=Session())
+        assert project_bytes(warm.results) == project_bytes(scratch.results)
+
     def test_scheme_change_invalidates_only_consumers(self, tmp_path):
         base = "module D where\n\nv :: Int\nv = 4\nw :: Int\nw = 5\n"
         left = "module B where\nimport D\n\nl :: Int\nl = v\n"
