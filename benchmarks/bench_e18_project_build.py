@@ -10,9 +10,10 @@ rebuilt warm.
 Recorded into ``BENCH_perf.json``:
 
 * ``e18.cold_build``   — full project build populating the cache;
-* ``e18.warm_noop``    — rebuild with nothing edited (outline + exports
-  side-tables reconstruct the module DAG without parsing; every module is
-  a whole-file hit);
+* ``e18.warm_noop``    — rebuild with nothing edited (one ``module:``
+  entry per file reconstructs the module DAG without parsing, read in one
+  batch; every module is a whole-file hit, its exports an ``exports:``
+  entry);
 * ``e18.body_edit``    — rebuild after the body-only edit: exactly **one
   unit** re-checks, and no importing module is even re-parsed
   (cross-file early cutoff);
@@ -23,7 +24,8 @@ Recorded into ``BENCH_perf.json``:
   ``BENCH_REPORT_ONLY``).
 
 Correctness is asserted always: warm results must be byte-identical to
-cold ones, and the body-edit rebuild must re-check exactly one unit.
+cold ones, the body-edit rebuild must re-check exactly one unit, and the
+warm no-op must read at most three keys per module.
 """
 
 import pytest
@@ -104,17 +106,18 @@ def test_report_project_build(tmp_path):
         return check_project(edited_items, cache=throwaway_cache(),
                              session=Session(), stats=stats)
 
-    # -- warm no-op: DAG from outlines, every module a file hit ---------------
+    # -- warm no-op: DAG from module entries, every module a file hit ---------
     noop_stats = CheckStats()
     noop = time_op("e18.warm_noop", lambda: rebuild(items, noop_stats),
                    repeats=3, meta={"modules": NUM_MODULES})
     assert noop_stats.checked == 0
     assert project_bytes(noop.results) == project_bytes(cold.results)
-    # Store-level shape of the warm no-op: outline, file and exports
-    # entries only, nothing written back.
+    # Store-level shape of the warm no-op: one module entry, one file
+    # entry and one exports entry per module, nothing written back.
     probe = throwaway_cache()
     check_project(items, cache=probe, session=Session())
     assert probe.entries_written == 0
+    assert probe.keys_read <= 3 * NUM_MODULES, probe.keys_read
     record_counter("e18.store.warm_keys_read", probe.keys_read)
     record_counter("e18.store.warm_entries_written", probe.entries_written)
 

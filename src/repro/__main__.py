@@ -393,12 +393,14 @@ def _cache_payload_validator():
         _file_payload_valid,
         _unit_payload_valid,
     )
+    from .driver.project import _module_payload_valid
     from .driver.store import table_of
 
     validators = {
         "unit": _unit_payload_valid,
         "pfile": _file_payload_valid,
         "outline": _block_outline_valid,
+        "module": _module_payload_valid,
         "exports": _exports_payload_valid,
         "codegen": _codegen_payload_valid,
     }

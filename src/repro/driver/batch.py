@@ -39,7 +39,9 @@ Four layers:
   schema v6) — a warm no-op run reads only the keys it probes and writes
   nothing, a single-unit edit writes only its own entries, in one
   transaction, and concurrent runs sharing a cache directory lose none
-  of each other's entries.
+  of each other's entries.  The build saves, not the walk: ``check_many``
+  and the project build call :meth:`ResultCache.save` once, after their
+  last level, so a build commits at most once.
 
 * **The walk** — every check goes through one per-file unit walk
   (:func:`_walk`), in the calling process: a file's units in dependency
@@ -66,7 +68,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+    Union,
 )
 
 from ..core.errors import ParseError
@@ -515,6 +518,10 @@ def _block_outline_valid(payload: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: What :meth:`ResultCache.lookup_many` decodes an entry into.
+_T = TypeVar("_T")
+
+
 class ResultCache:
     """A store-backed map from cache keys to payloads.
 
@@ -588,21 +595,28 @@ class ResultCache:
                       exports: Optional[Dict[str, Optional[str]]]) -> None:
         self.store("exports:" + file_key, {"exports": exports})
 
-    def lookup_outline(self, keys: Sequence[str]
-                       ) -> Dict[str, BlockOutline]:
-        """The outlines of the well-formed ``outline:`` entries among
-        ``keys``, read from the store in one batch."""
+    def lookup_many(self, keys: Sequence[str],
+                    decode: Callable[[dict], Optional[_T]]) -> Dict[str, _T]:
+        """``decode(payload)`` of each entry among ``keys`` that has one,
+        read from the store in one batch; an entry ``decode`` turns into
+        None is malformed, and missing from the result."""
         if self._store is not None:
             found = self._store.get_many(keys)
         else:
             found = {key: self._memory[key] for key in keys
                      if key in self._memory}
-        outlines = {}
+        decoded = {}
         for key, payload in found.items():
-            outline = _outline_from_payload(payload)
-            if outline is not None:
-                outlines[key] = outline
-        return outlines
+            value = decode(payload)
+            if value is not None:
+                decoded[key] = value
+        return decoded
+
+    def lookup_outline(self, keys: Sequence[str]
+                       ) -> Dict[str, BlockOutline]:
+        """The outlines of the well-formed ``outline:`` entries among
+        ``keys``, read from the store in one batch."""
+        return self.lookup_many(keys, _outline_from_payload)
 
     def read_outlines(self, texts: Sequence[str]
                       ) -> Dict[str, BlockOutline]:
@@ -1070,6 +1084,11 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
     identical module hits the units an earlier one stored.  ``stats``
     counters accumulate, so the project build threads one object through
     its levels.
+
+    Nothing here is saved: the caller saves ``cache`` once its build is
+    done (``Session.check_many`` after this one level,
+    :func:`repro.driver.project.check_project` after its last), so a
+    build commits at most once and one that stops early writes nothing.
     """
     if stats is None:
         # Counting always (into an internal CheckStats) keeps the
@@ -1121,7 +1140,4 @@ def check_modules(modules: Sequence[Tuple[str, str, Optional[_Renderings]]],
             cache.store(keys[index], payload)
             if state.scope is not None:
                 cache.store_exports(keys[index], exports)
-
-    if cache is not None:
-        cache.save()
     return done  # type: ignore[return-value]

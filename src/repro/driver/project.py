@@ -27,19 +27,24 @@ That second point is the cross-file early-cutoff property:
 * changing an exported *scheme* re-opens exactly the modules that import
   it, and within them re-checks exactly the units that name it.
 
-Warm no-op builds never parse at all: the module graph is planned from
-the block outlines the cache keeps (``outline:`` entries, see
-:mod:`repro.driver.batch`), and per-module exports come from ``exports:``
-entries.
+Warm no-op builds never parse at all: with a cache the module graph is
+built from one ``module:`` entry per file (:func:`module_key`, keyed by
+the source text), all read in one batch, and per-module exports come from
+``exports:`` entries.  Only a file whose entry misses — its source
+changed — is planned from its declaration blocks' outlines (``outline:``
+entries, see :mod:`repro.driver.batch`), parsing the blocks whose
+outlines miss, and then stores its entry.
 
 Checking walks the DAG level by level (every module's imports live in
 strictly earlier levels), handing each level to
 :func:`repro.driver.batch.check_modules` — the unit walk single-file
-``check`` uses too.
+``check`` uses too — and saves the cache once, after the last level: a
+build commits at most once, and one that stops early writes nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -50,7 +55,7 @@ from ..frontend.lexer import Span
 from ..frontend.parser import ParsedModule, parse_scheme
 from ..surface.ast import ImportDecl, Module, ModuleHeader
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
-from .batch import CheckStats, ResultCache, check_modules
+from .batch import CACHE_SCHEMA, CheckStats, ResultCache, check_modules
 from .depgraph import _tarjan, build_plan
 from .session import (
     BindingSummary,
@@ -69,6 +74,7 @@ __all__ = [
     "check_project",
     "discover_sources",
     "merged_check",
+    "module_key",
     "run_project",
 ]
 
@@ -178,6 +184,94 @@ def _outline_node(index: int, filename: str, source: str,
                       False, plan.header_span, plan.imports, plan.foreign)
 
 
+#: The digest state every module key starts from.
+_MODULE_HASHER = hashlib.sha256(f"repro-module:{CACHE_SCHEMA}:".encode())
+
+
+def module_key(source: str) -> str:
+    """Key of a module source's ``module:`` entry.  A node's facts are a
+    pure function of the source text, so neither the filename nor an
+    option is hashed in."""
+    hasher = _MODULE_HASHER.copy()
+    hasher.update(source.encode("utf-8"))
+    return "module:" + hasher.hexdigest()
+
+
+def _module_payload(node: ModuleNode) -> dict:
+    """A node's ``module:`` entry: what :func:`_module_facts` reads back."""
+    header = node.header_span
+    return {
+        "name": node.name,
+        "parse_error": node.parse_error,
+        "header_span": list(header) if header is not None else None,
+        "imports": [[name, list(span)] for name, span in node.imports],
+        "foreign": list(node.foreign),
+    }
+
+
+def _span_field(data) -> Span:
+    """A span stored as its four numbers; any other shape raises."""
+    if type(data) is not list or len(data) != 4 or \
+            not all(type(number) is int for number in data):
+        raise ValueError("not a span")
+    return Span(*data)
+
+
+def _module_facts(payload: dict) -> Optional[tuple]:
+    """The ``name, parse_error, header_span, imports, foreign`` fields of
+    the :class:`ModuleNode` a ``module:`` entry holds, or None when the
+    entry is malformed (it then misses, and the file's outlines plan it
+    again and overwrite it)."""
+    try:
+        name, parse_error = payload["name"], payload["parse_error"]
+        header, foreign = payload["header_span"], payload["foreign"]
+        if (name is not None and type(name) is not str) or \
+                type(parse_error) is not bool or type(foreign) is not list \
+                or not all(type(ref) is str for ref in foreign):
+            return None
+        imports = []
+        for imported, span in payload["imports"]:
+            if type(imported) is not str:
+                return None
+            imports.append((imported, _span_field(span)))
+        return (name, parse_error,
+                _span_field(header) if header is not None else None,
+                tuple(imports), tuple(foreign))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _module_payload_valid(payload: dict) -> bool:
+    """Shape-check a ``module:`` entry (see :func:`_module_payload`)."""
+    return _module_facts(payload) is not None
+
+
+def _module_nodes(items: Sequence[Tuple[str, str]], pipeline: Pipeline,
+                  cache: Optional[ResultCache]) -> List[ModuleNode]:
+    """One node per ``(filename, source)`` item.  With a cache every
+    file's ``module:`` entry is read in one batch; a file whose entry
+    misses, or is malformed, is planned from its block outlines and then
+    stores its entry."""
+    if cache is None:
+        return [_outline_node(index, filename, source, pipeline, None)
+                for index, (filename, source) in enumerate(items)]
+    keys = [module_key(source) for _filename, source in items]
+    found = cache.lookup_many(keys, _module_facts)
+    nodes = []
+    for index, ((filename, source), key) in enumerate(zip(items, keys)):
+        facts = found.get(key)
+        if facts is not None:
+            nodes.append(ModuleNode(index, filename, source, *facts))
+            continue
+        node = _outline_node(index, filename, source, pipeline, cache)
+        cache.store(key, _module_payload(node))
+        nodes.append(node)
+    hits = sum(1 for key in keys if key in found)
+    _REGISTRY.inc("cache.module_hits", hits)
+    _REGISTRY.inc("cache.module_misses", len(keys) - hits)
+    return nodes
+
+
 @dataclass
 class ProjectPlan:
     """The module-level DAG of one project build."""
@@ -207,12 +301,12 @@ def build_project_plan(items: Sequence[Tuple[str, str]],
                        cache: Optional[ResultCache] = None) -> ProjectPlan:
     """Build the module graph over ``(filename, source)`` items.
 
-    Block outlines come from the cache when it has them — a warm build
-    reconstructs the whole graph without parsing a single block.
+    A file's node comes from its ``module:`` entry when the cache has
+    one, else from its block outlines — a warm build reconstructs the
+    whole graph from one read, without parsing a single block.
     """
     with _TRACER.span("project.graph", modules=len(items)):
-        nodes = [_outline_node(index, filename, source, pipeline, cache)
-                 for index, (filename, source) in enumerate(items)]
+        nodes = _module_nodes(items, pipeline, cache)
 
         diagnostics: Dict[int, List[Diagnostic]] = {}
         failed: Set[int] = set()
@@ -400,7 +494,8 @@ def check_project(sources: Iterable[Tuple[str, str]],
     ``session`` checks every module, and its options key every cache
     entry.  Results come back in input order.  Modules the graph rejects
     (cycle members, duplicates, failed imports) get error results
-    carrying the graph diagnostics and are never checked.
+    carrying the graph diagnostics and are never checked.  The cache is
+    saved once, after the last level.
     """
     if isinstance(cache, str):
         cache = ResultCache(cache)
@@ -445,6 +540,8 @@ def check_project(sources: Iterable[Tuple[str, str]],
         for index, (result, module_exports) in zip(level_nodes, checked):
             results[index] = result
             exports[index] = module_exports
+    if cache is not None:
+        cache.save()
 
     assert all(result is not None for result in results)
     _add_cross_module_hints(plan, results, exports)  # type: ignore[arg-type]

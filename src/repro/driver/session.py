@@ -634,15 +634,18 @@ class Session:
         one with any unit from the cache gets the slim payload form
         (rendered schemes and diagnostics preserved;
         ``scheme``/``parsed``/``env`` are ``None``) — see
-        :mod:`repro.driver.batch`.
+        :mod:`repro.driver.batch`.  The cache is saved once, after every
+        file is checked.
         """
         from .batch import ResultCache, check_modules
 
         if isinstance(cache, str):
             cache = ResultCache(cache)
         modules = [(filename, source, None) for filename, source in sources]
-        return [result for result, _exports in check_modules(
-            modules, cache, self, stats)]
+        checked = check_modules(modules, cache, self, stats)
+        if cache is not None:
+            cache.save()
+        return [result for result, _exports in checked]
 
     def check_project(self, sources: Iterable[Tuple[str, str]],
                       cache=None, stats=None):

@@ -22,6 +22,12 @@ file outlives a command.  SQLite's locking relies on the file system's,
 which is unreliable on network file systems: keep a shared cache
 directory on a local disk.
 
+A build saves once, after its last level (``Session.check_many`` and
+:func:`repro.driver.project.check_project`), so its connection lives
+from the store's opening to that save, and it commits at most once.  A
+build that stops before its save writes nothing: its entries cost a
+re-check, never a half-written store.
+
 The store also keeps SQLite's default ``synchronous=FULL``: a commit
 returns once its data is on disk.  Those flushes take most of a small
 save's time, but they are safety code.  An entry lost in a crash would
@@ -42,7 +48,9 @@ hit anyway.
 never loads it.
 
 Metrics (``repro.telemetry``): ``cache.store.keys_read`` (keys looked up
-on disk), ``cache.store.entries_written`` and ``cache.store.gc_dropped``.
+on disk), ``cache.store.entries_written``, ``cache.store.gc_dropped``,
+``cache.store.connections`` (one per ``sqlite3.connect``) and
+``cache.store.commits`` (one per save that wrote something).
 """
 
 from __future__ import annotations
@@ -102,8 +110,8 @@ _BATCH_KEYS = 500
 
 def table_of(key: str) -> str:
     """The namespace a key belongs to, by its prefix: ``pfile``,
-    ``outline``, ``exports``, ``codegen``, or ``unit`` for bare unit keys
-    and any prefix no other namespace names.
+    ``outline``, ``module``, ``exports``, ``codegen``, or ``unit`` for bare
+    unit keys and any prefix no other namespace names.
 
     ``exports:`` keys wrap a *file* key which may itself be prefixed
     (``exports:pfile:<hex>``); the outermost prefix wins.  Codegen keys
@@ -114,7 +122,7 @@ def table_of(key: str) -> str:
     head, sep, _ = key.partition(":")
     if not sep:
         return "unit"
-    if head in ("pfile", "outline", "exports"):
+    if head in ("pfile", "outline", "module", "exports"):
         return head
     if head.startswith("codegen") and head[len("codegen"):].isdigit():
         return "codegen"
@@ -184,6 +192,7 @@ class CacheStore:
                 self._connection = sqlite3.connect(
                     self.path, timeout=BUSY_TIMEOUT_SECONDS,
                     isolation_level=None)
+                _REGISTRY.inc("cache.store.connections")
                 self._connection.execute(_CREATE_TABLE)
             yield self._connection
         except sqlite3.Error as exc:
@@ -287,6 +296,7 @@ class CacheStore:
                         "UPDATE entry SET stamp = ? WHERE key = ?",
                         ((now, key) for key in stale))
                     db.execute("COMMIT")
+                _REGISTRY.inc("cache.store.commits")
         finally:
             self.close()
         written = [*self._pending, *stale]

@@ -86,6 +86,7 @@ class TestKeyAssignment:
         assert table_of(hex64) == "unit"
         assert table_of(f"pfile:{hex64}") == "pfile"
         assert table_of(f"outline:{hex64}") == "outline"
+        assert table_of(f"module:{hex64}") == "module"
         assert table_of(f"exports:{hex64}") == "exports"
         assert table_of(f"exports:pfile:{hex64}") == "exports"
         assert table_of(f"codegen1:{hex64}") == "codegen"
@@ -99,7 +100,8 @@ class TestKeyAssignment:
         # Any key — even junk — lands in exactly one namespace, and the
         # assignment is a pure function of the key.
         table = table_of(key)
-        assert table in ("unit", "pfile", "outline", "exports", "codegen")
+        assert table in ("unit", "pfile", "outline", "module", "exports",
+                         "codegen")
         assert table_of(key) == table
 
 
@@ -605,6 +607,22 @@ class TestCacheCli:
                   "WHERE key LIKE 'pfile:%'")
         assert main(["cache", "verify", root]) == 1
         assert "unreadable" in capsys.readouterr().out
+
+    def test_verify_reports_a_malformed_module_entry(self, tmp_path, capsys):
+        root = str(tmp_path / "c")
+        Session().check_project([("a.lev", "module A where\n\nx :: Int\n"
+                                 "x = 1\n")], cache=root)
+        assert main(["cache", "stats", "--json", root]) == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        assert tables["module"]["entries"] == 1
+        assert main(["cache", "verify", root]) == 0
+        capsys.readouterr()
+        hand_edit(root, "UPDATE entry SET payload = ? WHERE key LIKE "
+                  "'module:%'", json.dumps({"name": "A", "imports": []}))
+        assert main(["cache", "verify", root]) == 1
+        [problem, summary] = capsys.readouterr().out.splitlines()
+        assert "invalid payload under module:" in problem
+        assert summary == "verify: FAILED (1 problem(s))"
 
     def test_gc_and_compact(self, tmp_path, capsys):
         root = seeded(tmp_path)

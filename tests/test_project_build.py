@@ -24,6 +24,8 @@ Covers the guarantees ``python -m repro build`` makes:
 """
 
 import json
+import os
+import sqlite3
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.driver.project import (
     build_project_plan,
     check_project,
     discover_sources,
+    module_key,
     run_project,
 )
 from repro.driver.batch import (
@@ -39,10 +42,12 @@ from repro.driver.batch import (
     payload_bytes,
     result_to_payload,
 )
+from repro.driver.session import Pipeline
+from repro.driver.store import CacheStore
 from repro.frontend import parse_module
 from repro.frontend.parser import ParseError
 from repro.surface.ast import ImportDecl, ModuleHeader
-from repro.telemetry import TRACER, validate_events
+from repro.telemetry import REGISTRY, TRACER, validate_events
 
 NAT = """module Nat where
 
@@ -84,6 +89,14 @@ PROJECT = [("nat.lev", NAT), ("box.lev", BOX), ("world.lev", WORLD),
 
 def project_bytes(results):
     return [payload_bytes(result_to_payload(result)) for result in results]
+
+
+def counted(action, *names):
+    """``action()`` and how much each named registry counter rose."""
+    before = [REGISTRY.counter(name).value for name in names]
+    result = action()
+    return result, {name: REGISTRY.counter(name).value - value
+                    for name, value in zip(names, before)}
 
 
 class TestModuleSyntax:
@@ -249,25 +262,24 @@ class TestCrossModuleIncremental:
         assert stats.file_hits == 3
 
     def _outline_counts(self, build):
-        from repro.telemetry import REGISTRY
-
-        names = ("cache.outline_hits", "cache.outline_misses",
-                 "frontend.blocks_parsed")
-        before = [REGISTRY.counter(name).value for name in names]
-        result = build()
-        return result, {name: REGISTRY.counter(name).value - value
-                        for name, value in zip(names, before)}
+        return counted(build, "cache.outline_hits", "cache.outline_misses",
+                       "frontend.blocks_parsed", "cache.module_hits",
+                       "cache.module_misses")
 
     def test_the_graph_reads_block_outlines_once_per_build(self, tmp_path):
-        """The module graph is planned from the 20 block outlines of the
-        project; nat.lev, re-opened for its edited unit, answers them
-        from the session's block memo, so none is read twice."""
+        """A warm build plans the graph from the 4 ``module:`` entries and
+        reads no block outline.  After a body edit only nat.lev's entry
+        misses: the graph reads its 5 block outlines, and re-opening it
+        for the edited unit answers them from the session's block memo,
+        so none is read twice."""
         path = self.fresh_cache(tmp_path)
         self.build(PROJECT, path)
         _, counts = self._outline_counts(lambda: self.build(PROJECT, path))
-        assert counts == {"cache.outline_hits": 20,
+        assert counts == {"cache.outline_hits": 0,
                           "cache.outline_misses": 0,
-                          "frontend.blocks_parsed": 0}
+                          "frontend.blocks_parsed": 0,
+                          "cache.module_hits": 4,
+                          "cache.module_misses": 0}
         edited = NAT.replace("double# n = n +# n", "double# n = n *# 2#")
         stats = CheckStats()
         check, counts = self._outline_counts(lambda: self.build(
@@ -275,9 +287,11 @@ class TestCrossModuleIncremental:
         assert check.ok and stats.checked == 1
         # The edited block misses and is parsed; its signature block is
         # parsed for the re-checked unit.
-        assert counts == {"cache.outline_hits": 19,
+        assert counts == {"cache.outline_hits": 4,
                           "cache.outline_misses": 1,
-                          "frontend.blocks_parsed": 2}
+                          "frontend.blocks_parsed": 2,
+                          "cache.module_hits": 3,
+                          "cache.module_misses": 1}
         scratch = check_project([("nat.lev", edited)] + PROJECT[1:],
                                 session=Session())
         assert project_bytes(check.results) == project_bytes(scratch.results)
@@ -386,6 +400,177 @@ class TestCrossModuleIncremental:
         assert main(["check", "--cache", cache, world]) == 1
         assert unresolved in capsys.readouterr().out
 
+
+
+class TestOneSavePerBuild:
+    """On a cache path, a build opens one connection and commits at most
+    once, however many DAG levels it walks."""
+
+    NAT_BODY = NAT.replace("double# n = n +# n", "double# n = n *# 2#")
+    NAT_SIGNATURE = NAT.replace("double# :: Int# -> Int#\ndouble# n = n +# n",
+                                "double# :: Int -> Int\ndouble# n = n")
+
+    def store_counts(self, build):
+        return counted(build, "cache.store.connections",
+                       "cache.store.commits")
+
+    def test_check_project_commits_once_per_build(self, tmp_path):
+        root = str(tmp_path / "cache")
+        builds = [
+            ("cold", PROJECT, 1, 6),
+            ("no-op", PROJECT, 0, 0),
+            ("body edit", [("nat.lev", self.NAT_BODY)] + PROJECT[1:], 1, 1),
+            # double#'s scheme changes: main.lev re-opens and fails.
+            ("signature edit", [("nat.lev", self.NAT_SIGNATURE)]
+             + PROJECT[1:], 1, 2),
+            ("no-op", [("nat.lev", self.NAT_SIGNATURE)] + PROJECT[1:], 0, 0),
+        ]
+        for what, items, commits, checked in builds:
+            stats = CheckStats()
+            check, counts = self.store_counts(lambda: check_project(
+                items, cache=root, session=Session(), stats=stats))
+            assert len(check.plan.levels) == 3
+            assert counts == {"cache.store.connections": 1,
+                              "cache.store.commits": commits}, what
+            assert stats.checked == checked, what
+
+    def test_check_many_commits_once_per_build(self, tmp_path):
+        root = str(tmp_path / "cache")
+        inc = "inc :: Int# -> Int#\ninc n = n +# 1#\n\ntwice n = inc (inc n)\n"
+        const = "k :: Int\nk = 3\n"
+        files = [("inc.lev", inc), ("const.lev", const)]
+        builds = [
+            ("cold", files, 1, 3),
+            ("no-op", files, 0, 0),
+            ("body edit", [("inc.lev", inc.replace("1#", "2#")),
+                           ("const.lev", const)], 1, 1),
+            ("signature edit", [("inc.lev", inc.replace("1#", "2#")),
+                                ("const.lev", "k :: Bool\nk = True\n")],
+             1, 1),
+        ]
+        for what, items, commits, checked in builds:
+            stats = CheckStats()
+            results, counts = self.store_counts(lambda: Session().check_many(
+                items, cache=root, stats=stats))
+            assert all(result.ok for result in results), what
+            assert counts == {"cache.store.connections": 1,
+                              "cache.store.commits": commits}, what
+            assert stats.checked == checked, what
+
+    def test_a_build_that_stops_in_its_second_level_writes_nothing(
+            self, tmp_path, monkeypatch):
+        root = str(tmp_path / "cache")
+        check_project(PROJECT, cache=root, session=Session())
+        database = os.path.join(root, "cache.sqlite")
+        with open(database, "rb") as handle:
+            before = handle.read()
+        check_unit = Pipeline.check_unit
+
+        def interrupted(pipeline, plan, unit, available):
+            if "runSum#" in unit.names:
+                raise RuntimeError("interrupted")
+            return check_unit(pipeline, plan, unit, available)
+
+        monkeypatch.setattr(Pipeline, "check_unit", interrupted)
+        edited = [("nat.lev", self.NAT_BODY), ("box.lev", BOX),
+                  ("world.lev", WORLD.replace("sumTo# 0# n", "sumTo# 1# n")),
+                  ("main.lev", MAIN)]
+        stats = CheckStats()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            check_project(edited, cache=root, session=Session(), stats=stats)
+        # Level 0 re-checked double#, whose entries the build never saved.
+        assert stats.checked == 1
+        with open(database, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(root) == ["cache.sqlite"]
+        monkeypatch.undo()
+        check = check_project(edited, cache=root, session=Session())
+        scratch = check_project(edited, session=Session())
+        assert project_bytes(check.results) == project_bytes(scratch.results)
+
+
+def _hand_edit(root, key, payload):
+    """Overwrite one entry's payload, as a hand edit would."""
+    db = sqlite3.connect(os.path.join(root, "cache.sqlite"))
+    try:
+        with db:
+            db.execute("UPDATE entry SET payload = ? WHERE key = ?",
+                       (json.dumps(payload), key))
+    finally:
+        db.close()
+
+
+#: Marks a field the malformed-row test deletes.
+_DELETED = object()
+
+
+class TestModuleEntries:
+    """With a cache the module graph is built from one ``module:`` entry
+    per file; a malformed entry is a miss, planned from block outlines."""
+
+    def plan_facts(self, plan):
+        return [(node.name, node.parse_error, node.header_span, node.imports,
+                 node.foreign, node.level) for node in plan.nodes]
+
+    @pytest.mark.parametrize("field, value", [
+        ("foreign", _DELETED),
+        ("parse_error", "no"),
+        ("name", ["World"]),
+        ("imports", [["Nat", [2, 1, 2]]]),
+        ("header_span", [1, 1, 1, "19"]),
+    ], ids=["missing-field", "wrong-type", "name-not-a-string",
+            "short-import-span", "bad-header-span"])
+    def test_a_malformed_entry_is_a_miss_and_overwritten(
+            self, tmp_path, field, value):
+        root = str(tmp_path / "cache")
+        cold = check_project(PROJECT, cache=root, session=Session())
+        key = module_key(WORLD)
+        good = CacheStore(root).get(key)
+        bad = dict(good)
+        if value is _DELETED:
+            del bad[field]
+        else:
+            bad[field] = value
+        _hand_edit(root, key, bad)
+        warm, counts = counted(
+            lambda: check_project(PROJECT, cache=root, session=Session()),
+            "cache.module_hits", "cache.module_misses",
+            "cache.outline_hits", "cache.outline_misses",
+            "frontend.blocks_parsed")
+        # world.lev is planned from its 4 block outlines, parsing none.
+        assert counts == {"cache.module_hits": 3, "cache.module_misses": 1,
+                          "cache.outline_hits": 4, "cache.outline_misses": 0,
+                          "frontend.blocks_parsed": 0}
+        assert CacheStore(root).get(key) == good
+        assert self.plan_facts(warm.plan) == self.plan_facts(cold.plan)
+        assert project_bytes(warm.results) == project_bytes(cold.results)
+
+    @pytest.mark.parametrize("items, message", [
+        ([("one.lev", "module A where\n\nx :: Int\nx = 1\n"),
+          ("two.lev", "module A where\n\nx :: Int\nx = 1\n")],
+         "duplicate module 'A'"),
+        ([("nat.lev", NAT.replace("double# n = n +# n",
+                                  "double# n = (n +# n"))] + PROJECT[1:],
+         "its import 'Nat' failed"),
+    ], ids=["one-source-twice", "parse-failure"])
+    def test_a_warm_build_plans_every_file_from_its_entry(
+            self, tmp_path, items, message):
+        root = str(tmp_path / "cache")
+        check_project(items, cache=root, session=Session())
+        warm, counts = counted(
+            lambda: check_project(items, cache=root, session=Session()),
+            "cache.module_hits", "cache.module_misses",
+            "cache.outline_hits", "frontend.blocks_parsed")
+        assert counts == {"cache.module_hits": len(items),
+                          "cache.module_misses": 0,
+                          "cache.outline_hits": 0,
+                          "frontend.blocks_parsed": 0}
+        scratch = check_project(items, session=Session())
+        assert self.plan_facts(warm.plan) == self.plan_facts(scratch.plan)
+        assert project_bytes(warm.results) == project_bytes(scratch.results)
+        assert any(message in diagnostic.message
+                   for result in warm.results
+                   for diagnostic in result.diagnostics)
 
 
 class TestCrossModuleScopeHints:
