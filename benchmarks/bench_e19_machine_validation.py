@@ -14,12 +14,17 @@ what it buys:
   cost of translation validation per program;
 * ``e19.fix_memo``    — the compiled ``sumTo#`` loop on the M machine:
   the FIX rule ties the knot through a heap thunk, so ``fix_unrollings``
-  must stay O(1) while ``branches``/``primops`` scale with the loop.
+  must stay O(1) while ``branches``/``primops`` scale with the loop;
+* ``e19.validate_loop`` — ``validate_check`` of ``examples/sum_to.lev``
+  at 256 obligations, whose trace terms share one closed ``fix``
+  (docs/VALIDATION.md, "Shared closed terms"); report-only, no floor.
 
 Correctness is asserted always (zero oracle failures, 100% engagement on
-the all-fragment corpus, O(1) unrollings); the loose wall-clock floors
-are skipped under ``BENCH_REPORT_ONLY``.
+the all-fragment corpus, O(1) unrollings, the loop's report); the loose
+wall-clock floors are skipped under ``BENCH_REPORT_ONLY``.
 """
+
+import os
 
 import pytest
 
@@ -32,6 +37,9 @@ MIXED_SIZE = 150
 FRAGMENT_SIZE = 100
 ALIGN_STEPS = 12
 LOOP_ITERATIONS = 200
+VALIDATE_LOOP = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "examples", "sum_to.lev")
+VALIDATE_LOOP_STEPS = 256
 
 #: Loose local floor — discharge is machine-bound, pathology only.
 DISCHARGE_FLOOR_PROGRAMS_PER_SEC = 5.0
@@ -49,6 +57,24 @@ def _compiled_loop():
         "main :: Int#\n"
         f"main = sumTo# 0# {LOOP_ITERATIONS}#\n")
     return compile_expr(lower_checked(Session().check(source)))
+
+
+def _validate_loop():
+    from repro.driver import Session
+    from repro.validate import validate_check
+
+    session = Session()
+    with open(VALIDATE_LOOP, encoding="utf-8") as handle:
+        check = session.check(handle.read(), "sum_to.lev")
+    report = time_op("e19.validate_loop",
+                     lambda: validate_check(session, check,
+                                            align_steps=VALIDATE_LOOP_STEPS),
+                     repeats=7, meta={"align_steps": VALIDATE_LOOP_STEPS})
+    assert report.ok, report.pretty()
+    assert (report.l_steps, report.obligations_checked,
+            report.by_common_reduct, report.machine_value) == \
+        (705, VALIDATE_LOOP_STEPS, VALIDATE_LOOP_STEPS, "5050")
+    return report
 
 
 def test_report_machine_validation(tmp_path):
@@ -84,10 +110,12 @@ def test_report_machine_validation(tmp_path):
         f"{outcome.costs.fix_unrollings} fix unrollings for "
         f"{LOOP_ITERATIONS} iterations — the heap knot is not memoised")
     assert outcome.costs.branches >= LOOP_ITERATIONS
+    loop = _validate_loop()
 
     import benchreport
     timings = {key: benchreport._TIMINGS[f"e19.{key}"]["seconds"]
-               for key in ("crosscheck", "discharge", "fix_memo")}
+               for key in ("crosscheck", "discharge", "fix_memo",
+                           "validate_loop")}
     engaged = crosscheck.counters.get("machine_engaged", 0)
     skipped = crosscheck.counters.get("machine_skipped_out_of_fragment", 0)
     obligations = discharge.counters.get("obligations_discharged", 0)
@@ -123,6 +151,10 @@ def test_report_machine_validation(tmp_path):
               f"{outcome.costs.fix_unrollings} unrollings, "
               f"{outcome.costs.steps} machine steps "
               f"({timings['fix_memo'] * 1000:.1f}ms)"),
+             (f"loop validation (sum_to.lev, align={VALIDATE_LOOP_STEPS})",
+              "one closed fix compiled and keyed once per trace",
+              f"{loop.obligations_checked} obligations by common reduct "
+              f"({timings['validate_loop'] * 1000:.1f}ms)"),
          ])
 
     if report_only():

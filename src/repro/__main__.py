@@ -464,15 +464,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_cache(path: str) -> None:
-    """Refuse an unusable ``--cache`` path before any checking: opening
-    the store creates its directory, which fails when the path is, or
-    lies under, a regular file, and opens its database, which fails when
-    SQLite cannot use it."""
-    from .driver.store import CacheStore
+def _open_cache(path: str):
+    """The ``ResultCache`` of a ``--cache`` path, opened before any
+    checking so that an unusable path is refused first: opening the store
+    creates its directory, which fails when the path is, or lies under, a
+    regular file, and opens its database, which fails when SQLite cannot
+    use it.  The command works on this cache, so a check or a build opens
+    one connection."""
+    from .driver.batch import ResultCache
 
     try:
-        CacheStore(path).close()
+        return ResultCache(path)
     except (OSError, StoreError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _CliError(f"cannot use {path} as a cache directory "
@@ -687,9 +689,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Switch on the hot-path runtime counters too (fold-point
         # counters publish regardless).
         REGISTRY.enable()
+    cache = None
     try:
         if getattr(args, "cache", None) is not None:
-            _open_cache(args.cache)
+            cache = args.cache = _open_cache(args.cache)
         code = args.func(args)
         if trace_out:
             TRACER.write(trace_out)
@@ -703,6 +706,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    finally:
+        if cache is not None:
+            cache.close()
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ well-typed L program compiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import CompilationError, TypeCheckError
 from ..lang_l.syntax import (
@@ -125,15 +125,28 @@ class CompilationResult:
         return self.code.pretty()
 
 
-class Compiler:
-    """Stateful driver for the Figure 7 compilation rules."""
+#: A memo of compiled closed ``fix`` forms: ``id`` of an L ``Fix`` ->
+#: that object (kept alive, so its ``id`` is not reused) and its code.
+SharedFixes = Dict[int, Tuple[Fix, MFix]]
 
-    def __init__(self) -> None:
+
+class Compiler:
+    """Stateful driver for the Figure 7 compilation rules.
+
+    With ``shared``, a closed ``Fix`` object (no free term variable)
+    compiles once: every later occurrence, in this compilation or in
+    another one given the same memo, is the same ``MFix`` object, and
+    counts nothing.  Its code needs nothing from ``env``, and the kinds of
+    its free type variables are fixed by their binders.
+    """
+
+    def __init__(self, shared: Optional[SharedFixes] = None) -> None:
         self.lazy_lets = 0
         self.strict_lets = 0
         self.erased_type_nodes = 0
         self.fix_forms = 0
         self.primop_forms = 0
+        self.shared = shared
 
     def compile(self, ctx: Context, env: VarEnv, expr: LExpr) -> MExpr:
         """Compile ``expr`` under typing context ``ctx`` and environment ``env``."""
@@ -197,6 +210,10 @@ class Compiler:
             # C_FIX: the binder is pointer-kinded (rule E_FIX), so it
             # compiles to a pointer variable that the machine ties through
             # the heap.
+            shared = self.shared if self.shared is not None \
+                and expr.closed else None
+            if shared is not None and id(expr) in shared:
+                return shared[id(expr)][1]
             try:
                 binder_kind = kind_of(ctx, expr.var_type)
             except TypeCheckError as exc:
@@ -211,7 +228,10 @@ class Compiler:
             body_ctx = ctx.bind_term(expr.var, expr.var_type)
             body_env = env.bind(expr.var, fresh)
             self.fix_forms += 1
-            return MFix(fresh, self.compile(body_ctx, body_env, expr.body))
+            code = MFix(fresh, self.compile(body_ctx, body_env, expr.body))
+            if shared is not None:
+                shared[id(expr)] = (expr, code)
+            return code
 
         if isinstance(expr, PrimOp):
             # C_PRIMOP: every operand is Int#, so each non-literal operand
@@ -309,15 +329,18 @@ from ..lang_l.syntax import INT_HASH as _INT_HASH  # noqa: E402
 
 
 def compile_expr(expr: LExpr, ctx: Context = Context(),
-                 env: VarEnv = VarEnv()) -> CompilationResult:
+                 env: VarEnv = VarEnv(),
+                 shared: Optional[SharedFixes] = None) -> CompilationResult:
     """Compile a (typically closed) L expression to M.
 
     This is the public entry point used by the examples, tests and
     benchmarks.  Raises :class:`CompilationError` when compilation is
     impossible — by the Compilation theorem that only happens for ill-typed
-    input.
+    input.  ``shared`` is the caller's memo of closed ``fix`` forms (see
+    :class:`Compiler`); without one, every occurrence compiles afresh, so
+    two copies of one helper get distinct binder names.
     """
-    compiler = Compiler()
+    compiler = Compiler(shared)
     code = compiler.compile(ctx, env, expr)
     return CompilationResult(code, compiler.lazy_lets, compiler.strict_lets,
                              compiler.erased_type_nodes, compiler.fix_forms,

@@ -643,6 +643,12 @@ class ResultCache:
         if self._store is not None:
             self._store.save()
 
+    def close(self) -> None:
+        """Close the store's connection, if one is open; the next read
+        opens it again."""
+        if self._store is not None:
+            self._store.close()
+
 
 # ---------------------------------------------------------------------------
 # The per-unit codegen side-table

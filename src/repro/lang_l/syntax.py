@@ -738,6 +738,10 @@ class Fix(LExpr):
     (``TYPE P``): unrolling substitutes the whole ``fix`` term for ``x``,
     and on the machine the knot is tied through a heap thunk — there is no
     thunk (and no evaluation rule) at an unboxed type.
+
+    The free variables are computed on first use and cached on the node,
+    and with them :attr:`closed`.  Substitution returns a closed ``fix``
+    unchanged, so unrolling one shares it with every later trace term.
     """
 
     var: str
@@ -745,10 +749,18 @@ class Fix(LExpr):
     body: LExpr
 
     def free_vars(self) -> FrozenSet[str]:
-        return self.body.free_vars() - {self.var}
+        free = self.__dict__.get("_free")
+        if free is None:
+            free = self.body.free_vars() - {self.var}
+            object.__setattr__(self, "_free", free)
+        return free
+
+    @property
+    def closed(self) -> bool:
+        return not self.free_vars()
 
     def substitute(self, name: str, replacement: LExpr) -> LExpr:
-        if name == self.var:
+        if name == self.var or self.closed:
             return self
         if self.var in replacement.free_vars():
             fresh = _fresh_name(self.var,

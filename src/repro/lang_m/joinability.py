@@ -80,6 +80,8 @@ class RunTable:
         self._seen: Dict[int, int] = {}
         #: Hash-consed key nodes -> their numbers.
         self._nodes: Dict[tuple, int] = {}
+        #: id of a closed ``fix`` -> its number, and the term kept alive.
+        self._closed: Dict[int, Tuple[int, MFix]] = {}
 
     def run(self, term: MExpr, heap: Optional[Heap] = None,
             max_steps: int = 1_000_000) -> int:
@@ -123,10 +125,16 @@ class RunTable:
         new number, and the heap cells reachable from ``expr`` follow in
         the order their pointers were first seen.  Variables are keyed by
         name: a ``str`` caches its hash, while an ``MVar`` tuple combines
-        the hashes of its two fields on every lookup.  Fresh names never
-        repeat, so a name stands for one variable."""
+        the hashes of its two fields on every lookup.  A binder's name is
+        scoped to its body, and free names are heap addresses, which are
+        fresh and never repeat, so a free name stands for one cell.
+
+        A closed ``fix`` refers to nothing around it, so it is keyed apart,
+        under its own tag with its binders numbered from 0, and once per
+        table: wherever it sits, its node is the same."""
         nodes = self._nodes
         intern = nodes.setdefault  # intern(node, len(nodes)) numbers node
+        closed = self._closed
         names: Dict[str, int] = {}
         free: List[MVar] = []
         count = 0
@@ -188,12 +196,25 @@ class RunTable:
             elif kind is MConVar:
                 node = ("Iv", var(e.var))
             elif kind is MFix:
+                if e.closed:
+                    return closed_fix(e)
                 node = ("fix", bound(e.var, e.body))
             elif kind is MError:
                 node = ("error",)
             else:
                 raise MachineError(f"cannot key expression {e.pretty()}")
             return intern(node, len(nodes))
+
+        def closed_fix(e: MFix) -> int:
+            nonlocal names, count
+            known = closed.get(id(e))
+            if known is None:
+                outer = names, count
+                names, count = {}, 0
+                number = intern(("cfix", bound(e.var, e.body)), len(nodes))
+                names, count = outer
+                known = closed[id(e)] = (number, e)
+            return known[0]
 
         root = enc(expr)
         cells = []

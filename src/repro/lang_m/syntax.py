@@ -18,8 +18,8 @@ guarantee the erasure never needs to know an unknown width.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import FrozenSet, NamedTuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, NamedTuple, Optional
 
 
 class VarSort:
@@ -373,20 +373,33 @@ class MFix(MExpr):
     address, unless it re-ties its own cell ``p``) and continuing with the
     body (rule FIX), so recursive occurrences go through an ordinary heap
     lookup / EVAL force.
+
+    :attr:`closed` (no free variable) is computed on first use and cached
+    on the node.  Substitution returns a closed ``fix`` unchanged, so one
+    closed ``fix`` object can be shared by every term that holds it.
     """
 
     var: MVar
     body: MExpr
+    _closed: Optional[bool] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         if not self.var.is_pointer():
             raise ValueError("fix binds pointer variables only")
 
+    @property
+    def closed(self) -> bool:
+        closed = self._closed
+        if closed is None:
+            closed = self._closed = not self.free_vars()
+        return closed
+
     def free_vars(self) -> FrozenSet[MVar]:
         return self.body.free_vars() - {self.var}
 
     def substitute_var(self, var: MVar, replacement: MVar) -> MExpr:
-        if var == self.var:
+        if var == self.var or self.closed:
             return self
         if replacement == self.var:
             fresh = fresh_pointer_var(self.var.name + "_")
@@ -395,7 +408,7 @@ class MFix(MExpr):
         return MFix(self.var, self.body.substitute_var(var, replacement))
 
     def substitute_literal(self, var: MVar, value: int) -> MExpr:
-        if var == self.var:
+        if var == self.var or self.closed:
             return self
         return MFix(self.var, self.body.substitute_literal(var, value))
 

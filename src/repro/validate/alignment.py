@@ -8,7 +8,8 @@ paper is by induction on the step relation; this module *mechanically
 discharges* the theorem's obligations for one concrete program:
 
 * evaluate the lowered L entry with a recorded trace ``e₀ −→ e₁ −→ …``;
-* compile each trace term once, and for each consecutive pair run the
+* compile each trace term once, and a closed ``fix`` the terms share
+  once for the whole trace; for each consecutive pair run the
   :func:`repro.lang_m.joinability.joinable` test on the trace's one
   ``RunTable``: each compiled term runs at most once, and stops at the
   first configuration an earlier run reached — a common reduct;
@@ -36,7 +37,7 @@ from ..lang_l.semantics import evaluate
 from ..lang_l.syntax import Context, LExpr
 from ..lang_m.joinability import RunTable, joinable
 from ..lang_m.syntax import MConLit, MExpr, MLit
-from ..compile.compiler import compile_expr
+from ..compile.compiler import SharedFixes, compile_expr
 
 __all__ = [
     "Obligation",
@@ -147,7 +148,10 @@ def validate_term(term: LExpr, *,
 
     # Per-step obligations: C(eᵢ) ⇔ C(eᵢ₊₁) for a prefix of the trace.
     budget = min(len(trace) - 1, max(align_steps, 0))
-    codes = [_compile(expr, ctx) for expr in trace[:budget + 1]]
+    # Trace terms share their closed `fix` objects (substitution returns
+    # them unchanged), so each compiles once, into one code object.
+    shared: SharedFixes = {}
+    codes = [_compile(expr, ctx, shared) for expr in trace[:budget + 1]]
     table = RunTable()
     for index in range(budget):
         obligation = _discharge(index, trace, codes, table,
@@ -177,9 +181,10 @@ def validate_term(term: LExpr, *,
     return report
 
 
-def _compile(expr: LExpr, ctx: Context) -> Union[MExpr, CompilationError]:
+def _compile(expr: LExpr, ctx: Context,
+             shared: SharedFixes) -> Union[MExpr, CompilationError]:
     try:
-        return compile_expr(expr, ctx).code
+        return compile_expr(expr, ctx, shared=shared).code
     except CompilationError as exc:
         return exc
 

@@ -337,6 +337,24 @@ class TestRefusal:
         assert blocker.read_bytes() == b"keep"
 
 
+class TestOneConnection:
+    def test_a_warm_cached_check_opens_one_connection(self, tmp_path,
+                                                      capsys):
+        """The store that ``--cache`` opens to vet its path is the one
+        the check works on."""
+        source = tmp_path / "m.lev"
+        source.write_text(MODULE)
+        argv = ["check", str(source), "--cache", str(tmp_path / "c"),
+                "--stats", "--json"]
+        connections = REGISTRY.counter("cache.store.connections")
+        for _ in range(2):
+            before = connections.value
+            assert main(argv) == 0
+            document = json.loads(capsys.readouterr().out)
+            assert connections.value - before == 1
+        assert document["stats"]["check"]["checked"] == 0
+
+
 class TestUnusableDatabase:
     """A ``cache.sqlite`` SQLite cannot use ends a ``repro check --cache``
     in one ``error:`` line with exit 2, and the file is left as it was."""

@@ -17,6 +17,7 @@ from repro.lang_l import (
     Context,
     ERROR,
     ERROR_TYPE,
+    Fix,
     INT,
     INT_HASH,
     I,
@@ -218,6 +219,28 @@ class TestSemantics:
         stepped = step(ctx, expr)
         assert isinstance(stepped, Step)
         assert type_of(ctx, stepped.expr) == arrow(INT, INT)
+
+    def test_substitution_returns_a_closed_fix_itself(self):
+        loop = Fix("f", arrow(INT, INT), lam("x", INT, App(Var("f"),
+                                                           Var("x"))))
+        assert loop.closed
+        assert loop.substitute("y", boxed_int(1)) is loop
+        # A replacement whose free variable is the binder renames nothing.
+        assert loop.substitute("y", Var("f")) is loop
+
+    def test_an_open_fix_still_substitutes_and_avoids_capture(self):
+        loop = Fix("f", arrow(INT, INT), lam("x", INT, App(Var("g"),
+                                                           Var("f"))))
+        assert not loop.closed and loop.free_vars() == {"g"}
+        substituted = loop.substitute("g", lam("z", arrow(INT, INT),
+                                               Var("z")))
+        assert substituted.closed
+        assert substituted.body.body.function == lam("z", arrow(INT, INT),
+                                                     Var("z"))
+        captured = loop.substitute("g", Var("f"))
+        assert captured.var != "f"
+        assert captured.free_vars() == {"f"}
+        assert captured.body.body == App(Var("f"), Var(captured.var))
 
     def test_max_steps_guard(self):
         from repro.core.errors import EvaluationError

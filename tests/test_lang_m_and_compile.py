@@ -54,6 +54,17 @@ def _spin():
     return MAppLit(MFix(p, MLam(i, MAppVar(MVarRef(p), i))), 0)
 
 
+def _loop(literal=0, sort=VarSort.INTEGER, result=None):
+    """``fix f. λx. case x of { 0 → literal; _ → f x }`` under fresh
+    names, with an ``x`` of ``sort``, or ``result`` in the 0 branch."""
+    f = fresh_pointer_var("f")
+    x = fresh_pointer_var() if sort == VarSort.POINTER \
+        else fresh_integer_var()
+    branch = MLit(literal) if result is None else result
+    return MFix(f, MLam(x, MCaseLit(MVarRef(x), ((0, branch),),
+                                    MAppVar(MVarRef(f), x))))
+
+
 class TestMachine:
     def test_literal_is_final(self):
         result = run(MLit(42))
@@ -230,6 +241,37 @@ class TestJoinability:
         key = table.key(MVarRef(p1), {p1: MConLit(1), p3: MConLit(9)})
         assert key == table.key(MVarRef(p2), {p2: MConLit(1)})
         assert key != table.key(MVarRef(p2), {p2: MConLit(2)})
+
+    def test_a_closed_fix_keys_alike_wherever_it_sits(self):
+        def nest(term):  # under two λs
+            return MLam(fresh_pointer_var(), MLam(fresh_integer_var(), term))
+
+        loop = _loop()
+        table = RunTable()
+        top = table.key(loop, {})
+        assert table.key(_loop(), {}) == top  # an α-renamed copy
+        nested = table.key(nest(loop), {})  # the fix from the table's memo
+        assert table.key(nest(_loop()), {}) == nested
+        fresh = RunTable()  # met under the λs first, then at the top
+        nested = fresh.key(nest(loop), {})
+        assert fresh.key(nest(_loop()), {}) == nested
+        assert fresh.key(loop, {}) == fresh.key(_loop(), {})
+
+    def test_closed_fixes_that_differ_key_differently(self):
+        table = RunTable()
+        key = table.key(_loop(), {})
+        assert table.key(_loop(literal=1), {}) != key
+        assert table.key(_loop(sort=VarSort.POINTER), {}) != key
+        assert table.key(_loop(), {}) == key
+
+    def test_an_open_fix_keys_its_free_cell(self):
+        q = fresh_pointer_var()
+        table = RunTable()
+        key = table.key(_loop(result=MVarRef(q)), {q: MConLit(1)})
+        assert key != table.key(_loop(result=MVarRef(q)), {q: MConLit(2)})
+        r = fresh_pointer_var()
+        assert key == table.key(_loop(result=MVarRef(r)),
+                                {r: MConLit(1), q: MConLit(2)})
 
     def test_terms_that_meet_share_a_common_reduct(self):
         # Both sides reach `⟨(λi. i) 3; ∅; ∅⟩` with different names.
@@ -424,6 +466,30 @@ class TestWholeLanguageMachine:
         result = run(term)
         assert result.unwrap() == MLit(1)
         assert result.costs.fix_unrollings == 3
+
+    def test_substitution_returns_a_closed_fix_itself(self):
+        loop = _loop()
+        assert loop.closed
+        assert loop.substitute_var(fresh_pointer_var(),
+                                   fresh_pointer_var()) is loop
+        # The replacement is the binder, which an open fix would rename.
+        assert loop.substitute_var(fresh_pointer_var(), loop.var) is loop
+        assert loop.substitute_literal(fresh_integer_var(), 3) is loop
+
+    def test_an_open_fix_still_substitutes_and_avoids_capture(self):
+        q, j, r = fresh_pointer_var(), fresh_integer_var(), fresh_pointer_var()
+        loop = _loop(result=MAppVar(MVarRef(q), j))
+        assert not loop.closed and loop.free_vars() == {q, j}
+        assert loop.substitute_var(q, r).free_vars() == {r, j}
+        substituted = loop.substitute_literal(j, 5)
+        assert substituted.free_vars() == {q}
+        assert substituted.body.body.alternatives == \
+            ((0, MAppLit(MVarRef(q), 5)),)
+        captured = loop.substitute_var(q, loop.var)
+        assert captured.var != loop.var
+        assert captured.free_vars() == {loop.var, j}
+        assert captured.body.body.default == \
+            MAppVar(MVarRef(captured.var), captured.body.var)
 
     def test_fix_is_rejected_on_integer_binders(self):
         from repro.lang_m import MFix

@@ -16,6 +16,7 @@ import dataclasses
 import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -44,6 +45,24 @@ SUM_TO = (
     "main :: Int#\n"
     "main = sumTo# 0# 10#\n")
 
+#: `sumTo#` inlined at two call sites: one closed `fix` object, twice.
+TWO_SITES = SUM_TO.replace("main = sumTo# 0# 10#",
+                           "main = sumTo# 0# 3# +# sumTo# 0# 4#")
+
+FIB = (
+    "fib :: Int# -> Int#\n"
+    "fib n = case n <=# 1# of "
+    "{ 1# -> n; _ -> fib (n -# 1#) +# fib (n -# 2#) }\n"
+    "main :: Int#\n"
+    "main = fib 6#\n")
+
+#: Non-tail recursion: its runs return to an empty stack only at the end.
+SUM_NT = (
+    "sumNT :: Int# -> Int#\n"
+    "sumNT n = case n of { 0# -> 0#; _ -> n +# sumNT (n -# 1#) }\n"
+    "main :: Int#\n"
+    "main = sumNT 20#\n")
+
 #: A lazy accumulator: each call allocates a thunk that reads the
 #: previous call's thunk.
 LAZY_ACC = (
@@ -52,6 +71,11 @@ LAZY_ACC = (
     "{ I# a -> I# (a +# k) }) (k -# 1#) }\n"
     "main :: Int\n"
     "main = go (I# 0#) 3#\n")
+
+
+def _example(name):
+    with open(os.path.join(EXAMPLES, name), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _lowered(source):
@@ -168,8 +192,8 @@ class TestValidateTerm:
 
         real = alignment.compile_expr
 
-        def sabotaged(expr, ctx):
-            result = real(expr, ctx)
+        def sabotaged(expr, ctx, **kwargs):
+            result = real(expr, ctx, **kwargs)
             if isinstance(expr, Lit) and expr.value == 3:
                 return dataclasses.replace(result, code=MLit(4))
             return result
@@ -254,6 +278,76 @@ class TestValidateTerm:
         report = validate_term(App(omega, boxed_int(0)), eval_steps=50)
         assert not report.engaged
         assert "did not settle" in report.reason
+
+
+def _validated(source, align_steps=64):
+    session = Session()
+    return validate_check(session, session.check(source),
+                          align_steps=align_steps)
+
+
+class TestSharedClosedFix:
+    """Trace terms share their closed `fix` objects: a validation compiles
+    each once, and reports what it reported when it compiled every copy."""
+
+    @pytest.mark.parametrize("source, align_steps", [
+        (_example("sum_to.lev"), 64), (_example("sum_to.lev"), 256),
+        (FIB, 256)], ids=["sum_to", "sum_to_256", "fib_256"])
+    def test_a_validation_compiles_each_closed_fix_once(
+            self, monkeypatch, source, align_steps):
+        import repro.validate.alignment as alignment
+
+        real = alignment.compile_expr
+        forms = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            forms.append(result.fix_forms)
+            return result
+
+        monkeypatch.setattr(alignment, "compile_expr", spy)
+        report = _validated(source, align_steps)
+        assert report.ok
+        assert len(forms) == report.obligations_checked + 1
+        assert sum(forms) == 1
+
+    def test_a_standalone_compile_names_each_copy_apart(self):
+        term = _lowered(TWO_SITES)
+        alone = compile_expr(term)
+        assert alone.fix_forms == 2
+        names = re.findall(r"fix (\w+)\.", alone.pretty())
+        assert len(names) == len(set(names)) == 2
+        shared = compile_expr(term, shared={})
+        assert shared.fix_forms == 1
+        assert len(set(re.findall(r"fix (\w+)\.", shared.pretty()))) == 1
+
+    def test_the_ci_corpus_discharges_what_the_docs_state(self):
+        totals = dict.fromkeys(("engaged", "ok", "obligations",
+                                "by_common_reduct", "by_final_answer"), 0)
+        with Session() as session:
+            for program in generate_corpus(20260731, 120,
+                                           GenOptions(fragment_bias=1.0)):
+                report = validate_check(
+                    session, session.check(program.source,
+                                           program.filename))
+                totals["engaged"] += report.engaged
+                totals["ok"] += report.ok
+                totals["obligations"] += report.obligations_checked
+                totals["by_common_reduct"] += report.by_common_reduct
+                totals["by_final_answer"] += report.by_final_answer
+        assert totals == {"engaged": 120, "ok": 120, "obligations": 1063,
+                          "by_common_reduct": 859, "by_final_answer": 204}
+
+    @pytest.mark.parametrize("source, pinned", [
+        (FIB, (136, 135, 1, "8")),
+        (TWO_SITES, (60, 59, 1, "16")),
+        (SUM_NT, (103, 102, 1, "210"))],
+        ids=["fib", "two_sites", "sum_nt"])
+    def test_reports_at_256_steps(self, source, pinned):
+        report = _validated(source, align_steps=256)
+        assert report.ok and report.machine_agrees is True
+        assert (report.obligations_checked, report.by_common_reduct,
+                report.by_final_answer, report.machine_value) == pinned
 
 
 class TestRunnerSurface:
